@@ -115,12 +115,18 @@ def _load_config(args) -> dict:
     return config
 
 
-def _resolve(flag_value, config: dict, key: str, default):
+def _resolve(flag_value, config: dict, key: str, default, kind):
+    """Flag value, else config value, else default; a config value is cast by ``kind``."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"config key {key!r}: cannot read {config[key]!r} as {kind.__name__}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +161,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_plan(args) -> int:
     config = _load_config(args)
-    devices = int(_resolve(args.devices, config, "devices", trainplan.DEFAULT_DEVICES))
-    base_seed = int(_resolve(args.base_seed, config, "seed", 0))
+    devices = _resolve(args.devices, config, "devices", trainplan.DEFAULT_DEVICES, int)
+    base_seed = _resolve(args.base_seed, config, "seed", 0, int)
     specs = {spec.id: spec for spec in _read_setups(args.setups)}
     spec = specs.get(args.setup_id)
     if spec is None:
@@ -205,10 +211,10 @@ def _cmd_simulate(args) -> int:
         if args.params
         else surrogate.SurrogateParams()
     )
-    seed = _resolve(args.seed, config, "seed", None)
+    seed = _resolve(args.seed, config, "seed", None, int)
     specs = _read_setups(args.setups)
     records = surrogate.generate_dataset(
-        specs, params, seed if seed is None else int(seed), language_pair=args.pair
+        specs, params, seed, language_pair=args.pair
     )
     text = _csv_text(
         analysis.RESULTS_HEADER,
@@ -257,7 +263,7 @@ def _write_analysis_tables(report: dict, directory: str, force: bool) -> None:
 
 def _cmd_analyze(args) -> int:
     config = _load_config(args)
-    epsilon = float(_resolve(args.epsilon, config, "epsilon", 0.0))
+    epsilon = _resolve(args.epsilon, config, "epsilon", 0.0, float)
     specs = _read_setups(args.setups)
     records = _read_results(args.results)
     results = analysis.ingest(records, specs)

@@ -7,7 +7,9 @@
    shifted by ``a * log2(compute / reference)``. Fitted by an outer 1-D
    search over the shift exponent (coarse grid, then golden section) with
    an inner monotone-constrained least-squares fit of the knot positions,
-   initialized from isotonic regression of the pooled shifted data.
+   initialized from isotonic regression of the pooled shifted data. The
+   inner fit runs L-BFGS-B on the exact gradient of the squared error, so
+   it needs no finite-difference probes.
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in closed form by within-group centering in log space.
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .budget import reference_constants
 from .errors import (
@@ -145,20 +146,27 @@ class KStarModel:
             raise ValidationError("knot positions must be strictly decreasing")
 
 
-def _piecewise_eval(x: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Evaluate the decreasing piecewise-linear function with linear end extension."""
+def _segments(
+    x: np.ndarray, positions: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Locate each x on the ascending knots ``positions[::-1]``.
+
+    Returns the left knot index ``k``, the fraction ``t`` of the way from
+    knot ``k`` to knot ``k + 1``, the segment slope and the unclamped value.
+    ``k`` clips to the end segments, so x outside the knots extends linearly.
+    """
     xp = positions[::-1]  # ascending
     fp = levels[::-1]  # descending along xp
-    out = np.interp(x, xp, fp)
-    left = x < xp[0]
-    if np.any(left):
-        slope = (fp[1] - fp[0]) / (xp[1] - xp[0])
-        out = np.where(left, fp[0] + slope * (x - xp[0]), out)
-    right = x > xp[-1]
-    if np.any(right):
-        slope = (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
-        out = np.where(right, fp[-1] + slope * (x - xp[-1]), out)
-    return out
+    k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    width = xp[k + 1] - xp[k]
+    t = (x - xp[k]) / width
+    slope = (fp[k + 1] - fp[k]) / width
+    return k, t, slope, fp[k] + slope * (x - xp[k])
+
+
+def _piecewise_eval(x: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Evaluate the decreasing piecewise-linear function with linear end extension."""
+    return _segments(x, positions, levels)[3]
 
 
 def _pav_increasing(values: np.ndarray) -> np.ndarray:
@@ -231,25 +239,49 @@ def _theta_from_positions(positions: np.ndarray) -> np.ndarray:
     )
 
 
+def _sse_and_grad(
+    theta: np.ndarray, x: np.ndarray, y: np.ndarray, levels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Sum of squared residuals of the 0-clamped model and its exact gradient in theta.
+
+    On a segment [a, b] with slope s and t = (x - a) / (b - a), the
+    prediction moves by -s(1 - t) per unit of a and by -s t per unit of b;
+    both vanish where the clamp is active. The knot partials then chain
+    through the log-gap parametrization: every position moves one-for-one
+    with theta[0], and position i moves by -exp(theta[m]) for every m <= i.
+    """
+    positions = _positions_from_theta(theta)
+    k, t, slope, raw = _segments(x, positions, levels)
+    active = raw > 0.0
+    res = y - np.where(active, raw, 0.0)
+    dpred_da = np.where(active, -slope * (1.0 - t), 0.0)
+    dpred_db = np.where(active, -slope * t, 0.0)
+    n = len(positions)
+    grad_ascending = np.bincount(k, -2.0 * res * dpred_da, minlength=n) + np.bincount(
+        k + 1, -2.0 * res * dpred_db, minlength=n
+    )
+    tail_sums = np.cumsum(grad_ascending)[::-1]  # sum over positions i >= m
+    grad = np.concatenate([[tail_sums[0]], -np.exp(theta[1:]) * tail_sums[1:]])
+    return float(res @ res), grad
+
+
 def _fit_positions(
     x: np.ndarray, y: np.ndarray, levels: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Monotone-constrained least squares of knot positions at fixed levels.
 
     Parametrized by the top position plus log gaps so monotonicity holds by
-    construction; predictions clamp at level 0.
+    construction; predictions clamp at level 0. L-BFGS-B gets the exact
+    gradient from ``_sse_and_grad``.
     """
-
-    def objective(theta: np.ndarray) -> float:
-        positions = _positions_from_theta(theta)
-        pred = np.maximum(_piecewise_eval(x, positions, levels), 0.0)
-        res = y - pred
-        return float(res @ res)
+    from scipy.optimize import minimize  # only ``fit kstar`` pays for the import
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
-    result = minimize(objective, theta0, method="L-BFGS-B")
-    best = result.x if result.fun <= objective(theta0) else theta0
-    return _positions_from_theta(best), float(min(result.fun, objective(theta0)))
+    sse0 = _sse_and_grad(theta0, x, y, levels)[0]
+    result = minimize(_sse_and_grad, theta0, args=(x, y, levels), jac=True, method="L-BFGS-B")
+    if result.fun <= sse0:
+        return _positions_from_theta(result.x), float(result.fun)
+    return _positions_from_theta(theta0), sse0
 
 
 def fit_kstar_model(
@@ -340,9 +372,10 @@ def predict_kstar(
     End segments extrapolate linearly; the clamp handles corpus sizes
     beyond the last knot (ample data needs a single epoch).
     """
-    if compute <= 0 or target_tokens <= 0:
+    if not (0 < compute < math.inf and 0 < target_tokens < math.inf):
         raise ValidationError(
-            f"compute and target tokens must be positive, got {compute}, {target_tokens}"
+            "compute and target tokens must be positive and finite, "
+            f"got {compute}, {target_tokens}"
         )
     ref = reference_constants()
     shifted = math.log2(target_tokens / ref.target_tokens) - model.shift_exponent * math.log2(

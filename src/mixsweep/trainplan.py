@@ -152,6 +152,8 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
     between the two becomes gradient accumulation. With the default device
     count this reproduces the 8-device recipe exactly.
     """
+    if isinstance(devices, bool) or not isinstance(devices, int) or devices < 1:
+        raise ValidationError(f"devices must be a positive integer, got {devices!r}")
     complexity = shape.complexity
     local_batch = 0
     for threshold, local in zip(COMPLEXITY_THRESHOLDS, LOCAL_BATCH_BY_THRESHOLD):

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mixsweep
 from mixsweep.budget import reference_constants
 from mixsweep.cli import run
 
@@ -173,6 +176,31 @@ def test_config_file_and_env(workspace, tmp_path, monkeypatch):
     assert json.load(open(out3))["training_plan"]["batch"]["devices"] == 8
 
 
+@pytest.mark.parametrize("devices", ["0", "-2"])
+def test_plan_rejects_non_positive_devices(workspace, tmp_path, capsys, devices):
+    out = tmp_path / "x.json"
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(out), "--devices", devices]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: devices must be a positive integer, got {devices}\n"
+    assert not out.exists()
+
+
+def test_plan_rejects_non_integer_config_devices(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"devices": "x"}))
+    code = run(
+        ["--config", str(config), "plan", "fC0_fD0_fr0_fM0_fk0",
+         "--setups", workspace["setups"], "--out", str(tmp_path / "x.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: config key 'devices': cannot read 'x' as int\n"
+
+
 def test_config_rejects_unknown_keys(workspace, tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"divices": 2}))
@@ -267,6 +295,20 @@ def test_predict_kstar_at_training_point(tmp_path, capsys):
     assert printed == pytest.approx(4.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "compute, target", [("nan", "2.13e9"), ("inf", "2.13e9"), ("1e18", "nan")]
+)
+def test_predict_kstar_rejects_non_finite(workspace, capsys, compute, target):
+    code = run(
+        ["predict", "kstar", "--model", workspace["kstar"], "--C", compute, "--DT", target]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: compute and target tokens must be positive and finite")
+    assert captured.err.count("\n") == 1
+
+
 def test_report_tables_and_summary(workspace, tmp_path, capsys):
     code = run(
         [
@@ -308,3 +350,18 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
         )
     assert open(a).read() == open(b).read()
     assert open(a).read() != open(c).read()
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # only `fit kstar` needs scipy; every other command must start without it
+    script = (
+        "import sys, mixsweep, mixsweep.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        f"assert mixsweep.cli.run(['enumerate', '--out', {str(tmp_path / 's.jsonl')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'enumerate'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

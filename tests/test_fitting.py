@@ -219,6 +219,86 @@ def test_kstar_wire_round_trip(planted_model):
     assert back == model
 
 
+def _reference_eval(x, positions, levels):
+    """np.interp inside the knots, linear extension of the end segments outside."""
+    xp, fp = positions[::-1], levels[::-1]
+    left = fp[0] + (fp[1] - fp[0]) / (xp[1] - xp[0]) * (x - xp[0])
+    right = fp[-1] + (fp[-1] - fp[-2]) / (xp[-1] - xp[-2]) * (x - xp[-1])
+    return np.where(x < xp[0], left, np.where(x > xp[-1], right, np.interp(x, xp, fp)))
+
+
+def test_piecewise_eval_matches_interp_with_linear_ends():
+    rng = np.random.default_rng(3)
+    levels = np.arange(0.0, 4.25, 0.5)
+    positions = -np.cumsum(rng.uniform(0.1, 1.5, len(levels))) + 1.0
+    x = np.concatenate([rng.uniform(-12.0, 4.0, 500), positions])
+    np.testing.assert_allclose(
+        fitting._piecewise_eval(x, positions, levels),
+        _reference_eval(x, positions, levels),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def _central_differences(f, theta, step=1e-6):
+    grad = np.empty_like(theta)
+    for i in range(len(theta)):
+        e = np.zeros_like(theta)
+        e[i] = step
+        grad[i] = (f(theta + e) - f(theta - e)) / (2.0 * step)
+    return grad
+
+
+def _perturbed_theta(x, y, levels, rng, offset):
+    """Isotonic start plus noise, redrawn until no point lies within 1e-3 of a knot
+    and some points fall left of the knots, right of them (under the clamp) and between."""
+    theta0 = fitting._theta_from_positions(fitting._initial_positions(x, y, levels)) + offset
+    for _ in range(100):
+        theta = theta0 + rng.normal(0.0, 0.1, len(theta0))
+        positions = fitting._positions_from_theta(theta)
+        if (
+            np.min(np.abs(x[:, None] - positions[None, :])) > 1e-3
+            and np.any(x < positions[-1])
+            and np.any(x > positions[0])
+            and np.any((x > positions[-1]) & (x < positions[0]))
+        ):
+            return theta
+    raise AssertionError("no kink-free perturbation found")
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(17)
+    ref = reference_constants()
+    curves = planted_curves()
+    delta = np.log2([c[0] / ref.compute for c in curves])
+    f_D = np.asarray([c[1] for c in curves])
+    y = np.asarray([c[2] for c in curves])
+    for h_max in (3.0, 4.0):
+        levels = np.arange(0.0, h_max + 0.25, 0.5)
+        for exponent in (0.35, 0.5, 0.8):
+            x = f_D - exponent * delta
+            # move the top knot left and narrow the gaps so both ends hold points
+            offset = np.concatenate([[-0.4], np.full(len(levels) - 1, -0.3)])
+            yield x, y, levels, _perturbed_theta(x, y, levels, rng, offset)
+        for _ in range(3):
+            x = rng.uniform(-7.0, 2.0, 60)
+            noisy = np.maximum(-(2.0 / 3.0) * x, 0.0) + rng.normal(0.0, 0.3, 60)
+            yield x, noisy, levels, _perturbed_theta(x, noisy, levels, rng, 0.0)
+
+
+def test_sse_gradient_matches_central_differences():
+    cases = list(_gradient_cases())
+    assert len(cases) == 12
+    for x, y, levels, theta in cases:
+        sse, grad = fitting._sse_and_grad(theta, x, y, levels)
+        numeric = _central_differences(
+            lambda t: fitting._sse_and_grad(t, x, y, levels)[0], theta
+        )
+        raw = fitting._piecewise_eval(x, fitting._positions_from_theta(theta), levels)
+        assert sse == pytest.approx(float(np.sum((y - np.maximum(raw, 0.0)) ** 2)), rel=1e-12)
+        assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
+
+
 # ---------------------------------------------------------------------------
 # ratio power law
 # ---------------------------------------------------------------------------

@@ -112,6 +112,12 @@ def test_batch_config_minimum_batch_error():
         trainplan.batch_config(1e12, trainplan.shape_for_factor(0))
 
 
+@pytest.mark.parametrize("devices", [0, -2, 2.0, "8", True])
+def test_batch_config_rejects_invalid_devices(devices):
+    with pytest.raises(ValidationError, match="devices must be a positive integer"):
+        trainplan.batch_config(1e18, trainplan.shape_for_factor(0), devices=devices)
+
+
 def test_batch_config_monotone_in_compute():
     shape = trainplan.shape_for_factor(0)
     budgets = [2.0**e * 1e16 for e in range(0, 10)]
