@@ -22,7 +22,6 @@ from .space import (
     enumerate_all,
     enumerate_single_stage,
     enumerate_two_stage,
-    group_by_budget,
 )
 from .trainplan import (
     BatchConfig,
@@ -65,7 +64,7 @@ from .fitting import (
     fit_ratio_power_law,
     predict_kstar,
 )
-from .surrogate import GeParams, SurrogateParams, composite_loss, ge_loss, generate_dataset
+from .surrogate import SurrogateParams, composite_loss, generate_dataset
 
 __version__ = "0.1.0"
 
@@ -75,7 +74,6 @@ __all__ = [
     "ComputeOptimalEstimate",
     "DerivedSetup",
     "FactorTuple",
-    "GeParams",
     "InterleavePattern",
     "KStarModel",
     "LRSchedule",
@@ -109,9 +107,7 @@ __all__ = [
     "fit_epoch_quadratic",
     "fit_kstar_model",
     "fit_ratio_power_law",
-    "ge_loss",
     "generate_dataset",
-    "group_by_budget",
     "ingest",
     "interleave_pattern",
     "learning_rate",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Hashable, Iterable, Iterator
 
 from .budget import reference_constants
 from .errors import FileFormatError, InsufficientDataError, ValidationError
@@ -102,18 +102,23 @@ class ResultSet:
     def pairs(self) -> tuple[str, ...]:
         return tuple(sorted({pair for _, pair in self.losses}))
 
+    def resolve_pair(self, pair: str | None = None) -> str:
+        """``pair`` itself, or the only pair held when ``pair`` is None."""
+        if pair is not None:
+            return pair
+        pairs = self.pairs()
+        if len(pairs) != 1:
+            raise InsufficientDataError(
+                f"result set has pairs {pairs}; specify which one to analyze"
+            )
+        return pairs[0]
+
     def for_pair(self, pair: str | None = None) -> dict[str, float]:
         """Losses keyed by setup id for one language pair.
 
         ``pair=None`` is allowed only when the set holds exactly one pair.
         """
-        pairs = self.pairs()
-        if pair is None:
-            if len(pairs) != 1:
-                raise InsufficientDataError(
-                    f"result set has pairs {pairs}; specify which one to analyze"
-                )
-            pair = pairs[0]
+        pair = self.resolve_pair(pair)
         return {
             setup_id: loss
             for (setup_id, rec_pair), loss in self.losses.items()
@@ -153,9 +158,25 @@ def ingest(records: Iterable[LossRecord], setups: Iterable[SetupSpec]) -> Result
     return ResultSet(losses=losses, setups=setups_by_id, summary=summary)
 
 
-def _tie_key(spec: SetupSpec) -> tuple[int, int, str]:
-    derived = spec.derived()
-    return (derived.epochs, spec.factors.f_M, spec.id)
+def _argmin(
+    results: ResultSet, pair: str | None, keys: Callable[[SetupSpec], Iterable[Hashable]]
+) -> dict:
+    """Minimum-loss ``(loss, spec)`` per key over the setups measured for ``pair``.
+
+    ``keys(spec)`` lists the keys a setup competes under; an empty list
+    leaves it out. Ties break on (f_k, f_M, id): epochs = 2**f_k with
+    f_k >= 0, so f_k orders like the epoch count without deriving the
+    setup. The result is sorted by key.
+    """
+    best: dict = {}
+    for setup_id, loss in results.for_pair(pair).items():
+        spec = results.setups[setup_id]
+        rank = (loss, spec.factors.f_k, spec.factors.f_M, setup_id)
+        for key in keys(spec):
+            incumbent = best.get(key)
+            if incumbent is None or rank < incumbent[0]:
+                best[key] = (rank, spec)
+    return {key: (rank[0], spec) for key, (rank, spec) in sorted(best.items())}
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,46 +204,46 @@ def category_minima(results: ResultSet, pair: str | None = None) -> list[Categor
     structural; a violation would signal a membership bug, so it is
     re-checked here.
     """
-    losses = results.for_pair(pair)
-    cells: dict[tuple[int, int], dict[str, tuple[float, SetupSpec]]] = {}
-    for setup_id, loss in losses.items():
-        spec = results.setups[setup_id]
-        key = (spec.factors.f_C, spec.factors.f_D)
-        cell = cells.setdefault(key, {})
-        for category in APPROACHES:
-            if not in_category(spec, category):
-                continue
-            incumbent = cell.get(category)
-            if (
-                incumbent is None
-                or loss < incumbent[0]
-                or (loss == incumbent[0] and _tie_key(spec) < _tie_key(incumbent[1]))
-            ):
-                cell[category] = (loss, spec)
+    best = _argmin(
+        results,
+        pair,
+        lambda s: [(s.factors.f_C, s.factors.f_D, c) for c in APPROACHES if in_category(s, c)],
+    )
+    cells: dict[tuple[int, int], dict[str, BestEntry]] = {}
+    for (f_C, f_D, category), (loss, spec) in best.items():
+        cells.setdefault((f_C, f_D), {})[category] = BestEntry(loss=loss, setup_id=spec.id)
     out: list[CategoryMinima] = []
     ref = reference_constants()
-    for (f_C, f_D) in sorted(cells):
-        cell = cells[(f_C, f_D)]
-        best = {
-            category: BestEntry(loss=entry[0], setup_id=entry[1].id)
-            for category, entry in cell.items()
-        }
+    for (f_C, f_D), cell in cells.items():
         chain = [APPROACH_MULTI_2STAGE, APPROACH_MULTI_1STAGE, APPROACH_MONO_1STAGE]
-        present = [best[c].loss for c in chain if c in best]
+        present = [cell[c].loss for c in chain if c in cell]
         if any(a > b for a, b in zip(present, present[1:])):
             raise AssertionError(
                 f"category nesting violated at (f_C={f_C}, f_D={f_D}); membership bug"
             )
-        out.append(
-            CategoryMinima(
-                f_C=f_C,
-                f_D=f_D,
-                compute=math.ldexp(ref.compute, f_C),
-                target_tokens=math.ldexp(ref.target_tokens, f_D),
-                best=best,
-            )
-        )
+        out.append(CategoryMinima(f_C=f_C, f_D=f_D, compute=math.ldexp(ref.compute, f_C),
+                                  target_tokens=math.ldexp(ref.target_tokens, f_D), best=cell))
     return out
+
+
+def epoch_minima(
+    results: ResultSet, approach: str, pair: str | None = None
+) -> dict[tuple[int, int], list[tuple[int, float]]]:
+    """Minimum loss per epoch factor, as (f_k, loss) ascending, in each (f_C, f_D) cell.
+
+    Only setups in the nested ``approach`` category take part.
+    """
+    def keys(s: SetupSpec) -> list:
+        return [(s.factors.f_C, s.factors.f_D, s.factors.f_k)] if in_category(s, approach) else []
+
+    best = _argmin(results, pair, keys)
+    cells: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    for (f_C, f_D, f_k), (loss, _) in best.items():
+        cells.setdefault((f_C, f_D), []).append((f_k, loss))
+    return cells
+
+
+_NO_MONO = "no mono-1stage measurements at compute factor f_C={}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,6 +253,24 @@ class ComputeOptimalEstimate:
     compute: float
     d_star: float
     setup_id: str
+
+
+def _compute_optimal_by_budget(
+    results: ResultSet, pair: str | None
+) -> dict[int, ComputeOptimalEstimate]:
+    """D*(C) for every compute factor with a mono-1stage measurement."""
+    best = _argmin(
+        results, pair, lambda s: [s.factors.f_C] if s.approach == APPROACH_MONO_1STAGE else []
+    )
+    estimates = {}
+    for f_C, (_, spec) in best.items():
+        derived = spec.derived()
+        estimates[f_C] = ComputeOptimalEstimate(
+            compute=derived.compute,
+            d_star=derived.epochs * derived.target_tokens,
+            setup_id=spec.id,
+        )
+    return estimates
 
 
 def estimate_compute_optimal(
@@ -244,24 +283,10 @@ def estimate_compute_optimal(
     f_C = round(math.log2(compute / ref.compute))
     if not math.isclose(math.ldexp(ref.compute, f_C), compute, rel_tol=1e-9):
         raise ValidationError(f"compute {compute:.6g} is not on the power-of-two grid")
-    losses = results.for_pair(pair)
-    candidates = [
-        (loss, results.setups[setup_id])
-        for setup_id, loss in losses.items()
-        if results.setups[setup_id].approach == APPROACH_MONO_1STAGE
-        and results.setups[setup_id].factors.f_C == f_C
-    ]
-    if not candidates:
-        raise InsufficientDataError(
-            f"no mono-1stage measurements at compute factor f_C={f_C}"
-        )
-    loss, spec = min(candidates, key=lambda item: (item[0], _tie_key(item[1])))
-    derived = spec.derived()
-    return ComputeOptimalEstimate(
-        compute=derived.compute,
-        d_star=derived.epochs * derived.target_tokens,
-        setup_id=spec.id,
-    )
+    estimates = _compute_optimal_by_budget(results, pair)
+    if f_C not in estimates:
+        raise InsufficientDataError(_NO_MONO.format(f_C))
+    return estimates[f_C]
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,65 +311,44 @@ class ThresholdReport:
     ratio_upper: float | None
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def detect_threshold(
     minima: Iterable[CategoryMinima], d_star: float, epsilon: float = 0.0
 ) -> ThresholdReport:
     """Scan one budget's minima (ascending f_D) for the approach switch.
 
-    ``epsilon`` is an optional noise margin: multi-2stage must win by more
-    than epsilon to count. Defaults to raw comparison.
+    ``epsilon`` is an optional noise margin (finite, >= 0): multi-2stage
+    must win by more than epsilon to count. Defaults to raw comparison.
     """
+    _check_epsilon(epsilon)
     cells = sorted(minima, key=lambda m: m.f_D)
     if not cells:
         raise InsufficientDataError("no minima to scan for a threshold")
-    compute = cells[0].compute
-    eligible = [
-        m
-        for m in cells
-        if APPROACH_MONO_1STAGE in m.best and APPROACH_MULTI_2STAGE in m.best
-    ]
+    compared = (APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE)
+    eligible = [m for m in cells if all(category in m.best for category in compared)]
     wins = [
-        (
-            m.target_tokens,
-            m.best[APPROACH_MULTI_2STAGE].loss < m.best[APPROACH_MONO_1STAGE].loss - epsilon,
-        )
+        m.best[APPROACH_MULTI_2STAGE].loss < m.best[APPROACH_MONO_1STAGE].loss - epsilon
         for m in eligible
     ]
-    win_indices = [i for i, (_, won) in enumerate(wins) if won]
-    if not win_indices:
-        return ThresholdReport(
-            compute=compute,
-            d_star=d_star,
-            crossed=False,
-            lower_target_tokens=None,
-            upper_target_tokens=None,
-            open_upper=False,
-            ratio_lower=None,
-            ratio_upper=None,
-        )
-    last_win = max(win_indices)
-    lower = wins[last_win][0]
-    if last_win == len(wins) - 1:
-        return ThresholdReport(
-            compute=compute,
-            d_star=d_star,
-            crossed=True,
-            lower_target_tokens=lower,
-            upper_target_tokens=None,
-            open_upper=True,
-            ratio_lower=lower / d_star,
-            ratio_upper=None,
-        )
-    upper = wins[last_win + 1][0]
+    lower = upper = None
+    if any(wins):
+        last_win = len(wins) - 1 - wins[::-1].index(True)
+        lower = eligible[last_win].target_tokens
+        if last_win + 1 < len(eligible):
+            upper = eligible[last_win + 1].target_tokens
     return ThresholdReport(
-        compute=compute,
+        compute=cells[0].compute,
         d_star=d_star,
-        crossed=True,
+        crossed=lower is not None,
         lower_target_tokens=lower,
         upper_target_tokens=upper,
-        open_upper=False,
-        ratio_lower=lower / d_star,
-        ratio_upper=upper / d_star,
+        open_upper=lower is not None and upper is None,
+        ratio_lower=None if lower is None else lower / d_star,
+        ratio_upper=None if upper is None else upper / d_star,
     )
 
 
@@ -374,77 +378,49 @@ class ScaleTable:
     fold_change: dict[int, float]
 
 
+def _scale_winner(loss: float, spec: SetupSpec) -> ScaleWinner:
+    ref = reference_constants()
+    return ScaleWinner(
+        f_C=spec.factors.f_C,
+        f_D=spec.factors.f_D,
+        compute=math.ldexp(ref.compute, spec.factors.f_C),
+        target_tokens=math.ldexp(ref.target_tokens, spec.factors.f_D),
+        f_M=spec.factors.f_M,
+        model_scale=spec.derived().model_scale,
+        loss=loss,
+        setup_id=spec.id,
+    )
+
+
+def _scale_winner_to_wire(w: ScaleWinner) -> dict:
+    return {"f_C": w.f_C, "f_D": w.f_D, "C": w.compute, "D_T": w.target_tokens,
+            "f_M": w.f_M, "M": w.model_scale, "loss": w.loss, "setup_id": w.setup_id}
+
+
 def per_scale_minima(
     results: ResultSet, pair: str | None = None
 ) -> list[ScaleWinner]:
     """Minimum loss per (f_C, f_D, f_M) triple, for loss-vs-corpus plots by scale."""
-    losses = results.for_pair(pair)
-    cells: dict[tuple[int, int, int], tuple[float, SetupSpec]] = {}
-    for setup_id, loss in losses.items():
-        spec = results.setups[setup_id]
-        key = (spec.factors.f_C, spec.factors.f_D, spec.factors.f_M)
-        incumbent = cells.get(key)
-        if (
-            incumbent is None
-            or loss < incumbent[0]
-            or (loss == incumbent[0] and _tie_key(spec) < _tie_key(incumbent[1]))
-        ):
-            cells[key] = (loss, spec)
-    ref = reference_constants()
-    out = []
-    for (f_C, f_D, f_M) in sorted(cells):
-        loss, spec = cells[(f_C, f_D, f_M)]
-        out.append(
-            ScaleWinner(
-                f_C=f_C,
-                f_D=f_D,
-                compute=math.ldexp(ref.compute, f_C),
-                target_tokens=math.ldexp(ref.target_tokens, f_D),
-                f_M=f_M,
-                model_scale=spec.derived().model_scale,
-                loss=loss,
-                setup_id=spec.id,
-            )
-        )
-    return out
+    best = _argmin(results, pair, lambda s: [(s.factors.f_C, s.factors.f_D, s.factors.f_M)])
+    return [_scale_winner(loss, spec) for loss, spec in best.values()]
 
 
-def optimal_scale_table(results: ResultSet, pair: str | None = None) -> ScaleTable:
-    """Argmin over the model-scale factor of the per-cell minimum loss."""
-    losses = results.for_pair(pair)
-    cells: dict[tuple[int, int], tuple[float, SetupSpec]] = {}
-    for setup_id, loss in losses.items():
-        spec = results.setups[setup_id]
-        key = (spec.factors.f_C, spec.factors.f_D)
-        incumbent = cells.get(key)
-        if (
-            incumbent is None
-            or loss < incumbent[0]
-            or (loss == incumbent[0] and _tie_key(spec) < _tie_key(incumbent[1]))
-        ):
-            cells[key] = (loss, spec)
+def _scale_table(results: ResultSet, minima: Iterable[CategoryMinima]) -> ScaleTable:
+    # every setup is in multi-2stage, so that column is the per-cell minimum
     winners = []
-    ref = reference_constants()
-    for (f_C, f_D) in sorted(cells):
-        loss, spec = cells[(f_C, f_D)]
-        derived = spec.derived()
-        winners.append(
-            ScaleWinner(
-                f_C=f_C,
-                f_D=f_D,
-                compute=math.ldexp(ref.compute, f_C),
-                target_tokens=math.ldexp(ref.target_tokens, f_D),
-                f_M=spec.factors.f_M,
-                model_scale=derived.model_scale,
-                loss=loss,
-                setup_id=spec.id,
-            )
-        )
+    for cell in minima:
+        entry = cell.best[APPROACH_MULTI_2STAGE]
+        winners.append(_scale_winner(entry.loss, results.setups[entry.setup_id]))
     fold_change: dict[int, float] = {}
     for f_C in sorted({w.f_C for w in winners}):
         scales = [w.model_scale for w in winners if w.f_C == f_C]
         fold_change[f_C] = max(scales) / min(scales)
     return ScaleTable(winners=tuple(winners), fold_change=fold_change)
+
+
+def optimal_scale_table(results: ResultSet, pair: str | None = None) -> ScaleTable:
+    """Argmin over the model-scale factor of the per-cell minimum loss."""
+    return _scale_table(results, category_minima(results, pair))
 
 
 def build_report(
@@ -455,14 +431,10 @@ def build_report(
     Budgets without mono-1stage measurements get a null compute-optimal
     entry (with a reason) instead of failing the whole report.
     """
-    pairs = results.pairs()
-    if pair is None:
-        if len(pairs) != 1:
-            raise InsufficientDataError(
-                f"result set has pairs {pairs}; specify which one to analyze"
-            )
-        pair = pairs[0]
+    _check_epsilon(epsilon)  # also when no budget reaches detect_threshold
+    pair = results.resolve_pair(pair)
     minima = category_minima(results, pair)
+    estimates = _compute_optimal_by_budget(results, pair)
     by_budget: dict[int, list[CategoryMinima]] = {}
     for cell in minima:
         by_budget.setdefault(cell.f_C, []).append(cell)
@@ -482,14 +454,12 @@ def build_report(
     ]
     compute_optimal_obj = []
     thresholds_obj = []
-    for f_C in sorted(by_budget):
-        cells = by_budget[f_C]
-        compute = cells[0].compute
-        try:
-            estimate = estimate_compute_optimal(results, compute, pair)
-        except InsufficientDataError as exc:
+    for f_C, cells in sorted(by_budget.items()):
+        estimate = estimates.get(f_C)
+        if estimate is None:
+            note = _NO_MONO.format(f_C)
             compute_optimal_obj.append(
-                {"f_C": f_C, "C": compute, "D_star": None, "setup_id": None, "note": str(exc)}
+                {"f_C": f_C, "C": cells[0].compute, "D_star": None, "setup_id": None, "note": note}
             )
             continue
         compute_optimal_obj.append(
@@ -514,37 +484,7 @@ def build_report(
                 "ratio_upper": report.ratio_upper,
             }
         )
-    scale_rows = per_scale_minima(results, pair)
-    scale_minima_obj = [
-        {
-            "f_C": row.f_C,
-            "f_D": row.f_D,
-            "C": row.compute,
-            "D_T": row.target_tokens,
-            "f_M": row.f_M,
-            "M": row.model_scale,
-            "loss": row.loss,
-            "setup_id": row.setup_id,
-        }
-        for row in scale_rows
-    ]
-    table = optimal_scale_table(results, pair)
-    scale_obj = {
-        "winners": [
-            {
-                "f_C": w.f_C,
-                "f_D": w.f_D,
-                "C": w.compute,
-                "D_T": w.target_tokens,
-                "f_M": w.f_M,
-                "M": w.model_scale,
-                "loss": w.loss,
-                "setup_id": w.setup_id,
-            }
-            for w in table.winners
-        ],
-        "fold_change": {str(f_C): value for f_C, value in sorted(table.fold_change.items())},
-    }
+    table = _scale_table(results, minima)
     summary = results.summary
     return {
         "schema_version": 1,
@@ -564,6 +504,9 @@ def build_report(
         "groups": groups_obj,
         "compute_optimal": compute_optimal_obj,
         "thresholds": thresholds_obj,
-        "optimal_scale": scale_obj,
-        "scale_minima": scale_minima_obj,
+        "optimal_scale": {
+            "winners": [_scale_winner_to_wire(w) for w in table.winners],
+            "fold_change": {str(f_C): value for f_C, value in sorted(table.fold_change.items())},
+        },
+        "scale_minima": [_scale_winner_to_wire(w) for w in per_scale_minima(results, pair)],
     }

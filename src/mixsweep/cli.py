@@ -46,16 +46,19 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _write_output(path: str, text: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise UsageError(f"refusing to overwrite {path} (pass --force)")
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_outputs(outputs: dict[str, str], force: bool) -> None:
+    """Write path -> text atomically, after checking that no path would be overwritten."""
+    for path in outputs:
+        if os.path.exists(path) and not force:
+            raise UsageError(f"refusing to overwrite {path} (pass --force)")
+    for path, text in outputs.items():
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -77,31 +80,39 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _read(path: str, parse, newline: str | None = None):
+    """``parse`` of the open file; a FileFormatError names the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return parse(fh)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def _read_setups(path: str) -> list[space.SetupSpec]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return list(space.read_jsonl(fh))
-        except FileFormatError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
+    return _read(path, lambda fh: list(space.read_jsonl(fh)))
 
 
-def _read_results(path: str) -> list[analysis.LossRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            return list(analysis.read_results_csv(fh))
-        except FileFormatError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
+def _read_json(path: str, from_wire=None):
+    """A JSON object file, rebuilt by ``from_wire`` (the artifact's loader) if given."""
 
-
-def _read_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    def parse(fh):
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}: expected a JSON object")
-    return obj
+            raise FileFormatError(f"invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise FileFormatError("expected a JSON object")
+        return obj if from_wire is None else from_wire(obj)
+
+    return _read(path, parse)
+
+
+def _ingest(args) -> analysis.ResultSet:
+    """The ``--results`` measurements bound to the ``--setups`` grid."""
+    specs = _read_setups(args.setups)
+    records = _read(args.results, lambda fh: list(analysis.read_results_csv(fh)), newline="")
+    return analysis.ingest(records, specs)
 
 
 def _load_config(args) -> dict:
@@ -149,7 +160,7 @@ def _cmd_enumerate(args) -> int:
         specs = space.enumerate_all(ranges)
     buf = io.StringIO()
     count = space.write_jsonl(specs, buf)
-    _write_output(args.out, buf.getvalue(), args.force)
+    _write_outputs({args.out: buf.getvalue()}, args.force)
     print(f"wrote {count} setups to {args.out}", file=sys.stderr)
     return 0
 
@@ -189,12 +200,12 @@ def _cmd_plan(args) -> int:
         "training_plan": trainplan.plan_to_wire(plan),
         "schedule": schedule.schedule_to_wire(sched),
     }
-    _write_output(args.out, _json_text(doc), args.force)
+    outputs = {args.out: _json_text(doc)}
     if args.schedule_csv:
-        text = _csv_text(
+        outputs[args.schedule_csv] = _csv_text(
             ("batch_index", "stage", "source", "tokens"), schedule.schedule_rows(sched)
         )
-        _write_output(args.schedule_csv, text, args.force)
+    _write_outputs(outputs, args.force)
     print(f"wrote plan for {spec.id} to {args.out}", file=sys.stderr)
     return 0
 
@@ -220,7 +231,7 @@ def _cmd_simulate(args) -> int:
         analysis.RESULTS_HEADER,
         ((r.setup_id, r.language_pair, r.val_loss) for r in records),
     )
-    _write_output(args.out, text, args.force)
+    _write_outputs({args.out: text}, args.force)
     print(f"wrote {len(records)} surrogate records to {args.out}", file=sys.stderr)
     return 0
 
@@ -230,47 +241,34 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _approach_minima_rows(report: dict):
-    for group in report["groups"]:
-        for category in sorted(group["minima"]):
-            entry = group["minima"][category]
-            yield (
-                group["C"],
-                group["D_T"],
-                category,
-                entry["loss"],
-                entry["setup_id"],
-            )
-
-
-def _scale_minima_rows(report: dict):
-    for row in report["scale_minima"]:
-        yield (row["C"], row["D_T"], row["f_M"], row["M"], row["loss"], row["setup_id"])
-
-
-def _write_analysis_tables(report: dict, directory: str, force: bool) -> None:
-    _write_output(
-        os.path.join(directory, "approach_minima.csv"),
-        _csv_text(("C", "D_T", "approach", "min_loss", "setup_id"), _approach_minima_rows(report)),
-        force,
+def _analysis_tables(report: dict, directory: str) -> dict[str, str]:
+    approach_rows = (
+        (group["C"], group["D_T"], category, entry["loss"], entry["setup_id"])
+        for group in report["groups"]
+        for category, entry in sorted(group["minima"].items())
     )
-    _write_output(
-        os.path.join(directory, "scale_minima.csv"),
-        _csv_text(("C", "D_T", "f_M", "M", "min_loss", "setup_id"), _scale_minima_rows(report)),
-        force,
+    scale_rows = (
+        (row["C"], row["D_T"], row["f_M"], row["M"], row["loss"], row["setup_id"])
+        for row in report["scale_minima"]
     )
+    return {
+        os.path.join(directory, "approach_minima.csv"): _csv_text(
+            ("C", "D_T", "approach", "min_loss", "setup_id"), approach_rows
+        ),
+        os.path.join(directory, "scale_minima.csv"): _csv_text(
+            ("C", "D_T", "f_M", "M", "min_loss", "setup_id"), scale_rows
+        ),
+    }
 
 
 def _cmd_analyze(args) -> int:
     config = _load_config(args)
     epsilon = _resolve(args.epsilon, config, "epsilon", 0.0, float)
-    specs = _read_setups(args.setups)
-    records = _read_results(args.results)
-    results = analysis.ingest(records, specs)
-    report = analysis.build_report(results, pair=args.pair, epsilon=epsilon)
-    _write_output(args.out, _json_text(report), args.force)
+    report = analysis.build_report(_ingest(args), pair=args.pair, epsilon=epsilon)
+    outputs = {args.out: _json_text(report)}
     if args.tables_dir:
-        _write_analysis_tables(report, args.tables_dir, args.force)
+        outputs.update(_analysis_tables(report, args.tables_dir))
+    _write_outputs(outputs, args.force)
     rejected = len(report["ingest"]["rejected_unknown"])
     print(
         f"analyzed {report['ingest']['n_records']} records "
@@ -285,71 +283,42 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _epoch_cells(
-    results: analysis.ResultSet, approach: str, pair: str | None
-) -> dict[tuple[int, int], dict[int, float]]:
-    losses = results.for_pair(pair)
-    cells: dict[tuple[int, int], dict[int, float]] = {}
-    for setup_id, loss in losses.items():
+def _ratio_points(results: analysis.ResultSet, pair: str | None):
+    """(setup id, derived setup, loss) of every measured single-stage, f_k = 0 setup."""
+    for setup_id, loss in results.for_pair(pair).items():
         spec = results.setups[setup_id]
-        if not space.in_category(spec, approach):
-            continue
-        key = (spec.factors.f_C, spec.factors.f_D)
-        per_k = cells.setdefault(key, {})
-        f_k = spec.factors.f_k
-        per_k[f_k] = min(per_k.get(f_k, math.inf), loss)
-    return cells
+        if not spec.is_two_stage and spec.factors.f_k == 0:
+            yield setup_id, spec.derived(), loss
 
 
 def _cmd_fit_epochs(args) -> int:
-    specs = _read_setups(args.setups)
-    records = _read_results(args.results)
-    results = analysis.ingest(records, specs)
-    cells = _epoch_cells(results, args.approach, args.pair)
+    cells = analysis.epoch_minima(_ingest(args), args.approach, args.pair)
     fits = []
     skipped = []
-    total_rss = 0.0
-    total_points = 0
-    for (f_C, f_D) in sorted(cells):
-        points = sorted(cells[(f_C, f_D)].items())
+    for (f_C, f_D), points in cells.items():
         if len(points) < 3:
             skipped.append(
                 f"cell (f_C={f_C}, f_D={f_D}) skipped: {len(points)} epoch value(s) < 3"
             )
             continue
         fit = fitting.fit_epoch_quadratic([(float(k), loss) for k, loss in points])
-        entry = {"f_C": f_C, "f_D": f_D}
-        entry.update(fitting.quadratic_to_wire(fit))
-        fits.append(entry)
-        total_rss += fit.rss
-        total_points += fit.n_points
+        fits.append((f_C, f_D, fit))
     if not fits:
         raise UnderdeterminedError("no budget cell has enough distinct epoch values to fit")
-    doc = {
-        "model_type": "epoch_quadratics",
-        "parameters": {"approach": args.approach, "fits": fits},
-        "diagnostics": {"rss": total_rss, "n_points": total_points, "warnings": skipped},
-    }
-    _write_output(args.out, _json_text(doc), args.force)
+    doc = fitting.epoch_fits_to_wire(args.approach, fits, skipped)
+    _write_outputs({args.out: _json_text(doc)}, args.force)
     print(f"fitted {len(fits)} epoch quadratics -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_fit_kstar(args) -> int:
-    doc = _read_json(args.epoch_fits)
-    if doc.get("model_type") != "epoch_quadratics":
-        raise FileFormatError(
-            f"{args.epoch_fits}: expected an epoch_quadratics model file"
-        )
+    approach, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
     ref = reference_constants()
     curves = [
-        (math.ldexp(ref.compute, fit["f_C"]), float(fit["f_D"]), float(fit["f_k_star"]))
-        for fit in doc["parameters"]["fits"]
+        (math.ldexp(ref.compute, f_C), float(f_D), fit.minimizer) for f_C, f_D, fit in fits
     ]
-    model = fitting.fit_kstar_model(
-        curves, approach=doc["parameters"]["approach"], h_max=args.h_max
-    )
-    _write_output(args.out, _json_text(fitting.kstar_to_wire(model)), args.force)
+    model = fitting.fit_kstar_model(curves, approach=approach, h_max=args.h_max)
+    _write_outputs({args.out: _json_text(fitting.kstar_to_wire(model))}, args.force)
     print(
         f"fitted epoch-extrapolation model (shift exponent "
         f"{model.shift_exponent:.4f}) -> {args.out}",
@@ -359,16 +328,8 @@ def _cmd_fit_kstar(args) -> int:
 
 
 def _cmd_fit_ratio(args) -> int:
-    specs = _read_setups(args.setups)
-    records = _read_results(args.results)
-    results = analysis.ingest(records, specs)
-    losses = results.for_pair(args.pair)
     grouped: dict[tuple[float, float], list[tuple[float, float, float, float]]] = {}
-    for setup_id, loss in losses.items():
-        spec = results.setups[setup_id]
-        if spec.is_two_stage or spec.factors.f_k != 0:
-            continue
-        derived = spec.derived()
+    for _, derived, loss in _ratio_points(_ingest(args), args.pair):
         point = (derived.model_scale, derived.total_tokens, float(derived.ratio), loss)
         grouped.setdefault((point[0], point[1]), []).append(point)
     points = []
@@ -386,7 +347,7 @@ def _cmd_fit_ratio(args) -> int:
     fit = fitting.fit_ratio_power_law(points)
     doc = fitting.ratio_fit_to_wire(fit)
     doc["diagnostics"]["warnings"] = dropped
-    _write_output(args.out, _json_text(doc), args.force)
+    _write_outputs({args.out: _json_text(doc)}, args.force)
     print(
         f"fitted ratio power law (exponent {fit.exponent:.4f}, "
         f"{fit.group_count} groups) -> {args.out}",
@@ -395,21 +356,13 @@ def _cmd_fit_ratio(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    handler = {"epochs": _cmd_fit_epochs, "kstar": _cmd_fit_kstar, "ratio": _cmd_fit_ratio}
-    return handler[args.model](args)
-
-
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
 
 
 def _cmd_predict(args) -> int:
-    doc = _read_json(args.model_file)
-    if doc.get("model_type") != "kstar":
-        raise FileFormatError(f"{args.model_file}: expected a kstar model file")
-    model = fitting.kstar_from_wire(doc)
+    model = _read_json(args.model_file, fitting.kstar_from_wire)
     value = fitting.predict_kstar(
         model, args.compute, args.target_tokens, round_to_power_of_two=args.round_pow2
     )
@@ -423,83 +376,51 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # every input is read and every output rendered before anything is written
     report = _read_json(args.analysis)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_analysis_tables(report, args.out_dir, args.force)
+    try:
+        outputs = _analysis_tables(report, args.out_dir)
+        summary = _render_summary(report) if args.summary else None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FileFormatError(
+            f"{args.analysis}: bad analysis report: {type(exc).__name__} {exc}"
+        ) from exc
+    ref = reference_constants()
     if args.epoch_fits:
-        doc = _read_json(args.epoch_fits)
-        ref = reference_constants()
+        _, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
         rows = [
-            (
-                math.ldexp(ref.compute, fit["f_C"]),
-                math.ldexp(ref.target_tokens, fit["f_D"]),
-                fit["f_k_star"],
-                fit["k_star"],
-                fit["convex"],
-            )
-            for fit in doc["parameters"]["fits"]
+            (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D),
+             fit.minimizer, fit.k_star, fit.convex)
+            for f_C, f_D, fit in fits
         ]
-        _write_output(
-            os.path.join(args.out_dir, "epoch_optima.csv"),
-            _csv_text(("C", "D_T", "f_k_star", "k_star", "convex"), rows),
-            args.force,
+        outputs[os.path.join(args.out_dir, "epoch_optima.csv")] = _csv_text(
+            ("C", "D_T", "f_k_star", "k_star", "convex"), rows
         )
     if args.kstar_model:
-        model = fitting.kstar_from_wire(_read_json(args.kstar_model))
-        ref = reference_constants()
+        model = _read_json(args.kstar_model, fitting.kstar_from_wire)
         lo = math.floor(min(model.positions)) - 1
         hi = math.ceil(max(model.positions)) + 1
-        rows = []
-        steps = int(round((hi - lo) / 0.5))
-        for i in range(steps + 1):
-            f_D = lo + 0.5 * i
-            d_t = ref.target_tokens * 2.0**f_D
-            rows.append((ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t)))
-        _write_output(
-            os.path.join(args.out_dir, "kstar_extrapolation.csv"),
-            _csv_text(("C", "D_T", "k_star"), rows),
-            args.force,
+        grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
+        rows = [(ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t)) for d_t in grid]
+        outputs[os.path.join(args.out_dir, "kstar_extrapolation.csv")] = _csv_text(
+            ("C", "D_T", "k_star"), rows
         )
     if args.results and args.setups:
-        specs = _read_setups(args.setups)
-        records = _read_results(args.results)
-        results = analysis.ingest(records, specs)
-        losses = results.for_pair(args.pair)
+        results = _ingest(args)
         ratio_fit = None
         if args.ratio_fit:
-            doc = _read_json(args.ratio_fit)
-            intercepts = {
-                (entry["M"], entry["D"]): entry["L0"]
-                for entry in doc["parameters"]["intercepts"]
-            }
-            exponent = doc["parameters"]["exponent"]
-            ratio_fit = (exponent, intercepts)
+            ratio_fit = _read_json(args.ratio_fit, fitting.ratio_fit_from_wire)
         rows = []
-        for setup_id in sorted(losses):
-            spec = results.setups[setup_id]
-            if spec.is_two_stage or spec.factors.f_k != 0:
-                continue
-            derived = spec.derived()
-            key = (derived.model_scale, derived.total_tokens)
-            predicted = ""
-            if ratio_fit is not None and key in ratio_fit[1]:
-                predicted = ratio_fit[1][key] * float(derived.ratio) ** ratio_fit[0]
-            rows.append(
-                (
-                    derived.model_scale,
-                    derived.total_tokens,
-                    float(derived.ratio),
-                    losses[setup_id],
-                    predicted,
-                )
-            )
-        _write_output(
-            os.path.join(args.out_dir, "ratio_curves.csv"),
-            _csv_text(("M", "D", "r", "val_loss", "predicted_loss"), rows),
-            args.force,
+        for _, derived, loss in sorted(_ratio_points(results, args.pair)):
+            m, d, r = derived.model_scale, derived.total_tokens, float(derived.ratio)
+            known = ratio_fit is not None and (m, d) in ratio_fit.intercepts
+            rows.append((m, d, r, loss, ratio_fit.predict(m, d, r) if known else ""))
+        outputs[os.path.join(args.out_dir, "ratio_curves.csv")] = _csv_text(
+            ("M", "D", "r", "val_loss", "predicted_loss"), rows
         )
-    if args.summary:
-        print(_render_summary(report))
+    _write_outputs(outputs, args.force)
+    if summary is not None:
+        print(summary)
     else:
         print(f"wrote report tables to {args.out_dir}", file=sys.stderr)
     return 0
@@ -597,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--pair")
     pf.add_argument("--out", required=True)
     pf.add_argument("--force", action="store_true")
-    pf.set_defaults(handler=_cmd_fit, model="epochs")
+    pf.set_defaults(handler=_cmd_fit_epochs)
 
     pf = fit_sub.add_parser("kstar", help="epoch-extrapolation model from epoch fits")
     pf.add_argument("--epoch-fits", required=True, dest="epoch_fits")
     pf.add_argument("--h-max", type=float, dest="h_max")
     pf.add_argument("--out", required=True)
     pf.add_argument("--force", action="store_true")
-    pf.set_defaults(handler=_cmd_fit, model="kstar")
+    pf.set_defaults(handler=_cmd_fit_kstar)
 
     pf = fit_sub.add_parser("ratio", help="shared-exponent ratio power law")
     pf.add_argument("--results", required=True)
@@ -612,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--pair")
     pf.add_argument("--out", required=True)
     pf.add_argument("--force", action="store_true")
-    pf.set_defaults(handler=_cmd_fit, model="ratio")
+    pf.set_defaults(handler=_cmd_fit_ratio)
 
     p = sub.add_parser("predict", help="evaluate a stored model")
     predict_sub = p.add_subparsers(dest="what", required=True)

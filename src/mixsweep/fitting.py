@@ -20,6 +20,7 @@ where the grid is base-2.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,6 +29,7 @@ import numpy as np
 from .budget import reference_constants
 from .errors import (
     DegenerateGroupError,
+    FileFormatError,
     UnderdeterminedError,
     UnidentifiableError,
     ValidationError,
@@ -299,8 +301,8 @@ def fit_kstar_model(
     """
     if h_max is None:
         h_max = H_MAX_BY_APPROACH.get(approach, 4.0)
-    if h_max < LEVEL_STEP:
-        raise ValidationError(f"h_max must be >= {LEVEL_STEP}, got {h_max}")
+    if not LEVEL_STEP <= h_max < math.inf:
+        raise ValidationError(f"h_max must be finite and >= {LEVEL_STEP}, got {h_max}")
     ref = reference_constants()
     compute = np.asarray([float(c[0]) for c in curves])
     corpus_factor = np.asarray([float(c[1]) for c in curves])
@@ -485,6 +487,21 @@ def fit_ratio_power_law(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _reading(model_type: str, obj: dict):
+    """Yield a model file's (parameters, diagnostics) to the loader in the ``with`` body.
+
+    A wrong model type, or a missing or mistyped field anywhere in the
+    body, raises FileFormatError.
+    """
+    try:
+        if obj["model_type"] != model_type:
+            raise FileFormatError(f"expected model_type {model_type!r}, got {obj['model_type']!r}")
+        yield obj["parameters"], obj["diagnostics"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad {model_type} model file: {type(exc).__name__} {exc}") from exc
+
+
 def kstar_to_wire(model: KStarModel) -> dict:
     return {
         "model_type": "kstar",
@@ -505,17 +522,17 @@ def kstar_to_wire(model: KStarModel) -> dict:
 
 
 def kstar_from_wire(obj: dict) -> KStarModel:
-    params = obj["parameters"]
-    knots = params["knots"]
-    return KStarModel(
-        approach=params["approach"],
-        shift_exponent=float(params["shift_exponent"]),
-        levels=tuple(float(k["h"]) for k in knots),
-        positions=tuple(float(k["f_D"]) for k in knots),
-        rss=float(obj["diagnostics"]["rss"]),
-        n_points=int(obj["diagnostics"]["n_points"]),
-        warnings=tuple(obj["diagnostics"].get("warnings", ())),
-    )
+    with _reading("kstar", obj) as (params, diagnostics):
+        knots = params["knots"]
+        return KStarModel(
+            approach=params["approach"],
+            shift_exponent=float(params["shift_exponent"]),
+            levels=tuple(float(k["h"]) for k in knots),
+            positions=tuple(float(k["f_D"]) for k in knots),
+            rss=float(diagnostics["rss"]),
+            n_points=int(diagnostics["n_points"]),
+            warnings=tuple(diagnostics.get("warnings", ())),
+        )
 
 
 def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
@@ -537,15 +554,67 @@ def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
     }
 
 
-def quadratic_to_wire(fit: QuadraticEpochFit) -> dict:
+def ratio_fit_from_wire(obj: dict) -> RatioPowerLawFit:
+    with _reading("ratio_power_law", obj) as (params, diagnostics):
+        return RatioPowerLawFit(
+            exponent=float(params["exponent"]),
+            intercepts={
+                (float(entry["M"]), float(entry["D"])): float(entry["L0"])
+                for entry in params["intercepts"]
+            },
+            rss=float(diagnostics["rss"]),
+            n_points=int(diagnostics["n_points"]),
+            group_count=int(diagnostics["group_count"]),
+        )
+
+
+#: (field, wire name, type) of each QuadraticEpochFit field in an epoch_quadratics file.
+_QUADRATIC_WIRE = (
+    ("curvature", "curvature", float),
+    ("slope", "slope", float),
+    ("intercept", "intercept", float),
+    ("minimizer", "f_k_star", float),
+    ("k_star", "k_star", float),
+    ("convex", "convex", bool),
+    ("rss", "rss", float),
+    ("n_points", "n_points", int),
+    ("extrapolated", "extrapolated", bool),
+)
+
+
+def epoch_fits_to_wire(
+    approach: str, fits: Sequence[tuple[int, int, QuadraticEpochFit]], warnings: Sequence[str]
+) -> dict:
+    """Quadratic epoch fits per (f_C, f_D) cell as one model file."""
     return {
-        "curvature": fit.curvature,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "f_k_star": fit.minimizer,
-        "k_star": fit.k_star,
-        "convex": fit.convex,
-        "rss": fit.rss,
-        "n_points": fit.n_points,
-        "extrapolated": fit.extrapolated,
+        "model_type": "epoch_quadratics",
+        "parameters": {
+            "approach": approach,
+            "fits": [
+                {"f_C": f_C, "f_D": f_D}
+                | {wire: getattr(fit, field) for field, wire, _ in _QUADRATIC_WIRE}
+                for f_C, f_D, fit in fits
+            ],
+        },
+        "diagnostics": {
+            "rss": sum(fit.rss for _, _, fit in fits),
+            "n_points": sum(fit.n_points for _, _, fit in fits),
+            "warnings": list(warnings),
+        },
     }
+
+
+def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, QuadraticEpochFit]]]:
+    """The approach and the (f_C, f_D, fit) cells of an epoch_quadratics model file."""
+    with _reading("epoch_quadratics", obj) as (params, _):
+        fits = [
+            (
+                int(entry["f_C"]),
+                int(entry["f_D"]),
+                QuadraticEpochFit(
+                    **{field: kind(entry[wire]) for field, wire, kind in _QUADRATIC_WIRE}
+                ),
+            )
+            for entry in params["fits"]
+        ]
+        return str(params["approach"]), fits

@@ -89,6 +89,8 @@ def stage_budgets(
             _stage(2, total - total_1, target_2, split.second_ratio),
         ]
     if high_available is not None:
+        if math.isnan(high_available):
+            raise ValidationError("high_available must be a number, got nan")
         needed = sum(b.high_tokens for b in budgets)
         if needed > high_available:
             raise InsufficientCorpusError(

@@ -185,19 +185,6 @@ def enumerate_all(ranges: SearchRanges | None = None) -> list[SetupSpec]:
     return enumerate_single_stage(ranges) + enumerate_two_stage(ranges)
 
 
-def group_by_budget(
-    setups: Iterable[SetupSpec],
-) -> dict[tuple[int, int], list[SetupSpec]]:
-    """Partition setups by (f_C, f_D); within a group all share compute and corpus.
-
-    Keys come out sorted; values keep the input order.
-    """
-    groups: dict[tuple[int, int], list[SetupSpec]] = {}
-    for spec in setups:
-        groups.setdefault((spec.factors.f_C, spec.factors.f_D), []).append(spec)
-    return {key: groups[key] for key in sorted(groups)}
-
-
 def to_wire(spec: SetupSpec) -> dict:
     """Serializable form of a setup: ids, factors, and derived quantities.
 

@@ -1,46 +1,22 @@
-"""Synthetic loss generators for desk-scale testing of the pipeline.
+"""Synthetic loss generator for desk-scale testing of the pipeline.
 
-None of this reproduces measured training losses. The step/ratio form is
-a simple saturating two-factor shape used to unit-test the ratio fitter;
-the composite landscape is a fictional test fixture with known structure
-(saturating epoch returns, a ratio penalty that two-stage schedules can
-partially dodge) whose constants are configuration, not claims.
+None of this reproduces measured training losses. The composite landscape
+is a fictional test fixture with known structure (saturating epoch
+returns, a ratio penalty that two-stage schedules can partially dodge)
+whose constants are configuration, not claims.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .analysis import LossRecord
 from .errors import ValidationError
 from .seeds import fnv1a64, mix64, uniform_pair
 from .space import SetupSpec
-
-
-@dataclass(frozen=True, slots=True)
-class GeParams:
-    """Step/ratio loss shape: (amplitude / steps^step_exp + floor) * scale / ratio^ratio_exp."""
-
-    amplitude: float
-    floor: float
-    scale: float
-    step_exponent: float
-    ratio_exponent: float
-
-
-def ge_loss(steps: float, ratio: float, params: GeParams) -> float:
-    """Evaluate the step/ratio shape at a step count and language ratio."""
-    if steps <= 0:
-        raise ValidationError(f"steps must be positive, got {steps}")
-    if not 0 < ratio <= 1:
-        raise ValidationError(f"ratio must be in (0, 1], got {ratio}")
-    return (
-        (params.amplitude / steps**params.step_exponent + params.floor)
-        * params.scale
-        / ratio**params.ratio_exponent
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,9 +57,6 @@ class SurrogateParams:
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
 
-    def with_overrides(self, **kwargs) -> "SurrogateParams":
-        return replace(self, **kwargs)
-
 
 def effective_tokens(
     target_tokens: float, epochs: int, ratio, params: SurrogateParams
@@ -121,9 +94,7 @@ def composite_loss(
     target_tokens: float,
     epochs: int,
     ratio,
-    first_stage_ratio=None,
     second_stage_ratio=None,
-    first_stage_length=None,
     *,
     params: SurrogateParams,
 ) -> float:
@@ -133,10 +104,8 @@ def composite_loss(
     ratio; two-stage setups pay it on r2^gamma * r^(1-gamma) instead. With
     |ratio_exponent| > data_exponent the result is strictly decreasing in
     the ratio even accounting for the ratio's effect on the unique-token
-    pool. The first-stage ratio and length do not enter the current form;
-    they are accepted so callers can pass a full two-stage description.
+    pool.
     """
-    del first_stage_ratio, first_stage_length
     r = float(ratio)
     d_eff = effective_tokens(target_tokens, epochs, r, params)
     base = base_loss(model_scale, d_eff, params)
@@ -172,15 +141,12 @@ def generate_dataset(
     records: list[LossRecord] = []
     for spec in setups:
         derived = spec.derived()
-        split = spec.split()
         loss = composite_loss(
             derived.model_scale,
             derived.target_tokens,
             derived.epochs,
             derived.ratio,
-            spec.first_stage_ratio,
             spec.second_stage_ratio,
-            split.first_length if split is not None else None,
             params=params,
         )
         if params.noise_sigma > 0:
@@ -192,24 +158,20 @@ def generate_dataset(
 
 
 def params_from_dict(obj: dict) -> SurrogateParams:
-    """Build params from a JSON config dict, rejecting unknown keys."""
-    known = {f for f in SurrogateParams.__dataclass_fields__}
-    unknown = set(obj) - known
+    """Build params from a JSON config dict, rejecting unknown keys and mistyped values.
+
+    Every value must be a number within the float range (not a bool or
+    NaN); ``seed`` must be an integer.
+    """
+    unknown = set(obj) - set(SurrogateParams.__dataclass_fields__)
     if unknown:
         raise ValidationError(f"unknown surrogate parameter(s): {sorted(unknown)}")
+    for key, value in obj.items():
+        kind = int if key == "seed" else (int, float)
+        mistyped = isinstance(value, bool) or not isinstance(value, kind)
+        if mistyped or (key != "seed" and not abs(value) <= sys.float_info.max):
+            expected = "an integer" if key == "seed" else "a finite number"
+            raise ValidationError(
+                f"surrogate parameter {key!r} must be {expected}, got {value!r}"
+            )
     return SurrogateParams(**obj)
-
-
-def params_to_dict(params: SurrogateParams) -> dict:
-    return {
-        "irreducible_loss": params.irreducible_loss,
-        "model_coeff": params.model_coeff,
-        "model_exponent": params.model_exponent,
-        "data_coeff": params.data_coeff,
-        "data_exponent": params.data_exponent,
-        "ratio_exponent": params.ratio_exponent,
-        "repeat_decay": params.repeat_decay,
-        "second_stage_weight": params.second_stage_weight,
-        "noise_sigma": params.noise_sigma,
-        "seed": params.seed,
-    }

@@ -191,18 +191,12 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
 class LRSchedule:
     """Warmup plus multi-step decay, instantiated per stage.
 
-    The decay points and multipliers are part of the recipe and fixed:
-    31.6% after 80% of the stage's steps, 10% after 90%.
+    The decay points and multipliers (``MILESTONES``) are part of the
+    recipe and fixed: 31.6% after 80% of the stage's steps, 10% after 90%.
     """
 
     eta_max: float
     warmup_steps: int = WARMUP_STEPS
-    milestones: tuple[tuple[float, float], ...] = MILESTONES
-    per_stage: bool = True
-
-    def __post_init__(self) -> None:
-        if self.milestones != MILESTONES:
-            raise ValidationError(f"milestones are fixed to {MILESTONES}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,8 +322,8 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
                 "lr_schedule": {
                     "eta_max": stage.lr.eta_max,
                     "warmup_steps": stage.lr.warmup_steps,
-                    "milestones": [list(m) for m in stage.lr.milestones],
-                    "per_stage": stage.lr.per_stage,
+                    "milestones": [list(m) for m in MILESTONES],
+                    "per_stage": True,
                 },
                 "warmup_exceeds_stage": stage.warmup_exceeds_stage,
             }

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixsweep import analysis, space, surrogate
 from mixsweep.budget import FactorTuple, reference_constants
@@ -354,6 +356,15 @@ def test_build_report_deterministic(surrogate_results):
     assert {entry["f_C"] for entry in one["thresholds"]} == {-4, -3, -2, -1, 0}
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+def test_build_report_rejects_bad_epsilon_without_mono(epsilon):
+    # no budget has a mono-1stage minimum, so no threshold scan sees epsilon
+    spec = space.SetupSpec(FactorTuple(1, 1, 0, 0))
+    results = analysis.ingest([_record(spec.id, 2.0)], [spec])
+    with pytest.raises(ValidationError, match="epsilon must be finite"):
+        analysis.build_report(results, epsilon=epsilon)
+
+
 def test_build_report_handles_missing_mono():
     spec = space.SetupSpec(FactorTuple(1, 1, 0, 0))
     results = analysis.ingest([_record(spec.id, 2.0)], [spec])
@@ -361,3 +372,76 @@ def test_build_report_handles_missing_mono():
     (entry,) = report["compute_optimal"]
     assert entry["D_star"] is None and "note" in entry
     assert report["thresholds"] == []
+
+
+# ---------------------------------------------------------------------------
+# every argmin against a brute-force min, on result sets with forced ties
+# ---------------------------------------------------------------------------
+
+
+_POOL = [
+    s
+    for s in space.enumerate_all(space.default_ranges().restrict_budgets([-4, 0]))
+    if s.factors.f_D in (-5, -4)
+]
+_result_sets = st.dictionaries(
+    keys=st.one_of(
+        st.sampled_from([s for s in _POOL if s.approach == MONO]),
+        st.sampled_from([s for s in _POOL if s.approach == MULTI1]),
+        st.sampled_from([s for s in _POOL if s.approach == MULTI2]),
+    ),
+    values=st.sampled_from([2.0, 2.5, 3.0]),  # few values, so losses tie often
+    min_size=1,
+    max_size=40,
+)
+
+
+def _brute_min(losses, key):
+    """key -> (loss, epochs, f_M, id) of the best setup, by plain ``min``."""
+    ranked = {}
+    for spec, loss in losses.items():
+        for k in key(spec):
+            rank = (loss, spec.derived().epochs, spec.factors.f_M, spec.id)
+            ranked.setdefault(k, []).append(rank)
+    return {k: min(ranks) for k, ranks in ranked.items()}
+
+
+@given(_result_sets)
+def test_argmins_match_brute_force(losses):
+    results = analysis.ingest([_record(s.id, loss) for s, loss in losses.items()], _POOL)
+
+    def cell(s):
+        return (s.factors.f_C, s.factors.f_D)
+
+    categories = (MONO, MULTI1, MULTI2)
+    expected = _brute_min(
+        losses, lambda s: [(*cell(s), c) for c in categories if space.in_category(s, c)]
+    )
+    actual = {
+        (m.f_C, m.f_D, c): (entry.loss, entry.setup_id)
+        for m in analysis.category_minima(results)
+        for c, entry in m.best.items()
+    }
+    assert actual == {k: (rank[0], rank[3]) for k, rank in expected.items()}
+
+    expected = _brute_min(losses, lambda s: [(*cell(s), s.factors.f_M)])
+    rows = analysis.per_scale_minima(results)
+    assert [(r.f_C, r.f_D, r.f_M, r.loss, r.setup_id) for r in rows] == [
+        (*k, rank[0], rank[3]) for k, rank in sorted(expected.items())
+    ]
+
+    expected = _brute_min(losses, lambda s: [cell(s)])
+    table = analysis.optimal_scale_table(results)
+    assert [(w.f_C, w.f_D, w.f_M, w.loss, w.setup_id) for w in table.winners] == [
+        (*k, rank[2], rank[0], rank[3]) for k, rank in sorted(expected.items())
+    ]
+
+    expected = _brute_min(losses, lambda s: [s.factors.f_C] if s.approach == MONO else [])
+    for f_C in (-4, 0):
+        compute = reference_constants().compute * 2.0**f_C
+        if f_C not in expected:
+            with pytest.raises(InsufficientDataError):
+                analysis.estimate_compute_optimal(results, compute)
+            continue
+        estimate = analysis.estimate_compute_optimal(results, compute)
+        assert estimate.setup_id == expected[f_C][3]

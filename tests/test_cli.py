@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -365,3 +366,163 @@ def test_scipy_stays_off_the_import_path(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# README Quickstart, as the benchmark runs it, without the k* steps (their
+# outputs are checked by value, not by digest): (arguments, stdout is an artifact).
+_QUICKSTART = (
+    ("enumerate --out setups.jsonl", False),
+    ("plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
+     "--schedule-csv schedule.csv", False),
+    ("simulate --setups setups.jsonl --out results.csv --seed 11", False),
+    ("analyze --results results.csv --setups setups.jsonl --out report.json "
+     "--tables-dir tables/", False),
+    ("fit epochs --results results.csv --setups setups.jsonl --approach mono-1stage "
+     "--out epochs.json", False),
+    ("fit ratio --results results.csv --setups setups.jsonl --out ratio.json", False),
+    ("report --analysis report.json --out-dir report-tables/ --epoch-fits epochs.json "
+     "--ratio-fit ratio.json --results results.csv --setups setups.jsonl --summary", True),
+)
+
+
+def test_quickstart_artifacts_match_benchmark_digests(tmp_path, monkeypatch, capsys):
+    reference = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+    with open(reference, encoding="utf-8") as fh:
+        digests = json.load(fh)["digests"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MIXSWEEP_CONFIG", raising=False)
+    actual = {}
+    for args, stdout_is_artifact in _QUICKSTART:
+        capsys.readouterr()
+        assert run(args.split()) == 0, args
+        if stdout_is_artifact:
+            actual["report.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            name = path.relative_to(tmp_path).as_posix()
+            actual[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert actual == digests
+
+
+def _model_file(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _bad_artifact_argv(case, tmp_path, workspace):
+    """argv of one command reading one malformed artifact (``case`` names it)."""
+    out = str(tmp_path / "out")
+    epochs = json.load(open(workspace["epochs"]))
+    if case == "predict-kstar-no-parameters":
+        model = _model_file(tmp_path, "k.json", {"model_type": "kstar"})
+        return ["predict", "kstar", "--model", model, "--C", "1e18", "--DT", "2e9"]
+    if case == "fit-kstar-no-parameters":
+        fits = _model_file(tmp_path, "e.json", {"model_type": "epoch_quadratics"})
+        return ["fit", "kstar", "--epoch-fits", fits, "--out", out]
+    if case == "fit-kstar-fit-without-f_D":
+        del epochs["parameters"]["fits"][0]["f_D"]
+        fits = _model_file(tmp_path, "e.json", epochs)
+        return ["fit", "kstar", "--epoch-fits", fits, "--out", out]
+    report = ["report", "--analysis", workspace["report"], "--out-dir", out]
+    if case == "report-analysis-empty":
+        return ["report", "--analysis", _model_file(tmp_path, "a.json", {}), "--out-dir", out]
+    if case == "report-epoch-fits-no-parameters":
+        del epochs["parameters"]
+        return report + ["--epoch-fits", _model_file(tmp_path, "e.json", epochs)]
+    if case == "report-epoch-fits-wrong-type":
+        return report + ["--epoch-fits", workspace["kstar"]]
+    if case == "report-kstar-model-wrong-type":
+        return report + ["--kstar-model", workspace["ratio"]]
+    assert case == "report-ratio-fit-empty-parameters"
+    ratio = _model_file(
+        tmp_path, "r.json", {"model_type": "ratio_power_law", "parameters": {}, "diagnostics": {}}
+    )
+    return report + ["--ratio-fit", ratio, "--results", workspace["results"],
+                     "--setups", workspace["setups"]]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "predict-kstar-no-parameters",
+        "fit-kstar-no-parameters",
+        "fit-kstar-fit-without-f_D",
+        "report-analysis-empty",
+        "report-epoch-fits-no-parameters",
+        "report-epoch-fits-wrong-type",
+        "report-kstar-model-wrong-type",
+        "report-ratio-fit-empty-parameters",
+    ],
+)
+def test_malformed_artifact_is_data_error(workspace, tmp_path, capsys, case):
+    argv = _bad_artifact_argv(case, tmp_path, workspace)
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # report renders everything in memory first, so a failed run writes nothing
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_writes_nothing_when_a_later_input_is_bad(workspace, tmp_path, capsys):
+    out = tmp_path / "rpt"
+    bad = _model_file(tmp_path, "r.json", {"model_type": "ratio_power_law"})
+    code = run(
+        ["report", "--analysis", workspace["report"], "--out-dir", str(out),
+         "--epoch-fits", workspace["epochs"], "--ratio-fit", bad,
+         "--results", workspace["results"], "--setups", workspace["setups"]]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, config",
+    [(["--epsilon", "nan"], None), (["--epsilon", "-1"], None), ([], {"epsilon": "nan"})],
+)
+def test_analyze_rejects_bad_epsilon(workspace, tmp_path, capsys, flag, config):
+    argv = ["analyze", "--results", workspace["results"], "--setups", workspace["setups"],
+            "--out", str(tmp_path / "r.json"), *flag]
+    if config is not None:
+        argv = ["--config", _model_file(tmp_path, "config.json", config), *argv]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: epsilon must be finite and >= 0") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_fit_kstar_rejects_nan_h_max(workspace, tmp_path, capsys):
+    code = run(
+        ["fit", "kstar", "--epoch-fits", workspace["epochs"], "--h-max", "nan",
+         "--out", str(tmp_path / "k.json")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: h_max must be finite and >= 0.5, got nan\n"
+
+
+def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(tmp_path / "p.json"), "--high-available", "nan"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: high_available must be a number, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"noise_sigma": "x"}, {"seed": "7", "noise_sigma": 0.02}, {"noise_sigma": True},
+     {"seed": 1.5}, {"noise_sigma": float("nan")}, {"model_coeff": 10**400}],
+)
+def test_simulate_rejects_mistyped_params(workspace, tmp_path, capsys, params):
+    code = run(
+        ["simulate", "--setups", workspace["setups"], "--out", str(tmp_path / "r.csv"),
+         "--params", _model_file(tmp_path, "params.json", params)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: surrogate parameter ") and err.count("\n") == 1

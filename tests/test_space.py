@@ -126,30 +126,18 @@ def test_approach_tags():
     assert not space.in_category(two, "multi-1stage")
 
 
-def test_group_by_budget_partitions(all_setups):
-    groups = space.group_by_budget(all_setups)
-    assert sum(len(v) for v in groups.values()) == len(all_setups)
-    for (f_C, f_D), members in groups.items():
-        for spec in members:
-            assert spec.factors.f_C == f_C and spec.factors.f_D == f_D
-            derived = spec.derived()
-            ref = members[0].derived()
-            assert derived.compute == ref.compute
-            assert derived.target_tokens == ref.target_tokens
-
-
 def test_same_budget_cell_for_compensating_factors():
     a = space.SetupSpec(FactorTuple(0, 0, 0, 0))
     b = space.SetupSpec(FactorTuple(1, 1, 0, 0))
-    groups = space.group_by_budget([a, b])
-    assert list(groups) == [(0, 0)]
-    assert groups[(0, 0)] == [a, b]
+    assert (a.factors.f_C, a.factors.f_D) == (b.factors.f_C, b.factors.f_D) == (0, 0)
+    assert a.derived().compute == b.derived().compute
+    assert a.derived().target_tokens == b.derived().target_tokens
 
 
 def test_reference_row_has_seven_budget_cells():
     row = space.default_ranges().restrict_budgets([0])
-    groups = space.group_by_budget(space.enumerate_single_stage(row))
-    assert sorted(f_D for _, f_D in groups) == list(range(-5, 2))
+    cells = {(s.factors.f_C, s.factors.f_D) for s in space.enumerate_single_stage(row)}
+    assert sorted(f_D for _, f_D in cells) == list(range(-5, 2))
 
 
 def test_id_format():
