@@ -25,7 +25,6 @@ from .space import (
 )
 from .trainplan import (
     BatchConfig,
-    LRSchedule,
     ModelShape,
     TrainingPlan,
     batch_config,
@@ -76,7 +75,6 @@ __all__ = [
     "FactorTuple",
     "InterleavePattern",
     "KStarModel",
-    "LRSchedule",
     "LossRecord",
     "ModelShape",
     "QuadraticEpochFit",

@@ -12,6 +12,7 @@ Config precedence: flags > config file (--config or $MIXSWEEP_CONFIG) > defaults
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -56,24 +57,22 @@ def _write_outputs(outputs: dict[str, str], force: bool) -> None:
         if directory:
             os.makedirs(directory, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(value) for value in row])
+    writer.writerows(rows)  # the csv module writes a float as its repr
     return buf.getvalue()
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def _json_text(obj) -> str:

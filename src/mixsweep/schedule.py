@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice, repeat
 from typing import Iterator
 
 from .budget import DerivedSetup, StageSplit, as_fraction, reference_constants
@@ -197,18 +198,36 @@ def schedule_rows(spec: ScheduleSpec) -> Iterator[tuple[int, int, str, float]]:
 
     The final batch of each stage may be partial; tokens are never
     dropped, so per-stage token sums reproduce the budgets exactly.
+
+    A stage's sources repeat with period q, the denominator of its ratio
+    p/q: ``targets_before(n + q) == targets_before(n) + p``, so
+    ``source_at(i + q) == source_at(i)``. Each stage therefore evaluates
+    at most q sources and cycles them over its full batches.
     """
     index = 0
     for budget, pattern in zip(spec.budgets, spec.patterns):
         batch = pattern.batch_tokens
         n_batches = math.ceil(budget.total_tokens / batch)
-        for i in range(n_batches):
-            if i < n_batches - 1:
-                tokens = float(batch)
-            else:
-                tokens = budget.total_tokens - batch * (n_batches - 1)
-            yield (index, budget.stage_index, pattern.source_at(i), tokens)
-            index += 1
+        if n_batches == 0:
+            continue
+        period = [
+            pattern.source_at(i) for i in range(min(pattern.ratio.denominator, n_batches))
+        ]
+        full = n_batches - 1
+        yield from zip(
+            range(index, index + full),
+            repeat(budget.stage_index),
+            islice(cycle(period), full),
+            repeat(float(batch)),
+        )
+        index += full
+        yield (
+            index,
+            budget.stage_index,
+            period[full % len(period)],
+            budget.total_tokens - batch * full,
+        )
+        index += 1
 
 
 def schedule_to_wire(spec: ScheduleSpec) -> dict:

@@ -9,6 +9,7 @@ produce identical lists and ids.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,14 +226,18 @@ def to_wire(spec: SetupSpec) -> dict:
     return obj
 
 
+#: Exact stage ratios parsed from their "num/den" strings; a grid uses only a few.
+_ratio = functools.lru_cache(maxsize=64)(Fraction)
+
+
 def from_wire(obj: dict) -> SetupSpec:
     """Rebuild a setup from its wire form, checking the id round-trips."""
     try:
         factors = FactorTuple(
             f_r=int(obj["f_r"]), f_M=int(obj["f_M"]), f_k=int(obj["f_k"]), f_C=int(obj["f_C"])
         )
-        r1 = Fraction(obj["r1_frac"]) if "r1_frac" in obj else None
-        r2 = Fraction(obj["r2_frac"]) if "r2_frac" in obj else None
+        r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
+        r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
         spec = SetupSpec(factors, r1, r2)
     except (KeyError, ValueError, TypeError) as exc:
         raise FileFormatError(f"bad setup object: {exc}") from exc
@@ -252,7 +257,11 @@ def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
 
 
 def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
-    """Parse setups back from JSON Lines, reporting the offending line on error."""
+    """Parse setups back from JSON Lines, reporting the offending line on error.
+
+    Setup ids must be unique: a repeated id is an error, not a silent merge.
+    """
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
@@ -262,6 +271,14 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
         try:
-            yield from_wire(obj)
+            spec = from_wire(obj)
         except FileFormatError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from exc
+        # from_wire has checked that a given id equals spec.id; reuse it rather than re-derive
+        setup_id = obj["id"] if "id" in obj else spec.id
+        seen = first_line.setdefault(setup_id, lineno)
+        if seen != lineno:
+            raise FileFormatError(
+                f"line {lineno}: duplicate setup id {setup_id!r} (first on line {seen})"
+            )
+        yield spec

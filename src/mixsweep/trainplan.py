@@ -188,20 +188,12 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
 
 
 @dataclass(frozen=True, slots=True)
-class LRSchedule:
-    """Warmup plus multi-step decay, instantiated per stage.
-
-    The decay points and multipliers (``MILESTONES``) are part of the
-    recipe and fixed: 31.6% after 80% of the stage's steps, 10% after 90%.
-    """
-
-    eta_max: float
-    warmup_steps: int = WARMUP_STEPS
-
-
-@dataclass(frozen=True, slots=True)
 class StagePlan:
-    """Token budget, step count and LR schedule for one training stage."""
+    """Token budget and step count for one training stage.
+
+    Every stage runs the same LR schedule: warmup (``WARMUP_STEPS``) to the
+    plan's ``eta_max``, then the fixed ``MILESTONES`` decay.
+    """
 
     index: int
     ratio: float
@@ -209,7 +201,6 @@ class StagePlan:
     target_tokens: float
     high_tokens: float
     steps: int
-    lr: LRSchedule
     warmup_exceeds_stage: bool
 
 
@@ -270,7 +261,6 @@ def build_training_plan(
                 target_tokens=budget.target_tokens,
                 high_tokens=budget.high_tokens,
                 steps=steps,
-                lr=LRSchedule(eta_max=eta_max),
                 warmup_exceeds_stage=short,
             )
         )
@@ -320,8 +310,8 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
                 "high_tokens": stage.high_tokens,
                 "steps": stage.steps,
                 "lr_schedule": {
-                    "eta_max": stage.lr.eta_max,
-                    "warmup_steps": stage.lr.warmup_steps,
+                    "eta_max": plan.eta_max,
+                    "warmup_steps": WARMUP_STEPS,
                     "milestones": [list(m) for m in MILESTONES],
                     "per_stage": True,
                 },

@@ -8,6 +8,7 @@ import pytest
 
 import mixsweep
 from mixsweep.budget import reference_constants
+from mixsweep import cli
 from mixsweep.cli import run
 
 
@@ -526,3 +527,46 @@ def test_simulate_rejects_mistyped_params(workspace, tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: surrogate parameter ") and err.count("\n") == 1
+
+
+def test_csv_text_writes_floats_as_repr():
+    text = cli._csv_text(
+        ("a", "b", "c"), [(0.1, 1e22, 5e-324), (3.0000000000000004, 4096.0, 7), ("x", "", True)]
+    )
+    assert text == "a,b,c\n0.1,1e+22,5e-324\n3.0000000000000004,4096.0,7\nx,,True\n"
+
+
+def test_failed_write_leaves_no_temp_file(workspace, tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(tmp_path / "p.json"), "--schedule-csv", str(tmp_path / "s.csv")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot rename ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["plan", "analyze"])
+def test_duplicate_setup_id_is_data_error(workspace, tmp_path, capsys, command):
+    with open(workspace["setups"]) as fh:
+        lines = [next(fh) for _ in range(3)]
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text("".join(lines + [lines[1]]))
+    duplicate = json.loads(lines[1])["id"]
+    out = tmp_path / "out.json"
+    if command == "plan":
+        argv = ["plan", duplicate, "--setups", str(setups), "--out", str(out)]
+    else:
+        argv = ["analyze", "--results", workspace["results"], "--setups", str(setups),
+                "--out", str(out)]
+    code = run(argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {setups}: line 4: duplicate setup id {duplicate!r} (first on line 2)\n"
+    )
+    assert not out.exists()

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixsweep import budget, schedule, space
 from mixsweep.errors import InsufficientCorpusError, ValidationError
@@ -149,3 +151,62 @@ def test_schedule_rows_accounting():
         assert all(r[3] <= 98304 for r in stage_rows)
     # stage 1 of this split is high-resource only
     assert all(r[2] == "high" for r in rows if r[1] == 1)
+
+
+def _reference_rows(spec):
+    """The plain per-row expansion: one ``source_at`` evaluation per batch."""
+    index = 0
+    for stage_budget, pattern in zip(spec.budgets, spec.patterns):
+        batch = pattern.batch_tokens
+        n_batches = math.ceil(stage_budget.total_tokens / batch)
+        for i in range(n_batches):
+            if i < n_batches - 1:
+                tokens = float(batch)
+            else:
+                tokens = stage_budget.total_tokens - batch * (n_batches - 1)
+            yield (index, stage_budget.stage_index, pattern.source_at(i), tokens)
+            index += 1
+
+
+_ratios = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(1, 32)]),
+    st.integers(1, 64).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))),
+)
+
+
+@st.composite
+def _schedules(draw):
+    """Schedules of 1-3 stages, with whole, partial, sub-batch and empty stage totals."""
+    batch = draw(st.sampled_from([1, 3, 4096, 98304]))
+    stages = []
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        full = draw(st.integers(0, 200))
+        partial = draw(st.sampled_from([0.0, 0.25, 0.999, 1e-9]) | st.floats(0, 1, exclude_max=True))
+        total = float(full * batch) + partial * batch
+        ratio = draw(_ratios)
+        stages.append(
+            (
+                schedule.StageTokenBudget(index, total, total * float(ratio), 0.0, ratio),
+                schedule.interleave_pattern(ratio, batch),
+            )
+        )
+    budgets, patterns = zip(*stages)
+    return schedule.ScheduleSpec("x", budgets, 1, 0, (0,), patterns, False)
+
+
+@given(_schedules())
+def test_schedule_rows_match_per_row_expansion(spec):
+    rows = list(schedule.schedule_rows(spec))
+    # repr pins the cell types too (a float 4096.0 is not an int 4096)
+    assert list(map(repr, rows)) == list(map(repr, _reference_rows(spec)))
+
+
+def test_schedule_rows_skip_a_zero_token_stage():
+    # r1 == r: the split gives stage 1 the whole length and stage 2 nothing
+    setup = budget.derive_single_stage(budget.FactorTuple(2, 4, 0, -4))  # r=1/4
+    split = budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    sched = schedule.build_schedule(setup, split, batch_tokens=98304)
+    assert sched.budgets[1].total_tokens == 0.0
+    rows = list(schedule.schedule_rows(sched))
+    assert rows == list(_reference_rows(sched))
+    assert rows and {r[1] for r in rows} == {1}
