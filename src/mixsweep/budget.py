@@ -114,17 +114,34 @@ class DerivedSetup:
 
 
 def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
-    """Expand a factor tuple into concrete training quantities."""
+    """Expand a factor tuple into concrete training quantities.
+
+    Raises InvalidFactorError when a derived quantity (or the epoch count
+    as a float) overflows or underflows to zero.
+    """
     ref = _REFERENCE
     f_D = factors.f_D
+    try:
+        scaled = (
+            math.ldexp(ref.model_scale, -factors.f_M),
+            math.ldexp(ref.compute, factors.f_C),
+            math.ldexp(ref.target_tokens, f_D),
+            math.ldexp(ref.target_tokens, f_D + factors.f_k + factors.f_r),
+            math.ldexp(1.0, factors.f_k),
+        )
+    except OverflowError:
+        scaled = None
+    if scaled is None or 0.0 in scaled:
+        raise InvalidFactorError(f"{factors} leaves the float range")
+    model_scale, compute, target_tokens, total_tokens, _ = scaled
     return DerivedSetup(
         factors=factors,
         ratio=Fraction(1, 2**factors.f_r),
-        model_scale=math.ldexp(ref.model_scale, -factors.f_M),
+        model_scale=model_scale,
         epochs=2**factors.f_k,
-        compute=math.ldexp(ref.compute, factors.f_C),
-        target_tokens=math.ldexp(ref.target_tokens, f_D),
-        total_tokens=math.ldexp(ref.target_tokens, f_D + factors.f_k + factors.f_r),
+        compute=compute,
+        target_tokens=target_tokens,
+        total_tokens=total_tokens,
     )
 
 

@@ -48,23 +48,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_outputs(outputs: dict[str, str], force: bool) -> None:
-    """Write path -> text atomically, after checking that no path would be overwritten."""
+    """Write path -> text for one command: every output is placed, or none is.
+
+    Every temp file is written before the first rename; on any failure the
+    temp files and the outputs already renamed into place are removed.
+    """
     for path in outputs:
         if os.path.exists(path) and not force:
             raise UsageError(f"refusing to overwrite {path} (pass --force)")
-    for path, text in outputs.items():
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
+    temps: dict[str, str] = {}
+    placed: list[str] = []
+    try:
+        for path, text in outputs.items():
+            directory = os.path.dirname(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            tmp = temps[path] = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+        for path, tmp in temps.items():
             os.replace(tmp, path)
-        except BaseException:
+            placed.append(path)
+    except BaseException:
+        for path in [*temps.values(), *placed]:
             with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+                os.remove(path)
+        raise
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -178,22 +187,14 @@ def _cmd_plan(args) -> int:
     if spec is None:
         raise ValidationError(f"setup id {args.setup_id!r} not found in {args.setups}")
     derived = spec.derived()
-    split = spec.split()
     plan = trainplan.build_training_plan(
         derived,
-        split,
+        spec.split(),
         devices=devices,
         setup_id=spec.id,
         high_available=args.high_available,
     )
-    sched = schedule.build_schedule(
-        derived,
-        split,
-        batch_tokens=plan.batch.global_batch_tokens,
-        base_seed=base_seed,
-        high_available=args.high_available,
-        setup_id=spec.id,
-    )
+    sched = schedule.build_schedule(plan, epochs=derived.epochs, base_seed=base_seed)
     doc = {
         "schema_version": 1,
         "training_plan": trainplan.plan_to_wire(plan),

@@ -290,8 +290,6 @@ def fit_kstar_model(
     curves: Sequence[tuple[float, float, float]],
     approach: str = APPROACH_MONO_1STAGE,
     h_max: float | None = None,
-    *,
-    shift_bounds: tuple[float, float] = SHIFT_EXPONENT_BOUNDS,
 ) -> KStarModel:
     """Fit the epoch model to pooled (compute, corpus factor, log2 k*) points.
 
@@ -319,7 +317,7 @@ def fit_kstar_model(
     def inner(exponent: float) -> tuple[np.ndarray, float]:
         return _fit_positions(corpus_factor - exponent * delta, log2_kstar, levels)
 
-    lo, hi = shift_bounds
+    lo, hi = SHIFT_EXPONENT_BOUNDS
     grid = np.arange(lo, hi + 1e-9, 0.05)
     sse_grid = [inner(a)[1] for a in grid]
     best_idx = int(np.argmin(sse_grid))

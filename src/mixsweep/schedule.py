@@ -13,11 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice, repeat
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .budget import DerivedSetup, StageSplit, as_fraction, reference_constants
 from .errors import InsufficientCorpusError, ValidationError
 from .seeds import mix64
+
+if TYPE_CHECKING:  # trainplan imports this module
+    from .trainplan import TrainingPlan
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,7 +156,7 @@ def interleave_pattern(stage_ratio, global_batch_tokens: int) -> InterleavePatte
 class ScheduleSpec:
     """Complete mixture schedule for one setup.
 
-    Fully determined by (setup, split, batch size, base seed); re-building
+    Fully determined by (training plan, epochs, base seed); re-building
     with the same inputs yields byte-identical serializations.
     """
 
@@ -166,28 +169,18 @@ class ScheduleSpec:
     trailing_partial_epoch: bool
 
 
-def build_schedule(
-    setup: DerivedSetup,
-    split: StageSplit | None,
-    *,
-    batch_tokens: int,
-    base_seed: int = 0,
-    high_available: float | None = None,
-    setup_id: str = "",
-) -> ScheduleSpec:
-    """Assemble budgets, epoch seeds and per-stage interleave patterns."""
-    budgets = stage_budgets(setup, split, high_available=high_available)
-    seeds = epoch_seeds(setup.epochs, base_seed)
-    patterns = tuple(interleave_pattern(b.ratio, batch_tokens) for b in budgets)
-    target_total = sum(b.target_tokens for b in budgets)
-    batches = target_total / batch_tokens
+def build_schedule(plan: TrainingPlan, *, epochs: int, base_seed: int = 0) -> ScheduleSpec:
+    """Epoch seeds and per-stage interleave patterns over the plan's stage budgets."""
+    batch_tokens = plan.batch.global_batch_tokens
+    patterns = tuple(interleave_pattern(b.ratio, batch_tokens) for b in plan.stages)
+    batches = sum(b.target_tokens for b in plan.stages) / batch_tokens
     partial = abs(batches - round(batches)) > 1e-9 * max(batches, 1.0)
     return ScheduleSpec(
-        setup_id=setup_id,
-        budgets=tuple(budgets),
-        epochs=setup.epochs,
+        setup_id=plan.setup_id,
+        budgets=plan.stages,
+        epochs=epochs,
         base_seed=base_seed,
-        seeds=tuple(seeds),
+        seeds=tuple(epoch_seeds(epochs, base_seed)),
         patterns=patterns,
         trailing_partial_epoch=partial,
     )

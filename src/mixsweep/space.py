@@ -45,19 +45,21 @@ class RangeRow:
     f_D: tuple[int, int]
 
 
+#: Half-open f_r and f_k ranges shared by every compute row.
+F_R_RANGE = (0, 4)
+F_K_RANGE = (0, 10)
+
+
 @dataclass(frozen=True)
 class SearchRanges:
-    """Factor ranges, keyed by f_C. All intervals are half-open [lo, hi)."""
+    """Per-budget factor ranges, keyed by f_C. All intervals are half-open [lo, hi)."""
 
     rows: dict[int, RangeRow]
-    f_r: tuple[int, int] = (0, 4)
-    f_k: tuple[int, int] = (0, 10)
 
     def restrict_budgets(self, f_C_values: Iterable[int]) -> "SearchRanges":
         """Keep only the rows for the given compute factors."""
         keep = set(f_C_values)
-        rows = {f_C: row for f_C, row in self.rows.items() if f_C in keep}
-        return SearchRanges(rows=rows, f_r=self.f_r, f_k=self.f_k)
+        return SearchRanges(rows={f_C: row for f_C, row in self.rows.items() if f_C in keep})
 
 
 def default_ranges() -> SearchRanges:
@@ -151,9 +153,9 @@ def enumerate_single_stage(ranges: SearchRanges | None = None) -> list[SetupSpec
     ranges = default_ranges() if ranges is None else ranges
     out: list[SetupSpec] = []
     for f_C, row in ranges.rows.items():
-        for f_r in range(*ranges.f_r):
+        for f_r in range(*F_R_RANGE):
             for f_M in range(*row.f_M):
-                for f_k in range(*ranges.f_k):
+                for f_k in range(*F_K_RANGE):
                     factors = FactorTuple(f_r=f_r, f_M=f_M, f_k=f_k, f_C=f_C)
                     if row.f_D[0] <= factors.f_D < row.f_D[1]:
                         out.append(SetupSpec(factors))
@@ -230,11 +232,22 @@ def to_wire(spec: SetupSpec) -> dict:
 _ratio = functools.lru_cache(maxsize=64)(Fraction)
 
 
+def _integer(obj: dict, key: str) -> int:
+    """A factor field, which must be a JSON integer (not a bool, float or string)."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def from_wire(obj: dict) -> SetupSpec:
     """Rebuild a setup from its wire form, checking the id round-trips."""
     try:
         factors = FactorTuple(
-            f_r=int(obj["f_r"]), f_M=int(obj["f_M"]), f_k=int(obj["f_k"]), f_C=int(obj["f_C"])
+            f_r=_integer(obj, "f_r"),
+            f_M=_integer(obj, "f_M"),
+            f_k=_integer(obj, "f_k"),
+            f_C=_integer(obj, "f_C"),
         )
         r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
         r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None

@@ -1,4 +1,4 @@
-"""Concrete training plans: model shape, learning rate, batch size, LR schedule.
+"""Concrete training plans: model shape, learning rate, batch size, stage steps.
 
 The shape ladder, the learning-rate and batch-size power laws, the
 multi-step decay schedule and the optimizer constants together turn a
@@ -188,41 +188,22 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
 
 
 @dataclass(frozen=True, slots=True)
-class StagePlan:
-    """Token budget and step count for one training stage.
-
-    Every stage runs the same LR schedule: warmup (``WARMUP_STEPS``) to the
-    plan's ``eta_max``, then the fixed ``MILESTONES`` decay.
-    """
-
-    index: int
-    ratio: float
-    total_tokens: float
-    target_tokens: float
-    high_tokens: float
-    steps: int
-    warmup_exceeds_stage: bool
-
-
-@dataclass(frozen=True, slots=True)
 class TrainingPlan:
     """Everything needed to launch one training setup.
 
-    ``eta_max`` is shared by all stages (each stage re-warms to the same
-    peak). Steps round up so budgeted tokens are never dropped; the final
-    partial batch is kept.
+    ``stages`` are the per-stage token budgets and ``steps`` their step
+    counts at the global batch. Steps round up so budgeted tokens are never
+    dropped; the final partial batch is kept. Every stage runs the same LR
+    schedule: warmup (``WARMUP_STEPS``) to the shared ``eta_max`` (each
+    stage re-warms to the same peak), then the fixed ``MILESTONES`` decay.
     """
 
     setup_id: str
     shape: ModelShape
     eta_max: float
     batch: BatchConfig
-    stages: tuple[StagePlan, ...]
-    adam_betas: tuple[float, float] = ADAM_BETAS
-    adam_epsilon: float = ADAM_EPSILON
-    weight_decay: float = WEIGHT_DECAY
-    gradient_clip_norm: float = GRADIENT_CLIP_NORM
-    init_std: float = INIT_STD
+    stages: tuple[schedule_mod.StageTokenBudget, ...]
+    steps: tuple[int, ...]
     warnings: tuple[str, ...] = ()
 
 
@@ -242,35 +223,21 @@ def build_training_plan(
     shape = shape_for_factor(setup.factors.f_M)
     eta_max = learning_rate(setup.compute)
     batch = batch_config(setup.compute, shape, devices=devices)
-    budgets = schedule_mod.stage_budgets(setup, split, high_available=high_available)
-    stages: list[StagePlan] = []
-    warnings: list[str] = []
-    for budget in budgets:
-        steps = math.ceil(budget.total_tokens / batch.global_batch_tokens)
-        short = steps < WARMUP_STEPS
-        if short:
-            warnings.append(
-                f"stage {budget.stage_index}: warmup-exceeds-stage "
-                f"({steps} steps < {WARMUP_STEPS} warmup)"
-            )
-        stages.append(
-            StagePlan(
-                index=budget.stage_index,
-                ratio=float(budget.ratio),
-                total_tokens=budget.total_tokens,
-                target_tokens=budget.target_tokens,
-                high_tokens=budget.high_tokens,
-                steps=steps,
-                warmup_exceeds_stage=short,
-            )
-        )
+    stages = tuple(schedule_mod.stage_budgets(setup, split, high_available=high_available))
+    steps = tuple(math.ceil(b.total_tokens / batch.global_batch_tokens) for b in stages)
+    warnings = tuple(
+        f"stage {b.stage_index}: warmup-exceeds-stage ({n} steps < {WARMUP_STEPS} warmup)"
+        for b, n in zip(stages, steps)
+        if n < WARMUP_STEPS
+    )
     return TrainingPlan(
         setup_id=setup_id,
         shape=shape,
         eta_max=eta_max,
         batch=batch,
-        stages=tuple(stages),
-        warnings=tuple(warnings),
+        stages=stages,
+        steps=steps,
+        warnings=warnings,
     )
 
 
@@ -288,11 +255,11 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
         },
         "optimizer": {
             "eta_max": plan.eta_max,
-            "adam_betas": list(plan.adam_betas),
-            "adam_epsilon": plan.adam_epsilon,
-            "weight_decay": plan.weight_decay,
-            "gradient_clip_norm": plan.gradient_clip_norm,
-            "init_std": plan.init_std,
+            "adam_betas": list(ADAM_BETAS),
+            "adam_epsilon": ADAM_EPSILON,
+            "weight_decay": WEIGHT_DECAY,
+            "gradient_clip_norm": GRADIENT_CLIP_NORM,
+            "init_std": INIT_STD,
         },
         "batch": {
             "local_batch": plan.batch.local_batch,
@@ -303,21 +270,21 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
         },
         "stages": [
             {
-                "index": stage.index,
-                "ratio": stage.ratio,
+                "index": stage.stage_index,
+                "ratio": float(stage.ratio),
                 "total_tokens": stage.total_tokens,
                 "target_tokens": stage.target_tokens,
                 "high_tokens": stage.high_tokens,
-                "steps": stage.steps,
+                "steps": steps,
                 "lr_schedule": {
                     "eta_max": plan.eta_max,
                     "warmup_steps": WARMUP_STEPS,
                     "milestones": [list(m) for m in MILESTONES],
                     "per_stage": True,
                 },
-                "warmup_exceeds_stage": stage.warmup_exceeds_stage,
+                "warmup_exceeds_stage": steps < WARMUP_STEPS,
             }
-            for stage in plan.stages
+            for stage, steps in zip(plan.stages, plan.steps)
         ],
         "warnings": list(plan.warnings),
     }

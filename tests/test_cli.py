@@ -551,6 +551,60 @@ def test_failed_write_leaves_no_temp_file(workspace, tmp_path, capsys, monkeypat
     assert os.listdir(tmp_path) == []
 
 
+def test_failed_second_rename_leaves_no_output(workspace, tmp_path, capsys, monkeypatch):
+    real_replace = os.replace
+    renames = []
+
+    def second_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError(f"cannot rename {src}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(tmp_path / "p.json"), "--schedule-csv", str(tmp_path / "s.csv")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot rename ") and err.count("\n") == 1
+    assert renames == [str(tmp_path / "p.json"), str(tmp_path / "s.csv")]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "value", [1.7, True, "1"], ids=["float", "bool", "string"]
+)
+def test_setup_factor_must_be_a_json_integer(tmp_path, capsys, value):
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text(json.dumps({"f_r": value, "f_M": 0, "f_k": 0, "f_C": 0}) + "\n")
+    out = tmp_path / "r.csv"
+    code = run(["simulate", "--setups", str(setups), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {setups}: line 1: bad setup object: f_r must be an integer, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [{"f_M": -2000}, {"f_k": 2000}, {"f_M": 1000, "f_k": 1100}],
+    ids=["model-scale-overflow", "target-tokens-underflow", "epochs-overflow"],
+)
+def test_simulate_rejects_factors_beyond_the_float_range(tmp_path, capsys, factors):
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text(json.dumps({"f_r": 0, "f_M": 0, "f_k": 0, "f_C": 0, **factors}) + "\n")
+    out = tmp_path / "r.csv"
+    code = run(["simulate", "--setups", str(setups), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: FactorTuple(") and err.endswith(") leaves the float range\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "analyze"])
 def test_duplicate_setup_id_is_data_error(workspace, tmp_path, capsys, command):
     with open(workspace["setups"]) as fh:

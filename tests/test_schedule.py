@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsweep import budget, schedule, space
+from mixsweep import budget, schedule, space, trainplan
 from mixsweep.errors import InsufficientCorpusError, ValidationError
 from mixsweep.seeds import mix64
 
@@ -128,27 +130,36 @@ def test_interleaver_validation():
         schedule.interleave_pattern(Fraction(1, 2), 0)
 
 
+def _plan_and_schedule(setup, split):
+    plan = trainplan.build_training_plan(setup, split)
+    return plan, schedule.build_schedule(plan, epochs=setup.epochs)
+
+
 def test_build_schedule_deterministic():
     spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
     setup = spec.derived()
-    one = schedule.build_schedule(setup, spec.split(), batch_tokens=98304, base_seed=7, setup_id=spec.id)
-    two = schedule.build_schedule(setup, spec.split(), batch_tokens=98304, base_seed=7, setup_id=spec.id)
+    plan = trainplan.build_training_plan(setup, spec.split(), setup_id=spec.id)
+    one = schedule.build_schedule(plan, epochs=setup.epochs, base_seed=7)
+    two = schedule.build_schedule(plan, epochs=setup.epochs, base_seed=7)
     assert one == two
     assert schedule.schedule_to_wire(one) == schedule.schedule_to_wire(two)
+    assert one.setup_id == spec.id
+    assert one.seeds == tuple(schedule.epoch_seeds(setup.epochs, 7))
+    assert one.budgets == plan.stages
     assert one.trailing_partial_epoch  # reference corpus is not batch-aligned
 
 
 def test_schedule_rows_accounting():
     spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
-    setup = spec.derived()
-    sched = schedule.build_schedule(setup, spec.split(), batch_tokens=98304, setup_id=spec.id)
+    plan, sched = _plan_and_schedule(spec.derived(), spec.split())
+    batch = plan.batch.global_batch_tokens
     rows = list(schedule.schedule_rows(sched))
     indices = [r[0] for r in rows]
     assert indices == list(range(len(rows)))
     for stage_budget in sched.budgets:
         stage_rows = [r for r in rows if r[1] == stage_budget.stage_index]
         assert sum(r[3] for r in stage_rows) == stage_budget.total_tokens
-        assert all(r[3] <= 98304 for r in stage_rows)
+        assert all(r[3] <= batch for r in stage_rows)
     # stage 1 of this split is high-resource only
     assert all(r[2] == "high" for r in rows if r[1] == 1)
 
@@ -205,8 +216,28 @@ def test_schedule_rows_skip_a_zero_token_stage():
     # r1 == r: the split gives stage 1 the whole length and stage 2 nothing
     setup = budget.derive_single_stage(budget.FactorTuple(2, 4, 0, -4))  # r=1/4
     split = budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    sched = schedule.build_schedule(setup, split, batch_tokens=98304)
+    plan, sched = _plan_and_schedule(setup, split)
+    assert plan.steps[1] == 0
     assert sched.budgets[1].total_tokens == 0.0
     rows = list(schedule.schedule_rows(sched))
     assert rows == list(_reference_rows(sched))
     assert rows and {r[1] for r in rows} == {1}
+
+
+@given(st.data())
+def test_plan_and_schedule_agree_per_stage(all_setups, data):
+    spec = data.draw(st.sampled_from(all_setups))
+    setup = spec.derived()
+    plan, sched = _plan_and_schedule(setup, spec.split())
+    plan_stages = trainplan.plan_to_wire(plan)["stages"]
+    schedule_stages = schedule.schedule_to_wire(sched)["stages"]
+    tokens = {
+        stage: list(map(itemgetter(3), rows))
+        for stage, rows in groupby(schedule.schedule_rows(sched), key=itemgetter(1))
+    }
+    for planned, scheduled in zip(plan_stages, schedule_stages, strict=True):
+        stage_tokens = tokens.get(planned["index"], [])  # a zero-token stage has no rows
+        assert planned["steps"] == len(stage_tokens)
+        assert sum(stage_tokens) == planned["total_tokens"]
+        for key in ("index", "total_tokens", "target_tokens", "high_tokens"):
+            assert planned[key] == scheduled[key]

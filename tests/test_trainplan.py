@@ -141,15 +141,18 @@ def test_single_stage_plan():
     setup = budget.derive_single_stage(budget.FactorTuple(0, 0, 0, 0))
     plan = trainplan.build_training_plan(setup, setup_id="fC0_fD0_fr0_fM0_fk0")
     assert len(plan.stages) == 1
-    stage = plan.stages[0]
-    assert stage.steps == math.ceil(setup.total_tokens / plan.batch.global_batch_tokens)
-    assert stage.ratio == 1.0
-    assert not stage.warmup_exceeds_stage
-    assert plan.adam_betas == (0.9, 0.95)
-    assert plan.adam_epsilon == 1e-8
-    assert plan.weight_decay == 0.1
-    assert plan.gradient_clip_norm == 1.0
-    assert plan.init_std == 0.006
+    assert plan.steps == (math.ceil(setup.total_tokens / plan.batch.global_batch_tokens),)
+    assert plan.stages[0].ratio == 1
+    assert not plan.warnings
+    doc = trainplan.plan_to_wire(plan)
+    assert doc["stages"][0]["ratio"] == 1.0
+    assert doc["stages"][0]["steps"] == plan.steps[0]
+    assert doc["stages"][0]["warmup_exceeds_stage"] is False
+    assert doc["optimizer"]["adam_betas"] == [0.9, 0.95]
+    assert doc["optimizer"]["adam_epsilon"] == 1e-8
+    assert doc["optimizer"]["weight_decay"] == 0.1
+    assert doc["optimizer"]["gradient_clip_norm"] == 1.0
+    assert doc["optimizer"]["init_std"] == 0.006
 
 
 def test_two_stage_plan_shares_peak_lr():
@@ -171,8 +174,8 @@ def test_short_stage_flagged():
     split = budget.stage_split(Fraction(1, 16), Fraction(1), Fraction(1, 8))
     assert split.second_length == Fraction(1, 15)
     plan = trainplan.build_training_plan(setup, split)
-    assert plan.stages[1].steps < 500
-    assert plan.stages[1].warmup_exceeds_stage
+    assert plan.steps[1] < 500
+    assert trainplan.plan_to_wire(plan)["stages"][1]["warmup_exceeds_stage"] is True
     assert any("warmup-exceeds-stage" in w for w in plan.warnings)
 
 
