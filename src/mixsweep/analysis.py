@@ -2,9 +2,10 @@
 
 Analyses: per-budget category minima over the nested approach categories,
 the compute-optimal corpus estimate, the approach-switch threshold scan,
-and the optimal-model-scale table. Everything is a deterministic function
-of the validated result set; ties break toward fewer epochs, then the
-smaller model-scale factor, then the lexicographically smaller id.
+the optimal-model-scale table, and the epoch and ratio fits' input points.
+Everything is a deterministic function of the validated result set; ties
+break toward fewer epochs, then the smaller model-scale factor, then the
+lexicographically smaller id.
 """
 
 from __future__ import annotations
@@ -241,6 +242,20 @@ def epoch_minima(
     for (f_C, f_D, f_k), (loss, _) in best.items():
         cells.setdefault((f_C, f_D), []).append((f_k, loss))
     return cells
+
+
+def ratio_points(
+    results: ResultSet, pair: str | None = None
+) -> Iterator[tuple[str, float, float, float, float]]:
+    """The ratio power law's input: every measured single-stage, f_k = 0 setup.
+
+    Yields (setup id, model scale, total tokens, ratio, loss) in measurement order.
+    """
+    for setup_id, loss in results.for_pair(pair).items():
+        spec = results.setups[setup_id]
+        if not spec.is_two_stage and spec.factors.f_k == 0:
+            derived = spec.derived()
+            yield setup_id, derived.model_scale, derived.total_tokens, float(derived.ratio), loss
 
 
 _NO_MONO = "no mono-1stage measurements at compute factor f_C={}"

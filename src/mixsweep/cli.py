@@ -23,14 +23,7 @@ from typing import Sequence
 
 from . import analysis, fitting, schedule, space, surrogate, trainplan
 from .budget import reference_constants
-from .errors import (
-    FileFormatError,
-    FitError,
-    MixsweepError,
-    UnderdeterminedError,
-    UsageError,
-    ValidationError,
-)
+from .errors import FileFormatError, FitError, MixsweepError, UsageError, ValidationError
 
 ENV_CONFIG = "MIXSWEEP_CONFIG"
 
@@ -142,7 +135,7 @@ def _resolve(flag_value, config: dict, key: str, default, kind):
         return default
     try:
         return kind(config[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"config key {key!r}: cannot read {config[key]!r} as {kind.__name__}"
         ) from None
@@ -182,8 +175,7 @@ def _cmd_plan(args) -> int:
     config = _load_config(args)
     devices = _resolve(args.devices, config, "devices", trainplan.DEFAULT_DEVICES, int)
     base_seed = _resolve(args.base_seed, config, "seed", 0, int)
-    specs = {spec.id: spec for spec in _read_setups(args.setups)}
-    spec = specs.get(args.setup_id)
+    spec = next((s for s in _read_setups(args.setups) if s.id == args.setup_id), None)
     if spec is None:
         raise ValidationError(f"setup id {args.setup_id!r} not found in {args.setups}")
     derived = spec.derived()
@@ -283,29 +275,10 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_points(results: analysis.ResultSet, pair: str | None):
-    """(setup id, derived setup, loss) of every measured single-stage, f_k = 0 setup."""
-    for setup_id, loss in results.for_pair(pair).items():
-        spec = results.setups[setup_id]
-        if not spec.is_two_stage and spec.factors.f_k == 0:
-            yield setup_id, spec.derived(), loss
-
-
 def _cmd_fit_epochs(args) -> int:
     cells = analysis.epoch_minima(_ingest(args), args.approach, args.pair)
-    fits = []
-    skipped = []
-    for (f_C, f_D), points in cells.items():
-        if len(points) < 3:
-            skipped.append(
-                f"cell (f_C={f_C}, f_D={f_D}) skipped: {len(points)} epoch value(s) < 3"
-            )
-            continue
-        fit = fitting.fit_epoch_quadratic([(float(k), loss) for k, loss in points])
-        fits.append((f_C, f_D, fit))
-    if not fits:
-        raise UnderdeterminedError("no budget cell has enough distinct epoch values to fit")
-    doc = fitting.epoch_fits_to_wire(args.approach, fits, skipped)
+    fits, warnings = fitting.fit_epoch_cells(cells)
+    doc = fitting.epoch_fits_to_wire(args.approach, fits, warnings)
     _write_outputs({args.out: _json_text(doc)}, args.force)
     print(f"fitted {len(fits)} epoch quadratics -> {args.out}", file=sys.stderr)
     return 0
@@ -328,26 +301,9 @@ def _cmd_fit_kstar(args) -> int:
 
 
 def _cmd_fit_ratio(args) -> int:
-    grouped: dict[tuple[float, float], list[tuple[float, float, float, float]]] = {}
-    for _, derived, loss in _ratio_points(_ingest(args), args.pair):
-        point = (derived.model_scale, derived.total_tokens, float(derived.ratio), loss)
-        grouped.setdefault((point[0], point[1]), []).append(point)
-    points = []
-    dropped = []
-    for key in sorted(grouped):
-        group = grouped[key]
-        if len({p[2] for p in group}) < 2:
-            dropped.append(
-                f"group (M={key[0]:.6g}, D={key[1]:.6g}) dropped: single ratio value"
-            )
-            continue
-        points.extend(group)
-    if not points:
-        raise UnderdeterminedError("no single-epoch single-stage group has two distinct ratios")
+    points = [point[1:] for point in analysis.ratio_points(_ingest(args), args.pair)]
     fit = fitting.fit_ratio_power_law(points)
-    doc = fitting.ratio_fit_to_wire(fit)
-    doc["diagnostics"]["warnings"] = dropped
-    _write_outputs({args.out: _json_text(doc)}, args.force)
+    _write_outputs({args.out: _json_text(fitting.ratio_fit_to_wire(fit))}, args.force)
     print(
         f"fitted ratio power law (exponent {fit.exponent:.4f}, "
         f"{fit.group_count} groups) -> {args.out}",
@@ -411,8 +367,7 @@ def _cmd_report(args) -> int:
         if args.ratio_fit:
             ratio_fit = _read_json(args.ratio_fit, fitting.ratio_fit_from_wire)
         rows = []
-        for _, derived, loss in sorted(_ratio_points(results, args.pair)):
-            m, d, r = derived.model_scale, derived.total_tokens, float(derived.ratio)
+        for _, m, d, r, loss in sorted(analysis.ratio_points(results, args.pair)):
             known = ratio_fit is not None and (m, d) in ratio_fit.intercepts
             rows.append((m, d, r, loss, ratio_fit.predict(m, d, r) if known else ""))
         outputs[os.path.join(args.out_dir, "ratio_curves.csv")] = _csv_text(

@@ -64,7 +64,3 @@ class UnderdeterminedError(FitError):
 
 class UnidentifiableError(FitError):
     """Data cannot pin down a model parameter (e.g. single compute budget)."""
-
-
-class DegenerateGroupError(FitError):
-    """A regression group has too few distinct ratio values."""

@@ -28,7 +28,6 @@ import numpy as np
 
 from .budget import reference_constants
 from .errors import (
-    DegenerateGroupError,
     FileFormatError,
     UnderdeterminedError,
     UnidentifiableError,
@@ -78,9 +77,6 @@ class QuadraticEpochFit:
     n_points: int
     extrapolated: bool
 
-    def predict(self, f_k: float) -> float:
-        return self.curvature * f_k * f_k + self.slope * f_k + self.intercept
-
 
 def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpochFit:
     """OLS on the basis (1, f_k, f_k^2); needs >= 3 distinct abscissae."""
@@ -114,6 +110,26 @@ def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpoch
         n_points=len(points),
         extrapolated=extrapolated,
     )
+
+
+def fit_epoch_cells(
+    cells: dict[tuple[int, int], list[tuple[int, float]]]
+) -> tuple[list[tuple[int, int, QuadraticEpochFit]], list[str]]:
+    """Quadratic fits of each (f_C, f_D) cell's (f_k, loss) points, and the warnings.
+
+    A cell with too few epoch values is skipped with a warning; none fitted raises.
+    """
+    fits = []
+    warnings = []
+    for (f_C, f_D), points in cells.items():
+        try:
+            fits.append((f_C, f_D, fit_epoch_quadratic(points)))
+        except UnderdeterminedError:
+            n = len(points)
+            warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: {n} epoch value(s) < 3")
+    if not fits:
+        raise UnderdeterminedError("no budget cell has enough distinct epoch values to fit")
+    return fits, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +296,9 @@ def _fit_positions(
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
     sse0 = _sse_and_grad(theta0, x, y, levels)[0]
-    result = minimize(_sse_and_grad, theta0, args=(x, y, levels), jac=True, method="L-BFGS-B")
+    # a line-search step whose log gaps overflow exp scores inf or nan and is not taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = minimize(_sse_and_grad, theta0, args=(x, y, levels), jac=True, method="L-BFGS-B")
     if result.fun <= sse0:
         return _positions_from_theta(result.x), float(result.fun)
     return _positions_from_theta(theta0), sse0
@@ -411,6 +429,7 @@ class RatioPowerLawFit:
     rss: float
     n_points: int
     group_count: int
+    warnings: tuple[str, ...] = ()
 
     def predict(self, model_scale: float, total_tokens: float, ratio: float) -> float:
         try:
@@ -430,10 +449,10 @@ def fit_ratio_power_law(
     Points are (model scale, total tokens, ratio, loss), grouped by the
     exact (model scale, total tokens) pair. Within-group centering removes
     the intercepts, so the pooled slope is sum of centered cross products
-    over sum of centered squares. Every group needs >= 2 distinct ratios.
+    over sum of centered squares, summed in sorted group order. A group with
+    a single ratio value is dropped with a warning; none left raises.
     """
     groups: dict[tuple[float, float], list[tuple[float, float]]] = {}
-    n_points = 0
     for model_scale, total_tokens, ratio, loss in points:
         r = float(ratio)
         if not 0 < r <= 1:
@@ -443,27 +462,23 @@ def fit_ratio_power_law(
         groups.setdefault((float(model_scale), float(total_tokens)), []).append(
             (math.log(r), math.log(loss))
         )
-        n_points += 1
-    degenerate = sorted(
-        key for key, values in groups.items() if len({x for x, _ in values}) < 2
-    )
-    if degenerate:
-        described = ", ".join(f"(M={m:.4g}, D={d:.4g})" for m, d in degenerate)
-        raise DegenerateGroupError(
-            f"{len(degenerate)} group(s) with a single ratio value: {described}"
-        )
-    if not groups:
-        raise UnderdeterminedError("no points to fit")
+    warnings = []
     numerator = 0.0
     denominator = 0.0
     centered: dict[tuple[float, float], tuple[np.ndarray, np.ndarray, float, float]] = {}
-    for key, values in groups.items():
+    for key in sorted(groups):
+        values = groups[key]
+        if len({x for x, _ in values}) < 2:
+            warnings.append(f"group (M={key[0]:.6g}, D={key[1]:.6g}) dropped: single ratio value")
+            continue
         x = np.asarray([v[0] for v in values])
         y = np.asarray([v[1] for v in values])
         x_mean, y_mean = float(x.mean()), float(y.mean())
         numerator += float(((x - x_mean) * (y - y_mean)).sum())
         denominator += float(((x - x_mean) ** 2).sum())
         centered[key] = (x, y, x_mean, y_mean)
+    if not centered:
+        raise UnderdeterminedError("no (model scale, total tokens) group has two distinct ratios")
     exponent = numerator / denominator
     intercepts = {}
     rss = 0.0
@@ -475,8 +490,9 @@ def fit_ratio_power_law(
         exponent=exponent,
         intercepts=intercepts,
         rss=rss,
-        n_points=n_points,
-        group_count=len(groups),
+        n_points=sum(len(x) for x, *_ in centered.values()),
+        group_count=len(centered),
+        warnings=tuple(warnings),
     )
 
 
@@ -547,7 +563,7 @@ def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
             "rss": fit.rss,
             "n_points": fit.n_points,
             "group_count": fit.group_count,
-            "warnings": [],
+            "warnings": list(fit.warnings),
         },
     }
 
@@ -563,6 +579,7 @@ def ratio_fit_from_wire(obj: dict) -> RatioPowerLawFit:
             rss=float(diagnostics["rss"]),
             n_points=int(diagnostics["n_points"]),
             group_count=int(diagnostics["group_count"]),
+            warnings=tuple(diagnostics.get("warnings", ())),
         )
 
 

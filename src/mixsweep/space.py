@@ -228,8 +228,22 @@ def to_wire(spec: SetupSpec) -> dict:
     return obj
 
 
-#: Exact stage ratios parsed from their "num/den" strings; a grid uses only a few.
-_ratio = functools.lru_cache(maxsize=64)(Fraction)
+@functools.lru_cache(maxsize=64)
+def _ratio(text: str) -> Fraction:
+    """The exact stage ratio in [0, 1] that a "num/den" string names.
+
+    Cached, so each distinct string is parsed and checked once; a grid uses
+    only a few.
+    """
+    if type(text) is not str:
+        raise TypeError(f"stage ratio must be a \"num/den\" string, got {text!r}")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"stage ratio {text!r} has a zero denominator") from None
+    if not 0 <= value <= 1:
+        raise ValueError(f"stage ratio {text!r} is outside [0, 1]")
+    return value
 
 
 def _integer(obj: dict, key: str) -> int:

@@ -589,6 +589,43 @@ def test_setup_factor_must_be_a_json_integer(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
+    "ratios, message",
+    [
+        ({"r1_frac": "1/0"}, "stage ratio '1/0' has a zero denominator"),
+        ({"r1_frac": float("inf")}, "stage ratio must be a \"num/den\" string, got inf"),
+        ({"r1_frac": "-1/4"}, "stage ratio '-1/4' is outside [0, 1]"),
+        ({"r2_frac": "3/2"}, "stage ratio '3/2' is outside [0, 1]"),
+    ],
+    ids=["zero-denominator", "json-infinity", "negative", "above-one"],
+)
+def test_setup_stage_ratio_must_be_a_fraction_in_the_unit_interval(
+    tmp_path, capsys, ratios, message
+):
+    wire = {"f_r": 1, "f_M": 0, "f_k": 0, "f_C": 0, "r1_frac": "1/4", "r2_frac": "3/4", **ratios}
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text(json.dumps(wire).replace("Infinity", "1e400") + "\n")
+    out = tmp_path / "r.csv"
+    code = run(["simulate", "--setups", str(setups), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {setups}: line 1: bad setup object: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "devices"])
+def test_config_integer_beyond_the_float_range_is_data_error(workspace, tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": 1e400}}')
+    out = tmp_path / "p.json"
+    code = run(
+        ["--config", str(config), "plan", "fC0_fD0_fr0_fM0_fk0",
+         "--setups", workspace["setups"], "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config key {key!r}: cannot read inf as int\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "factors",
     [{"f_M": -2000}, {"f_k": 2000}, {"f_M": 1000, "f_k": 1100}],
     ids=["model-scale-overflow", "target-tokens-underflow", "epochs-overflow"],
@@ -624,3 +661,60 @@ def test_duplicate_setup_id_is_data_error(workspace, tmp_path, capsys, command):
         f"error: {setups}: line 4: duplicate setup id {duplicate!r} (first on line 2)\n"
     )
     assert not out.exists()
+
+
+def _results_subset(workspace, tmp_path, keep):
+    """A copy of the workspace results holding only the rows whose setup id ``keep`` accepts."""
+    with open(workspace["results"]) as fh:
+        header, *rows = fh.readlines()
+    path = tmp_path / "subset.csv"
+    path.write_text(header + "".join(row for row in rows if keep(row.split(",")[0])))
+    return str(path)
+
+
+def test_fit_ratio_drops_a_single_ratio_group_with_a_warning(workspace, tmp_path):
+    # the f_M = 4, D = 2.13e9 group keeps only its f_r = 1 setup
+    dropped = {"fC-4_fD-2_fr2_fM4_fk0", "fC-4_fD-3_fr3_fM4_fk0"}
+    results = _results_subset(workspace, tmp_path, lambda setup_id: setup_id not in dropped)
+    out = tmp_path / "ratio.json"
+    code = run(["fit", "ratio", "--results", results, "--setups", workspace["setups"],
+                "--out", str(out)])
+    assert code == 0
+    full = json.load(open(workspace["ratio"]))["diagnostics"]
+    diagnostics = json.load(open(out))["diagnostics"]
+    warning = "group (M=2.93422e+07, D=2.13004e+09) dropped: single ratio value"
+    assert warning not in full["warnings"]
+    assert set(diagnostics["warnings"]) == {*full["warnings"], warning}
+    assert diagnostics["group_count"] == full["group_count"] - 1
+    assert diagnostics["n_points"] == full["n_points"] - 3
+
+
+def test_fit_ratio_without_a_usable_group_is_fit_error(workspace, tmp_path, capsys):
+    # ratio 1 only: every (M, D) group has a single ratio value
+    results = _results_subset(workspace, tmp_path, lambda setup_id: "_fr0_" in setup_id)
+    out = tmp_path / "ratio.json"
+    code = run(["fit", "ratio", "--results", results, "--setups", workspace["setups"],
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("fit error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_fit_epochs_skips_a_cell_with_fewer_than_three_epoch_values(workspace, tmp_path):
+    # the mono cell (f_C=-4, f_D=-7) keeps only f_k = 7 and 8
+    def keep(setup_id):
+        cell = setup_id.startswith("fC-4_fD-7_fr0_")
+        return not (cell and setup_id[-4:] in {"_fk4", "_fk5", "_fk6"})
+
+    results = _results_subset(workspace, tmp_path, keep)
+    out = tmp_path / "epochs.json"
+    code = run(["fit", "epochs", "--results", results, "--setups", workspace["setups"],
+                "--out", str(out)])
+    assert code == 0
+    doc = json.load(open(out))
+    warning = "cell (f_C=-4, f_D=-7) skipped: 2 epoch value(s) < 3"
+    assert doc["diagnostics"]["warnings"] == [warning]
+    cells = {(fit["f_C"], fit["f_D"]) for fit in doc["parameters"]["fits"]}
+    assert (-4, -7) not in cells
+    assert len(cells) == len(json.load(open(workspace["epochs"]))["parameters"]["fits"]) - 1

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mixsweep import fitting
+from mixsweep import analysis, fitting
 from mixsweep.budget import reference_constants
 from mixsweep.errors import (
-    DegenerateGroupError,
     UnderdeterminedError,
     UnidentifiableError,
     ValidationError,
@@ -37,6 +36,15 @@ def test_quadratic_concave_falls_back_to_grid_argmin():
 def test_quadratic_underdetermined():
     with pytest.raises(UnderdeterminedError):
         fitting.fit_epoch_quadratic([(0, 1.0), (0, 1.1), (1, 1.2)])
+
+
+def test_epoch_cells_skip_underdetermined_cells():
+    curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
+    fits, warnings = fitting.fit_epoch_cells({(0, -1): curve[:2], (0, 0): curve})
+    assert fits == [(0, 0, fitting.fit_epoch_quadratic(curve))]
+    assert warnings == ["cell (f_C=0, f_D=-1) skipped: 2 epoch value(s) < 3"]
+    with pytest.raises(UnderdeterminedError, match="no budget cell"):
+        fitting.fit_epoch_cells({(0, -1): curve[:2]})
 
 
 def test_quadratic_shift_equivariance():
@@ -299,6 +307,20 @@ def test_sse_gradient_matches_central_differences():
         assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
 
 
+def test_kstar_solve_keeps_overflowing_line_search_steps_quiet(surrogate_results):
+    # On the default surrogate's epoch optima with h_max = 6, the L-BFGS-B line
+    # search at a = 0.35 tries log gaps whose exp overflows; the suite turns
+    # the RuntimeWarning that would reach stderr into an error.
+    fits, _ = fitting.fit_epoch_cells(analysis.epoch_minima(surrogate_results, "mono-1stage"))
+    x = np.asarray([f_D - 0.35 * f_C for f_C, f_D, _ in fits], dtype=float)
+    y = np.asarray([fit.minimizer for _, _, fit in fits])
+    levels = np.arange(0.0, 6.25, 0.5)
+    positions, sse = fitting._fit_positions(x, y, levels)
+    theta0 = fitting._theta_from_positions(fitting._initial_positions(x, y, levels))
+    assert math.isfinite(sse) and np.all(np.isfinite(positions))
+    assert sse <= fitting._sse_and_grad(theta0, x, y, levels)[0]
+
+
 # ---------------------------------------------------------------------------
 # ratio power law
 # ---------------------------------------------------------------------------
@@ -352,8 +374,25 @@ def test_ratio_group_scaling_invariance():
 
 def test_ratio_degenerate_group_listed():
     points = planted_ratio_points()
-    points.append((7.7e7, 3.3e9, 0.5, 3.0))  # new group with a single ratio
-    with pytest.raises(DegenerateGroupError, match="7.7e"):
+    points.insert(5, (7.7e7, 3.3e9, 0.5, 3.0))  # new group with a single ratio
+    points.append((7.7e7, 1.1e9, 0.25, 3.0))  # and another
+    fit = fitting.fit_ratio_power_law(points)
+    base = fitting.fit_ratio_power_law(planted_ratio_points())
+    assert fit.warnings == (
+        "group (M=7.7e+07, D=1.1e+09) dropped: single ratio value",
+        "group (M=7.7e+07, D=3.3e+09) dropped: single ratio value",
+    )
+    assert fit.exponent == base.exponent
+    assert fit.intercepts == base.intercepts
+    assert (fit.rss, fit.n_points, fit.group_count) == (base.rss, base.n_points, base.group_count)
+    assert fitting.ratio_fit_from_wire(fitting.ratio_fit_to_wire(fit)) == fit
+
+
+@pytest.mark.parametrize(
+    "points", [[], [(1e8, 1e9, 0.5, 2.0), (1e8, 1e9, 0.5, 2.1), (2e8, 1e9, 1.0, 2.0)]]
+)
+def test_ratio_without_a_usable_group_is_underdetermined(points):
+    with pytest.raises(UnderdeterminedError, match="two distinct ratios"):
         fitting.fit_ratio_power_law(points)
 
 
