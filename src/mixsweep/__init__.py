@@ -26,21 +26,21 @@ from .space import (
 from .trainplan import (
     BatchConfig,
     ModelShape,
+    StageTokenBudget,
     TrainingPlan,
     batch_config,
     build_training_plan,
     learning_rate,
     model_scale,
     shape_for_factor,
+    stage_budgets,
 )
 from .schedule import (
     InterleavePattern,
     ScheduleSpec,
-    StageTokenBudget,
     build_schedule,
     epoch_seeds,
     interleave_pattern,
-    stage_budgets,
 )
 from .analysis import (
     CategoryMinima,

@@ -9,6 +9,7 @@ without rounding), and because ratios are kept as exact fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,12 @@ def reference_constants() -> ReferenceConstants:
     return _REFERENCE
 
 
+#: Largest ratio factor, checked before anything builds 2**f_r. No larger one
+#: derives: a finite D_total = D_ref * 2**(f_M + f_C) needs f_M + f_C <= 993
+#: (D_ref ~ 2**31), and a nonzero D_T = D_total * 2**(-f_r - f_k) then needs f_r <= 2098.
+F_R_MAX = 4096
+
+
 @dataclass(frozen=True, slots=True)
 class FactorTuple:
     """Integer halving factors for ratio, model scale, epochs and compute.
@@ -69,8 +76,8 @@ class FactorTuple:
     f_C: int
 
     def __post_init__(self) -> None:
-        if self.f_r < 0:
-            raise InvalidFactorError(f"f_r must be >= 0, got {self.f_r}")
+        if not 0 <= self.f_r <= F_R_MAX:
+            raise InvalidFactorError(f"f_r must be in [0, {F_R_MAX}], got {self.f_r}")
         if self.f_k < 0:
             raise InvalidFactorError(f"f_k must be >= 0, got {self.f_k}")
         if self.f_C > 0:
@@ -145,19 +152,6 @@ def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     )
 
 
-RatioLike = Fraction | int | float
-
-
-def as_fraction(value: RatioLike) -> Fraction:
-    """Convert a ratio-like value to an exact fraction.
-
-    Floats convert via their exact binary value, which is lossless for the
-    dyadic ratios used throughout the grid (0.25 -> 1/4). Pass a Fraction
-    directly for non-dyadic ratios such as 1/3.
-    """
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 @dataclass(frozen=True, slots=True)
 class StageSplit:
     """Stage ratios and the stage-length proportions that realize an average ratio."""
@@ -180,19 +174,21 @@ class StageSplit:
         )
 
 
-def stage_split(
-    first_ratio: RatioLike, second_ratio: RatioLike, average_ratio: RatioLike
-) -> StageSplit:
+@functools.lru_cache(maxsize=128)
+def stage_split(first_ratio, second_ratio, average_ratio) -> StageSplit:
     """Solve for stage-length proportions given both stage ratios and the average.
 
     The first-stage proportion is (r2 - r) / (r2 - r1); exact because all
-    arithmetic is on fractions.
+    arithmetic is on fractions. Cached: a grid has at most 96 distinct
+    (r1, r2, r) triples, and equal keys convert to equal fractions.
     """
-    r1 = as_fraction(first_ratio)
-    r2 = as_fraction(second_ratio)
-    r = as_fraction(average_ratio)
+    r1 = Fraction(first_ratio)
+    r2 = Fraction(second_ratio)
+    r = Fraction(average_ratio)
     if r1 >= r2:
         raise SplitOrderingError(f"stage ratios must satisfy r1 < r2, got {r1} >= {r2}")
+    if r1 < 0 or r2 > 1:
+        raise InfeasibleSplitError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
     if not r1 <= r <= r2:
         raise InfeasibleSplitError(
             f"average ratio {r} outside the stage-ratio interval [{r1}, {r2}]"

@@ -43,13 +43,15 @@ class _Parser(argparse.ArgumentParser):
 def _write_outputs(outputs: dict[str, str], force: bool) -> None:
     """Write path -> text for one command: every output is placed, or none is.
 
-    Every temp file is written before the first rename; on any failure the
-    temp files and the outputs already renamed into place are removed.
+    Every temp file is written before the first rename, and a file about to be
+    replaced is first hard-linked to a backup. On failure each placed output is
+    removed or swapped back for its backup; no temp or backup file outlives the call.
     """
     for path in outputs:
         if os.path.exists(path) and not force:
             raise UsageError(f"refusing to overwrite {path} (pass --force)")
     temps: dict[str, str] = {}
+    backups: dict[str, str] = {}
     placed: list[str] = []
     try:
         for path, text in outputs.items():
@@ -60,13 +62,24 @@ def _write_outputs(outputs: dict[str, str], force: bool) -> None:
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         for path, tmp in temps.items():
+            if os.path.exists(path):
+                backup = f"{path}.bak.{os.getpid()}"
+                os.link(path, backup)
+                backups[path] = backup
             os.replace(tmp, path)
             placed.append(path)
     except BaseException:
-        for path in [*temps.values(), *placed]:
+        for path in placed:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                if path in backups:
+                    os.replace(backups.pop(path), path)
+                else:
+                    os.remove(path)
         raise
+    finally:  # after a success the temps are already renamed away
+        for leftover in [*temps.values(), *backups.values()]:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -128,12 +141,14 @@ def _load_config(args) -> dict:
 
 
 def _resolve(flag_value, config: dict, key: str, default, kind):
-    """Flag value, else config value, else default; a config value is cast by ``kind``."""
+    """Flag value, else config value cast by ``kind`` (an int must be a JSON int), else default."""
     if flag_value is not None:
         return flag_value
     if key not in config:
         return default
     try:
+        if kind is int and type(config[key]) is not int:
+            raise TypeError
         return kind(config[key])
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(
@@ -178,15 +193,14 @@ def _cmd_plan(args) -> int:
     spec = next((s for s in _read_setups(args.setups) if s.id == args.setup_id), None)
     if spec is None:
         raise ValidationError(f"setup id {args.setup_id!r} not found in {args.setups}")
-    derived = spec.derived()
     plan = trainplan.build_training_plan(
-        derived,
+        spec.derived(),
         spec.split(),
         devices=devices,
         setup_id=spec.id,
         high_available=args.high_available,
     )
-    sched = schedule.build_schedule(plan, epochs=derived.epochs, base_seed=base_seed)
+    sched = schedule.build_schedule(plan, base_seed=base_seed)
     doc = {
         "schema_version": 1,
         "training_plan": trainplan.plan_to_wire(plan),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
@@ -141,25 +142,19 @@ def in_category(spec: SetupSpec, category: str) -> bool:
     raise ValueError(f"unknown category {category!r}")
 
 
-def _order_key(spec: SetupSpec):
-    f = spec.factors
-    r1 = spec.first_stage_ratio if spec.first_stage_ratio is not None else Fraction(-1)
-    r2 = spec.second_stage_ratio if spec.second_stage_ratio is not None else Fraction(-1)
-    return (f.f_C, f.f_D, f.f_r, f.f_M, f.f_k, r1, r2)
-
-
 def enumerate_single_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
     """All single-stage setups whose derived f_D falls inside its row window."""
     ranges = default_ranges() if ranges is None else ranges
     out: list[SetupSpec] = []
-    for f_C, row in ranges.rows.items():
-        for f_r in range(*F_R_RANGE):
-            for f_M in range(*row.f_M):
-                for f_k in range(*F_K_RANGE):
-                    factors = FactorTuple(f_r=f_r, f_M=f_M, f_k=f_k, f_C=f_C)
-                    if row.f_D[0] <= factors.f_D < row.f_D[1]:
-                        out.append(SetupSpec(factors))
-    out.sort(key=_order_key)
+    # f_k = f_M - f_r - f_D + f_C is fixed by the other four factors, so
+    # this loop order is already the canonical (f_C, f_D, f_r, f_M) order
+    for f_C, row in sorted(ranges.rows.items()):
+        for f_D in range(*row.f_D):
+            for f_r in range(*F_R_RANGE):
+                for f_M in range(*row.f_M):
+                    f_k = f_M - f_r - f_D + f_C
+                    if F_K_RANGE[0] <= f_k < F_K_RANGE[1]:
+                        out.append(SetupSpec(FactorTuple(f_r=f_r, f_M=f_M, f_k=f_k, f_C=f_C)))
     return out
 
 
@@ -168,7 +163,8 @@ def enumerate_two_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
 
     Boundary cases r1 == r and r == r2 are representable only as
     single-stage setups, so they are excluded here; every emitted split is
-    non-degenerate by construction.
+    non-degenerate by construction. Both ratio grids ascend, so appending
+    each base setup's (r1, r2) pairs keeps the canonical order.
     """
     out: list[SetupSpec] = []
     for base in enumerate_single_stage(ranges):
@@ -179,7 +175,6 @@ def enumerate_two_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
             for r2 in SECOND_STAGE_RATIOS:
                 if ratio < r2:
                     out.append(SetupSpec(base.factors, r1, r2))
-    out.sort(key=_order_key)
     return out
 
 
@@ -230,13 +225,15 @@ def to_wire(spec: SetupSpec) -> dict:
 
 @functools.lru_cache(maxsize=64)
 def _ratio(text: str) -> Fraction:
-    """The exact stage ratio in [0, 1] that a "num/den" string names.
+    """The exact stage ratio in [0, 1] that an integer or "num/den" string names.
 
-    Cached, so each distinct string is parsed and checked once; a grid uses
-    only a few.
+    No other form is read (``Fraction("1e-200000")`` builds a 200,001-digit
+    denominator). Cached: each distinct string is parsed once; a grid uses a few.
     """
     if type(text) is not str:
         raise TypeError(f"stage ratio must be a \"num/den\" string, got {text!r}")
+    if not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
+        raise ValueError(f"stage ratio must be a \"num/den\" string, got {text!r}")
     try:
         value = Fraction(text)
     except ZeroDivisionError:

@@ -1,4 +1,4 @@
-"""Concrete training plans: model shape, learning rate, batch size, stage steps.
+"""Concrete training plans: model shape, learning rate, batch size, stage budgets.
 
 The shape ladder, the learning-rate and batch-size power laws, the
 multi-step decay schedule and the optimizer constants together turn a
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from . import schedule as schedule_mod
-from .budget import DerivedSetup, StageSplit
+from .budget import DerivedSetup, StageSplit, reference_constants
 from .errors import (
+    InsufficientCorpusError,
     MinimumBatchError,
     UnsupportedModelError,
     UnsupportedScaleError,
@@ -188,6 +189,87 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
 
 
 @dataclass(frozen=True, slots=True)
+class StageTokenBudget:
+    """Token budget for one stage; target + high == total by construction."""
+
+    stage_index: int
+    total_tokens: float
+    target_tokens: float
+    high_tokens: float
+    ratio: Fraction
+
+
+def _quantized_share(share, total: float) -> float:
+    """``share * total`` snapped to a multiple of ulp(total).
+
+    Snapping makes ``total - result`` exact in floating point (both
+    operands are multiples of the same power-of-two quantum), which is
+    what lets the complements below sum back exactly.
+    """
+    if total == 0.0:
+        return 0.0
+    quantum = math.ulp(total)
+    steps = round(float(share) * total / quantum)
+    return min(max(steps, 0), round(total / quantum)) * quantum
+
+
+def _stage(index: int, raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget:
+    high = raw_total - target
+    # store the re-summed total so target + high == total holds exactly
+    return StageTokenBudget(
+        stage_index=index,
+        total_tokens=target + high,
+        target_tokens=target,
+        high_tokens=high,
+        ratio=ratio,
+    )
+
+
+def stage_budgets(
+    setup: DerivedSetup,
+    split: StageSplit | None = None,
+    *,
+    high_available: float | None = None,
+) -> list[StageTokenBudget]:
+    """Split a setup's total tokens into per-stage target/high budgets.
+
+    The sum of target tokens across stages equals epochs * target_tokens
+    exactly: stage 1 takes its fractional share snapped to the budget's
+    floating-point quantum and stage 2 the exact complement. Stage totals
+    land within an ulp of their ideal share. High-resource tokens are
+    never repeated; if ``high_available`` is given and the schedule needs
+    more, this raises.
+    """
+    ref = reference_constants()
+    f = setup.factors
+    # epochs * target corpus, scaled exactly from the reference constant
+    target_total = math.ldexp(ref.target_tokens, f.f_D + f.f_k)
+    total = setup.total_tokens
+    if split is None:
+        budgets = [_stage(1, total, target_total, setup.ratio)]
+    else:
+        # stage 1's exact share of the target-token budget
+        share = split.first_length * split.first_ratio / setup.ratio
+        target_1 = _quantized_share(share, target_total)
+        target_2 = target_total - target_1
+        total_1 = float(split.first_length) * total
+        budgets = [
+            _stage(1, total_1, target_1, split.first_ratio),
+            _stage(2, total - total_1, target_2, split.second_ratio),
+        ]
+    if high_available is not None:
+        if math.isnan(high_available):
+            raise ValidationError("high_available must be a number, got nan")
+        needed = sum(b.high_tokens for b in budgets)
+        if needed > high_available:
+            raise InsufficientCorpusError(
+                f"schedule needs {needed:.6g} high-resource tokens, "
+                f"only {high_available:.6g} declared available"
+            )
+    return budgets
+
+
+@dataclass(frozen=True, slots=True)
 class TrainingPlan:
     """Everything needed to launch one training setup.
 
@@ -196,14 +278,16 @@ class TrainingPlan:
     dropped; the final partial batch is kept. Every stage runs the same LR
     schedule: warmup (``WARMUP_STEPS``) to the shared ``eta_max`` (each
     stage re-warms to the same peak), then the fixed ``MILESTONES`` decay.
+    The stages' target tokens make ``epochs`` passes over the target corpus.
     """
 
     setup_id: str
     shape: ModelShape
     eta_max: float
     batch: BatchConfig
-    stages: tuple[schedule_mod.StageTokenBudget, ...]
+    stages: tuple[StageTokenBudget, ...]
     steps: tuple[int, ...]
+    epochs: int
     warnings: tuple[str, ...] = ()
 
 
@@ -217,13 +301,12 @@ def build_training_plan(
 ) -> TrainingPlan:
     """Assemble the full plan for a derived setup (optionally two-stage).
 
-    Stage token budgets come from the mixture-schedule module; a stage
-    shorter than the warmup is still emitted but flagged.
+    A stage shorter than the warmup is still emitted but flagged.
     """
     shape = shape_for_factor(setup.factors.f_M)
     eta_max = learning_rate(setup.compute)
     batch = batch_config(setup.compute, shape, devices=devices)
-    stages = tuple(schedule_mod.stage_budgets(setup, split, high_available=high_available))
+    stages = tuple(stage_budgets(setup, split, high_available=high_available))
     steps = tuple(math.ceil(b.total_tokens / batch.global_batch_tokens) for b in stages)
     warnings = tuple(
         f"stage {b.stage_index}: warmup-exceeds-stage ({n} steps < {WARMUP_STEPS} warmup)"
@@ -237,6 +320,7 @@ def build_training_plan(
         batch=batch,
         stages=stages,
         steps=steps,
+        epochs=setup.epochs,
         warnings=warnings,
     )
 

@@ -180,7 +180,7 @@ def test_criterion_09_schedule_accounting(all_setups):
     assert two_stage
     for spec in two_stage:
         setup = spec.derived()
-        budgets = schedule.stage_budgets(setup, spec.split())
+        budgets = trainplan.stage_budgets(setup, spec.split())
         expected = math.ldexp(ref.target_tokens, setup.f_D + setup.factors.f_k)
         exact = exact and sum(b.target_tokens for b in budgets) == expected
     interleave_ok = True

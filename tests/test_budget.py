@@ -129,6 +129,16 @@ def test_stage_split_errors():
         budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 8))
 
 
+@pytest.mark.parametrize(
+    "r1, r2",
+    [(Fraction(-1, 4), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 2))],
+    ids=["r1-negative", "r2-above-one"],
+)
+def test_stage_split_rejects_stage_ratios_outside_the_unit_interval(r1, r2):
+    with pytest.raises(InfeasibleSplitError, match=r"stage ratios must lie in \[0, 1\]"):
+        budget.stage_split(r1, r2, Fraction(1, 3))
+
+
 def test_float_round_trip_tolerance():
     # float path of s1*r1 + s2*r2 stays within 1e-12 of the exact ratio
     split = budget.stage_split(Fraction(1, 8), Fraction(3, 4), Fraction(1, 4))

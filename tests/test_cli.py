@@ -573,6 +573,34 @@ def test_failed_second_rename_leaves_no_output(workspace, tmp_path, capsys, monk
     assert os.listdir(tmp_path) == []
 
 
+def test_failed_second_rename_with_force_restores_replaced_files(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    plan, rows = tmp_path / "p.json", tmp_path / "s.csv"
+    plan.write_text("old plan\n")
+    rows.write_text("old schedule\n")
+    real_replace = os.replace
+    renames = []
+
+    def second_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError(f"cannot rename {src}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(plan), "--schedule-csv", str(rows), "--force"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot rename ") and err.count("\n") == 1
+    assert plan.read_text() == "old plan\n"
+    assert rows.read_text() == "old schedule\n"
+    assert sorted(os.listdir(tmp_path)) == ["p.json", "s.csv"]
+
+
 @pytest.mark.parametrize(
     "value", [1.7, True, "1"], ids=["float", "bool", "string"]
 )
@@ -595,8 +623,9 @@ def test_setup_factor_must_be_a_json_integer(tmp_path, capsys, value):
         ({"r1_frac": float("inf")}, "stage ratio must be a \"num/den\" string, got inf"),
         ({"r1_frac": "-1/4"}, "stage ratio '-1/4' is outside [0, 1]"),
         ({"r2_frac": "3/2"}, "stage ratio '3/2' is outside [0, 1]"),
+        ({"r1_frac": "1e-3"}, "stage ratio must be a \"num/den\" string, got '1e-3'"),
     ],
-    ids=["zero-denominator", "json-infinity", "negative", "above-one"],
+    ids=["zero-denominator", "json-infinity", "negative", "above-one", "exponent-form"],
 )
 def test_setup_stage_ratio_must_be_a_fraction_in_the_unit_interval(
     tmp_path, capsys, ratios, message
@@ -622,6 +651,32 @@ def test_config_integer_beyond_the_float_range_is_data_error(workspace, tmp_path
     )
     assert code == 2
     assert capsys.readouterr().err == f"error: config key {key!r}: cannot read inf as int\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "devices"])
+@pytest.mark.parametrize("value", [2.7, True, "12"], ids=["float", "bool", "string"])
+def test_config_integer_must_be_a_json_integer(workspace, tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "p.json"
+    code = run(
+        ["--config", str(config), "plan", "fC0_fD0_fr0_fM0_fk0",
+         "--setups", workspace["setups"], "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config key {key!r}: cannot read {value!r} as int\n"
+    assert not out.exists()
+
+
+def test_setup_ratio_factor_beyond_its_bound_is_data_error(tmp_path, capsys):
+    wire = {"f_r": 4097, "f_M": 0, "f_k": 0, "f_C": 0, "r1_frac": "0", "r2_frac": "1/2"}
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text(json.dumps(wire) + "\n")
+    out = tmp_path / "r.csv"
+    code = run(["simulate", "--setups", str(setups), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: f_r must be in [0, 4096], got 4097\n"
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from mixsweep.seeds import mix64
 
 def test_single_stage_budget_is_definition_of_ratio():
     setup = budget.derive_single_stage(budget.FactorTuple(2, 0, 0, 0))  # r=1/4
-    (stage,) = schedule.stage_budgets(setup)
+    (stage,) = trainplan.stage_budgets(setup)
     assert stage.target_tokens == setup.total_tokens / 4
     assert stage.high_tokens == pytest.approx(setup.total_tokens * 3 / 4, rel=1e-15)
     assert stage.target_tokens + stage.high_tokens == stage.total_tokens
@@ -23,7 +23,7 @@ def test_single_stage_budget_is_definition_of_ratio():
 def test_two_stage_budget_example():
     setup = budget.derive_single_stage(budget.FactorTuple(2, 1, 1, -1))  # r=1/4
     split = budget.stage_split(Fraction(0), Fraction(1, 2), Fraction(1, 4))
-    first, second = schedule.stage_budgets(setup, split)
+    first, second = trainplan.stage_budgets(setup, split)
     total = setup.total_tokens
     assert first.total_tokens == pytest.approx(total / 2, rel=1e-15)
     assert first.target_tokens == 0.0
@@ -40,7 +40,7 @@ def test_target_sum_exact_across_grid(all_setups):
     assert two_stage
     for spec in two_stage:
         setup = spec.derived()
-        budgets = schedule.stage_budgets(setup, spec.split())
+        budgets = trainplan.stage_budgets(setup, spec.split())
         expected = math.ldexp(ref.target_tokens, setup.f_D + setup.factors.f_k)
         assert sum(b.target_tokens for b in budgets) == expected
         assert sum(b.total_tokens for b in budgets) == pytest.approx(
@@ -53,9 +53,9 @@ def test_target_sum_exact_across_grid(all_setups):
 def test_insufficient_high_resource_corpus():
     setup = budget.derive_single_stage(budget.FactorTuple(2, 0, 0, 0))
     needed = setup.total_tokens * 3 / 4
-    schedule.stage_budgets(setup, high_available=needed)  # exactly enough
+    trainplan.stage_budgets(setup, high_available=needed)  # exactly enough
     with pytest.raises(InsufficientCorpusError):
-        schedule.stage_budgets(setup, high_available=needed * 0.999)
+        trainplan.stage_budgets(setup, high_available=needed * 0.999)
 
 
 def test_epoch_seeds_single():
@@ -132,20 +132,20 @@ def test_interleaver_validation():
 
 def _plan_and_schedule(setup, split):
     plan = trainplan.build_training_plan(setup, split)
-    return plan, schedule.build_schedule(plan, epochs=setup.epochs)
+    return plan, schedule.build_schedule(plan)
 
 
 def test_build_schedule_deterministic():
     spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
     setup = spec.derived()
     plan = trainplan.build_training_plan(setup, spec.split(), setup_id=spec.id)
-    one = schedule.build_schedule(plan, epochs=setup.epochs, base_seed=7)
-    two = schedule.build_schedule(plan, epochs=setup.epochs, base_seed=7)
+    one = schedule.build_schedule(plan, base_seed=7)
+    two = schedule.build_schedule(plan, base_seed=7)
     assert one == two
     assert schedule.schedule_to_wire(one) == schedule.schedule_to_wire(two)
-    assert one.setup_id == spec.id
+    assert one.plan.setup_id == spec.id
     assert one.seeds == tuple(schedule.epoch_seeds(setup.epochs, 7))
-    assert one.budgets == plan.stages
+    assert one.plan.stages == plan.stages
     assert one.trailing_partial_epoch  # reference corpus is not batch-aligned
 
 
@@ -156,7 +156,7 @@ def test_schedule_rows_accounting():
     rows = list(schedule.schedule_rows(sched))
     indices = [r[0] for r in rows]
     assert indices == list(range(len(rows)))
-    for stage_budget in sched.budgets:
+    for stage_budget in sched.plan.stages:
         stage_rows = [r for r in rows if r[1] == stage_budget.stage_index]
         assert sum(r[3] for r in stage_rows) == stage_budget.total_tokens
         assert all(r[3] <= batch for r in stage_rows)
@@ -167,8 +167,9 @@ def test_schedule_rows_accounting():
 def _reference_rows(spec):
     """The plain per-row expansion: one ``source_at`` evaluation per batch."""
     index = 0
-    for stage_budget, pattern in zip(spec.budgets, spec.patterns):
-        batch = pattern.batch_tokens
+    batch = spec.plan.batch.global_batch_tokens
+    for stage_budget in spec.plan.stages:
+        pattern = schedule.interleave_pattern(stage_budget.ratio, batch)
         n_batches = math.ceil(stage_budget.total_tokens / batch)
         for i in range(n_batches):
             if i < n_batches - 1:
@@ -195,14 +196,17 @@ def _schedules(draw):
         partial = draw(st.sampled_from([0.0, 0.25, 0.999, 1e-9]) | st.floats(0, 1, exclude_max=True))
         total = float(full * batch) + partial * batch
         ratio = draw(_ratios)
-        stages.append(
-            (
-                schedule.StageTokenBudget(index, total, total * float(ratio), 0.0, ratio),
-                schedule.interleave_pattern(ratio, batch),
-            )
-        )
-    budgets, patterns = zip(*stages)
-    return schedule.ScheduleSpec("x", budgets, 1, 0, (0,), patterns, False)
+        stages.append(trainplan.StageTokenBudget(index, total, total * float(ratio), 0.0, ratio))
+    plan = trainplan.TrainingPlan(
+        setup_id="x",
+        shape=trainplan.SHAPE_LADDER[0],
+        eta_max=0.0,
+        batch=trainplan.BatchConfig(1, 1, 1, 1, batch),
+        stages=tuple(stages),
+        steps=tuple(math.ceil(b.total_tokens / batch) for b in stages),
+        epochs=1,
+    )
+    return schedule.ScheduleSpec(plan, 0, (0,), False)
 
 
 @given(_schedules())
@@ -218,7 +222,7 @@ def test_schedule_rows_skip_a_zero_token_stage():
     split = budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     plan, sched = _plan_and_schedule(setup, split)
     assert plan.steps[1] == 0
-    assert sched.budgets[1].total_tokens == 0.0
+    assert sched.plan.stages[1].total_tokens == 0.0
     rows = list(schedule.schedule_rows(sched))
     assert rows == list(_reference_rows(sched))
     assert rows and {r[1] for r in rows} == {1}
