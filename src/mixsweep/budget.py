@@ -60,6 +60,12 @@ def reference_constants() -> ReferenceConstants:
 F_R_MAX = 4096
 
 
+@functools.lru_cache(maxsize=64)
+def ratio_for(f_r: int) -> Fraction:
+    """The target-language ratio 1/2**f_r, built once per f_r (a grid uses a few)."""
+    return Fraction(1, 2**f_r)
+
+
 @dataclass(frozen=True, slots=True)
 class FactorTuple:
     """Integer halving factors for ratio, model scale, epochs and compute.
@@ -143,7 +149,7 @@ def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     model_scale, compute, target_tokens, total_tokens, _ = scaled
     return DerivedSetup(
         factors=factors,
-        ratio=Fraction(1, 2**factors.f_r),
+        ratio=ratio_for(factors.f_r),
         model_scale=model_scale,
         epochs=2**factors.f_k,
         compute=compute,

@@ -19,12 +19,11 @@ where the grid is base-2.
 
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import reference_constants
 from .errors import (
@@ -35,12 +34,21 @@ from .errors import (
 )
 from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE
 
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that fit, as scipy is inside _fit_positions,
+# so a command that fits nothing (predict_kstar included) starts without it.
+
 #: Default top level of the piecewise-linear epoch model per approach
 #: (log2 of the largest optimal epoch count the model resolves).
 H_MAX_BY_APPROACH = {APPROACH_MONO_1STAGE: 4.0, APPROACH_MULTI_2STAGE: 3.0}
 
 #: Spacing of the fixed function levels h_j = 0, 0.5, ..., h_max.
 LEVEL_STEP = 0.5
+
+#: Largest h_max (2**32 epochs, 65 levels); checked before any levels are built.
+H_MAX_LIMIT = 32
 
 #: Search interval for the shift exponent.
 SHIFT_EXPONENT_BOUNDS = (0.05, 1.5)
@@ -80,6 +88,8 @@ class QuadraticEpochFit:
 
 def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpochFit:
     """OLS on the basis (1, f_k, f_k^2); needs >= 3 distinct abscissae."""
+    import numpy as np
+
     if len({float(x) for x, _ in points}) < 3:
         raise UnderdeterminedError(
             f"need >= 3 distinct epoch factors, got {len({x for x, _ in points})}"
@@ -159,8 +169,7 @@ class KStarModel:
             raise ValidationError("shift exponent must be positive")
         if len(self.levels) != len(self.positions) or len(self.levels) < 2:
             raise ValidationError("need matching levels/positions with >= 2 knots")
-        diffs = np.diff(self.positions)
-        if not np.all(diffs < 0):
+        if not all(b < a for a, b in zip(self.positions, self.positions[1:])):
             raise ValidationError("knot positions must be strictly decreasing")
 
 
@@ -173,6 +182,8 @@ def _segments(
     knot ``k`` to knot ``k + 1``, the segment slope and the unclamped value.
     ``k`` clips to the end segments, so x outside the knots extends linearly.
     """
+    import numpy as np
+
     xp = positions[::-1]  # ascending
     fp = levels[::-1]  # descending along xp
     k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
@@ -182,13 +193,10 @@ def _segments(
     return k, t, slope, fp[k] + slope * (x - xp[k])
 
 
-def _piecewise_eval(x: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Evaluate the decreasing piecewise-linear function with linear end extension."""
-    return _segments(x, positions, levels)[3]
-
-
 def _pav_increasing(values: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators: closest nondecreasing sequence (unit weights)."""
+    import numpy as np
+
     sums: list[float] = []
     counts: list[int] = []
     for value in values:
@@ -211,6 +219,8 @@ def _initial_positions(
     at the fixed levels. Levels outside the fitted value range extend
     linearly with the edge slope (slope -1 fallback for flat fits).
     """
+    import numpy as np
+
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     iso = -_pav_increasing(-ys)
@@ -245,12 +255,16 @@ def _initial_positions(
 
 
 def _positions_from_theta(theta: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     top = theta[0]
     gaps = _MIN_KNOT_GAP + np.exp(theta[1:])
     return np.concatenate([[top], top - np.cumsum(gaps)])
 
 
 def _theta_from_positions(positions: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     gaps = -np.diff(positions)
     return np.concatenate(
         [[positions[0]], np.log(np.maximum(gaps - _MIN_KNOT_GAP, 1e-9))]
@@ -268,6 +282,8 @@ def _sse_and_grad(
     through the log-gap parametrization: every position moves one-for-one
     with theta[0], and position i moves by -exp(theta[m]) for every m <= i.
     """
+    import numpy as np
+
     positions = _positions_from_theta(theta)
     k, t, slope, raw = _segments(x, positions, levels)
     active = raw > 0.0
@@ -292,6 +308,7 @@ def _fit_positions(
     construction; predictions clamp at level 0. L-BFGS-B gets the exact
     gradient from ``_sse_and_grad``.
     """
+    import numpy as np
     from scipy.optimize import minimize  # only ``fit kstar`` pays for the import
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
@@ -315,10 +332,14 @@ def fit_kstar_model(
     shift exponent is unobservable and this raises. Strongly non-monotone
     data still fits but carries a large-residual warning.
     """
+    import numpy as np
+
     if h_max is None:
         h_max = H_MAX_BY_APPROACH.get(approach, 4.0)
-    if not LEVEL_STEP <= h_max < math.inf:
-        raise ValidationError(f"h_max must be finite and >= {LEVEL_STEP}, got {h_max}")
+    if not LEVEL_STEP <= h_max <= H_MAX_LIMIT:
+        raise ValidationError(
+            f"h_max must be finite and in [{LEVEL_STEP}, {H_MAX_LIMIT}], got {h_max}"
+        )
     ref = reference_constants()
     compute = np.asarray([float(c[0]) for c in curves])
     corpus_factor = np.asarray([float(c[1]) for c in curves])
@@ -332,35 +353,35 @@ def fit_kstar_model(
         )
     levels = np.arange(0.0, h_max + LEVEL_STEP / 2, LEVEL_STEP)
 
-    def inner(exponent: float) -> tuple[np.ndarray, float]:
-        return _fit_positions(corpus_factor - exponent * delta, log2_kstar, levels)
+    def inner(exponent: float) -> tuple[float, float, np.ndarray]:
+        """One solve at a shift exponent, kept as (sse, exponent, positions)."""
+        positions, sse = _fit_positions(corpus_factor - exponent * delta, log2_kstar, levels)
+        return sse, exponent, positions
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
     grid = np.arange(lo, hi + 1e-9, 0.05)
-    sse_grid = [inner(a)[1] for a in grid]
-    best_idx = int(np.argmin(sse_grid))
+    grid_solves = [inner(a) for a in grid]
+    best_idx = int(np.argmin([solve[0] for solve in grid_solves]))
     a_lo = grid[max(best_idx - 1, 0)]
     a_hi = grid[min(best_idx + 1, len(grid) - 1)]
     # golden-section refinement on the bracketing interval
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     left, right = float(a_lo), float(a_hi)
-    c = right - invphi * (right - left)
-    d = left + invphi * (right - left)
-    f_c, f_d = inner(c)[1], inner(d)[1]
+    solve_c = inner(right - invphi * (right - left))
+    solve_d = inner(left + invphi * (right - left))
     for _ in range(40):
         if right - left < 1e-4:
             break
-        if f_c < f_d:
-            right, d, f_d = d, c, f_c
-            c = right - invphi * (right - left)
-            f_c = inner(c)[1]
+        if solve_c[0] < solve_d[0]:
+            right, solve_d = solve_d[1], solve_c
+            solve_c = inner(right - invphi * (right - left))
         else:
-            left, c, f_c = c, d, f_d
-            d = left + invphi * (right - left)
-            f_d = inner(d)[1]
-    candidates = [(sse_grid[best_idx], float(grid[best_idx])), (f_c, c), (f_d, d)]
-    sse, exponent = min(candidates)
-    positions, sse = inner(exponent)
+            left, solve_c = solve_c[1], solve_d
+            solve_d = inner(left + invphi * (right - left))
+    # the best of the three candidates, ties to the lower exponent; each is already solved
+    sse, exponent, positions = min(
+        (grid_solves[best_idx], solve_c, solve_d), key=lambda solve: solve[:2]
+    )
     warnings: list[str] = []
     if sse / len(curves) > _LARGE_RESIDUAL_MSR:
         warnings.append(
@@ -399,12 +420,13 @@ def predict_kstar(
     shifted = math.log2(target_tokens / ref.target_tokens) - model.shift_exponent * math.log2(
         compute / ref.compute
     )
-    level = float(
-        _piecewise_eval(
-            np.asarray([shifted]), np.asarray(model.positions), np.asarray(model.levels)
-        )[0]
-    )
-    level = max(level, 0.0)
+    # _segments for one point: the same float operations in the same order
+    xp = model.positions[::-1]  # ascending
+    fp = model.levels[::-1]
+    k = min(max(bisect.bisect_right(xp, shifted) - 1, 0), len(xp) - 2)
+    width = xp[k + 1] - xp[k]
+    slope = (fp[k + 1] - fp[k]) / width
+    level = max(fp[k] + slope * (shifted - xp[k]), 0.0)
     if round_to_power_of_two:
         level = float(math.floor(level + 0.5))
     return 2.0**level
@@ -452,6 +474,8 @@ def fit_ratio_power_law(
     over sum of centered squares, summed in sorted group order. A group with
     a single ratio value is dropped with a warning; none left raises.
     """
+    import numpy as np
+
     groups: dict[tuple[float, float], list[tuple[float, float]]] = {}
     for model_scale, total_tokens, ratio, loss in points:
         r = float(ratio)

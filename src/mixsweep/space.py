@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
 
-from .budget import DerivedSetup, FactorTuple, StageSplit, derive_single_stage, stage_split
+from .budget import (
+    DerivedSetup,
+    FactorTuple,
+    StageSplit,
+    derive_single_stage,
+    ratio_for,
+    stage_split,
+)
 from .errors import FileFormatError, InfeasibleSplitError
 
 APPROACH_MONO_1STAGE = "mono-1stage"
@@ -89,10 +96,11 @@ class SetupSpec:
         if (r1 is None) != (r2 is None):
             raise InfeasibleSplitError("two-stage setups need both r1 and r2")
         if r1 is not None and r2 is not None:
-            ratio = Fraction(1, 2**self.factors.f_r)
-            if not r1 < ratio < r2:
+            # r1 < 2**-f_r < r2 on integers; the Fraction is built only for the message
+            f_r = self.factors.f_r
+            if not (r1.numerator << f_r < r1.denominator and r2.denominator < r2.numerator << f_r):
                 raise InfeasibleSplitError(
-                    f"need r1 < r < r2 strictly, got r1={r1}, r={ratio}, r2={r2}"
+                    f"need r1 < r < r2 strictly, got r1={r1}, r={ratio_for(f_r)}, r2={r2}"
                 )
 
     @property
@@ -127,7 +135,7 @@ class SetupSpec:
         return stage_split(
             self.first_stage_ratio,
             self.second_stage_ratio,
-            Fraction(1, 2**self.factors.f_r),
+            ratio_for(self.factors.f_r),
         )
 
 
@@ -168,7 +176,7 @@ def enumerate_two_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
     """
     out: list[SetupSpec] = []
     for base in enumerate_single_stage(ranges):
-        ratio = Fraction(1, 2**base.factors.f_r)
+        ratio = ratio_for(base.factors.f_r)
         for r1 in FIRST_STAGE_RATIOS:
             if not r1 < ratio:
                 continue

@@ -354,19 +354,38 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
     assert open(a).read() != open(c).read()
 
 
-def test_scipy_stays_off_the_import_path(tmp_path):
-    # only `fit kstar` needs scipy; every other command must start without it
+def test_scipy_stays_off_the_import_path(workspace, tmp_path):
+    # only `fit kstar` needs scipy, and only the three fits need numpy; the
+    # Quickstart's other six commands run in one process that loads neither
+    commands = [
+        "enumerate --out setups.jsonl",
+        "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
+        "--schedule-csv schedule.csv",
+        "simulate --setups setups.jsonl --out results.csv --seed 11",
+        "analyze --results results.csv --setups setups.jsonl --out report.json "
+        "--tables-dir tables/",
+        f"predict kstar --model {workspace['kstar']} --C 1e18 --DT 2.13e9",
+        f"report --analysis report.json --out-dir report-tables/ --epoch-fits "
+        f"{workspace['epochs']} --kstar-model {workspace['kstar']} --ratio-fit "
+        f"{workspace['ratio']} --results results.csv --setups setups.jsonl --summary",
+    ]
     script = (
         "import sys, mixsweep, mixsweep.cli\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
-        f"assert mixsweep.cli.run(['enumerate', '--out', {str(tmp_path / 's.jsonl')!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'enumerate'\n"
+        "def check(step):\n"
+        "    for name in ('scipy', 'numpy'):\n"
+        "        assert name not in sys.modules, (name, step)\n"
+        "check('import')\n"
+        f"for args in {commands!r}:\n"
+        "    assert mixsweep.cli.run(args.split()) == 0, args\n"
+        "    check(args.split()[0])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
 
 
 # README Quickstart, as the benchmark runs it, without the k* steps (their
@@ -502,7 +521,19 @@ def test_fit_kstar_rejects_nan_h_max(workspace, tmp_path, capsys):
          "--out", str(tmp_path / "k.json")]
     )
     assert code == 2
-    assert capsys.readouterr().err == "error: h_max must be finite and >= 0.5, got nan\n"
+    assert capsys.readouterr().err == "error: h_max must be finite and in [0.5, 32], got nan\n"
+
+
+def test_fit_kstar_rejects_h_max_above_its_bound(workspace, tmp_path, capsys):
+    # 1e9 used to ask numpy for 14.9 GiB of levels and die with a traceback
+    code = run(
+        ["fit", "kstar", "--epoch-fits", workspace["epochs"], "--h-max", "1e9",
+         "--out", str(tmp_path / "k.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: h_max must be finite and in [0.5, 32], got 1000000000.0\n"
+    assert not (tmp_path / "k.json").exists()
 
 
 def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):

@@ -161,6 +161,28 @@ def test_kstar_round_to_power_of_two(planted_model):
     assert rounded == 2.0 ** round(math.log2(raw))
 
 
+def test_kstar_fit_solves_each_shift_exponent_once(monkeypatch):
+    solved = []
+    fit_positions = fitting._fit_positions
+
+    def recording(x, y, levels):
+        solved.append(x.tobytes())
+        return fit_positions(x, y, levels)
+
+    monkeypatch.setattr(fitting, "_fit_positions", recording)
+    model = fitting.fit_kstar_model(planted_curves(), "mono-1stage")
+    assert len(solved) > 30  # the 30-point grid, then the golden-section refinement
+    assert len(set(solved)) == len(solved)
+    assert model.rss <= 1e-6
+
+
+@pytest.mark.parametrize("h_max", [0.25, 32.5, 1e9, math.inf, math.nan])
+def test_kstar_h_max_out_of_range_is_rejected_before_fitting(h_max, monkeypatch):
+    monkeypatch.setattr(fitting, "_fit_positions", None)  # any solve would fail
+    with pytest.raises(ValidationError, match=r"h_max must be finite and in \[0\.5, 32\]"):
+        fitting.fit_kstar_model(planted_curves(), "mono-1stage", h_max=h_max)
+
+
 def test_kstar_single_budget_unidentifiable():
     with pytest.raises(UnidentifiableError):
         fitting.fit_kstar_model(planted_curves(budget_factors=(-4,)), "mono-1stage")
@@ -241,11 +263,35 @@ def test_piecewise_eval_matches_interp_with_linear_ends():
     positions = -np.cumsum(rng.uniform(0.1, 1.5, len(levels))) + 1.0
     x = np.concatenate([rng.uniform(-12.0, 4.0, 500), positions])
     np.testing.assert_allclose(
-        fitting._piecewise_eval(x, positions, levels),
+        fitting._segments(x, positions, levels)[3],
         _reference_eval(x, positions, levels),
         rtol=0,
         atol=1e-12,
     )
+
+
+def test_predict_kstar_matches_interp_with_linear_ends():
+    # Knots on a quarter grid and budgets at powers of two, so the shifted corpus
+    # factor n - 0.25 j is exact and lands left of, right of, between and on the knots.
+    rng = np.random.default_rng(5)
+    levels = np.arange(0.5, 4.75, 0.5)  # above 0 a while right of the knots too
+    positions = 1.0 - np.cumsum(rng.integers(1, 7, len(levels))) / 4.0
+    model = fitting.KStarModel(
+        "mono-1stage", 0.25, tuple(levels), tuple(float(p) for p in positions), 0.0, 4
+    )
+    ref = reference_constants()
+    shifted = []
+    for n in range(-20, 5):
+        for j in range(-4, 1):
+            x = n - 0.25 * j
+            predicted = fitting.predict_kstar(
+                model, math.ldexp(ref.compute, j), math.ldexp(ref.target_tokens, n)
+            )
+            expected = max(float(_reference_eval(np.asarray(x), positions, levels)), 0.0)
+            assert math.log2(predicted) == pytest.approx(expected, rel=0, abs=1e-12)
+            shifted.append(x)
+    assert min(shifted) < positions[-1] and positions[0] + 1.0 < max(shifted)
+    assert set(positions) <= set(shifted)
 
 
 def _central_differences(f, theta, step=1e-6):
@@ -302,7 +348,7 @@ def test_sse_gradient_matches_central_differences():
         numeric = _central_differences(
             lambda t: fitting._sse_and_grad(t, x, y, levels)[0], theta
         )
-        raw = fitting._piecewise_eval(x, fitting._positions_from_theta(theta), levels)
+        raw = fitting._segments(x, fitting._positions_from_theta(theta), levels)[3]
         assert sse == pytest.approx(float(np.sum((y - np.maximum(raw, 0.0)) ** 2)), rel=1e-12)
         assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
 

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixsweep import space
 from mixsweep.budget import FactorTuple
@@ -109,6 +111,29 @@ def test_two_stage_never_violates_ordering(all_setups):
 def test_manual_two_stage_boundary_rejected():
     with pytest.raises(InfeasibleSplitError):
         space.SetupSpec(FactorTuple(1, 0, 0, 0), Fraction(1, 2), Fraction(3, 4))
+
+
+@st.composite
+def _stage_ratios(draw):
+    """f_r in [0, 12] and r1, r2 with denominators <= 64, often equal to 2**-f_r."""
+    f_r = draw(st.integers(0, 12))
+    equal = st.just(Fraction(1, 2**f_r))
+    r1 = draw(st.one_of(equal, st.fractions(-1, 1, max_denominator=64)))
+    r2 = draw(st.one_of(equal, st.fractions(-1, 2, max_denominator=64)))
+    return f_r, r1, r2
+
+
+@given(_stage_ratios())
+def test_two_stage_ordering_check_matches_fraction_comparison(case):
+    f_r, r1, r2 = case
+    ratio = Fraction(1, 2**f_r)
+    factors = FactorTuple(f_r, 0, 0, 0)
+    if r1 < ratio < r2:
+        assert space.SetupSpec(factors, r1, r2).is_two_stage
+    else:
+        with pytest.raises(InfeasibleSplitError) as excinfo:
+            space.SetupSpec(factors, r1, r2)
+        assert str(excinfo.value) == f"need r1 < r < r2 strictly, got r1={r1}, r={ratio}, r2={r2}"
 
 
 def test_approach_tags():
