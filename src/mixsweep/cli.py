@@ -208,9 +208,7 @@ def _cmd_plan(args) -> int:
     }
     outputs = {args.out: _json_text(doc)}
     if args.schedule_csv:
-        outputs[args.schedule_csv] = _csv_text(
-            ("batch_index", "stage", "source", "tokens"), schedule.schedule_rows(sched)
-        )
+        outputs[args.schedule_csv] = schedule.schedule_csv(sched)
     _write_outputs(outputs, args.force)
     print(f"wrote plan for {spec.id} to {args.out}", file=sys.stderr)
     return 0

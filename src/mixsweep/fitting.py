@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .budget import reference_constants
 from .errors import (
     FileFormatError,
+    FitError,
     UnderdeterminedError,
     UnidentifiableError,
     ValidationError,
@@ -152,8 +153,9 @@ class KStarModel:
     """Monotone piecewise-linear epoch model with a compute shift exponent.
 
     ``positions[j]`` is the corpus factor at which the function passes
-    through ``levels[j]``; positions are strictly decreasing (the function
-    is invertible).
+    through ``levels[j]``. Every number is finite, the shift exponent is
+    positive, levels strictly increase and positions strictly decrease (the
+    function is invertible).
     """
 
     approach: str
@@ -165,32 +167,19 @@ class KStarModel:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.shift_exponent <= 0:
-            raise ValidationError("shift exponent must be positive")
+        if not 0 < self.shift_exponent < math.inf:
+            raise ValidationError(
+                f"shift exponent must be finite and positive, got {self.shift_exponent}"
+            )
         if len(self.levels) != len(self.positions) or len(self.levels) < 2:
             raise ValidationError("need matching levels/positions with >= 2 knots")
-        if not all(b < a for a, b in zip(self.positions, self.positions[1:])):
-            raise ValidationError("knot positions must be strictly decreasing")
-
-
-def _segments(
-    x: np.ndarray, positions: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Locate each x on the ascending knots ``positions[::-1]``.
-
-    Returns the left knot index ``k``, the fraction ``t`` of the way from
-    knot ``k`` to knot ``k + 1``, the segment slope and the unclamped value.
-    ``k`` clips to the end segments, so x outside the knots extends linearly.
-    """
-    import numpy as np
-
-    xp = positions[::-1]  # ascending
-    fp = levels[::-1]  # descending along xp
-    k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
-    width = xp[k + 1] - xp[k]
-    t = (x - xp[k]) / width
-    slope = (fp[k + 1] - fp[k]) / width
-    return k, t, slope, fp[k] + slope * (x - xp[k])
+        levels, positions = self.levels, self.positions
+        if not all(map(math.isfinite, levels)) or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValidationError("knot levels must be finite and strictly increasing")
+        if not all(map(math.isfinite, positions)) or any(
+            a <= b for a, b in zip(positions, positions[1:])
+        ):
+            raise ValidationError("knot positions must be finite and strictly decreasing")
 
 
 def _pav_increasing(values: np.ndarray) -> np.ndarray:
@@ -276,26 +265,41 @@ def _sse_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Sum of squared residuals of the 0-clamped model and its exact gradient in theta.
 
-    On a segment [a, b] with slope s and t = (x - a) / (b - a), the
-    prediction moves by -s(1 - t) per unit of a and by -s t per unit of b;
-    both vanish where the clamp is active. The knot partials then chain
-    through the log-gap parametrization: every position moves one-for-one
-    with theta[0], and position i moves by -exp(theta[m]) for every m <= i.
+    The knots are taken in ascending order, and x outside them extends the
+    end segments linearly. On a segment [a, b] with slope s and
+    t = (x - a) / (b - a), the prediction moves by -s(1 - t) per unit of a
+    and by -s t per unit of b; both vanish where the clamp is active. The
+    knot partials then chain through the log-gap parametrization: every
+    position moves one-for-one with theta[0], and position i moves by
+    -exp(theta[m]) for every m <= i.
     """
     import numpy as np
 
-    positions = _positions_from_theta(theta)
-    k, t, slope, raw = _segments(x, positions, levels)
+    n = len(theta)
+    exp_gaps = np.exp(theta[1:])
+    xp = np.empty(n)  # _positions_from_theta(theta), ascending
+    xp[-1] = theta[0]
+    np.subtract(theta[0], np.cumsum(_MIN_KNOT_GAP + exp_gaps), out=xp[-2::-1])
+    fp = levels[::-1]  # descending along xp
+    # the left knot, clipped to the end segments: clip(searchsorted(xp, x) - 1, 0, n - 2)
+    k = np.searchsorted(xp[1:-1], x, side="right")
+    k1 = k + 1
+    xk, fk = xp[k], fp[k]
+    width = xp[k1] - xk
+    dx = x - xk
+    t = dx / width
+    slope = (fp[k1] - fk) / width
+    raw = fk + slope * dx
     active = raw > 0.0
     res = y - np.where(active, raw, 0.0)
-    dpred_da = np.where(active, -slope * (1.0 - t), 0.0)
-    dpred_db = np.where(active, -slope * t, 0.0)
-    n = len(positions)
-    grad_ascending = np.bincount(k, -2.0 * res * dpred_da, minlength=n) + np.bincount(
-        k + 1, -2.0 * res * dpred_db, minlength=n
-    )
+    weight = -2.0 * res
+    grad_ascending = np.bincount(
+        k, weight * np.where(active, -slope * (1.0 - t), 0.0), minlength=n
+    ) + np.bincount(k1, weight * np.where(active, -slope * t, 0.0), minlength=n)
     tail_sums = np.cumsum(grad_ascending)[::-1]  # sum over positions i >= m
-    grad = np.concatenate([[tail_sums[0]], -np.exp(theta[1:]) * tail_sums[1:]])
+    grad = np.empty(n)
+    grad[0] = tail_sums[0]
+    np.multiply(-exp_gaps, tail_sums[1:], out=grad[1:])
     return float(res @ res), grad
 
 
@@ -312,9 +316,10 @@ def _fit_positions(
     from scipy.optimize import minimize  # only ``fit kstar`` pays for the import
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
-    sse0 = _sse_and_grad(theta0, x, y, levels)[0]
-    # a line-search step whose log gaps overflow exp scores inf or nan and is not taken
+    # a line-search step whose log gaps overflow exp scores inf or nan and is not taken;
+    # a start that overflows scores inf, and fit_kstar_model rejects a non-finite best
     with np.errstate(over="ignore", invalid="ignore"):
+        sse0 = _sse_and_grad(theta0, x, y, levels)[0]
         result = minimize(_sse_and_grad, theta0, args=(x, y, levels), jac=True, method="L-BFGS-B")
     if result.fun <= sse0:
         return _positions_from_theta(result.x), float(result.fun)
@@ -329,8 +334,9 @@ def fit_kstar_model(
     """Fit the epoch model to pooled (compute, corpus factor, log2 k*) points.
 
     Needs at least two distinct compute budgets; with a single budget the
-    shift exponent is unobservable and this raises. Strongly non-monotone
-    data still fits but carries a large-residual warning.
+    shift exponent is unobservable and this raises. Every value must be
+    finite, and a fit whose best squared error overflows raises FitError.
+    Strongly non-monotone data still fits but carries a large-residual warning.
     """
     import numpy as np
 
@@ -340,6 +346,9 @@ def fit_kstar_model(
         raise ValidationError(
             f"h_max must be finite and in [{LEVEL_STEP}, {H_MAX_LIMIT}], got {h_max}"
         )
+    for point in curves:
+        if not all(map(math.isfinite, point)):
+            raise ValidationError(f"k* curve points must be finite, got {tuple(point)}")
     ref = reference_constants()
     compute = np.asarray([float(c[0]) for c in curves])
     corpus_factor = np.asarray([float(c[1]) for c in curves])
@@ -382,6 +391,8 @@ def fit_kstar_model(
     sse, exponent, positions = min(
         (grid_solves[best_idx], solve_c, solve_d), key=lambda solve: solve[:2]
     )
+    if not math.isfinite(sse):
+        raise FitError(f"the squared error of the best fit is not finite ({sse})")
     warnings: list[str] = []
     if sse / len(curves) > _LARGE_RESIDUAL_MSR:
         warnings.append(
@@ -420,7 +431,7 @@ def predict_kstar(
     shifted = math.log2(target_tokens / ref.target_tokens) - model.shift_exponent * math.log2(
         compute / ref.compute
     )
-    # _segments for one point: the same float operations in the same order
+    # _sse_and_grad's segment evaluation for one point: the same float operations in order
     xp = model.positions[::-1]  # ascending
     fp = model.levels[::-1]
     k = min(max(bisect.bisect_right(xp, shifted) - 1, 0), len(xp) - 2)
@@ -529,8 +540,8 @@ def fit_ratio_power_law(
 def _reading(model_type: str, obj: dict):
     """Yield a model file's (parameters, diagnostics) to the loader in the ``with`` body.
 
-    A wrong model type, or a missing or mistyped field anywhere in the
-    body, raises FileFormatError.
+    A wrong model type, a missing or mistyped field anywhere in the body, or
+    a model that fails its own checks raises FileFormatError.
     """
     try:
         if obj["model_type"] != model_type:
@@ -538,6 +549,8 @@ def _reading(model_type: str, obj: dict):
         yield obj["parameters"], obj["diagnostics"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad {model_type} model file: {type(exc).__name__} {exc}") from exc
+    except ValidationError as exc:
+        raise FileFormatError(f"bad {model_type} model file: {exc}") from exc
 
 
 def kstar_to_wire(model: KStarModel) -> dict:

@@ -7,6 +7,7 @@ exact-ratio batch interleaving pattern per stage.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice, repeat
@@ -91,17 +92,17 @@ def build_schedule(plan: TrainingPlan, *, base_seed: int = 0) -> ScheduleSpec:
     )
 
 
-def schedule_rows(spec: ScheduleSpec) -> Iterator[tuple[int, int, str, float]]:
-    """Expanded (batch_index, stage, source, tokens) rows.
+def _stage_runs(spec: ScheduleSpec) -> Iterator[tuple[int, int, list[str], int, str, float]]:
+    """Per stage with batches: (first index, stage, period, full, last source, last tokens).
 
-    Each stage runs for its ``plan.steps`` batches. The final batch of a
-    stage may be partial; tokens are never dropped, so per-stage token
-    sums reproduce the budgets exactly.
+    Each stage runs for its ``plan.steps`` batches: ``full`` whole batches,
+    then one last row that holds the rest of the stage's tokens, so per-stage
+    token sums reproduce the budgets exactly. A zero-token stage has no run.
 
     A stage's sources repeat with period q, the denominator of its ratio
     p/q: ``targets_before(n + q) == targets_before(n) + p``, so
     ``source_at(i + q) == source_at(i)``. Each stage therefore evaluates
-    at most q sources and cycles them over its full batches.
+    at most q sources, and batch i takes ``period[i % len(period)]``.
     """
     batch = spec.plan.batch.global_batch_tokens
     index = 0
@@ -113,20 +114,48 @@ def schedule_rows(spec: ScheduleSpec) -> Iterator[tuple[int, int, str, float]]:
             pattern.source_at(i) for i in range(min(pattern.ratio.denominator, n_batches))
         ]
         full = n_batches - 1
-        yield from zip(
-            range(index, index + full),
-            repeat(budget.stage_index),
-            islice(cycle(period), full),
-            repeat(float(batch)),
-        )
-        index += full
         yield (
             index,
             budget.stage_index,
+            period,
+            full,
             period[full % len(period)],
             budget.total_tokens - batch * full,
         )
-        index += 1
+        index += n_batches
+
+
+def schedule_rows(spec: ScheduleSpec) -> Iterator[tuple[int, int, str, float]]:
+    """Expanded (batch_index, stage, source, tokens) rows.
+
+    Each stage's full batches cycle its source period; its last batch may be
+    partial (see ``_stage_runs``).
+    """
+    batch = float(spec.plan.batch.global_batch_tokens)
+    for first, stage, period, full, last_source, last_tokens in _stage_runs(spec):
+        yield from zip(
+            range(first, first + full), repeat(stage), islice(cycle(period), full), repeat(batch)
+        )
+        yield (first + full, stage, last_source, last_tokens)
+
+
+def schedule_csv(spec: ScheduleSpec) -> str:
+    """``schedule_rows`` as CSV text under a header, byte for byte as csv.writer writes it.
+
+    csv.writer writes an int as ``str`` and a float as its ``repr``, and quotes
+    none of these cells. So each stage builds its q line tails once, and a
+    full row is its index joined to the next tail.
+    """
+    batch = repr(float(spec.plan.batch.global_batch_tokens))
+    buf = io.StringIO()
+    buf.write("batch_index,stage,source,tokens\n")
+    for first, stage, period, full, last_source, last_tokens in _stage_runs(spec):
+        tails = [f",{stage},{source},{batch}\n" for source in period]
+        buf.writelines(
+            map(str.__add__, map(str, range(first, first + full)), islice(cycle(tails), full))
+        )
+        buf.write(f"{first + full},{stage},{last_source},{last_tokens!r}\n")
+    return buf.getvalue()
 
 
 def schedule_to_wire(spec: ScheduleSpec) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -534,6 +535,76 @@ def test_fit_kstar_rejects_h_max_above_its_bound(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: h_max must be finite and in [0.5, 32], got 1000000000.0\n"
     assert not (tmp_path / "k.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value, code, message",
+    [
+        (math.nan, 2, "error: k* curve points must be finite, got ("),
+        # finite, but its squared residual overflows at every shift exponent
+        (1e308, 3, "fit error: the squared error of the best fit is not finite (inf)"),
+    ],
+    ids=["nan", "overflow"],
+)
+def test_fit_kstar_never_writes_a_non_finite_model(
+    workspace, tmp_path, capsys, value, code, message
+):
+    epochs = json.load(open(workspace["epochs"]))
+    epochs["parameters"]["fits"][0]["f_k_star"] = value
+    out = tmp_path / "kstar.json"
+    # the suite turns a RuntimeWarning into an error, which would escape run() instead
+    argv = ["fit", "kstar", "--epoch-fits", _model_file(tmp_path, "e.json", epochs)]
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def _edit_kstar_model(doc, case):
+    params = doc["parameters"]
+    knots = params["knots"]
+    if case == "nan-shift-exponent":
+        params["shift_exponent"] = math.nan
+    elif case == "nan-level":
+        knots[3]["h"] = math.nan
+    elif case == "infinite-position":
+        knots[0]["f_D"] = math.inf
+    else:
+        assert case == "swapped-levels"
+        knots[1]["h"], knots[2]["h"] = knots[2]["h"], knots[1]["h"]
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        pytest.param(case, message, id=case)
+        for case, message in [
+            ("nan-shift-exponent", "shift exponent must be finite and positive, got nan"),
+            ("nan-level", "knot levels must be finite and strictly increasing"),
+            ("infinite-position", "knot positions must be finite and strictly decreasing"),
+            ("swapped-levels", "knot levels must be finite and strictly increasing"),
+        ]
+    ],
+)
+def test_kstar_model_with_bad_knots_is_data_error(
+    workspace, tmp_path, capsys, command, case, message
+):
+    doc = json.load(open(workspace["kstar"]))
+    _edit_kstar_model(doc, case)
+    model = _model_file(tmp_path, "k.json", doc)
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = ["predict", "kstar", "--model", model, "--C", "1e19", "--DT", "2.13e9"]
+    else:
+        argv = ["report", "--analysis", workspace["report"], "--out-dir", str(out),
+                "--kstar-model", model]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: bad kstar model file: {message}\n"
+    assert not out.exists()
 
 
 def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):

@@ -220,24 +220,29 @@ def test_kstar_warns_on_non_monotone_data():
 
 
 def test_kstar_model_validation():
-    with pytest.raises(ValidationError):
-        fitting.KStarModel(
-            approach="mono-1stage",
-            shift_exponent=0.5,
-            levels=(0.0, 0.5),
-            positions=(0.0, 1.0),  # not decreasing
-            rss=0.0,
-            n_points=4,
-        )
-    with pytest.raises(ValidationError):
-        fitting.KStarModel(
-            approach="mono-1stage",
-            shift_exponent=-0.1,
-            levels=(0.0, 0.5),
-            positions=(0.0, -1.0),
-            rss=0.0,
-            n_points=4,
-        )
+    model = {
+        "approach": "mono-1stage",
+        "shift_exponent": 0.5,
+        "levels": (0.0, 0.5, 1.0),
+        "positions": (0.0, -1.0, -2.0),
+        "rss": 0.0,
+        "n_points": 4,
+    }
+    fitting.KStarModel(**model)
+    for field, value, message in [
+        ("positions", (0.0, 1.0, 2.0), "positions must be finite and strictly decreasing"),
+        ("shift_exponent", -0.1, "shift exponent must be finite and positive"),
+        ("shift_exponent", math.nan, "shift exponent must be finite and positive"),
+        ("shift_exponent", math.inf, "shift exponent must be finite and positive"),
+        ("levels", (0.0, math.nan, 1.0), "levels must be finite and strictly increasing"),
+        ("levels", (0.0, 0.5, math.inf), "levels must be finite and strictly increasing"),
+        ("levels", (0.5, 0.0, 1.0), "levels must be finite and strictly increasing"),
+        ("positions", (math.inf, -1.0, -2.0), "positions must be finite and strictly decreasing"),
+        ("positions", (0.0, math.nan, -2.0), "positions must be finite and strictly decreasing"),
+        ("positions", (0.0, -1.0, -math.inf), "positions must be finite and strictly decreasing"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            fitting.KStarModel(**model | {field: value})
 
 
 def test_kstar_wire_round_trip(planted_model):
@@ -247,6 +252,39 @@ def test_kstar_wire_round_trip(planted_model):
     assert set(doc) == {"model_type", "parameters", "diagnostics"}
     back = fitting.kstar_from_wire(doc)
     assert back == model
+
+
+def _segments(x, positions, levels):
+    """Locate each x on the ascending knots ``positions[::-1]``.
+
+    Returns the left knot index ``k``, the fraction ``t`` of the way from
+    knot ``k`` to knot ``k + 1``, the segment slope and the unclamped value.
+    ``k`` clips to the end segments, so x outside the knots extends linearly.
+    """
+    xp = positions[::-1]  # ascending
+    fp = levels[::-1]  # descending along xp
+    k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    width = xp[k + 1] - xp[k]
+    t = (x - xp[k]) / width
+    slope = (fp[k + 1] - fp[k]) / width
+    return k, t, slope, fp[k] + slope * (x - xp[k])
+
+
+def _reference_sse_and_grad(theta, x, y, levels):
+    """The k* objective written plainly: ``fitting._sse_and_grad`` must match it bit for bit."""
+    positions = fitting._positions_from_theta(theta)
+    k, t, slope, raw = _segments(x, positions, levels)
+    active = raw > 0.0
+    res = y - np.where(active, raw, 0.0)
+    dpred_da = np.where(active, -slope * (1.0 - t), 0.0)
+    dpred_db = np.where(active, -slope * t, 0.0)
+    n = len(positions)
+    grad_ascending = np.bincount(k, -2.0 * res * dpred_da, minlength=n) + np.bincount(
+        k + 1, -2.0 * res * dpred_db, minlength=n
+    )
+    tail_sums = np.cumsum(grad_ascending)[::-1]  # sum over positions i >= m
+    grad = np.concatenate([[tail_sums[0]], -np.exp(theta[1:]) * tail_sums[1:]])
+    return float(res @ res), grad
 
 
 def _reference_eval(x, positions, levels):
@@ -263,7 +301,7 @@ def test_piecewise_eval_matches_interp_with_linear_ends():
     positions = -np.cumsum(rng.uniform(0.1, 1.5, len(levels))) + 1.0
     x = np.concatenate([rng.uniform(-12.0, 4.0, 500), positions])
     np.testing.assert_allclose(
-        fitting._segments(x, positions, levels)[3],
+        _segments(x, positions, levels)[3],
         _reference_eval(x, positions, levels),
         rtol=0,
         atol=1e-12,
@@ -348,9 +386,38 @@ def test_sse_gradient_matches_central_differences():
         numeric = _central_differences(
             lambda t: fitting._sse_and_grad(t, x, y, levels)[0], theta
         )
-        raw = fitting._segments(x, fitting._positions_from_theta(theta), levels)[3]
+        raw = _segments(x, fitting._positions_from_theta(theta), levels)[3]
         assert sse == pytest.approx(float(np.sum((y - np.maximum(raw, 0.0)) ** 2)), rel=1e-12)
         assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
+
+
+def test_sse_and_grad_matches_the_plain_objective_bit_for_bit():
+    rng = np.random.default_rng(29)
+    seen = {"left": 0, "right": 0, "clamped": 0, "overflow": 0}
+    for case in range(400):
+        n_levels = int(rng.integers(2, 14))
+        levels = np.arange(0.0, 0.5 * n_levels - 0.25, 0.5)
+        theta = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.normal(-0.5, 1.0, n_levels - 1)])
+        if case % 4 == 0:  # some log gaps overflow exp: knots at -inf, the SSE inf or nan
+            theta[1 + rng.integers(0, n_levels - 1, 2)] = rng.uniform(710.0, 1000.0, 2)
+        elif case % 4 == 1:  # gaps at their minimum
+            theta[1:] = rng.uniform(-40.0, -20.0, n_levels - 1)
+        x = rng.uniform(-14.0, 6.0, int(rng.integers(1, 60)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            positions = fitting._positions_from_theta(theta)
+            if case % 4 == 2:  # points exactly on the knots
+                x = np.concatenate([x, positions])
+            y = rng.normal(1.0, 1.5, len(x))
+            expected = _reference_sse_and_grad(theta, x, y, levels)
+            actual = fitting._sse_and_grad(theta, x, y, levels)
+            raw = _segments(x, positions, levels)[3]
+        assert actual[0] == expected[0] or (math.isnan(actual[0]) and math.isnan(expected[0]))
+        assert np.array_equal(actual[1], expected[1], equal_nan=True)
+        seen["left"] += bool(np.any(x < positions[-1]))
+        seen["right"] += bool(np.any(x > positions[0]))
+        seen["clamped"] += bool(np.any(raw <= 0.0))
+        seen["overflow"] += bool(not np.all(np.isfinite(positions)))
+    assert min(seen.values()) >= 50, seen
 
 
 def test_kstar_solve_keeps_overflowing_line_search_steps_quiet(surrogate_results):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsweep import budget, schedule, space, trainplan
+from mixsweep import budget, cli, schedule, space, trainplan
 from mixsweep.errors import InsufficientCorpusError, ValidationError
 from mixsweep.seeds import mix64
 
@@ -186,27 +186,34 @@ _ratios = st.one_of(
 )
 
 
-@st.composite
-def _schedules(draw):
-    """Schedules of 1-3 stages, with whole, partial, sub-batch and empty stage totals."""
-    batch = draw(st.sampled_from([1, 3, 4096, 98304]))
-    stages = []
-    for index in range(1, draw(st.integers(1, 3)) + 1):
-        full = draw(st.integers(0, 200))
-        partial = draw(st.sampled_from([0.0, 0.25, 0.999, 1e-9]) | st.floats(0, 1, exclude_max=True))
-        total = float(full * batch) + partial * batch
-        ratio = draw(_ratios)
-        stages.append(trainplan.StageTokenBudget(index, total, total * float(ratio), 0.0, ratio))
+def _spec(batch, totals_and_ratios):
+    """A schedule of one stage per (total tokens, ratio), indexed from 1."""
+    stages = tuple(
+        trainplan.StageTokenBudget(index, total, total * float(ratio), 0.0, ratio)
+        for index, (total, ratio) in enumerate(totals_and_ratios, 1)
+    )
     plan = trainplan.TrainingPlan(
         setup_id="x",
         shape=trainplan.SHAPE_LADDER[0],
         eta_max=0.0,
         batch=trainplan.BatchConfig(1, 1, 1, 1, batch),
-        stages=tuple(stages),
+        stages=stages,
         steps=tuple(math.ceil(b.total_tokens / batch) for b in stages),
         epochs=1,
     )
     return schedule.ScheduleSpec(plan, 0, (0,), False)
+
+
+@st.composite
+def _schedules(draw):
+    """Schedules of 1-3 stages, with whole, partial, sub-batch and empty stage totals."""
+    batch = draw(st.sampled_from([1, 3, 4096, 98304]))
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        full = draw(st.integers(0, 200))
+        partial = draw(st.sampled_from([0.0, 0.25, 0.999, 1e-9]) | st.floats(0, 1, exclude_max=True))
+        stages.append((float(full * batch) + partial * batch, draw(_ratios)))
+    return _spec(batch, stages)
 
 
 @given(_schedules())
@@ -214,6 +221,33 @@ def test_schedule_rows_match_per_row_expansion(spec):
     rows = list(schedule.schedule_rows(spec))
     # repr pins the cell types too (a float 4096.0 is not an int 4096)
     assert list(map(repr, rows)) == list(map(repr, _reference_rows(spec)))
+
+
+_HEADER = ("batch_index", "stage", "source", "tokens")
+
+
+@given(_schedules())
+def test_schedule_csv_matches_csv_writer(spec):
+    assert schedule.schedule_csv(spec) == cli._csv_text(_HEADER, _reference_rows(spec))
+
+
+@pytest.mark.parametrize(
+    "batch, stages",
+    [
+        # a zero-token stage between two others has no rows
+        (4096, [(3.5 * 4096, Fraction(1, 3)), (0.0, Fraction(1, 2)), (2 * 4096, Fraction(1))]),
+        # batch size 1 with q = 64: every source of the period, and the period cycles
+        (1, [(200.0, Fraction(7, 64)), (130.5, Fraction(63, 64))]),
+        # partial last rows whose tokens print with the shortest round-trip repr
+        (1, [(5e-324, Fraction(0)), (0.1, Fraction(1)), (3.1, Fraction(1, 3))]),
+        (4, [(3.0000000000000004, Fraction(1, 2)), (4.1, Fraction(1, 3))]),
+    ],
+)
+def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
+    spec = _spec(batch, stages)
+    text = schedule.schedule_csv(spec)
+    assert text == cli._csv_text(_HEADER, _reference_rows(spec))
+    assert text == cli._csv_text(_HEADER, schedule.schedule_rows(spec))
 
 
 def test_schedule_rows_skip_a_zero_token_stage():
@@ -226,6 +260,7 @@ def test_schedule_rows_skip_a_zero_token_stage():
     rows = list(schedule.schedule_rows(sched))
     assert rows == list(_reference_rows(sched))
     assert rows and {r[1] for r in rows} == {1}
+    assert schedule.schedule_csv(sched) == cli._csv_text(_HEADER, rows)
 
 
 @given(st.data())
