@@ -113,7 +113,7 @@ def _read_json(path: str, from_wire=None):
     def parse(fh):
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer longer than int() converts
             raise FileFormatError(f"invalid JSON ({exc})") from exc
         if not isinstance(obj, dict):
             raise FileFormatError("expected a JSON object")
@@ -141,16 +141,14 @@ def _load_config(args) -> dict:
 
 
 def _resolve(flag_value, config: dict, key: str, default, kind):
-    """Flag value, else config value cast by ``kind`` (an int must be a JSON int), else default."""
+    """Flag value, else the config value read as ``kind`` by ``space.json_field``, else default."""
     if flag_value is not None:
         return flag_value
     if key not in config:
         return default
     try:
-        if kind is int and type(config[key]) is not int:
-            raise TypeError
-        return kind(config[key])
-    except (TypeError, ValueError, OverflowError):
+        return space.json_field(config, key, kind)
+    except ValueError:
         raise ValidationError(
             f"config key {key!r}: cannot read {config[key]!r} as {kind.__name__}"
         ) from None

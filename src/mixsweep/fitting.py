@@ -33,7 +33,7 @@ from .errors import (
     UnidentifiableError,
     ValidationError,
 )
-from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE
+from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE, json_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,13 +109,19 @@ def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpoch
         convex = False
         best = min(zip(y, x))
         minimizer = float(best[1])
+    try:
+        k_star = 2.0**minimizer
+    except OverflowError:
+        k_star = math.inf
+    if not 0.0 < k_star < math.inf:  # a near-flat convex fit can put its vertex anywhere
+        raise UnidentifiableError(f"epoch optimum 2**{minimizer} leaves the float range")
     extrapolated = not (x.min() - 1.0 <= minimizer <= x.max() + 1.0)
     return QuadraticEpochFit(
         curvature=curvature,
         slope=slope,
         intercept=intercept,
         minimizer=minimizer,
-        k_star=2.0**minimizer,
+        k_star=k_star,
         convex=convex,
         rss=rss,
         n_points=len(points),
@@ -128,7 +134,8 @@ def fit_epoch_cells(
 ) -> tuple[list[tuple[int, int, QuadraticEpochFit]], list[str]]:
     """Quadratic fits of each (f_C, f_D) cell's (f_k, loss) points, and the warnings.
 
-    A cell with too few epoch values is skipped with a warning; none fitted raises.
+    A cell with too few epoch values, or whose optimum leaves the float range, is
+    skipped with a warning; none fitted raises.
     """
     fits = []
     warnings = []
@@ -138,8 +145,10 @@ def fit_epoch_cells(
         except UnderdeterminedError:
             n = len(points)
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: {n} epoch value(s) < 3")
+        except UnidentifiableError:
+            warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: epoch optimum out of range")
     if not fits:
-        raise UnderdeterminedError("no budget cell has enough distinct epoch values to fit")
+        raise UnderdeterminedError("no budget cell has a usable epoch fit")
     return fits, warnings
 
 
@@ -547,10 +556,34 @@ def _reading(model_type: str, obj: dict):
         if obj["model_type"] != model_type:
             raise FileFormatError(f"expected model_type {model_type!r}, got {obj['model_type']!r}")
         yield obj["parameters"], obj["diagnostics"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"bad {model_type} model file: {type(exc).__name__} {exc}") from exc
-    except ValidationError as exc:
+    except KeyError as exc:
+        raise FileFormatError(f"bad {model_type} model file: missing field {exc}") from exc
+    except (TypeError, ValueError, ValidationError) as exc:
         raise FileFormatError(f"bad {model_type} model file: {exc}") from exc
+
+
+def _approach(params: dict) -> str:
+    """A model file's approach, which must be one ``H_MAX_BY_APPROACH`` knows."""
+    approach = json_field(params, "approach", str)
+    if approach not in H_MAX_BY_APPROACH:
+        raise ValueError(f"approach must be one of {sorted(H_MAX_BY_APPROACH)}, got {approach!r}")
+    return approach
+
+
+def _diagnostics(diagnostics: dict, *counts: str) -> dict:
+    """The rss, n_points, other ``counts`` and warnings of a model file (or an epoch cell).
+
+    Returned as model keywords; no number may be negative.
+    """
+    fields = {"rss": json_field(diagnostics, "rss", float)}
+    fields |= {key: json_field(diagnostics, key, int) for key in ("n_points", *counts)}
+    for key, value in fields.items():
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value!r}")
+    warnings = diagnostics.get("warnings", [])
+    if type(warnings) is not list or not all(type(w) is str for w in warnings):
+        raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
+    return fields | {"warnings": tuple(warnings)}
 
 
 def kstar_to_wire(model: KStarModel) -> dict:
@@ -576,13 +609,11 @@ def kstar_from_wire(obj: dict) -> KStarModel:
     with _reading("kstar", obj) as (params, diagnostics):
         knots = params["knots"]
         return KStarModel(
-            approach=params["approach"],
-            shift_exponent=float(params["shift_exponent"]),
-            levels=tuple(float(k["h"]) for k in knots),
-            positions=tuple(float(k["f_D"]) for k in knots),
-            rss=float(diagnostics["rss"]),
-            n_points=int(diagnostics["n_points"]),
-            warnings=tuple(diagnostics.get("warnings", ())),
+            approach=_approach(params),
+            shift_exponent=json_field(params, "shift_exponent", float),
+            levels=tuple(json_field(k, "h", float) for k in knots),
+            positions=tuple(json_field(k, "f_D", float) for k in knots),
+            **_diagnostics(diagnostics),
         )
 
 
@@ -608,15 +639,12 @@ def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
 def ratio_fit_from_wire(obj: dict) -> RatioPowerLawFit:
     with _reading("ratio_power_law", obj) as (params, diagnostics):
         return RatioPowerLawFit(
-            exponent=float(params["exponent"]),
+            exponent=json_field(params, "exponent", float),
             intercepts={
-                (float(entry["M"]), float(entry["D"])): float(entry["L0"])
-                for entry in params["intercepts"]
+                (json_field(e, "M", float), json_field(e, "D", float)): json_field(e, "L0", float)
+                for e in params["intercepts"]
             },
-            rss=float(diagnostics["rss"]),
-            n_points=int(diagnostics["n_points"]),
-            group_count=int(diagnostics["group_count"]),
-            warnings=tuple(diagnostics.get("warnings", ())),
+            **_diagnostics(diagnostics, "group_count"),
         )
 
 
@@ -657,16 +685,26 @@ def epoch_fits_to_wire(
 
 
 def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, QuadraticEpochFit]]]:
-    """The approach and the (f_C, f_D, fit) cells of an epoch_quadratics model file."""
-    with _reading("epoch_quadratics", obj) as (params, _):
-        fits = [
-            (
-                int(entry["f_C"]),
-                int(entry["f_D"]),
-                QuadraticEpochFit(
-                    **{field: kind(entry[wire]) for field, wire, kind in _QUADRATIC_WIRE}
-                ),
+    """The approach and the (f_C, f_D, fit) cells of an epoch_quadratics model file.
+
+    A cell's C and D_T must stay finite and nonzero, as a derived setup's do.
+    """
+    ref = reference_constants()
+    with _reading("epoch_quadratics", obj) as (params, diagnostics):
+        approach = _approach(params)
+        _diagnostics(diagnostics)
+        fits = []
+        for entry in params["fits"]:
+            f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
+            try:
+                budgets = (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D))
+            except OverflowError:
+                budgets = (0.0,)
+            if 0.0 in budgets:
+                raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) leaves the float range")
+            _diagnostics(entry)
+            fit = QuadraticEpochFit(
+                **{field: json_field(entry, wire, kind) for field, wire, kind in _QUADRATIC_WIRE}
             )
-            for entry in params["fits"]
-        ]
-        return str(params["approach"]), fits
+            fits.append((f_C, f_D, fit))
+        return approach, fits

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
@@ -251,22 +252,28 @@ def _ratio(text: str) -> Fraction:
     return value
 
 
-def _integer(obj: dict, key: str) -> int:
-    """A factor field, which must be a JSON integer (not a bool, float or string)."""
+def json_field(obj: dict, key: str, kind: type):
+    """``obj[key]`` if it is a JSON ``kind``: KeyError if missing, else ValueError; never cast.
+
+    A ``float`` is any finite number but a bool, and an integer comes back as a float.
+    """
     value = obj[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
+    if type(value) is kind and kind is not float:
+        return value
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    expected = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+    raise ValueError(f"{key} must be {expected[kind]}, got {value!r}")
 
 
 def from_wire(obj: dict) -> SetupSpec:
     """Rebuild a setup from its wire form, checking the id round-trips."""
     try:
         factors = FactorTuple(
-            f_r=_integer(obj, "f_r"),
-            f_M=_integer(obj, "f_M"),
-            f_k=_integer(obj, "f_k"),
-            f_C=_integer(obj, "f_C"),
+            f_r=json_field(obj, "f_r", int),
+            f_M=json_field(obj, "f_M", int),
+            f_k=json_field(obj, "f_k", int),
+            f_C=json_field(obj, "f_C", int),
         )
         r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
         r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
@@ -300,7 +307,7 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer longer than int() converts
             raise FileFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
         try:
             spec = from_wire(obj)

@@ -9,14 +9,13 @@ whose constants are configuration, not claims.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .analysis import LossRecord
 from .errors import ValidationError
 from .seeds import fnv1a64, mix64, uniform_pair
-from .space import SetupSpec
+from .space import SetupSpec, json_field
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,20 +157,12 @@ def generate_dataset(
 
 
 def params_from_dict(obj: dict) -> SurrogateParams:
-    """Build params from a JSON config dict, rejecting unknown keys and mistyped values.
-
-    Every value must be a number within the float range (not a bool or
-    NaN); ``seed`` must be an integer.
-    """
+    """Build params from a JSON dict of known keys: ``seed`` an integer, the rest finite numbers."""
     unknown = set(obj) - set(SurrogateParams.__dataclass_fields__)
     if unknown:
         raise ValidationError(f"unknown surrogate parameter(s): {sorted(unknown)}")
-    for key, value in obj.items():
-        kind = int if key == "seed" else (int, float)
-        mistyped = isinstance(value, bool) or not isinstance(value, kind)
-        if mistyped or (key != "seed" and not abs(value) <= sys.float_info.max):
-            expected = "an integer" if key == "seed" else "a finite number"
-            raise ValidationError(
-                f"surrogate parameter {key!r} must be {expected}, got {value!r}"
-            )
-    return SurrogateParams(**obj)
+    try:
+        values = {key: json_field(obj, key, int if key == "seed" else float) for key in obj}
+    except ValueError as exc:
+        raise ValidationError(f"surrogate parameter {exc}") from None
+    return SurrogateParams(**values)

@@ -9,7 +9,7 @@ import pytest
 
 import mixsweep
 from mixsweep.budget import reference_constants
-from mixsweep import cli
+from mixsweep import cli, fitting
 from mixsweep.cli import run
 
 
@@ -512,7 +512,11 @@ def test_analyze_rejects_bad_epsilon(workspace, tmp_path, capsys, flag, config):
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: epsilon must be finite and >= 0") and err.count("\n") == 1
+    if config is None:
+        message = "error: epsilon must be finite and >= 0"
+    else:
+        message = "error: config key 'epsilon': cannot read 'nan' as float"
+    assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
 
 
@@ -540,7 +544,8 @@ def test_fit_kstar_rejects_h_max_above_its_bound(workspace, tmp_path, capsys):
 @pytest.mark.parametrize(
     "value, code, message",
     [
-        (math.nan, 2, "error: k* curve points must be finite, got ("),
+        (math.nan, 2, "error: {path}: bad epoch_quadratics model file: "
+                      "f_k_star must be a finite number, got nan"),
         # finite, but its squared residual overflows at every shift exponent
         (1e308, 3, "fit error: the squared error of the best fit is not finite (inf)"),
     ],
@@ -553,10 +558,11 @@ def test_fit_kstar_never_writes_a_non_finite_model(
     epochs["parameters"]["fits"][0]["f_k_star"] = value
     out = tmp_path / "kstar.json"
     # the suite turns a RuntimeWarning into an error, which would escape run() instead
-    argv = ["fit", "kstar", "--epoch-fits", _model_file(tmp_path, "e.json", epochs)]
-    assert run(argv + ["--out", str(out)]) == code
+    path = _model_file(tmp_path, "e.json", epochs)
+    assert run(["fit", "kstar", "--epoch-fits", path, "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(message.format(path=path))
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 
@@ -580,9 +586,9 @@ def _edit_kstar_model(doc, case):
     [
         pytest.param(case, message, id=case)
         for case, message in [
-            ("nan-shift-exponent", "shift exponent must be finite and positive, got nan"),
-            ("nan-level", "knot levels must be finite and strictly increasing"),
-            ("infinite-position", "knot positions must be finite and strictly decreasing"),
+            ("nan-shift-exponent", "shift_exponent must be a finite number, got nan"),
+            ("nan-level", "h must be a finite number, got nan"),
+            ("infinite-position", "f_D must be a finite number, got inf"),
             ("swapped-levels", "knot levels must be finite and strictly increasing"),
         ]
     ],
@@ -605,6 +611,177 @@ def test_kstar_model_with_bad_knots_is_data_error(
     assert captured.out == ""
     assert captured.err == f"error: {model}: bad kstar model file: {message}\n"
     assert not out.exists()
+
+
+#: The field set to a bad value in each JSON file the CLI reads: (number field, integer field).
+_JSON_FIELDS = {
+    "setups": ("f_M", "f_M"),
+    "config": ("epsilon", "seed"),
+    "params": ("noise_sigma", "seed"),
+    "kstar": ("shift_exponent", "n_points"),
+    "ratio": ("exponent", "group_count"),
+    "epochs": ("f_k_star", "f_C"),
+}
+
+#: JSON text of each bad value; "float-for-int" goes into the integer field.
+_BAD_JSON = {
+    "numeric-string": '"1"', "bool": "true", "float-for-int": "2.5", "nan": "NaN", "1e400": "1e400",
+}
+
+
+def _file_with_bad_field(name, field, value, tmp_path, workspace):
+    """(argv, path) of a command reading file ``name`` whose ``field`` holds JSON text ``value``."""
+    out = str(tmp_path / "out")
+    doc = {field: "@"}
+    if name == "setups":
+        doc = {"f_r": 0, "f_M": 0, "f_k": 0, "f_C": 0} | doc
+    elif name in ("kstar", "ratio", "epochs"):
+        doc = json.load(open(workspace[name]))
+        section = "parameters" if field in ("shift_exponent", "exponent") else "diagnostics"
+        target = doc["parameters"]["fits"][0] if name == "epochs" else doc[section]
+        target[field] = "@"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    path = str(path)
+    ingest = ["--results", workspace["results"], "--setups", workspace["setups"]]
+    simulate = ["simulate", "--setups", workspace["setups"], "--out", out]
+    argv = {
+        "setups": ["simulate", "--setups", path, "--out", out],
+        "config": ["--config", path] + (
+            ["analyze", *ingest, "--out", out] if field == "epsilon" else simulate
+        ),
+        "params": simulate + ["--params", path],
+        "kstar": ["predict", "kstar", "--model", path, "--C", "1e18", "--DT", "2e9"],
+        "ratio": ["report", "--analysis", workspace["report"], "--out-dir", out,
+                  "--ratio-fit", path, *ingest],
+        "epochs": ["fit", "kstar", "--epoch-fits", path, "--out", out],
+    }[name]
+    return argv, path
+
+
+@pytest.mark.parametrize("bad", list(_BAD_JSON))
+@pytest.mark.parametrize("name", list(_JSON_FIELDS))
+def test_mistyped_json_field_is_data_error(workspace, tmp_path, capsys, name, bad):
+    field = _JSON_FIELDS[name][bad == "float-for-int"]
+    argv, path = _file_with_bad_field(name, field, _BAD_JSON[bad], tmp_path, workspace)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert field in err
+    # a config or --params line names the key ("config key 'seed'", "surrogate parameter
+    # seed") rather than the file; every artifact's line starts with its path
+    if name not in ("config", "params"):
+        assert err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["setups", "kstar"])
+def test_json_integer_too_long_to_convert_is_data_error(workspace, tmp_path, capsys, name):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, past 4,300 digits
+    field = _JSON_FIELDS[name][1]
+    argv, path = _file_with_bad_field(name, field, "1" * 5000, tmp_path, workspace)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "invalid JSON" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _model_doc(workspace, tmp_path, name, edit):
+    doc = json.load(open(workspace[name]))
+    edit(doc)
+    return _model_file(tmp_path, f"{name}.json", doc)
+
+
+def _cell(doc):
+    return doc["parameters"]["fits"][0]
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("kstar", lambda d: d["parameters"].update(approach="bogus"),
+         "approach must be one of ['mono-1stage', 'multi-2stage'], got 'bogus'"),
+        ("kstar", lambda d: d["diagnostics"].update(n_points=-5), "n_points must be >= 0, got -5"),
+        ("kstar", lambda d: d["diagnostics"].update(rss=-0.5), "rss must be >= 0, got -0.5"),
+        ("kstar", lambda d: d["diagnostics"].update(warnings="abc"),
+         "warnings must be a list of strings, got 'abc'"),
+        ("ratio", lambda d: d["diagnostics"].update(group_count=-1),
+         "group_count must be >= 0, got -1"),
+        ("ratio", lambda d: d["diagnostics"].update(warnings=[1]),
+         "warnings must be a list of strings, got [1]"),
+        ("epochs", lambda d: d["parameters"].update(approach="multi-1stage"),
+         "approach must be one of ['mono-1stage', 'multi-2stage'], got 'multi-1stage'"),
+        ("epochs", lambda d: _cell(d).update(n_points=-1), "n_points must be >= 0, got -1"),
+        ("epochs", lambda d: d["diagnostics"].update(rss=-1.0), "rss must be >= 0, got -1.0"),
+        ("epochs", lambda d: d.pop("diagnostics"), "missing field 'diagnostics'"),
+    ],
+    ids=["kstar-approach", "kstar-n_points", "kstar-rss", "kstar-warnings", "ratio-group_count",
+         "ratio-warnings", "epochs-approach", "epochs-cell-n_points", "epochs-rss",
+         "epochs-no-diagnostics"],
+)
+def test_model_file_fields_are_checked(workspace, tmp_path, capsys, name, edit, message):
+    path = _model_doc(workspace, tmp_path, name, edit)
+    model_type = json.load(open(workspace[name]))["model_type"]
+    argv = {
+        "kstar": ["predict", "kstar", "--model", path, "--C", "1e18", "--DT", "2e9"],
+        "ratio": ["report", "--analysis", workspace["report"], "--out-dir", str(tmp_path / "out"),
+                  "--ratio-fit", path, "--results", workspace["results"],
+                  "--setups", workspace["setups"]],
+        "epochs": ["fit", "kstar", "--epoch-fits", path, "--out", str(tmp_path / "out")],
+    }[name]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: bad {model_type} model file: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-kstar", "report"])
+@pytest.mark.parametrize(
+    "factor, value", [("f_C", 100000), ("f_D", -100000)], ids=["compute", "target-tokens"]
+)
+def test_epoch_cell_beyond_the_float_range_is_data_error(
+    workspace, tmp_path, capsys, command, factor, value
+):
+    path = _model_doc(workspace, tmp_path, "epochs", lambda d: _cell(d).update({factor: value}))
+    cell = _cell(json.load(open(path)))
+    out = str(tmp_path / "out")
+    if command == "fit-kstar":
+        argv = ["fit", "kstar", "--epoch-fits", path, "--out", out]
+    else:
+        argv = ["report", "--analysis", workspace["report"], "--out-dir", out,
+                "--epoch-fits", path]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: bad epoch_quadratics model file: "
+        f"cell (f_C={cell['f_C']}, f_D={cell['f_D']}) leaves the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_files_load_and_write_back_byte_identically(workspace):
+    # the workspace runs the README Quickstart (its surrogate has no noise, so the seed
+    # does not matter); each loader and writer pair must give the file back unchanged
+    for name, load, write in [
+        ("kstar", fitting.kstar_from_wire, fitting.kstar_to_wire),
+        ("ratio", fitting.ratio_fit_from_wire, fitting.ratio_fit_to_wire),
+    ]:
+        text = open(workspace[name]).read()
+        assert cli._json_text(write(load(json.loads(text)))) == text
+    text = open(workspace["epochs"]).read()
+    doc = json.loads(text)
+    approach, fits = fitting.epoch_fits_from_wire(doc)
+    warnings = doc["diagnostics"]["warnings"]
+    assert cli._json_text(fitting.epoch_fits_to_wire(approach, fits, warnings)) == text
 
 
 def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):
@@ -875,3 +1052,46 @@ def test_fit_epochs_skips_a_cell_with_fewer_than_three_epoch_values(workspace, t
     cells = {(fit["f_C"], fit["f_D"]) for fit in doc["parameters"]["fits"]}
     assert (-4, -7) not in cells
     assert len(cells) == len(json.load(open(workspace["epochs"]))["parameters"]["fits"]) - 1
+
+
+def _results_with_flat_cells(workspace, tmp_path, in_cell):
+    """The workspace results with a near-flat convex loss curve in each cell ``in_cell`` accepts.
+
+    The curve 3 - 1e-7 f_k + 1e-13 f_k**2 has its vertex at f_k = 5e5, beyond 2**f_k's range.
+    """
+    with open(workspace["results"]) as fh:
+        header, *rows = fh.readlines()
+    for i, row in enumerate(rows):
+        setup_id, pair, _ = row.split(",")
+        if in_cell(setup_id):
+            f_k = int(setup_id.rsplit("_fk", 1)[1])
+            rows[i] = f"{setup_id},{pair},{3.0 - 1e-7 * f_k + 1e-13 * f_k**2!r}\n"
+    path = tmp_path / "flat.csv"
+    path.write_text(header + "".join(rows))
+    return str(path)
+
+
+def test_fit_epochs_skips_a_cell_whose_optimum_leaves_the_float_range(workspace, tmp_path):
+    results = _results_with_flat_cells(
+        workspace, tmp_path, lambda setup_id: setup_id.startswith("fC-4_fD-7_fr0_")
+    )
+    out = tmp_path / "epochs.json"
+    code = run(["fit", "epochs", "--results", results, "--setups", workspace["setups"],
+                "--out", str(out)])
+    assert code == 0
+    doc = json.load(open(out))
+    warning = "cell (f_C=-4, f_D=-7) skipped: epoch optimum out of range"
+    assert doc["diagnostics"]["warnings"] == [warning]
+    cells = {(fit["f_C"], fit["f_D"]) for fit in doc["parameters"]["fits"]}
+    assert (-4, -7) not in cells
+    assert len(cells) == len(json.load(open(workspace["epochs"]))["parameters"]["fits"]) - 1
+
+
+def test_fit_epochs_without_a_usable_cell_is_fit_error(workspace, tmp_path, capsys):
+    results = _results_with_flat_cells(workspace, tmp_path, lambda setup_id: "_fr0_" in setup_id)
+    out = tmp_path / "epochs.json"
+    code = run(["fit", "epochs", "--results", results, "--setups", workspace["setups"],
+                "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "fit error: no budget cell has a usable epoch fit\n"
+    assert not out.exists()

@@ -47,6 +47,19 @@ def test_epoch_cells_skip_underdetermined_cells():
         fitting.fit_epoch_cells({(0, -1): curve[:2]})
 
 
+def test_near_flat_convex_cell_is_skipped_not_a_traceback():
+    # the vertex sits at f_k = 5e5, so 2**f_k overflows a float
+    flat = [(f_k, 3.0 - 1e-7 * f_k + 1e-13 * f_k**2) for f_k in range(10)]
+    with pytest.raises(UnidentifiableError, match="leaves the float range"):
+        fitting.fit_epoch_quadratic(flat)
+    curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
+    fits, warnings = fitting.fit_epoch_cells({(0, -1): flat, (0, 0): curve})
+    assert fits == [(0, 0, fitting.fit_epoch_quadratic(curve))]
+    assert warnings == ["cell (f_C=0, f_D=-1) skipped: epoch optimum out of range"]
+    with pytest.raises(UnderdeterminedError, match="no budget cell"):
+        fitting.fit_epoch_cells({(0, -1): flat})
+
+
 def test_quadratic_shift_equivariance():
     points = [(f_k, 0.05 * (f_k - 2.5) ** 2 + 2.0) for f_k in range(6)]
     base = fitting.fit_epoch_quadratic(points)
@@ -186,6 +199,15 @@ def test_kstar_h_max_out_of_range_is_rejected_before_fitting(h_max, monkeypatch)
 def test_kstar_single_budget_unidentifiable():
     with pytest.raises(UnidentifiableError):
         fitting.fit_kstar_model(planted_curves(budget_factors=(-4,)), "mono-1stage")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_kstar_rejects_non_finite_curve_points(value):
+    # the CLI's loader rejects these before the fit; a library caller meets this check
+    curves = planted_curves()
+    curves[2] = (*curves[2][:2], value)
+    with pytest.raises(ValidationError, match="k\\* curve points must be finite"):
+        fitting.fit_kstar_model(curves, "mono-1stage")
 
 
 def test_kstar_shift_equivariance(planted_model):

@@ -209,3 +209,56 @@ def test_jsonl_errors_carry_line_numbers():
     tampered["f_k"] = 5  # id no longer matches
     with pytest.raises(FileFormatError, match="does not match"):
         list(space.read_jsonl(io.StringIO(json.dumps(tampered) + "\n")))
+
+
+@pytest.mark.parametrize(
+    "kind, value, expected",
+    [
+        (int, 3, 3),
+        (int, -(10**400), -(10**400)),
+        (float, 0.25, 0.25),
+        (float, 7, 7.0),
+        (bool, False, False),
+        (str, "a", "a"),
+    ],
+    ids=["int", "huge-int", "float", "int-as-float", "bool", "str"],
+)
+def test_json_field_returns_a_value_of_its_kind(kind, value, expected):
+    got = space.json_field({"x": value}, "x", kind)
+    assert got == expected and type(got) is kind
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        (int, 2.0, "x must be an integer, got 2.0"),
+        (int, True, "x must be an integer, got True"),
+        (int, "2", "x must be an integer, got '2'"),
+        (float, True, "x must be a finite number, got True"),
+        (float, "0.5", "x must be a finite number, got '0.5'"),
+        (float, float("nan"), "x must be a finite number, got nan"),
+        (float, float("-inf"), "x must be a finite number, got -inf"),
+        (float, 10**400, "x must be a finite number, got 1" + "0" * 400),
+        (bool, 1, "x must be true or false, got 1"),
+        (bool, "no", "x must be true or false, got 'no'"),
+        (str, None, "x must be a string, got None"),
+    ],
+    ids=["float-for-int", "bool-for-int", "string-for-int", "bool-for-float", "string-for-float",
+         "nan", "minus-inf", "int-beyond-float-range", "int-for-bool", "string-for-bool",
+         "null-for-string"],
+)
+def test_json_field_never_casts(kind, value, message):
+    with pytest.raises(ValueError) as info:
+        space.json_field({"x": value}, "x", kind)
+    assert str(info.value) == message
+
+
+def test_json_field_reads_what_json_parses():
+    obj = json.loads('{"big": 1e400, "int": 12, "float": 12.0}')
+    assert space.json_field(obj, "int", float) == 12.0
+    with pytest.raises(ValueError, match="float must be an integer, got 12.0"):
+        space.json_field(obj, "float", int)
+    with pytest.raises(ValueError, match="big must be a finite number, got inf"):
+        space.json_field(obj, "big", float)
+    with pytest.raises(KeyError):
+        space.json_field(obj, "missing", int)
