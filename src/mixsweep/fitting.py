@@ -5,7 +5,8 @@
 2. The epoch-extrapolation model: log2 of the optimal epoch count equals a
    monotone decreasing piecewise-linear function of the corpus factor
    shifted by ``a * log2(compute / reference)``. Fitted by an outer 1-D
-   search over the shift exponent (coarse grid, then golden section) with
+   search over the shift exponent (a downhill walk on a coarse grid from
+   the exponent of a closed-form inverse fit, then golden section) with
    an inner monotone-constrained least-squares fit of the knot positions,
    initialized from isotonic regression of the pooled shifted data. The
    inner fit runs L-BFGS-B on the exact gradient of the squared error, so
@@ -335,6 +336,42 @@ def _fit_positions(
     return _positions_from_theta(theta0), sse0
 
 
+def _inverse_seed(
+    corpus_factor: np.ndarray, delta: np.ndarray, log2_kstar: np.ndarray, levels: np.ndarray
+) -> float:
+    """Shift exponent of the inverted epoch model, fitted by bounded linear least squares.
+
+    The model inverts to f_D = a * delta + sum_j B_j(log2 k*) p_j, where the B_j
+    are the hat functions on the fixed levels, extended linearly past both ends.
+    With p_j = p_0 - sum_{m<=j} d_m the unknowns (a, p_0, d_1, ..., d_{n-1}) enter
+    linearly through the columns [delta, 1, -sum_{j>=m} B_j], under the bounds
+    a in SHIFT_EXPONENT_BOUNDS and d_m >= _MIN_KNOT_GAP (Lawson & Hanson 1974,
+    ch. 23). It measures errors along f_D, not along log2 k*, so its a seeds the
+    forward search and is not the answer. Returns nan when the data overflow the
+    design or ``lsq_linear`` rejects it.
+    """
+    import numpy as np
+    from scipy.optimize import lsq_linear
+
+    n = len(levels)
+    lo, hi = SHIFT_EXPONENT_BOUNDS
+    lower = np.concatenate([[lo, -np.inf], np.full(n - 1, _MIN_KNOT_GAP)])
+    upper = np.concatenate([[hi], np.full(n, np.inf)])
+    with np.errstate(all="ignore"):
+        k = np.clip(np.searchsorted(levels, log2_kstar, side="right") - 1, 0, n - 2)[:, None]
+        t = (log2_kstar[:, None] - levels[k]) / LEVEL_STEP
+        # sum_{j>=m} B_j(y) on segment k: 1 for m <= k, t for m = k + 1, 0 beyond
+        m = np.arange(1, n)
+        tail = np.where(m <= k, 1.0, np.where(m == k + 1, t, 0.0))
+        design = np.column_stack([delta, np.ones_like(delta), -tail])
+        if not np.isfinite(design).all():  # LAPACK would print to stderr before failing
+            return math.nan
+        try:
+            return float(lsq_linear(design, corpus_factor, bounds=(lower, upper)).x[0])
+        except ValueError:  # numpy's LinAlgError included
+            return math.nan
+
+
 def fit_kstar_model(
     curves: Sequence[tuple[float, float, float]],
     approach: str = APPROACH_MONO_1STAGE,
@@ -346,6 +383,14 @@ def fit_kstar_model(
     shift exponent is unobservable and this raises. Every value must be
     finite, and a fit whose best squared error overflows raises FitError.
     Strongly non-monotone data still fits but carries a large-residual warning.
+
+    The shift exponent is searched on a 0.05 grid over SHIFT_EXPONENT_BOUNDS,
+    starting at the grid point nearest ``_inverse_seed`` (the middle of the grid
+    when the seed is not finite). The walk solves that point and its neighbours
+    and moves to the lowest until neither neighbour is lower, ordering solves
+    by (sse, exponent); a golden section then refines the local minimum's
+    bracket. No exponent is solved twice, and the model is the best solve of
+    the grid minimum and the golden section's last two points.
     """
     import numpy as np
 
@@ -378,8 +423,18 @@ def fit_kstar_model(
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
     grid = np.arange(lo, hi + 1e-9, 0.05)
-    grid_solves = [inner(a) for a in grid]
-    best_idx = int(np.argmin([solve[0] for solve in grid_solves]))
+    seed = _inverse_seed(corpus_factor, delta, log2_kstar, levels)
+    best_idx = int(np.argmin(np.abs(grid - seed))) if math.isfinite(seed) else len(grid) // 2
+    grid_solves: dict[int, tuple[float, float, np.ndarray]] = {}
+    for _ in grid:  # a downhill walk visits each grid point at most once
+        near = range(max(best_idx - 1, 0), min(best_idx + 2, len(grid)))
+        for i in near:
+            if i not in grid_solves:
+                grid_solves[i] = inner(float(grid[i]))
+        lowest = min(near, key=lambda i: grid_solves[i][:2])
+        if lowest == best_idx:
+            break
+        best_idx = lowest
     a_lo = grid[max(best_idx - 1, 0)]
     a_hi = grid[min(best_idx + 1, len(grid) - 1)]
     # golden-section refinement on the bracketing interval
@@ -586,6 +641,14 @@ def _diagnostics(diagnostics: dict, *counts: str) -> dict:
     return fields | {"warnings": tuple(warnings)}
 
 
+def _positive(obj: dict, key: str) -> float:
+    """A finite JSON number that must be greater than 0."""
+    value = json_field(obj, key, float)
+    if value <= 0:
+        raise ValueError(f"{key} must be positive, got {value!r}")
+    return value
+
+
 def kstar_to_wire(model: KStarModel) -> dict:
     return {
         "model_type": "kstar",
@@ -641,7 +704,7 @@ def ratio_fit_from_wire(obj: dict) -> RatioPowerLawFit:
         return RatioPowerLawFit(
             exponent=json_field(params, "exponent", float),
             intercepts={
-                (json_field(e, "M", float), json_field(e, "D", float)): json_field(e, "L0", float)
+                (_positive(e, "M"), _positive(e, "D")): _positive(e, "L0")
                 for e in params["intercepts"]
             },
             **_diagnostics(diagnostics, "group_count"),
@@ -687,7 +750,10 @@ def epoch_fits_to_wire(
 def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, QuadraticEpochFit]]]:
     """The approach and the (f_C, f_D, fit) cells of an epoch_quadratics model file.
 
-    A cell's C and D_T must stay finite and nonzero, as a derived setup's do.
+    A cell's C and D_T must stay finite and nonzero, as a derived setup's do. Its
+    k_star must be positive and finite, and equal 2**f_k_star, as
+    ``fit_epoch_quadratic`` derives it, wherever 2**f_k_star is a positive float; an
+    f_k_star beyond that range is left to the fits, which reject a non-finite error.
     """
     ref = reference_constants()
     with _reading("epoch_quadratics", obj) as (params, diagnostics):
@@ -706,5 +772,14 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, Quadratic
             fit = QuadraticEpochFit(
                 **{field: json_field(entry, wire, kind) for field, wire, kind in _QUADRATIC_WIRE}
             )
+            try:
+                power = 2.0**fit.minimizer
+            except OverflowError:
+                power = math.inf
+            if fit.k_star <= 0.0 or (0.0 < power < math.inf and fit.k_star != power):
+                raise ValueError(
+                    f"cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star, positive and "
+                    f"finite; got k_star={fit.k_star!r} for f_k_star={fit.minimizer!r}"
+                )
             fits.append((f_C, f_D, fit))
         return approach, fits

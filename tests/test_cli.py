@@ -715,6 +715,13 @@ def _cell(doc):
          "group_count must be >= 0, got -1"),
         ("ratio", lambda d: d["diagnostics"].update(warnings=[1]),
          "warnings must be a list of strings, got [1]"),
+        # a non-positive intercept wrote negative predicted losses into ratio_curves.csv
+        ("ratio", lambda d: d["parameters"]["intercepts"][0].update(L0=-1.0),
+         "L0 must be positive, got -1.0"),
+        ("ratio", lambda d: d["parameters"]["intercepts"][1].update(M=0.0),
+         "M must be positive, got 0.0"),
+        ("ratio", lambda d: d["parameters"]["intercepts"][2].update(D=-2e9),
+         "D must be positive, got -2000000000.0"),
         ("epochs", lambda d: d["parameters"].update(approach="multi-1stage"),
          "approach must be one of ['mono-1stage', 'multi-2stage'], got 'multi-1stage'"),
         ("epochs", lambda d: _cell(d).update(n_points=-1), "n_points must be >= 0, got -1"),
@@ -722,7 +729,7 @@ def _cell(doc):
         ("epochs", lambda d: d.pop("diagnostics"), "missing field 'diagnostics'"),
     ],
     ids=["kstar-approach", "kstar-n_points", "kstar-rss", "kstar-warnings", "ratio-group_count",
-         "ratio-warnings", "epochs-approach", "epochs-cell-n_points", "epochs-rss",
+         "ratio-warnings", "ratio-L0", "ratio-M", "ratio-D", "epochs-approach", "epochs-cell-n_points", "epochs-rss",
          "epochs-no-diagnostics"],
 )
 def test_model_file_fields_are_checked(workspace, tmp_path, capsys, name, edit, message):
@@ -764,6 +771,36 @@ def test_epoch_cell_beyond_the_float_range_is_data_error(
     assert captured.err == (
         f"error: {path}: bad epoch_quadratics model file: "
         f"cell (f_C={cell['f_C']}, f_D={cell['f_D']}) leaves the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-kstar", "report"])
+@pytest.mark.parametrize(
+    "f_k_star, k_star",
+    [(400.0, -5.0), (3.0, 0.0), (2.0, 5.0), (2000.0, -5.0)],
+    ids=["negative", "zero", "mismatched", "negative-beyond-the-float-range"],
+)
+def test_epoch_cell_k_star_must_be_two_to_the_f_k_star(
+    workspace, tmp_path, capsys, command, f_k_star, k_star
+):
+    # report --epoch-fits wrote "400.0,-5.0" into epoch_optima.csv and exited 0
+    edit = {"f_k_star": f_k_star, "k_star": k_star}
+    path = _model_doc(workspace, tmp_path, "epochs", lambda d: _cell(d).update(edit))
+    cell = _cell(json.load(open(path)))
+    out = str(tmp_path / "out")
+    if command == "fit-kstar":
+        argv = ["fit", "kstar", "--epoch-fits", path, "--out", out]
+    else:
+        argv = ["report", "--analysis", workspace["report"], "--out-dir", out,
+                "--epoch-fits", path]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: bad epoch_quadratics model file: "
+        f"cell (f_C={cell['f_C']}, f_D={cell['f_D']}): k_star must be 2**f_k_star, "
+        f"positive and finite; got k_star={k_star!r} for f_k_star={f_k_star!r}\n"
     )
     assert not (tmp_path / "out").exists()
 
