@@ -126,11 +126,14 @@ class DerivedSetup:
         return -f.f_M + (f.f_D + f.f_k + f.f_r) == f.f_C
 
 
+@functools.lru_cache(maxsize=4096)
 def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     """Expand a factor tuple into concrete training quantities.
 
     Raises InvalidFactorError when a derived quantity (or the epoch count
-    as a float) overflows or underflows to zero.
+    as a float) overflows or underflows to zero. Cached: the result is
+    frozen, so every setup with these factors shares one; the default grid
+    has 586 distinct tuples.
     """
     ref = _REFERENCE
     f_D = factors.f_D

@@ -342,6 +342,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.ratio_fit and not (args.results and args.setups):
+        raise UsageError("--ratio-fit needs --results and --setups")
     # every input is read and every output rendered before anything is written
     report = _read_json(args.analysis)
     try:

@@ -13,7 +13,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
 
@@ -84,6 +84,18 @@ def default_ranges() -> SearchRanges:
     )
 
 
+# The id's two parts, each cached: a grid has few factor tuples (586 by default)
+# and fewer ratio pairs (24), and the setups that share one share its text.
+@functools.lru_cache(maxsize=4096)
+def _factors_id(f_C: int, f_D: int, f_r: int, f_M: int, f_k: int) -> str:
+    return f"fC{f_C}_fD{f_D}_fr{f_r}_fM{f_M}_fk{f_k}"
+
+
+@functools.lru_cache(maxsize=256)
+def _ratios_id(n1: int, d1: int, n2: int, d2: int) -> str:
+    return f"_r1{Fraction(n1, d1)}_r2{Fraction(n2, d2)}"
+
+
 @dataclass(frozen=True, slots=True)
 class SetupSpec:
     """One training setup: factors plus optional two-stage ratios."""
@@ -91,18 +103,26 @@ class SetupSpec:
     factors: FactorTuple
     first_stage_ratio: Fraction | None = None
     second_stage_ratio: Fraction | None = None
+    #: Canonical id, reproducible across runs: factor values plus exact ratios.
+    #: Built once from the fields above; not an argument, not compared, not in the repr.
+    id: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         r1, r2 = self.first_stage_ratio, self.second_stage_ratio
         if (r1 is None) != (r2 is None):
             raise InfeasibleSplitError("two-stage setups need both r1 and r2")
+        f = self.factors
+        setup_id = _factors_id(f.f_C, f.f_D, f.f_r, f.f_M, f.f_k)
         if r1 is not None and r2 is not None:
             # r1 < 2**-f_r < r2 on integers; the Fraction is built only for the message
-            f_r = self.factors.f_r
-            if not (r1.numerator << f_r < r1.denominator and r2.denominator < r2.numerator << f_r):
+            n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+            f_r = f.f_r
+            if not (n1 << f_r < d1 and d2 < n2 << f_r):
                 raise InfeasibleSplitError(
                     f"need r1 < r < r2 strictly, got r1={r1}, r={ratio_for(f_r)}, r2={r2}"
                 )
+            setup_id += _ratios_id(n1, d1, n2, d2)
+        object.__setattr__(self, "id", setup_id)
 
     @property
     def is_two_stage(self) -> bool:
@@ -115,15 +135,6 @@ class SetupSpec:
         if self.factors.f_r == 0:
             return APPROACH_MONO_1STAGE
         return APPROACH_MULTI_1STAGE
-
-    @property
-    def id(self) -> str:
-        """Canonical id, reproducible across runs: factor values plus exact ratios."""
-        f = self.factors
-        base = f"fC{f.f_C}_fD{f.f_D}_fr{f.f_r}_fM{f.f_M}_fk{f.f_k}"
-        if not self.is_two_stage:
-            return base
-        return f"{base}_r1{self.first_stage_ratio}_r2{self.second_stage_ratio}"
 
     def derived(self) -> DerivedSetup:
         return derive_single_stage(self.factors)
@@ -266,14 +277,28 @@ def json_field(obj: dict, key: str, kind: type):
     raise ValueError(f"{key} must be {expected[kind]}, got {value!r}")
 
 
+@functools.lru_cache(maxsize=4096)
+def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
+    """One shared FactorTuple per distinct factor values; the default grid has 586.
+
+    Fed only values ``json_field`` has checked as ints: ``True`` would hit ``1``'s entry.
+    """
+    return FactorTuple(f_r, f_M, f_k, f_C)
+
+
 def from_wire(obj: dict) -> SetupSpec:
-    """Rebuild a setup from its wire form, checking the id round-trips."""
+    """Rebuild a setup from its wire form.
+
+    Reads the factors and the exact ratios; the ``id``, ``approach`` and
+    ``f_D`` a line carries must equal the ones they give. ``derived`` and the
+    float ``r1``/``r2`` are never read.
+    """
     try:
-        factors = FactorTuple(
-            f_r=json_field(obj, "f_r", int),
-            f_M=json_field(obj, "f_M", int),
-            f_k=json_field(obj, "f_k", int),
-            f_C=json_field(obj, "f_C", int),
+        factors = _factors(
+            json_field(obj, "f_r", int),
+            json_field(obj, "f_M", int),
+            json_field(obj, "f_k", int),
+            json_field(obj, "f_C", int),
         )
         r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
         r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
@@ -281,8 +306,17 @@ def from_wire(obj: dict) -> SetupSpec:
     except (KeyError, ValueError, TypeError) as exc:
         raise FileFormatError(f"bad setup object: {exc}") from exc
     if "id" in obj and obj["id"] != spec.id:
-        raise FileFormatError(f"setup id {obj['id']!r} does not match fields ({spec.id})")
+        raise _mismatch(obj, "id", spec.id)
+    if "approach" in obj and obj["approach"] != spec.approach:
+        raise _mismatch(obj, "approach", spec.approach)
+    # a type check too, so that neither 1.0 nor true passes for an f_D of 1
+    if "f_D" in obj and (type(obj["f_D"]) is not int or obj["f_D"] != factors.f_D):
+        raise _mismatch(obj, "f_D", factors.f_D)
     return spec
+
+
+def _mismatch(obj: dict, key: str, expected) -> FileFormatError:
+    return FileFormatError(f"setup {key} {obj[key]!r} does not match fields ({expected})")
 
 
 def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
@@ -313,11 +347,9 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
             spec = from_wire(obj)
         except FileFormatError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from exc
-        # from_wire has checked that a given id equals spec.id; reuse it rather than re-derive
-        setup_id = obj["id"] if "id" in obj else spec.id
-        seen = first_line.setdefault(setup_id, lineno)
+        seen = first_line.setdefault(spec.id, lineno)
         if seen != lineno:
             raise FileFormatError(
-                f"line {lineno}: duplicate setup id {setup_id!r} (first on line {seen})"
+                f"line {lineno}: duplicate setup id {spec.id!r} (first on line {seen})"
             )
         yield spec

@@ -18,6 +18,12 @@ from .seeds import fnv1a64, mix64, uniform_pair
 from .space import SetupSpec, json_field
 
 
+#: Largest noise_sigma. A noise factor is exp(sigma * z) with |z| <= sqrt(128 ln 2) ~ 9.42
+#: (u1 >= 2**-64 in ``uniform_pair``), so at 64 it stays within e**+-603: finite and
+#: positive, with room for the loss it scales.
+NOISE_SIGMA_MAX = 64.0
+
+
 @dataclass(frozen=True, slots=True)
 class SurrogateParams:
     """Composite-landscape knobs. All constants are test-fixture configuration.
@@ -53,8 +59,10 @@ class SurrogateParams:
             raise ValidationError("repeat_decay must be positive")
         if not 0 <= self.second_stage_weight <= 1:
             raise ValidationError("second_stage_weight must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma <= NOISE_SIGMA_MAX:
+            raise ValidationError(
+                f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {self.noise_sigma!r}"
+            )
 
 
 def effective_tokens(

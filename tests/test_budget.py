@@ -49,6 +49,13 @@ def test_derive_mixed_factors():
     assert setup.target_tokens == ref.target_tokens / 64
 
 
+def test_equal_factor_tuples_share_one_derived_setup():
+    first = budget.derive_single_stage(budget.FactorTuple(2, 1, 3, -2))
+    assert budget.derive_single_stage(budget.FactorTuple(2, 1, 3, -2)) is first
+    with pytest.raises(InvalidFactorError, match="leaves the float range"):
+        budget.derive_single_stage(budget.FactorTuple(0, -2000, 0, 0))
+
+
 @pytest.mark.parametrize(
     "factors",
     [(-1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 1)],

@@ -1034,6 +1034,79 @@ def test_duplicate_setup_id_is_data_error(workspace, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"approach": "multi-2stage", "f_D": 42, "derived": {"k": 999}},
+         "setup approach 'multi-2stage' does not match fields (mono-1stage)"),
+        ({"f_D": 42}, "setup f_D 42 does not match fields (-7)"),
+        ({"f_D": -7.0}, "setup f_D -7.0 does not match fields (-7)"),
+        ({"approach": None}, "setup approach None does not match fields (mono-1stage)"),
+    ],
+    ids=["approach-and-f_D", "f_D", "float-f_D", "null-approach"],
+)
+@pytest.mark.parametrize("command", ["plan", "analyze"])
+def test_setup_approach_and_f_D_must_match_the_factors(
+    workspace, tmp_path, capsys, command, edit, message
+):
+    with open(workspace["setups"]) as fh:
+        lines = [next(fh) for _ in range(3)]
+    wire = json.loads(lines[1])
+    assert (wire["approach"], wire["f_D"]) == ("mono-1stage", -7)
+    lines[1] = json.dumps({**wire, **edit}) + "\n"
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text("".join(lines))
+    out = tmp_path / "out.json"
+    if command == "plan":
+        argv = ["plan", wire["id"], "--setups", str(setups), "--out", str(out)]
+    else:
+        argv = ["analyze", "--results", workspace["results"], "--setups", str(setups),
+                "--out", str(out)]
+    code = run(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {setups}: line 2: {message}\n"
+    assert not out.exists()
+
+
+def test_setup_derived_block_is_not_read(workspace, tmp_path):
+    with open(workspace["setups"]) as fh:
+        line = next(fh)
+    wire = json.loads(line)
+    wire["derived"]["k"] = 999
+    plans = []
+    for name, text in (("plain", line), ("edited", json.dumps(wire) + "\n")):
+        setups, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        setups.write_text(text)
+        assert run(["plan", wire["id"], "--setups", str(setups), "--out", str(out)]) == 0
+        plans.append(out.read_text())
+    assert plans[0] == plans[1]
+
+
+def test_report_ratio_fit_needs_results_and_setups(workspace, tmp_path, capsys):
+    doc = json.load(open(workspace["ratio"]))
+    doc["parameters"]["intercepts"][0]["L0"] = -1.0
+    bad = _model_file(tmp_path, "ratio.json", doc)
+    out = tmp_path / "rpt"
+    base = ["report", "--analysis", workspace["report"], "--out-dir", str(out), "--ratio-fit", bad]
+    for extra in ([], ["--results", workspace["results"]], ["--setups", workspace["setups"]]):
+        code = run(base + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "usage error: --ratio-fit needs --results and --setups\n"
+        assert not out.exists()
+
+
+def test_simulate_rejects_noise_sigma_beyond_its_bound(workspace, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"noise_sigma": 1e308}))
+    out = tmp_path / "r.csv"
+    code = run(["simulate", "--setups", workspace["setups"], "--out", str(out),
+                "--params", str(params)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: noise_sigma must be in [0, 64], got 1e+308\n"
+    assert not out.exists()
+
+
 def _results_subset(workspace, tmp_path, keep):
     """A copy of the workspace results holding only the rows whose setup id ``keep`` accepts."""
     with open(workspace["results"]) as fh:

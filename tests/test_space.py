@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -199,6 +200,59 @@ def test_jsonl_round_trip(all_setups):
     assert space.write_jsonl(sample, buf) == len(sample)
     buf.seek(0)
     assert list(space.read_jsonl(buf)) == sample
+
+
+@st.composite
+def _setups(draw):
+    """Up to 4 factor tuples, each with up to 4 distinct single- or two-stage setups."""
+    specs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        factors = FactorTuple(
+            f_r=draw(st.integers(0, 8)),
+            f_M=draw(st.integers(-20, 20)),
+            f_k=draw(st.integers(0, 20)),
+            f_C=draw(st.integers(-20, 0)),
+        )
+        ratio = Fraction(1, 2**factors.f_r)
+        for _ in range(draw(st.integers(1, 4))):
+            if factors.f_r == 0 or draw(st.booleans()):
+                spec = space.SetupSpec(factors)
+            else:
+                r1 = draw(st.fractions(0, ratio, max_denominator=512).filter(lambda r: r < ratio))
+                r2 = draw(st.fractions(ratio, 1, max_denominator=512).filter(lambda r: r > ratio))
+                spec = space.SetupSpec(factors, r1, r2)
+            specs[spec.id] = spec
+    return list(specs.values())
+
+
+def _written_out_id(spec):
+    f = spec.factors
+
+    def text(r):
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+
+    setup_id = f"fC{f.f_C}_fD{f.f_M - f.f_r - f.f_k + f.f_C}_fr{f.f_r}_fM{f.f_M}_fk{f.f_k}"
+    if spec.first_stage_ratio is None:
+        return setup_id
+    return f"{setup_id}_r1{text(spec.first_stage_ratio)}_r2{text(spec.second_stage_ratio)}"
+
+
+@given(_setups())
+def test_jsonl_round_trip_keeps_specs_ids_and_shared_factors(specs):
+    buf = io.StringIO()
+    space.write_jsonl(specs, buf)
+    buf.seek(0)
+    read = list(space.read_jsonl(buf))
+    assert read == specs
+    assert [hash(s) for s in read] == [hash(s) for s in specs]
+    assert [s.id for s in read] == [_written_out_id(s) for s in specs]
+    for a in read:
+        assert all(a.factors is b.factors for b in read if b.factors == a.factors)
+    spec = read[-1]
+    f = spec.factors
+    moved = dataclasses.replace(spec, factors=FactorTuple(f.f_r, f.f_M, f.f_k + 1, f.f_C))
+    assert moved.id == _written_out_id(moved) != spec.id
+    assert "id=" not in repr(moved)
 
 
 def test_jsonl_errors_carry_line_numbers():

@@ -75,6 +75,15 @@ def test_params_validation():
         surrogate.SurrogateParams(irreducible_loss=0.0)
     with pytest.raises(ValidationError):
         surrogate.params_from_dict({"bogus": 1})
+    for sigma in (-0.1, 64.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=r"^noise_sigma must be in \[0, 64\], got "):
+            surrogate.SurrogateParams(noise_sigma=sigma)
+
+
+def test_noise_at_its_bound_keeps_every_loss_finite_and_positive(all_setups):
+    params = surrogate.SurrogateParams(noise_sigma=surrogate.NOISE_SIGMA_MAX, seed=3)
+    records = surrogate.generate_dataset(all_setups, params)
+    assert all(0 < r.val_loss < math.inf for r in records)
 
 
 def test_params_dict_round_trip():
