@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import IO, Callable, Hashable, Iterable, Iterator
 
 from .budget import reference_constants
-from .errors import FileFormatError, InsufficientDataError, ValidationError
+from .errors import (INPUT_ERRORS, FileFormatError, InsufficientDataError, ValidationError,
+                     input_message)
 from .space import (
     APPROACH_MONO_1STAGE,
     APPROACH_MULTI_1STAGE,
@@ -47,7 +48,8 @@ class LossRecord:
 def read_results_csv(fp: IO[str]) -> Iterator[LossRecord]:
     """Parse a results CSV with header 'setup_id,language_pair,val_loss'.
 
-    Malformed rows and non-positive losses raise with the file line number.
+    Malformed rows (a field past the csv module's size limit too) and non-positive
+    losses raise with the file line number.
     """
     reader = csv.reader(fp)
     try:
@@ -58,22 +60,22 @@ def read_results_csv(fp: IO[str]) -> Iterator[LossRecord]:
         raise FileFormatError(
             f"bad header {header!r}, expected {','.join(RESULTS_HEADER)}"
         )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FileFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        setup_id, pair, raw_loss = (field.strip() for field in row)
-        try:
-            loss = float(raw_loss)
-        except ValueError:
-            raise FileFormatError(
-                f"line {lineno}: val_loss {raw_loss!r} is not a number"
-            ) from None
-        try:
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FileFormatError(f"expected 3 fields, got {len(row)}")
+            setup_id, pair, raw_loss = (field.strip() for field in row)
+            try:
+                loss = float(raw_loss)
+            except ValueError:
+                raise FileFormatError(f"val_loss {raw_loss!r} is not a number") from None
             yield LossRecord(setup_id=setup_id, language_pair=pair, val_loss=loss)
-        except ValidationError as exc:
-            raise FileFormatError(f"line {lineno}: {exc}") from exc
+    except UnicodeDecodeError:  # raised while decoding a block of lines: no line to name
+        raise
+    except (*INPUT_ERRORS, csv.Error) as exc:
+        raise FileFormatError(f"line {reader.line_num}: {input_message(exc)}") from exc
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,12 @@ class ResultSet:
         return tuple(sorted({pair for _, pair in self.losses}))
 
     def resolve_pair(self, pair: str | None = None) -> str:
-        """``pair`` itself, or the only pair held when ``pair`` is None."""
-        if pair is not None:
-            return pair
+        """``pair`` if it has results, or the only pair held when ``pair`` is None."""
         pairs = self.pairs()
+        if pair is not None:
+            if pair not in pairs:
+                raise InsufficientDataError(f"no results for language pair {pair!r}")
+            return pair
         if len(pairs) != 1:
             raise InsufficientDataError(
                 f"result set has pairs {pairs}; specify which one to analyze"

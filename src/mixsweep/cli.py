@@ -23,11 +23,13 @@ from typing import Sequence
 
 from . import analysis, fitting, schedule, space, surrogate, trainplan
 from .budget import reference_constants
-from .errors import FileFormatError, FitError, MixsweepError, UsageError, ValidationError
+from .errors import (INPUT_ERRORS, FileFormatError, FitError, MixsweepError, UsageError,
+                     ValidationError, input_message)
 
 ENV_CONFIG = "MIXSWEEP_CONFIG"
 
-_CONFIG_KEYS = {"devices", "seed", "epsilon"}
+#: The JSON type ``space.json_field`` reads each config setting as.
+_CONFIG_KEYS = {"devices": int, "seed": int, "epsilon": float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,29 +97,30 @@ def _json_text(obj) -> str:
 
 
 def _read(path: str, parse, newline: str | None = None):
-    """``parse`` of the open file; a FileFormatError names the file."""
+    """``parse`` of the open file; every input error is reported as ``<path>: <what>``."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             return parse(fh)
-        except FileFormatError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
+        except INPUT_ERRORS as exc:
+            raise FileFormatError(f"{path}: {input_message(exc)}") from exc
 
 
 def _read_setups(path: str) -> list[space.SetupSpec]:
     return _read(path, lambda fh: list(space.read_jsonl(fh)))
 
 
-def _read_json(path: str, from_wire=None):
-    """A JSON object file, rebuilt by ``from_wire`` (the artifact's loader) if given."""
+def _read_json(path: str, from_wire):
+    """A JSON object file, rebuilt by ``from_wire`` (the artifact's loader)."""
 
     def parse(fh):
+        text = fh.read()  # a UnicodeDecodeError is not reported as invalid JSON
         try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON, or an integer longer than int() converts
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
             raise FileFormatError(f"invalid JSON ({exc})") from exc
         if not isinstance(obj, dict):
             raise FileFormatError("expected a JSON object")
-        return obj if from_wire is None else from_wire(obj)
+        return from_wire(obj)
 
     return _read(path, parse)
 
@@ -129,29 +132,22 @@ def _ingest(args) -> analysis.ResultSet:
     return analysis.ingest(records, specs)
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
-    if not path:
-        return {}
-    config = _read_json(path)
-    unknown = set(config) - _CONFIG_KEYS
+def _config_from_wire(obj: dict) -> dict:
+    """Every key of a config file, each read as its ``_CONFIG_KEYS`` type."""
+    unknown = set(obj) - set(_CONFIG_KEYS)
     if unknown:
-        raise FileFormatError(f"{path}: unknown config key(s) {sorted(unknown)}")
-    return config
+        raise FileFormatError(f"unknown key(s) {sorted(unknown)}")
+    return {key: space.json_field(obj, key, _CONFIG_KEYS[key]) for key in obj}
 
 
-def _resolve(flag_value, config: dict, key: str, default, kind):
-    """Flag value, else the config value read as ``kind`` by ``space.json_field``, else default."""
-    if flag_value is not None:
-        return flag_value
-    if key not in config:
-        return default
-    try:
-        return space.json_field(config, key, kind)
-    except ValueError:
-        raise ValidationError(
-            f"config key {key!r}: cannot read {config[key]!r} as {kind.__name__}"
-        ) from None
+def _load_config(args) -> dict:
+    path = args.config or os.environ.get(ENV_CONFIG)
+    return _read_json(path, _config_from_wire) if path else {}
+
+
+def _resolve(flag_value, config: dict, key: str, default):
+    """Flag value, else the config value, else default."""
+    return flag_value if flag_value is not None else config.get(key, default)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +182,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_plan(args) -> int:
     config = _load_config(args)
-    devices = _resolve(args.devices, config, "devices", trainplan.DEFAULT_DEVICES, int)
-    base_seed = _resolve(args.base_seed, config, "seed", 0, int)
+    devices = _resolve(args.devices, config, "devices", trainplan.DEFAULT_DEVICES)
+    base_seed = _resolve(args.base_seed, config, "seed", 0)
     spec = next((s for s in _read_setups(args.setups) if s.id == args.setup_id), None)
     if spec is None:
         raise ValidationError(f"setup id {args.setup_id!r} not found in {args.setups}")
@@ -220,11 +216,11 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     params = (
-        surrogate.params_from_dict(_read_json(args.params))
+        _read_json(args.params, surrogate.params_from_dict)
         if args.params
         else surrogate.SurrogateParams()
     )
-    seed = _resolve(args.seed, config, "seed", None, int)
+    seed = _resolve(args.seed, config, "seed", None)
     specs = _read_setups(args.setups)
     records = surrogate.generate_dataset(
         specs, params, seed, language_pair=args.pair
@@ -246,12 +242,12 @@ def _cmd_simulate(args) -> int:
 def _analysis_tables(report: dict, directory: str) -> dict[str, str]:
     approach_rows = (
         (group["C"], group["D_T"], category, entry["loss"], entry["setup_id"])
-        for group in report["groups"]
-        for category, entry in sorted(group["minima"].items())
+        for group in space.json_field(report, "groups", list)
+        for category, entry in sorted(space.json_field(group, "minima", dict).items())
     )
     scale_rows = (
         (row["C"], row["D_T"], row["f_M"], row["M"], row["loss"], row["setup_id"])
-        for row in report["scale_minima"]
+        for row in space.json_field(report, "scale_minima", list)
     )
     return {
         os.path.join(directory, "approach_minima.csv"): _csv_text(
@@ -265,7 +261,7 @@ def _analysis_tables(report: dict, directory: str) -> dict[str, str]:
 
 def _cmd_analyze(args) -> int:
     config = _load_config(args)
-    epsilon = _resolve(args.epsilon, config, "epsilon", 0.0, float)
+    epsilon = _resolve(args.epsilon, config, "epsilon", 0.0)
     report = analysis.build_report(_ingest(args), pair=args.pair, epsilon=epsilon)
     outputs = {args.out: _json_text(report)}
     if args.tables_dir:
@@ -342,17 +338,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.ratio_fit and not (args.results and args.setups):
-        raise UsageError("--ratio-fit needs --results and --setups")
+    ingest = args.results is not None and args.setups is not None
+    for flag, value in (("--ratio-fit", args.ratio_fit), ("--pair", args.pair)):
+        if value is not None and not ingest:
+            raise UsageError(f"{flag} needs --results and --setups")
+    if not ingest and (args.results, args.setups) != (None, None):
+        raise UsageError("--results and --setups go together")
     # every input is read and every output rendered before anything is written
-    report = _read_json(args.analysis)
-    try:
-        outputs = _analysis_tables(report, args.out_dir)
-        summary = _render_summary(report) if args.summary else None
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FileFormatError(
-            f"{args.analysis}: bad analysis report: {type(exc).__name__} {exc}"
-        ) from exc
+    outputs, summary = _read_json(args.analysis, lambda report: (
+        _analysis_tables(report, args.out_dir), _render_summary(report) if args.summary else None
+    ))
     ref = reference_constants()
     if args.epoch_fits:
         _, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
@@ -373,7 +368,7 @@ def _cmd_report(args) -> int:
         outputs[os.path.join(args.out_dir, "kstar_extrapolation.csv")] = _csv_text(
             ("C", "D_T", "k_star"), rows
         )
-    if args.results and args.setups:
+    if ingest:
         results = _ingest(args)
         ratio_fit = None
         if args.ratio_fit:
@@ -421,7 +416,7 @@ def _render_summary(report: dict) -> str:
                 f"(D*/ratios {entry['ratio_lower']:.3g}-{entry['ratio_upper']:.3g})"
             )
         lines.append(f"  f_C={f_C} (C={entry['C']:.3g}): {d_star_text}; {verdict}")
-    fold = report["optimal_scale"]["fold_change"]
+    fold = space.json_field(report["optimal_scale"], "fold_change", dict)
     folds = ", ".join(f"f_C={k}: {v:.3g}x" for k, v in fold.items())
     lines.append(f"  optimal-scale fold change across corpus sizes: {folds}")
     return "\n".join(lines)
@@ -458,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate surrogate losses for a setup grid")
     p.add_argument("--setups", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--params", help="surrogate parameter JSON file")
+    p.add_argument("--params", help="JSON file of surrogate-landscape settings")
     p.add_argument("--seed", type=int)
     p.add_argument("--pair", default="surrogate")
     p.add_argument("--force", action="store_true")

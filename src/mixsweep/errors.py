@@ -64,3 +64,13 @@ class UnderdeterminedError(FitError):
 
 class UnidentifiableError(FitError):
     """Data cannot pin down a model parameter (e.g. single compute budget)."""
+
+
+#: What reading a bad input file may raise. ``cli._read`` puts the file's path on
+#: each one; ``space.read_jsonl`` and ``analysis.read_results_csv`` put ``line N``.
+INPUT_ERRORS = (MixsweepError, KeyError, TypeError, ValueError)
+
+
+def input_message(exc: Exception) -> str:
+    """One of ``INPUT_ERRORS`` as the message line; a KeyError names the missing field."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)

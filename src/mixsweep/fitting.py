@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import reference_constants
 from .errors import (
-    FileFormatError,
     FitError,
     UnderdeterminedError,
     UnidentifiableError,
@@ -600,21 +598,11 @@ def fit_ratio_power_law(
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _reading(model_type: str, obj: dict):
-    """Yield a model file's (parameters, diagnostics) to the loader in the ``with`` body.
-
-    A wrong model type, a missing or mistyped field anywhere in the body, or
-    a model that fails its own checks raises FileFormatError.
-    """
-    try:
-        if obj["model_type"] != model_type:
-            raise FileFormatError(f"expected model_type {model_type!r}, got {obj['model_type']!r}")
-        yield obj["parameters"], obj["diagnostics"]
-    except KeyError as exc:
-        raise FileFormatError(f"bad {model_type} model file: missing field {exc}") from exc
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise FileFormatError(f"bad {model_type} model file: {exc}") from exc
+def _sections(obj: dict, model_type: str) -> tuple[dict, dict]:
+    """A model file's (parameters, diagnostics), once its model_type is ``model_type``."""
+    if obj["model_type"] != model_type:
+        raise ValueError(f"expected model_type {model_type!r}, got {obj['model_type']!r}")
+    return obj["parameters"], obj["diagnostics"]
 
 
 def _approach(params: dict) -> str:
@@ -669,15 +657,15 @@ def kstar_to_wire(model: KStarModel) -> dict:
 
 
 def kstar_from_wire(obj: dict) -> KStarModel:
-    with _reading("kstar", obj) as (params, diagnostics):
-        knots = params["knots"]
-        return KStarModel(
-            approach=_approach(params),
-            shift_exponent=json_field(params, "shift_exponent", float),
-            levels=tuple(json_field(k, "h", float) for k in knots),
-            positions=tuple(json_field(k, "f_D", float) for k in knots),
-            **_diagnostics(diagnostics),
-        )
+    params, diagnostics = _sections(obj, "kstar")
+    knots = params["knots"]
+    return KStarModel(
+        approach=_approach(params),
+        shift_exponent=json_field(params, "shift_exponent", float),
+        levels=tuple(json_field(k, "h", float) for k in knots),
+        positions=tuple(json_field(k, "f_D", float) for k in knots),
+        **_diagnostics(diagnostics),
+    )
 
 
 def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
@@ -700,15 +688,15 @@ def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
 
 
 def ratio_fit_from_wire(obj: dict) -> RatioPowerLawFit:
-    with _reading("ratio_power_law", obj) as (params, diagnostics):
-        return RatioPowerLawFit(
-            exponent=json_field(params, "exponent", float),
-            intercepts={
-                (_positive(e, "M"), _positive(e, "D")): _positive(e, "L0")
-                for e in params["intercepts"]
-            },
-            **_diagnostics(diagnostics, "group_count"),
-        )
+    params, diagnostics = _sections(obj, "ratio_power_law")
+    return RatioPowerLawFit(
+        exponent=json_field(params, "exponent", float),
+        intercepts={
+            (_positive(e, "M"), _positive(e, "D")): _positive(e, "L0")
+            for e in params["intercepts"]
+        },
+        **_diagnostics(diagnostics, "group_count"),
+    )
 
 
 #: (field, wire name, type) of each QuadraticEpochFit field in an epoch_quadratics file.
@@ -756,30 +744,30 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, Quadratic
     f_k_star beyond that range is left to the fits, which reject a non-finite error.
     """
     ref = reference_constants()
-    with _reading("epoch_quadratics", obj) as (params, diagnostics):
-        approach = _approach(params)
-        _diagnostics(diagnostics)
-        fits = []
-        for entry in params["fits"]:
-            f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
-            try:
-                budgets = (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D))
-            except OverflowError:
-                budgets = (0.0,)
-            if 0.0 in budgets:
-                raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) leaves the float range")
-            _diagnostics(entry)
-            fit = QuadraticEpochFit(
-                **{field: json_field(entry, wire, kind) for field, wire, kind in _QUADRATIC_WIRE}
+    params, diagnostics = _sections(obj, "epoch_quadratics")
+    approach = _approach(params)
+    _diagnostics(diagnostics)
+    fits = []
+    for entry in params["fits"]:
+        f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
+        try:
+            budgets = (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D))
+        except OverflowError:
+            budgets = (0.0,)
+        if 0.0 in budgets:
+            raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) leaves the float range")
+        _diagnostics(entry)
+        fit = QuadraticEpochFit(
+            **{field: json_field(entry, wire, kind) for field, wire, kind in _QUADRATIC_WIRE}
+        )
+        try:
+            power = 2.0**fit.minimizer
+        except OverflowError:
+            power = math.inf
+        if fit.k_star <= 0.0 or (0.0 < power < math.inf and fit.k_star != power):
+            raise ValueError(
+                f"cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star, positive and "
+                f"finite; got k_star={fit.k_star!r} for f_k_star={fit.minimizer!r}"
             )
-            try:
-                power = 2.0**fit.minimizer
-            except OverflowError:
-                power = math.inf
-            if fit.k_star <= 0.0 or (0.0 < power < math.inf and fit.k_star != power):
-                raise ValueError(
-                    f"cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star, positive and "
-                    f"finite; got k_star={fit.k_star!r} for f_k_star={fit.minimizer!r}"
-                )
-            fits.append((f_C, f_D, fit))
-        return approach, fits
+        fits.append((f_C, f_D, fit))
+    return approach, fits

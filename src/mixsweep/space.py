@@ -25,7 +25,7 @@ from .budget import (
     ratio_for,
     stage_split,
 )
-from .errors import FileFormatError, InfeasibleSplitError
+from .errors import INPUT_ERRORS, FileFormatError, InfeasibleSplitError, input_message
 
 APPROACH_MONO_1STAGE = "mono-1stage"
 APPROACH_MULTI_1STAGE = "multi-1stage"
@@ -273,7 +273,8 @@ def json_field(obj: dict, key: str, kind: type):
         return value
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    expected = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+    expected = {int: "an integer", float: "a finite number", bool: "true or false",
+                str: "a string", list: "a list", dict: "an object"}
     raise ValueError(f"{key} must be {expected[kind]}, got {value!r}")
 
 
@@ -291,20 +292,17 @@ def from_wire(obj: dict) -> SetupSpec:
 
     Reads the factors and the exact ratios; the ``id``, ``approach`` and
     ``f_D`` a line carries must equal the ones they give. ``derived`` and the
-    float ``r1``/``r2`` are never read.
+    float ``r1``/``r2`` are never read. Raises one of ``errors.INPUT_ERRORS``.
     """
-    try:
-        factors = _factors(
-            json_field(obj, "f_r", int),
-            json_field(obj, "f_M", int),
-            json_field(obj, "f_k", int),
-            json_field(obj, "f_C", int),
-        )
-        r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
-        r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
-        spec = SetupSpec(factors, r1, r2)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FileFormatError(f"bad setup object: {exc}") from exc
+    factors = _factors(
+        json_field(obj, "f_r", int),
+        json_field(obj, "f_M", int),
+        json_field(obj, "f_k", int),
+        json_field(obj, "f_C", int),
+    )
+    r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
+    r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
+    spec = SetupSpec(factors, r1, r2)
     if "id" in obj and obj["id"] != spec.id:
         raise _mismatch(obj, "id", spec.id)
     if "approach" in obj and obj["approach"] != spec.approach:
@@ -335,21 +333,22 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
     Setup ids must be unique: a repeated id is an error, not a silent merge.
     """
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # bad JSON, or an integer longer than int() converts
-            raise FileFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
-        try:
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
+                raise FileFormatError(f"invalid JSON ({exc})") from exc
             spec = from_wire(obj)
-        except FileFormatError as exc:
-            raise FileFormatError(f"line {lineno}: {exc}") from exc
-        seen = first_line.setdefault(spec.id, lineno)
-        if seen != lineno:
-            raise FileFormatError(
-                f"line {lineno}: duplicate setup id {spec.id!r} (first on line {seen})"
-            )
-        yield spec
+            seen = first_line.setdefault(spec.id, lineno)
+            if seen != lineno:
+                raise FileFormatError(f"duplicate setup id {spec.id!r} (first on line {seen})")
+            yield spec
+    except UnicodeDecodeError:  # raised while decoding a block of lines: no line to name
+        raise
+    except INPUT_ERRORS as exc:
+        raise FileFormatError(f"line {lineno}: {input_message(exc)}") from exc

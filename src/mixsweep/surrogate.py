@@ -168,9 +168,7 @@ def params_from_dict(obj: dict) -> SurrogateParams:
     """Build params from a JSON dict of known keys: ``seed`` an integer, the rest finite numbers."""
     unknown = set(obj) - set(SurrogateParams.__dataclass_fields__)
     if unknown:
-        raise ValidationError(f"unknown surrogate parameter(s): {sorted(unknown)}")
-    try:
-        values = {key: json_field(obj, key, int if key == "seed" else float) for key in obj}
-    except ValueError as exc:
-        raise ValidationError(f"surrogate parameter {exc}") from None
-    return SurrogateParams(**values)
+        raise ValidationError(f"unknown parameter(s): {sorted(unknown)}")
+    return SurrogateParams(
+        **{key: json_field(obj, key, int if key == "seed" else float) for key in obj}
+    )

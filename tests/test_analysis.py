@@ -108,6 +108,8 @@ def test_for_pair_requires_disambiguation():
     with pytest.raises(InsufficientDataError):
         results.for_pair()
     assert results.for_pair("b") == {setups[0].id: 2.1}
+    with pytest.raises(InsufficientDataError, match="no results for language pair 'c'"):
+        results.for_pair("c")
 
 
 # ---------------------------------------------------------------------------

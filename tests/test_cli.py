@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mixsweep
 from mixsweep.budget import reference_constants
@@ -201,7 +206,7 @@ def test_plan_rejects_non_integer_config_devices(workspace, tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: config key 'devices': cannot read 'x' as int\n"
+    assert err == f"error: {config}: devices must be an integer, got 'x'\n"
 
 
 def test_config_rejects_unknown_keys(workspace, tmp_path):
@@ -513,10 +518,9 @@ def test_analyze_rejects_bad_epsilon(workspace, tmp_path, capsys, flag, config):
     err = capsys.readouterr().err
     assert code == 2
     if config is None:
-        message = "error: epsilon must be finite and >= 0"
+        assert err.startswith("error: epsilon must be finite and >= 0") and err.count("\n") == 1
     else:
-        message = "error: config key 'epsilon': cannot read 'nan' as float"
-    assert err.startswith(message) and err.count("\n") == 1
+        assert err == f"error: {argv[1]}: epsilon must be a finite number, got 'nan'\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -544,8 +548,7 @@ def test_fit_kstar_rejects_h_max_above_its_bound(workspace, tmp_path, capsys):
 @pytest.mark.parametrize(
     "value, code, message",
     [
-        (math.nan, 2, "error: {path}: bad epoch_quadratics model file: "
-                      "f_k_star must be a finite number, got nan"),
+        (math.nan, 2, "error: {path}: f_k_star must be a finite number, got nan"),
         # finite, but its squared residual overflows at every shift exponent
         (1e308, 3, "fit error: the squared error of the best fit is not finite (inf)"),
     ],
@@ -609,7 +612,7 @@ def test_kstar_model_with_bad_knots_is_data_error(
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {model}: bad kstar model file: {message}\n"
+    assert captured.err == f"error: {model}: {message}\n"
     assert not out.exists()
 
 
@@ -670,11 +673,7 @@ def test_mistyped_json_field_is_data_error(workspace, tmp_path, capsys, name, ba
     assert captured.out == ""
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert field in err
-    # a config or --params line names the key ("config key 'seed'", "surrogate parameter
-    # seed") rather than the file; every artifact's line starts with its path
-    if name not in ("config", "params"):
-        assert err.startswith(f"error: {path}: ")
+    assert err.startswith(f"error: {path}: ") and field in err
     assert not (tmp_path / "out").exists()
 
 
@@ -687,6 +686,20 @@ def test_json_integer_too_long_to_convert_is_data_error(workspace, tmp_path, cap
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "invalid JSON" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["setups", "kstar"])
+def test_json_nested_too_deep_is_data_error(workspace, tmp_path, capsys, name):
+    # json.loads raises a RecursionError, which is not a ValueError, past ~1,000 levels
+    field = _JSON_FIELDS[name][1]
+    argv, path = _file_with_bad_field(name, field, "[" * 100000 + "]" * 100000, tmp_path,
+                                      workspace)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
     assert captured.err.startswith(f"error: {path}: ") and "invalid JSON" in captured.err
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
@@ -734,7 +747,6 @@ def _cell(doc):
 )
 def test_model_file_fields_are_checked(workspace, tmp_path, capsys, name, edit, message):
     path = _model_doc(workspace, tmp_path, name, edit)
-    model_type = json.load(open(workspace[name]))["model_type"]
     argv = {
         "kstar": ["predict", "kstar", "--model", path, "--C", "1e18", "--DT", "2e9"],
         "ratio": ["report", "--analysis", workspace["report"], "--out-dir", str(tmp_path / "out"),
@@ -746,7 +758,7 @@ def test_model_file_fields_are_checked(workspace, tmp_path, capsys, name, edit, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {path}: bad {model_type} model file: {message}\n"
+    assert captured.err == f"error: {path}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -769,8 +781,7 @@ def test_epoch_cell_beyond_the_float_range_is_data_error(
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == (
-        f"error: {path}: bad epoch_quadratics model file: "
-        f"cell (f_C={cell['f_C']}, f_D={cell['f_D']}) leaves the float range\n"
+        f"error: {path}: cell (f_C={cell['f_C']}, f_D={cell['f_D']}) leaves the float range\n"
     )
     assert not (tmp_path / "out").exists()
 
@@ -798,8 +809,7 @@ def test_epoch_cell_k_star_must_be_two_to_the_f_k_star(
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == (
-        f"error: {path}: bad epoch_quadratics model file: "
-        f"cell (f_C={cell['f_C']}, f_D={cell['f_D']}): k_star must be 2**f_k_star, "
+        f"error: {path}: cell (f_C={cell['f_C']}, f_D={cell['f_D']}): k_star must be 2**f_k_star, "
         f"positive and finite; got k_star={k_star!r} for f_k_star={f_k_star!r}\n"
     )
     assert not (tmp_path / "out").exists()
@@ -831,18 +841,26 @@ def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "params",
-    [{"noise_sigma": "x"}, {"seed": "7", "noise_sigma": 0.02}, {"noise_sigma": True},
-     {"seed": 1.5}, {"noise_sigma": float("nan")}, {"model_coeff": 10**400}],
+    "params",  # (file content, message)
+    [
+        ({"noise_sigma": "x"}, "noise_sigma must be a finite number, got 'x'"),
+        ({"seed": "7", "noise_sigma": 0.02}, "seed must be an integer, got '7'"),
+        ({"noise_sigma": True}, "noise_sigma must be a finite number, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number, got nan"),
+        ({"model_coeff": 10**400}, f"model_coeff must be a finite number, got {10**400}"),
+    ],
 )
 def test_simulate_rejects_mistyped_params(workspace, tmp_path, capsys, params):
+    doc, message = params
+    path = _model_file(tmp_path, "params.json", doc)
     code = run(
         ["simulate", "--setups", workspace["setups"], "--out", str(tmp_path / "r.csv"),
-         "--params", _model_file(tmp_path, "params.json", params)]
+         "--params", path]
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: surrogate parameter ") and err.count("\n") == 1
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_csv_text_writes_floats_as_repr():
@@ -927,7 +945,7 @@ def test_setup_factor_must_be_a_json_integer(tmp_path, capsys, value):
     code = run(["simulate", "--setups", str(setups), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: {setups}: line 1: bad setup object: f_r must be an integer, got {value!r}\n"
+        f"error: {setups}: line 1: f_r must be an integer, got {value!r}\n"
     )
     assert not out.exists()
 
@@ -952,7 +970,7 @@ def test_setup_stage_ratio_must_be_a_fraction_in_the_unit_interval(
     out = tmp_path / "r.csv"
     code = run(["simulate", "--setups", str(setups), "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {setups}: line 1: bad setup object: {message}\n"
+    assert capsys.readouterr().err == f"error: {setups}: line 1: {message}\n"
     assert not out.exists()
 
 
@@ -966,7 +984,7 @@ def test_config_integer_beyond_the_float_range_is_data_error(workspace, tmp_path
          "--setups", workspace["setups"], "--out", str(out)]
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: config key {key!r}: cannot read inf as int\n"
+    assert capsys.readouterr().err == f"error: {config}: {key} must be an integer, got inf\n"
     assert not out.exists()
 
 
@@ -981,7 +999,7 @@ def test_config_integer_must_be_a_json_integer(workspace, tmp_path, capsys, key,
          "--setups", workspace["setups"], "--out", str(out)]
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: config key {key!r}: cannot read {value!r} as int\n"
+    assert capsys.readouterr().err == f"error: {config}: {key} must be an integer, got {value!r}\n"
     assert not out.exists()
 
 
@@ -992,7 +1010,8 @@ def test_setup_ratio_factor_beyond_its_bound_is_data_error(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = run(["simulate", "--setups", str(setups), "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: f_r must be in [0, 4096], got 4097\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {setups}: line 1: f_r must be in [0, 4096], got 4097\n"
     assert not out.exists()
 
 
@@ -1103,7 +1122,8 @@ def test_simulate_rejects_noise_sigma_beyond_its_bound(workspace, tmp_path, caps
     code = run(["simulate", "--setups", workspace["setups"], "--out", str(out),
                 "--params", str(params)])
     assert code == 2
-    assert capsys.readouterr().err == "error: noise_sigma must be in [0, 64], got 1e+308\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {params}: noise_sigma must be in [0, 64], got 1e+308\n"
     assert not out.exists()
 
 
@@ -1205,3 +1225,236 @@ def test_fit_epochs_without_a_usable_cell_is_fit_error(workspace, tmp_path, caps
     assert code == 3
     assert capsys.readouterr().err == "fit error: no budget cell has a usable epoch fit\n"
     assert not out.exists()
+
+
+def _bad_input_file(case, tmp_path, workspace):
+    """(argv, path) of a command reading the one bad input file ``case`` names."""
+    out = str(tmp_path / "out")
+    with open(workspace["setups"]) as fh:
+        lines = [next(fh) for _ in range(3)]
+    with open(workspace["results"], "rb") as fh:
+        results = fh.read()
+    edited = json.loads(lines[1]) | {"f_C": 1}
+    two_stage = {"f_r": 1, "f_M": 0, "f_k": 0, "f_C": 0, "r1_frac": "3/4", "r2_frac": "1"}
+    name, content = {
+        "setups-f_C": ("s.jsonl", lines[0] + json.dumps(edited) + "\n" + lines[2]),
+        "setups-r1": ("s.jsonl", json.dumps(two_stage) + "\n"),
+        "setups-not-utf8": ("s.jsonl", b"\xff" + lines[0].encode()),
+        "results-not-utf8": ("r.csv", b"\xff" + results),
+        "results-field-limit": ("r.csv", "setup_id,language_pair,val_loss\n" + "x" * 131073
+                                + ",surrogate,3.0\n"),
+        "report-no-groups": ("a.json", '{"ingest": 5}'),
+        "report-scale-minima-object": ("a.json", '{"groups": [], "scale_minima": {}}'),
+    }[case]
+    path = tmp_path / name
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    path = str(path)
+    if case.startswith("setups"):
+        return ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", path, "--out", out], path
+    if case.startswith("results"):
+        return ["analyze", "--results", path, "--setups", workspace["setups"], "--out", out], path
+    return ["report", "--analysis", path, "--out-dir", out, "--summary"], path
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("setups-f_C", "line 2: f_C must be <= 0, got 1"),
+        ("setups-r1", "line 1: need r1 < r < r2 strictly, got r1=3/4, r=1/2, r2=1"),
+        ("setups-not-utf8",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("results-not-utf8",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("results-field-limit", "line 2: field larger than field limit (131072)"),
+        ("report-no-groups", "missing field 'groups'"),
+        ("report-scale-minima-object", "scale_minima must be a list, got {}"),
+    ],
+)
+def test_bad_input_file_is_named_in_one_line(workspace, tmp_path, capsys, case, message):
+    argv, path = _bad_input_file(case, tmp_path, workspace)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_is_checked_whole(workspace, tmp_path, capsys):
+    # plan reads no epsilon, but a bad one in its config is still an error
+    config = _model_file(tmp_path, "config.json", {"epsilon": "x"})
+    out = tmp_path / "p.json"
+    code = run(["--config", config, "plan", "fC0_fD0_fr0_fM0_fk0",
+                "--setups", workspace["setups"], "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {config}: epsilon must be a finite number, got 'x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--results", "r.csv"], "--results and --setups go together"),
+        (["--setups", "s.jsonl"], "--results and --setups go together"),
+        (["--pair", "surrogate"], "--pair needs --results and --setups"),
+        (["--pair", "surrogate", "--results", "r.csv"], "--pair needs --results and --setups"),
+    ],
+    ids=["results-only", "setups-only", "pair-only", "pair-and-results"],
+)
+def test_report_ratio_inputs_are_all_or_nothing(workspace, tmp_path, capsys, extra, message):
+    out = tmp_path / "rpt"
+    code = run(["report", "--analysis", workspace["report"], "--out-dir", str(out), *extra])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit epochs", "fit ratio"])
+def test_pair_without_results_is_data_error(workspace, tmp_path, capsys, command):
+    # analyze wrote an empty report and exit 0; both fits exited 3 with a fit error
+    out = tmp_path / "out.json"
+    code = run([*command.split(), "--results", workspace["results"], "--setups",
+                workspace["setups"], "--pair", "zz-yy", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no results for language pair 'zz-yy'\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Input boundary fuzz: one mutation of one Quickstart input per run
+# ---------------------------------------------------------------------------
+
+#: A value for "huge": JSON text that parses to a float beyond the float range.
+_HUGE = "1e400"
+#: What "retype" puts in a field: a string, a bool, a list or null, as JSON and as CSV text.
+_RETYPED = ("x", True, [], None)
+_RETYPED_CSV = ("x", "true", "[]", "")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workspace, tmp_path_factory):
+    """Paths of small valid inputs taken from the Quickstart, and the argv reading each one.
+
+    Setups and results are the first 40 setups' lines and rows, and report.json is
+    their analysis, so every run stays within a few milliseconds; the model files are
+    the Quickstart's.
+    """
+    root = tmp_path_factory.mktemp("fuzz")
+    clean = {name: str(root / name) for name in ("setups", "results", "config", "params",
+                                                  "epochs", "kstar", "ratio", "report")}
+    with open(workspace["setups"]) as fh:
+        setups = [next(fh) for _ in range(40)]
+    ids = {json.loads(line)["id"] for line in setups}
+    with open(workspace["results"]) as fh:
+        header, *rows = fh.readlines()
+    texts = {
+        "setups": "".join(setups),
+        "results": header + "".join(row for row in rows if row.split(",")[0] in ids),
+        "config": json.dumps({"devices": 8, "seed": 3, "epsilon": 0.0}),
+        "params": json.dumps({"noise_sigma": 0.01, "seed": 3, "ratio_exponent": -0.4}),
+    }
+    texts |= {name: open(workspace[name]).read() for name in ("epochs", "kstar", "ratio")}
+    for name, text in texts.items():
+        with open(clean[name], "w") as fh:
+            fh.write(text)
+    ingest = ["--results", clean["results"], "--setups", clean["setups"]]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(["analyze", *ingest, "--out", clean["report"]]) == 0
+
+    def argv(name, path, out):
+        analyze = ["analyze", *ingest, "--out", f"{out}/r.json", "--tables-dir", f"{out}/t"]
+        report = ["report", "--analysis", clean["report"], "--out-dir", out]
+        return {
+            "setups": ["simulate", "--setups", path, "--out", f"{out}/r.csv"],
+            "results": ["analyze", "--results", path, "--setups", clean["setups"],
+                        "--out", f"{out}/r.json", "--tables-dir", f"{out}/t"],
+            "config": ["--config", path, *analyze],
+            "params": ["simulate", "--setups", clean["setups"], "--params", path,
+                       "--out", f"{out}/r.csv"],
+            "epochs": [*report, "--epoch-fits", path],
+            "kstar": [*report, "--kstar-model", path],
+            "ratio": [*report, "--ratio-fit", path, *ingest],
+            "report": ["report", "--analysis", path, "--out-dir", out, "--summary"],
+        }[name]
+
+    return clean, argv
+
+
+def _json_paths(value, path=()):
+    """The key path of every value below ``value``, and whether that value is a number."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,), type(child) in (int, float)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate_json(doc, op, data):
+    """JSON text of ``doc`` with the field ``op`` picks dropped, retyped or made huge."""
+    paths = [path for path, number in _json_paths(doc) if number or op != "huge"]
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = "@huge@" if op == "huge" else data.draw(st.sampled_from(_RETYPED))
+    return json.dumps(doc).replace('"@huge@"', _HUGE)
+
+
+def _mutate(name, text, op, data):
+    """The bytes of input ``name`` after one ``op`` mutation."""
+    raw = text.encode()
+    if op == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if op == "byte":
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:]
+    if name == "results":
+        header, *rows = text.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        fields = rows[i].rstrip("\n").split(",")
+        column = 2 if op == "huge" else data.draw(st.integers(0, 2))
+        if op == "drop":
+            del fields[column]
+        else:
+            fields[column] = _HUGE if op == "huge" else data.draw(st.sampled_from(_RETYPED_CSV))
+        rows[i] = ",".join(fields) + "\n"
+        return (header + "".join(rows)).encode()
+    if name == "setups":
+        lines = text.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = _mutate_json(json.loads(lines[i]), op, data) + "\n"
+        return "".join(lines).encode()
+    return _mutate_json(json.loads(text), op, data).encode()
+
+
+@pytest.mark.parametrize(
+    "name", ["setups", "results", "config", "params", "epochs", "kstar", "ratio", "report"]
+)
+@given(data=st.data())
+def test_one_bad_input_exits_cleanly(fuzz_inputs, name, data):
+    clean, argv = fuzz_inputs
+    with open(clean[name]) as fh:
+        text = fh.read()
+    op = data.draw(st.sampled_from(["drop", "retype", "huge", "truncate", "byte"]))
+    with tempfile.TemporaryDirectory() as root:
+        path, out = os.path.join(root, name), os.path.join(root, "out")
+        with open(path, "wb") as fh:
+            fh.write(_mutate(name, text, op, data))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv(name, path, out))
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        left = [f for _, _, files in os.walk(root) for f in files if ".tmp." in f or ".bak." in f]
+        assert left == []
+        if code != 0:
+            assert not os.path.exists(out)
+            assert err.startswith(("error: ", "usage error: ", "fit error: "))
