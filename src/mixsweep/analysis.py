@@ -1,10 +1,12 @@
 """Ingestion of loss measurements and the sweep analyses built on them.
 
-Analyses: per-budget category minima over the nested approach categories,
-the compute-optimal corpus estimate, the approach-switch threshold scan,
-the optimal-model-scale table, and the epoch and ratio fits' input points.
-Everything is a deterministic function of the validated result set; ties
-break toward fewer epochs, then the smaller model-scale factor, then the
+Analyses: ``build_report`` builds each section of ``report.json`` as a
+plain dict (per-budget category minima over the nested approach categories,
+the compute-optimal corpus, the approach-switch thresholds, the optimal
+model scale and per-scale minima), and ``epoch_minima`` and
+``ratio_points`` give the epoch and ratio fits' input points. Everything is
+a deterministic function of the validated result set; ties break toward
+fewer epochs, then the smaller model-scale factor, then the
 lexicographically smaller id.
 """
 
@@ -184,51 +186,46 @@ def _argmin(
     return {key: (rank[0], spec) for key, (rank, spec) in sorted(best.items())}
 
 
-@dataclass(frozen=True, slots=True)
-class BestEntry:
-    loss: float
-    setup_id: str
+def _cell(f_C: int, f_D: int) -> dict:
+    """The keys every row of a budget cell starts with: its factors, C and D_T."""
+    ref = reference_constants()
+    return {"f_C": f_C, "f_D": f_D, "C": math.ldexp(ref.compute, f_C),
+            "D_T": math.ldexp(ref.target_tokens, f_D)}
 
 
-@dataclass(frozen=True)
-class CategoryMinima:
-    """Minimum loss per nested category within one (f_C, f_D) budget cell."""
-
-    f_C: int
-    f_D: int
-    compute: float
-    target_tokens: float
-    best: dict[str, BestEntry]
+def _scale_row(loss: float, spec: SetupSpec) -> dict:
+    """A model-scale row: the setup's cell, f_M, M, the loss and the setup id."""
+    return {**_cell(spec.factors.f_C, spec.factors.f_D), "f_M": spec.factors.f_M,
+            "M": spec.derived().model_scale, "loss": loss, "setup_id": spec.id}
 
 
-def category_minima(results: ResultSet, pair: str | None = None) -> list[CategoryMinima]:
-    """Per-budget minima over the nested categories.
+def category_minima(results: ResultSet, pair: str | None = None) -> list[dict]:
+    """``report.json``'s ``groups``: the minimum loss per nested category in each budget cell.
 
-    A category with no measured member is absent from ``best`` (not zero).
-    The nesting inequality multi-2stage <= multi-1stage <= mono-1stage is
-    structural; a violation would signal a membership bug, so it is
-    re-checked here.
+    A group is a ``_cell`` plus ``minima``, which maps each category to its
+    ``loss`` and ``setup_id``. A category with no measured member is absent
+    (not zero). The nesting inequality multi-2stage <= multi-1stage <=
+    mono-1stage is structural; a violation would signal a membership bug,
+    so it is re-checked here.
     """
     best = _argmin(
         results,
         pair,
         lambda s: [(s.factors.f_C, s.factors.f_D, c) for c in APPROACHES if in_category(s, c)],
     )
-    cells: dict[tuple[int, int], dict[str, BestEntry]] = {}
+    groups: dict[tuple[int, int], dict] = {}
     for (f_C, f_D, category), (loss, spec) in best.items():
-        cells.setdefault((f_C, f_D), {})[category] = BestEntry(loss=loss, setup_id=spec.id)
-    out: list[CategoryMinima] = []
-    ref = reference_constants()
-    for (f_C, f_D), cell in cells.items():
-        chain = [APPROACH_MULTI_2STAGE, APPROACH_MULTI_1STAGE, APPROACH_MONO_1STAGE]
-        present = [cell[c].loss for c in chain if c in cell]
+        if (f_C, f_D) not in groups:
+            groups[f_C, f_D] = {**_cell(f_C, f_D), "minima": {}}
+        groups[f_C, f_D]["minima"][category] = {"loss": loss, "setup_id": spec.id}
+    chain = (APPROACH_MULTI_2STAGE, APPROACH_MULTI_1STAGE, APPROACH_MONO_1STAGE)
+    for (f_C, f_D), group in groups.items():
+        present = [group["minima"][c]["loss"] for c in chain if c in group["minima"]]
         if any(a > b for a, b in zip(present, present[1:])):
             raise AssertionError(
                 f"category nesting violated at (f_C={f_C}, f_D={f_D}); membership bug"
             )
-        out.append(CategoryMinima(f_C=f_C, f_D=f_D, compute=math.ldexp(ref.compute, f_C),
-                                  target_tokens=math.ldexp(ref.target_tokens, f_D), best=cell))
-    return out
+    return list(groups.values())
 
 
 def epoch_minima(
@@ -262,184 +259,52 @@ def ratio_points(
             yield setup_id, derived.model_scale, derived.total_tokens, float(derived.ratio), loss
 
 
-_NO_MONO = "no mono-1stage measurements at compute factor f_C={}"
-
-
-@dataclass(frozen=True, slots=True)
-class ComputeOptimalEstimate:
-    """Effective corpus (epochs * target tokens) of the best mono setup at a budget."""
-
-    compute: float
-    d_star: float
-    setup_id: str
-
-
-def _compute_optimal_by_budget(
-    results: ResultSet, pair: str | None
-) -> dict[int, ComputeOptimalEstimate]:
-    """D*(C) for every compute factor with a mono-1stage measurement."""
-    best = _argmin(
-        results, pair, lambda s: [s.factors.f_C] if s.approach == APPROACH_MONO_1STAGE else []
-    )
-    estimates = {}
-    for f_C, (_, spec) in best.items():
-        derived = spec.derived()
-        estimates[f_C] = ComputeOptimalEstimate(
-            compute=derived.compute,
-            d_star=derived.epochs * derived.target_tokens,
-            setup_id=spec.id,
-        )
-    return estimates
-
-
-def estimate_compute_optimal(
-    results: ResultSet, compute: float, pair: str | None = None
-) -> ComputeOptimalEstimate:
-    """D*(C): effective corpus of the minimum-loss mono-1stage setup at budget C."""
-    ref = reference_constants()
-    if compute <= 0:
-        raise ValidationError(f"compute must be positive, got {compute}")
-    f_C = round(math.log2(compute / ref.compute))
-    if not math.isclose(math.ldexp(ref.compute, f_C), compute, rel_tol=1e-9):
-        raise ValidationError(f"compute {compute:.6g} is not on the power-of-two grid")
-    estimates = _compute_optimal_by_budget(results, pair)
-    if f_C not in estimates:
-        raise InsufficientDataError(_NO_MONO.format(f_C))
-    return estimates[f_C]
-
-
-@dataclass(frozen=True, slots=True)
-class ThresholdReport:
-    """Where the winning approach switches between mono-1stage and multi-2stage.
-
-    The crossing is reported as a grid interval (never interpolated to a
-    point): ``lower_target_tokens`` is the largest corpus size where
-    multi-2stage strictly wins and ``upper_target_tokens`` the adjacent
-    grid size where it does not. ``open_upper`` flags the case where
-    multi-2stage wins everywhere measured (no upper crossing). Ties go to
-    mono-1stage.
-    """
-
-    compute: float
-    d_star: float
-    crossed: bool
-    lower_target_tokens: float | None
-    upper_target_tokens: float | None
-    open_upper: bool
-    ratio_lower: float | None
-    ratio_upper: float | None
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0 <= epsilon < math.inf:
         raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
-def detect_threshold(
-    minima: Iterable[CategoryMinima], d_star: float, epsilon: float = 0.0
-) -> ThresholdReport:
-    """Scan one budget's minima (ascending f_D) for the approach switch.
+def detect_threshold(groups: Iterable[dict], d_star: float, epsilon: float = 0.0) -> dict:
+    """One ``thresholds`` entry: where one budget's winning approach switches.
 
-    ``epsilon`` is an optional noise margin (finite, >= 0): multi-2stage
-    must win by more than epsilon to count. Defaults to raw comparison.
+    ``groups`` are one budget's ``category_minima`` groups, scanned by
+    ascending f_D wherever both mono-1stage and multi-2stage were measured.
+    The crossing is reported as a grid interval (never interpolated to a
+    point): ``lower_D_T`` is the largest corpus size where multi-2stage
+    strictly wins and ``upper_D_T`` the adjacent grid size where it does
+    not. ``open_upper`` flags the case where multi-2stage wins everywhere
+    measured (no upper crossing). Ties go to mono-1stage. ``epsilon`` is an
+    optional noise margin (finite, >= 0): multi-2stage must win by more than
+    epsilon to count. Defaults to raw comparison.
     """
     _check_epsilon(epsilon)
-    cells = sorted(minima, key=lambda m: m.f_D)
+    cells = sorted(groups, key=lambda g: g["f_D"])
     if not cells:
         raise InsufficientDataError("no minima to scan for a threshold")
     compared = (APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE)
-    eligible = [m for m in cells if all(category in m.best for category in compared)]
+    eligible = [g for g in cells if all(category in g["minima"] for category in compared)]
     wins = [
-        m.best[APPROACH_MULTI_2STAGE].loss < m.best[APPROACH_MONO_1STAGE].loss - epsilon
-        for m in eligible
+        g["minima"][APPROACH_MULTI_2STAGE]["loss"]
+        < g["minima"][APPROACH_MONO_1STAGE]["loss"] - epsilon
+        for g in eligible
     ]
     lower = upper = None
     if any(wins):
         last_win = len(wins) - 1 - wins[::-1].index(True)
-        lower = eligible[last_win].target_tokens
+        lower = eligible[last_win]["D_T"]
         if last_win + 1 < len(eligible):
-            upper = eligible[last_win + 1].target_tokens
-    return ThresholdReport(
-        compute=cells[0].compute,
-        d_star=d_star,
-        crossed=lower is not None,
-        lower_target_tokens=lower,
-        upper_target_tokens=upper,
-        open_upper=lower is not None and upper is None,
-        ratio_lower=None if lower is None else lower / d_star,
-        ratio_upper=None if upper is None else upper / d_star,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class ScaleWinner:
-    """Best model scale for one (f_C, f_D) cell."""
-
-    f_C: int
-    f_D: int
-    compute: float
-    target_tokens: float
-    f_M: int
-    model_scale: float
-    loss: float
-    setup_id: str
-
-
-@dataclass(frozen=True)
-class ScaleTable:
-    """Winning model scale per budget cell plus per-budget fold change.
-
-    ``fold_change`` maps f_C to max/min of the winning scales across the
-    corpus-size axis: 1.0 means the optimum never moved.
-    """
-
-    winners: tuple[ScaleWinner, ...]
-    fold_change: dict[int, float]
-
-
-def _scale_winner(loss: float, spec: SetupSpec) -> ScaleWinner:
-    ref = reference_constants()
-    return ScaleWinner(
-        f_C=spec.factors.f_C,
-        f_D=spec.factors.f_D,
-        compute=math.ldexp(ref.compute, spec.factors.f_C),
-        target_tokens=math.ldexp(ref.target_tokens, spec.factors.f_D),
-        f_M=spec.factors.f_M,
-        model_scale=spec.derived().model_scale,
-        loss=loss,
-        setup_id=spec.id,
-    )
-
-
-def _scale_winner_to_wire(w: ScaleWinner) -> dict:
-    return {"f_C": w.f_C, "f_D": w.f_D, "C": w.compute, "D_T": w.target_tokens,
-            "f_M": w.f_M, "M": w.model_scale, "loss": w.loss, "setup_id": w.setup_id}
-
-
-def per_scale_minima(
-    results: ResultSet, pair: str | None = None
-) -> list[ScaleWinner]:
-    """Minimum loss per (f_C, f_D, f_M) triple, for loss-vs-corpus plots by scale."""
-    best = _argmin(results, pair, lambda s: [(s.factors.f_C, s.factors.f_D, s.factors.f_M)])
-    return [_scale_winner(loss, spec) for loss, spec in best.values()]
-
-
-def _scale_table(results: ResultSet, minima: Iterable[CategoryMinima]) -> ScaleTable:
-    # every setup is in multi-2stage, so that column is the per-cell minimum
-    winners = []
-    for cell in minima:
-        entry = cell.best[APPROACH_MULTI_2STAGE]
-        winners.append(_scale_winner(entry.loss, results.setups[entry.setup_id]))
-    fold_change: dict[int, float] = {}
-    for f_C in sorted({w.f_C for w in winners}):
-        scales = [w.model_scale for w in winners if w.f_C == f_C]
-        fold_change[f_C] = max(scales) / min(scales)
-    return ScaleTable(winners=tuple(winners), fold_change=fold_change)
-
-
-def optimal_scale_table(results: ResultSet, pair: str | None = None) -> ScaleTable:
-    """Argmin over the model-scale factor of the per-cell minimum loss."""
-    return _scale_table(results, category_minima(results, pair))
+            upper = eligible[last_win + 1]["D_T"]
+    return {
+        "f_C": cells[0]["f_C"],
+        "C": cells[0]["C"],
+        "D_star": d_star,
+        "crossed": lower is not None,
+        "lower_D_T": lower,
+        "upper_D_T": upper,
+        "open_upper": lower is not None and upper is None,
+        "ratio_lower": None if lower is None else lower / d_star,
+        "ratio_upper": None if upper is None else upper / d_star,
+    }
 
 
 def build_report(
@@ -447,63 +312,47 @@ def build_report(
 ) -> dict:
     """Full analysis report as a JSON-ready dict.
 
-    Budgets without mono-1stage measurements get a null compute-optimal
-    entry (with a reason) instead of failing the whole report.
+    ``compute_optimal`` holds D*(C), the effective corpus (epochs * target
+    tokens) of the best mono-1stage setup at each budget; a budget without
+    mono-1stage measurements gets a null entry (with a reason) instead of
+    failing the whole report, and no threshold scan. ``optimal_scale`` holds
+    each cell's winning model scale and, per budget, the fold change max/min
+    of those scales across corpus sizes: 1.0 means the optimum never moved.
+    ``scale_minima`` holds the minimum loss per (f_C, f_D, f_M) triple.
     """
     _check_epsilon(epsilon)  # also when no budget reaches detect_threshold
     pair = results.resolve_pair(pair)
-    minima = category_minima(results, pair)
-    estimates = _compute_optimal_by_budget(results, pair)
-    by_budget: dict[int, list[CategoryMinima]] = {}
-    for cell in minima:
-        by_budget.setdefault(cell.f_C, []).append(cell)
-
-    groups_obj = [
-        {
-            "f_C": cell.f_C,
-            "f_D": cell.f_D,
-            "C": cell.compute,
-            "D_T": cell.target_tokens,
-            "minima": {
-                category: {"loss": entry.loss, "setup_id": entry.setup_id}
-                for category, entry in sorted(cell.best.items())
-            },
-        }
-        for cell in minima
-    ]
-    compute_optimal_obj = []
-    thresholds_obj = []
-    for f_C, cells in sorted(by_budget.items()):
-        estimate = estimates.get(f_C)
-        if estimate is None:
-            note = _NO_MONO.format(f_C)
-            compute_optimal_obj.append(
-                {"f_C": f_C, "C": cells[0].compute, "D_star": None, "setup_id": None, "note": note}
-            )
+    groups = category_minima(results, pair)
+    mono = _argmin(
+        results, pair, lambda s: [s.factors.f_C] if s.approach == APPROACH_MONO_1STAGE else []
+    )
+    by_budget: dict[int, list[dict]] = {}
+    for group in groups:
+        by_budget.setdefault(group["f_C"], []).append(group)
+    compute_optimal = []
+    thresholds = []
+    for f_C, cells in by_budget.items():
+        entry = {"f_C": f_C, "C": cells[0]["C"]}
+        if f_C not in mono:
+            note = f"no mono-1stage measurements at compute factor f_C={f_C}"
+            compute_optimal.append(entry | {"D_star": None, "setup_id": None, "note": note})
             continue
-        compute_optimal_obj.append(
-            {
-                "f_C": f_C,
-                "C": estimate.compute,
-                "D_star": estimate.d_star,
-                "setup_id": estimate.setup_id,
-            }
-        )
-        report = detect_threshold(cells, estimate.d_star, epsilon)
-        thresholds_obj.append(
-            {
-                "f_C": f_C,
-                "C": report.compute,
-                "D_star": report.d_star,
-                "crossed": report.crossed,
-                "lower_D_T": report.lower_target_tokens,
-                "upper_D_T": report.upper_target_tokens,
-                "open_upper": report.open_upper,
-                "ratio_lower": report.ratio_lower,
-                "ratio_upper": report.ratio_upper,
-            }
-        )
-    table = _scale_table(results, minima)
+        spec = mono[f_C][1]
+        derived = spec.derived()
+        d_star = derived.epochs * derived.target_tokens
+        compute_optimal.append(entry | {"D_star": d_star, "setup_id": spec.id})
+        thresholds.append(detect_threshold(cells, d_star, epsilon))
+    # every setup is in multi-2stage, so that column is the per-cell minimum
+    winners = [
+        _scale_row(best["loss"], results.setups[best["setup_id"]])
+        for best in (group["minima"][APPROACH_MULTI_2STAGE] for group in groups)
+    ]
+    scales: dict[int, list[float]] = {}
+    for row in winners:
+        scales.setdefault(row["f_C"], []).append(row["M"])
+    scale_minima = _argmin(
+        results, pair, lambda s: [(s.factors.f_C, s.factors.f_D, s.factors.f_M)]
+    )
     summary = results.summary
     return {
         "schema_version": 1,
@@ -520,12 +369,12 @@ def build_report(
                 for (sid, rec_pair), count in summary.duplicates
             ],
         },
-        "groups": groups_obj,
-        "compute_optimal": compute_optimal_obj,
-        "thresholds": thresholds_obj,
+        "groups": groups,
+        "compute_optimal": compute_optimal,
+        "thresholds": thresholds,
         "optimal_scale": {
-            "winners": [_scale_winner_to_wire(w) for w in table.winners],
-            "fold_change": {str(f_C): value for f_C, value in sorted(table.fold_change.items())},
+            "winners": winners,
+            "fold_change": {str(f_C): max(m) / min(m) for f_C, m in scales.items()},
         },
-        "scale_minima": [_scale_winner_to_wire(w) for w in per_scale_minima(results, pair)],
+        "scale_minima": [_scale_row(loss, spec) for loss, spec in scale_minima.values()],
     }

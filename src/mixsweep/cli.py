@@ -240,14 +240,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _analysis_tables(report: dict, directory: str) -> dict[str, str]:
+    """``report.json``'s groups and scale minima as CSV text; each cell is read as its type."""
+    field = space.json_field
     approach_rows = (
-        (group["C"], group["D_T"], category, entry["loss"], entry["setup_id"])
-        for group in space.json_field(report, "groups", list)
-        for category, entry in sorted(space.json_field(group, "minima", dict).items())
+        (field(group, "C", float), field(group, "D_T", float), category,
+         field(entry, "loss", float), field(entry, "setup_id", str))
+        for group in field(report, "groups", list)
+        for category, entry in sorted(field(group, "minima", dict).items())
     )
     scale_rows = (
-        (row["C"], row["D_T"], row["f_M"], row["M"], row["loss"], row["setup_id"])
-        for row in space.json_field(report, "scale_minima", list)
+        (field(row, "C", float), field(row, "D_T", float), field(row, "f_M", int),
+         field(row, "M", float), field(row, "loss", float), field(row, "setup_id", str))
+        for row in field(report, "scale_minima", list)
     )
     return {
         os.path.join(directory, "approach_minima.csv"): _csv_text(
@@ -389,35 +393,46 @@ def _cmd_report(args) -> int:
 
 
 def _render_summary(report: dict) -> str:
-    lines = []
+    """The ``--summary`` text. Each value it formats is read as its JSON type.
+
+    A branch reads only the fields it formats, so the nulls the writer may
+    write pass: ``D_star`` of a budget without mono-1stage measurements, and
+    the interval ends and ratios a scan without a crossing (or without an
+    upper crossing) leaves open.
+    """
+    field = space.json_field
     ingest = report["ingest"]
-    lines.append(f"analysis summary (language pair: {report['language_pair']})")
-    lines.append(
-        f"  records: {ingest['n_records']} accepted, "
-        f"{len(ingest['rejected_unknown'])} rejected, "
-        f"{len(ingest['duplicates'])} duplicate keys reduced"
-    )
-    d_star_by_fc = {entry["f_C"]: entry for entry in report["compute_optimal"]}
+    lines = [
+        f"analysis summary (language pair: {field(report, 'language_pair', str)})",
+        f"  records: {field(ingest, 'n_records', int)} accepted, "
+        f"{len(field(ingest, 'rejected_unknown', list))} rejected, "
+        f"{len(field(ingest, 'duplicates', list))} duplicate keys reduced",
+    ]
+    compute_optimal = {entry["f_C"]: entry for entry in report["compute_optimal"]}
     for entry in report["thresholds"]:
         f_C = entry["f_C"]
-        d_star = d_star_by_fc.get(f_C, {}).get("D_star")
+        optimum = compute_optimal.get(f_C, {"D_star": None})
+        d_star = None if optimum["D_star"] is None else field(optimum, "D_star", float)
         d_star_text = f"D*={d_star:.4g}" if d_star else "D* unavailable"
         if not entry["crossed"]:
             verdict = "no approach switch found"
         elif entry["open_upper"]:
             verdict = (
                 f"multi-2stage wins everywhere measured "
-                f"(largest win at D_T={entry['lower_D_T']:.4g}; no upper crossing)"
+                f"(largest win at D_T={field(entry, 'lower_D_T', float):.4g}; no upper crossing)"
             )
         else:
-            verdict = (
-                f"switch between D_T={entry['lower_D_T']:.4g} and "
-                f"{entry['upper_D_T']:.4g} "
-                f"(D*/ratios {entry['ratio_lower']:.3g}-{entry['ratio_upper']:.3g})"
+            lower, upper, ratio_lower, ratio_upper = (
+                field(entry, key, float)
+                for key in ("lower_D_T", "upper_D_T", "ratio_lower", "ratio_upper")
             )
-        lines.append(f"  f_C={f_C} (C={entry['C']:.3g}): {d_star_text}; {verdict}")
-    fold = space.json_field(report["optimal_scale"], "fold_change", dict)
-    folds = ", ".join(f"f_C={k}: {v:.3g}x" for k, v in fold.items())
+            verdict = (
+                f"switch between D_T={lower:.4g} and {upper:.4g} "
+                f"(D*/ratios {ratio_lower:.3g}-{ratio_upper:.3g})"
+            )
+        lines.append(f"  f_C={f_C} (C={field(entry, 'C', float):.3g}): {d_star_text}; {verdict}")
+    fold = field(report["optimal_scale"], "fold_change", dict)
+    folds = ", ".join(f"f_C={k}: {field(fold, k, float):.3g}x" for k in fold)
     lines.append(f"  optimal-scale fold change across corpus sizes: {folds}")
     return "\n".join(lines)
 

@@ -42,7 +42,6 @@ class InterleavePattern:
     """
 
     ratio: Fraction
-    batch_tokens: int
 
     def targets_before(self, n_batches: int) -> int:
         """Number of target batches among the first ``n_batches``."""
@@ -56,14 +55,12 @@ class InterleavePattern:
         return "high"
 
 
-def interleave_pattern(stage_ratio, global_batch_tokens: int) -> InterleavePattern:
+def interleave_pattern(stage_ratio) -> InterleavePattern:
     """Pattern descriptor for one stage's ratio at batch granularity."""
     ratio = Fraction(stage_ratio)
     if not 0 <= ratio <= 1:
         raise ValidationError(f"stage ratio must be in [0, 1], got {ratio}")
-    if global_batch_tokens <= 0:
-        raise ValidationError("global_batch_tokens must be positive")
-    return InterleavePattern(ratio=ratio, batch_tokens=global_batch_tokens)
+    return InterleavePattern(ratio=ratio)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +106,7 @@ def _stage_runs(spec: ScheduleSpec) -> Iterator[tuple[int, int, list[str], int, 
     for budget, n_batches in zip(spec.plan.stages, spec.plan.steps):
         if n_batches == 0:
             continue
-        pattern = interleave_pattern(budget.ratio, batch)
+        pattern = interleave_pattern(budget.ratio)
         period = [
             pattern.source_at(i) for i in range(min(pattern.ratio.denominator, n_batches))
         ]

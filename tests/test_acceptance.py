@@ -186,7 +186,7 @@ def test_criterion_09_schedule_accounting(all_setups):
     interleave_ok = True
     for ratio in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
                   Fraction(1, 2), Fraction(1)):
-        pattern = schedule.interleave_pattern(ratio, 4096)
+        pattern = schedule.interleave_pattern(ratio)
         worst = max(abs(pattern.targets_before(n) - float(ratio) * n) for n in range(1, 10001))
         interleave_ok = interleave_ok and worst <= 1.0
     seeds = schedule.epoch_seeds(64, 42)
@@ -202,33 +202,28 @@ def test_criterion_10_analysis_structure(all_setups):
     def pipeline(gamma):
         params = surrogate.SurrogateParams(second_stage_weight=gamma)
         records = surrogate.generate_dataset(all_setups, params)
-        results = analysis.ingest(records, all_setups)
-        minima = analysis.category_minima(results)
+        report = analysis.build_report(analysis.ingest(records, all_setups))
         nesting = True
-        for cell in minima:
+        for group in report["groups"]:
+            minima = group["minima"]
             chain = [
-                cell.best[c].loss
+                minima[c]["loss"]
                 for c in ("multi-2stage", "multi-1stage", "mono-1stage")
-                if c in cell.best
+                if c in minima
             ]
             nesting = nesting and all(a <= b for a, b in zip(chain, chain[1:]))
-        by_budget = {}
-        for cell in minima:
-            by_budget.setdefault(cell.f_C, []).append(cell)
-        reports = []
-        for f_C, cells in sorted(by_budget.items()):
-            estimate = analysis.estimate_compute_optimal(results, cells[0].compute)
-            reports.append(analysis.detect_threshold(cells, estimate.d_star))
-        return nesting, reports
+        # every budget has a mono-1stage minimum, so every budget is scanned
+        budgets = sorted({group["f_C"] for group in report["groups"]})
+        scanned = [entry["f_C"] for entry in report["thresholds"]] == budgets
+        return nesting and scanned, report["thresholds"]
 
     nesting_half, reports_half = pipeline(0.5)
     nesting_zero, reports_zero = pipeline(0.0)
-    crossings_ok = all(r.crossed for r in reports_half) and all(
-        (r.upper_target_tokens if r.upper_target_tokens is not None else r.lower_target_tokens)
-        < r.d_star
+    crossings_ok = all(r["crossed"] for r in reports_half) and all(
+        (r["upper_D_T"] if r["upper_D_T"] is not None else r["lower_D_T"]) < r["D_star"]
         for r in reports_half
     )
-    none_ok = not any(r.crossed for r in reports_zero)
+    none_ok = not any(r["crossed"] for r in reports_zero)
     _criterion(
         "10 analysis structure: category nesting holds; gamma=0.5 switches below "
         "D*(C) at every budget; gamma=0 finds no crossing",

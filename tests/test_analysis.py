@@ -121,36 +121,41 @@ def test_category_minima_planted_winner():
     setups = _small_setups()
     losses = {setups[0].id: 2.5, setups[1].id: 2.4, setups[2].id: 2.2, setups[3].id: 2.6}
     results = analysis.ingest([_record(k, v) for k, v in losses.items()], setups)
-    cells = analysis.category_minima(results)
+    groups = analysis.category_minima(results)
     # brute-force oracle over the (0, 0) cell
-    cell = next(c for c in cells if (c.f_C, c.f_D) == (0, 0))
+    group = next(g for g in groups if (g["f_C"], g["f_D"]) == (0, 0))
     members = [s for s in setups if (s.factors.f_C, s.factors.f_D) == (0, 0)]
     for category in (MONO, MULTI1, MULTI2):
         eligible = [s for s in members if space.in_category(s, category)]
         expected = min(losses[s.id] for s in eligible)
-        assert cell.best[category].loss == expected
-    assert cell.best[MULTI2].setup_id == setups[2].id
-    assert cell.best[MONO].setup_id == setups[0].id
+        assert group["minima"][category]["loss"] == expected
+    assert group["minima"][MULTI2]["setup_id"] == setups[2].id
+    assert group["minima"][MONO]["setup_id"] == setups[0].id
 
 
 def test_category_minima_singleton_group():
     setups = [space.SetupSpec(FactorTuple(0, 0, 0, 0))]
     results = analysis.ingest([_record(setups[0].id, 3.0)], setups)
-    (cell,) = analysis.category_minima(results)
-    assert cell.best[MONO].loss == cell.best[MULTI1].loss == cell.best[MULTI2].loss == 3.0
+    (group,) = analysis.category_minima(results)
+    ref = reference_constants()
+    assert group == {
+        "f_C": 0, "f_D": 0, "C": ref.compute, "D_T": ref.target_tokens,
+        "minima": {c: {"loss": 3.0, "setup_id": setups[0].id} for c in (MONO, MULTI1, MULTI2)},
+    }
 
 
 def test_category_minima_mono_absent_not_zero():
     setups = [space.SetupSpec(FactorTuple(1, 1, 0, 0))]
     results = analysis.ingest([_record(setups[0].id, 3.0)], setups)
-    (cell,) = analysis.category_minima(results)
-    assert MONO not in cell.best
-    assert cell.best[MULTI1].loss == 3.0
+    (group,) = analysis.category_minima(results)
+    assert MONO not in group["minima"]
+    assert group["minima"][MULTI1]["loss"] == 3.0
 
 
 def test_category_nesting_on_surrogate(surrogate_results):
-    for cell in analysis.category_minima(surrogate_results):
-        chain = [cell.best[c].loss for c in (MULTI2, MULTI1, MONO) if c in cell.best]
+    for group in analysis.category_minima(surrogate_results):
+        minima = group["minima"]
+        chain = [minima[c]["loss"] for c in (MULTI2, MULTI1, MONO) if c in minima]
         assert all(a <= b for a, b in zip(chain, chain[1:]))
 
 
@@ -162,50 +167,36 @@ def test_category_nesting_on_surrogate(surrogate_results):
 def test_compute_optimal_singleton():
     spec = space.SetupSpec(FactorTuple(0, 1, 1, 0))  # k=2
     results = analysis.ingest([_record(spec.id, 2.0)], [spec])
-    estimate = analysis.estimate_compute_optimal(results, 1e18)
+    (entry,) = analysis.build_report(results)["compute_optimal"]
     derived = spec.derived()
-    assert estimate.d_star == 2 * derived.target_tokens
-    assert estimate.setup_id == spec.id
+    assert entry == {"f_C": 0, "C": derived.compute, "D_star": 2 * derived.target_tokens,
+                     "setup_id": spec.id}
 
 
 def test_compute_optimal_tie_prefers_fewer_epochs():
     few = space.SetupSpec(FactorTuple(0, 0, 0, 0))  # k=1
     many = space.SetupSpec(FactorTuple(0, 1, 1, 0))  # k=2, same (C, D_T)
     results = analysis.ingest([_record(few.id, 2.0), _record(many.id, 2.0)], [few, many])
-    estimate = analysis.estimate_compute_optimal(results, 1e18)
-    assert estimate.setup_id == few.id
-
-
-def test_compute_optimal_requires_mono():
-    spec = space.SetupSpec(FactorTuple(1, 1, 0, 0))
-    results = analysis.ingest([_record(spec.id, 2.0)], [spec])
-    with pytest.raises(InsufficientDataError):
-        analysis.estimate_compute_optimal(results, 1e18)
-
-
-def test_compute_optimal_rejects_off_grid_budget():
-    spec = space.SetupSpec(FactorTuple(0, 0, 0, 0))
-    results = analysis.ingest([_record(spec.id, 2.0)], [spec])
-    with pytest.raises(ValidationError):
-        analysis.estimate_compute_optimal(results, 3.3e17)
+    (entry,) = analysis.build_report(results)["compute_optimal"]
+    assert entry["setup_id"] == few.id
 
 
 def test_compute_optimal_matches_brute_force_on_surrogate(surrogate_results):
     losses = surrogate_results.for_pair()
-    for f_C in (-4, 0):
-        compute = reference_constants().compute * 2.0**f_C
-        estimate = analysis.estimate_compute_optimal(surrogate_results, compute)
+    entries = analysis.build_report(surrogate_results)["compute_optimal"]
+    assert [entry["f_C"] for entry in entries] == [-4, -3, -2, -1, 0]
+    for entry in entries:
         mono = [
             (loss, sid)
             for sid, loss in losses.items()
             if surrogate_results.setups[sid].approach == MONO
-            and surrogate_results.setups[sid].factors.f_C == f_C
+            and surrogate_results.setups[sid].factors.f_C == entry["f_C"]
         ]
         best_loss = min(mono)[0]
         winners = [sid for loss, sid in mono if loss == best_loss]
-        assert estimate.setup_id in winners
-        derived = surrogate_results.setups[estimate.setup_id].derived()
-        assert estimate.d_star == derived.epochs * derived.target_tokens
+        assert entry["setup_id"] in winners
+        derived = surrogate_results.setups[entry["setup_id"]].derived()
+        assert entry["D_star"] == derived.epochs * derived.target_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -213,81 +204,80 @@ def test_compute_optimal_matches_brute_force_on_surrogate(surrogate_results):
 # ---------------------------------------------------------------------------
 
 
-def _cell(f_D, mono_loss, multi2_loss):
+def _group(f_D, mono_loss, multi2_loss):
     ref = reference_constants()
-    best = {}
+    minima = {}
     if mono_loss is not None:
-        best[MONO] = analysis.BestEntry(loss=mono_loss, setup_id=f"mono{f_D}")
-        best[MULTI1] = analysis.BestEntry(loss=mono_loss, setup_id=f"mono{f_D}")
+        minima[MONO] = {"loss": mono_loss, "setup_id": f"mono{f_D}"}
+        minima[MULTI1] = {"loss": mono_loss, "setup_id": f"mono{f_D}"}
     if multi2_loss is not None:
         floor = multi2_loss if mono_loss is None else min(mono_loss, multi2_loss)
-        best[MULTI2] = analysis.BestEntry(loss=floor, setup_id=f"two{f_D}")
-    return analysis.CategoryMinima(
-        f_C=0,
-        f_D=f_D,
-        compute=ref.compute,
-        target_tokens=ref.target_tokens * 2.0**f_D,
-        best=best,
-    )
+        minima[MULTI2] = {"loss": floor, "setup_id": f"two{f_D}"}
+    return {"f_C": 0, "f_D": f_D, "C": ref.compute, "D_T": ref.target_tokens * 2.0**f_D,
+            "minima": minima}
 
 
 def test_threshold_crossing_interval():
-    cells = [
-        _cell(-4, 3.0, 2.7),
-        _cell(-3, 2.9, 2.75),
-        _cell(-2, 2.8, 2.8),
-        _cell(-1, 2.7, 2.7),
+    groups = [
+        _group(-4, 3.0, 2.7),
+        _group(-3, 2.9, 2.75),
+        _group(-2, 2.8, 2.8),
+        _group(-1, 2.7, 2.7),
     ]
-    report = analysis.detect_threshold(cells, d_star=1e9)
-    assert report.crossed and not report.open_upper
-    assert report.lower_target_tokens == cells[1].target_tokens
-    assert report.upper_target_tokens == cells[2].target_tokens
-    assert report.ratio_lower == cells[1].target_tokens / 1e9
-    assert report.ratio_upper == cells[2].target_tokens / 1e9
+    entry = analysis.detect_threshold(groups, d_star=1e9)
+    assert entry == {
+        "f_C": 0,
+        "C": reference_constants().compute,
+        "D_star": 1e9,
+        "crossed": True,
+        "lower_D_T": groups[1]["D_T"],
+        "upper_D_T": groups[2]["D_T"],
+        "open_upper": False,
+        "ratio_lower": groups[1]["D_T"] / 1e9,
+        "ratio_upper": groups[2]["D_T"] / 1e9,
+    }
 
 
 def test_threshold_open_upper_when_always_winning():
-    cells = [_cell(-3, 3.0, 2.8), _cell(-2, 2.9, 2.7)]
-    report = analysis.detect_threshold(cells, d_star=1e9)
-    assert report.crossed and report.open_upper
-    assert report.lower_target_tokens == cells[1].target_tokens
-    assert report.upper_target_tokens is None
+    groups = [_group(-3, 3.0, 2.8), _group(-2, 2.9, 2.7)]
+    entry = analysis.detect_threshold(groups, d_star=1e9)
+    assert entry["crossed"] and entry["open_upper"]
+    assert entry["lower_D_T"] == groups[1]["D_T"]
+    assert entry["upper_D_T"] is None and entry["ratio_upper"] is None
 
 
 def test_threshold_tie_goes_to_mono():
-    cells = [_cell(-3, 3.0, 3.0), _cell(-2, 2.9, 2.9)]
-    report = analysis.detect_threshold(cells, d_star=1e9)
-    assert not report.crossed
+    groups = [_group(-3, 3.0, 3.0), _group(-2, 2.9, 2.9)]
+    entry = analysis.detect_threshold(groups, d_star=1e9)
+    assert not entry["crossed"]
+    assert entry["lower_D_T"] is entry["ratio_lower"] is None
 
 
 def test_threshold_epsilon_margin():
-    cells = [_cell(-3, 3.0, 2.995), _cell(-2, 2.9, 2.9)]
-    assert analysis.detect_threshold(cells, d_star=1e9).crossed
-    assert not analysis.detect_threshold(cells, d_star=1e9, epsilon=0.01).crossed
+    groups = [_group(-3, 3.0, 2.995), _group(-2, 2.9, 2.9)]
+    assert analysis.detect_threshold(groups, d_star=1e9)["crossed"]
+    assert not analysis.detect_threshold(groups, d_star=1e9, epsilon=0.01)["crossed"]
 
 
 def test_threshold_ignores_cells_missing_a_category():
-    cells = [_cell(-3, 3.0, 2.8), _cell(-2, None, 2.9), _cell(-1, 2.7, 2.7)]
-    report = analysis.detect_threshold(cells, d_star=1e9)
-    assert report.lower_target_tokens == cells[0].target_tokens
-    assert report.upper_target_tokens == cells[2].target_tokens
+    groups = [_group(-3, 3.0, 2.8), _group(-2, None, 2.9), _group(-1, 2.7, 2.7)]
+    entry = analysis.detect_threshold(groups, d_star=1e9)
+    assert entry["lower_D_T"] == groups[0]["D_T"]
+    assert entry["upper_D_T"] == groups[2]["D_T"]
 
 
 def test_threshold_invariant_to_non_minimal_records(surrogate_results, all_setups):
-    minima = [c for c in analysis.category_minima(surrogate_results) if c.f_C == -4]
-    d_star = analysis.estimate_compute_optimal(
-        surrogate_results, reference_constants().compute / 16
-    ).d_star
-    baseline = analysis.detect_threshold(minima, d_star)
+    baseline = analysis.build_report(surrogate_results)
     # re-ingest with an extra record that is worse than every minimum
     records = surrogate.generate_dataset(all_setups, surrogate.SurrogateParams())
     worst = max(r.val_loss for r in records)
     extra = analysis.LossRecord(
         setup_id=records[0].setup_id, language_pair="surrogate", val_loss=worst * 2
     )
-    bumped = analysis.ingest(records + [extra], all_setups)
-    minima2 = [c for c in analysis.category_minima(bumped) if c.f_C == -4]
-    assert analysis.detect_threshold(minima2, d_star) == baseline
+    bumped = analysis.build_report(analysis.ingest(records + [extra], all_setups))
+    assert bumped["ingest"]["duplicates"] != baseline["ingest"]["duplicates"]
+    for section in ("groups", "compute_optimal", "thresholds"):
+        assert bumped[section] == baseline[section]
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +288,9 @@ def test_threshold_invariant_to_non_minimal_records(surrogate_results, all_setup
 def test_scale_table_single_record():
     spec = space.SetupSpec(FactorTuple(0, 2, 0, 0))
     results = analysis.ingest([_record(spec.id, 2.0)], [spec])
-    table = analysis.optimal_scale_table(results)
-    assert table.winners[0].f_M == 2
-    assert table.fold_change == {0: 1.0}
+    table = analysis.build_report(results)["optimal_scale"]
+    assert table["winners"][0]["f_M"] == 2
+    assert table["fold_change"] == {"0": 1.0}
 
 
 def test_scale_table_planted_scale_independent_optimum():
@@ -312,22 +302,22 @@ def test_scale_table_planted_scale_independent_optimum():
             setups.append(spec)
             records.append(_record(spec.id, 3.0 if f_M == 1 else 3.5))
     results = analysis.ingest(records, setups)
-    table = analysis.optimal_scale_table(results)
-    assert {w.f_M for w in table.winners} == {1}
-    assert table.fold_change == {0: 1.0}
+    table = analysis.build_report(results)["optimal_scale"]
+    assert {w["f_M"] for w in table["winners"]} == {1}
+    assert table["fold_change"] == {"0": 1.0}
 
 
 def test_scale_table_fold_change():
     a = space.SetupSpec(FactorTuple(0, 0, 0, 0))   # f_D=0, M0
     b = space.SetupSpec(FactorTuple(0, 1, 0, 0))   # f_D=1, M0/2
     results = analysis.ingest([_record(a.id, 2.0), _record(b.id, 2.1)], [a, b])
-    table = analysis.optimal_scale_table(results)
-    assert table.fold_change == {0: 2.0}
+    table = analysis.build_report(results)["optimal_scale"]
+    assert table["fold_change"] == {"0": 2.0}
 
 
 def test_per_scale_minima_covers_cells(surrogate_results):
-    rows = analysis.per_scale_minima(surrogate_results)
-    keys = {(r.f_C, r.f_D, r.f_M) for r in rows}
+    rows = analysis.build_report(surrogate_results)["scale_minima"]
+    keys = {(r["f_C"], r["f_D"], r["f_M"]) for r in rows}
     assert len(keys) == len(rows)
     losses = surrogate_results.for_pair()
     # spot-check one cell against a brute-force argmin
@@ -340,9 +330,11 @@ def test_per_scale_minima_covers_cells(surrogate_results):
             surrogate_results.setups[sid].factors.f_D,
             surrogate_results.setups[sid].factors.f_M,
         )
-        == (probe.f_C, probe.f_D, probe.f_M)
+        == (probe["f_C"], probe["f_D"], probe["f_M"])
     ]
-    assert probe.loss == min(eligible)
+    assert probe["loss"] == min(eligible)
+    spec = surrogate_results.setups[probe["setup_id"]]
+    assert probe["M"] == spec.derived().model_scale
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +403,7 @@ def _brute_min(losses, key):
 @given(_result_sets)
 def test_argmins_match_brute_force(losses):
     results = analysis.ingest([_record(s.id, loss) for s, loss in losses.items()], _POOL)
+    report = analysis.build_report(results)
 
     def cell(s):
         return (s.factors.f_C, s.factors.f_D)
@@ -420,30 +413,26 @@ def test_argmins_match_brute_force(losses):
         losses, lambda s: [(*cell(s), c) for c in categories if space.in_category(s, c)]
     )
     actual = {
-        (m.f_C, m.f_D, c): (entry.loss, entry.setup_id)
-        for m in analysis.category_minima(results)
-        for c, entry in m.best.items()
+        (g["f_C"], g["f_D"], c): (entry["loss"], entry["setup_id"])
+        for g in report["groups"]
+        for c, entry in g["minima"].items()
     }
     assert actual == {k: (rank[0], rank[3]) for k, rank in expected.items()}
 
     expected = _brute_min(losses, lambda s: [(*cell(s), s.factors.f_M)])
-    rows = analysis.per_scale_minima(results)
-    assert [(r.f_C, r.f_D, r.f_M, r.loss, r.setup_id) for r in rows] == [
+    assert [(r["f_C"], r["f_D"], r["f_M"], r["loss"], r["setup_id"])
+            for r in report["scale_minima"]] == [
         (*k, rank[0], rank[3]) for k, rank in sorted(expected.items())
     ]
 
     expected = _brute_min(losses, lambda s: [cell(s)])
-    table = analysis.optimal_scale_table(results)
-    assert [(w.f_C, w.f_D, w.f_M, w.loss, w.setup_id) for w in table.winners] == [
+    assert [(w["f_C"], w["f_D"], w["f_M"], w["loss"], w["setup_id"])
+            for w in report["optimal_scale"]["winners"]] == [
         (*k, rank[2], rank[0], rank[3]) for k, rank in sorted(expected.items())
     ]
 
     expected = _brute_min(losses, lambda s: [s.factors.f_C] if s.approach == MONO else [])
-    for f_C in (-4, 0):
-        compute = reference_constants().compute * 2.0**f_C
-        if f_C not in expected:
-            with pytest.raises(InsufficientDataError):
-                analysis.estimate_compute_optimal(results, compute)
-            continue
-        estimate = analysis.estimate_compute_optimal(results, compute)
-        assert estimate.setup_id == expected[f_C][3]
+    budgets = sorted({s.factors.f_C for s in losses})
+    assert [(e["f_C"], e["setup_id"]) for e in report["compute_optimal"]] == [
+        (f_C, expected[f_C][3] if f_C in expected else None) for f_C in budgets
+    ]

@@ -1283,6 +1283,92 @@ def test_bad_input_file_is_named_in_one_line(workspace, tmp_path, capsys, case, 
     assert not (tmp_path / "out").exists()
 
 
+def _edited_report(workspace, tmp_path, edit):
+    """Path of the Quickstart report.json after ``edit`` changed its parsed object."""
+    with open(workspace["report"]) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return _model_file(tmp_path, "a.json", doc)
+
+
+def _set(section, key, value, row=0, category=None):
+    def edit(doc):
+        target = doc[section][row]
+        if category is not None:
+            target = target["minima"][category]
+        target[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("groups", "C", "abc"), "C must be a finite number, got 'abc'"),
+        (_set("groups", "D_T", None), "D_T must be a finite number, got None"),
+        (_set("groups", "loss", [1], category="mono-1stage"),
+         "loss must be a finite number, got [1]"),
+        (_set("groups", "setup_id", 7, category="multi-2stage"), "setup_id must be a string, got 7"),
+        (_set("scale_minima", "loss", [1]), "loss must be a finite number, got [1]"),
+        (_set("scale_minima", "f_M", 1.5), "f_M must be an integer, got 1.5"),
+        (_set("scale_minima", "M", True), "M must be a finite number, got True"),
+        (_set("scale_minima", "setup_id", None, row=-1), "setup_id must be a string, got None"),
+    ],
+    ids=["group-C", "group-D_T", "group-loss", "group-setup_id", "scale-loss", "scale-f_M",
+         "scale-M", "scale-setup_id"],
+)
+def test_report_checks_each_table_cell(workspace, tmp_path, capsys, edit, message):
+    # each cell is read as its JSON type, so a wrong one never reaches a table
+    path = _edited_report(workspace, tmp_path, edit)
+    out = tmp_path / "out"
+    code = run(["report", "--analysis", path, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("compute_optimal", "D_star", 10**400), "D_star must be a finite number, got 1000"),
+        (_set("thresholds", "C", 10**400), "C must be a finite number, got 1000"),
+        (_set("thresholds", "lower_D_T", "x"), "lower_D_T must be a finite number, got 'x'"),
+        (_set("thresholds", "upper_D_T", None), "upper_D_T must be a finite number, got None"),
+        (lambda doc: doc["ingest"].update(n_records="abc"), "n_records must be an integer, got 'abc'"),
+        (lambda doc: doc["optimal_scale"]["fold_change"].update({"0": 10**400}),
+         "0 must be a finite number, got 1000"),
+    ],
+    ids=["D_star", "C", "lower_D_T", "crossed-upper_D_T-null", "n_records", "fold_change"],
+)
+def test_report_summary_rejects_numbers_it_cannot_format(workspace, tmp_path, capsys, edit,
+                                                         message):
+    # a float format cannot take a JSON integer past the float range (OverflowError)
+    path = _edited_report(workspace, tmp_path, edit)
+    out = tmp_path / "out"
+    code = run(["report", "--analysis", path, "--out-dir", str(out), "--summary"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_report_summary_accepts_the_nulls_the_writer_writes(workspace, tmp_path, capsys):
+    def edit(doc):
+        doc["compute_optimal"][0]["D_star"] = None
+        no_crossing = dict.fromkeys(("lower_D_T", "upper_D_T", "ratio_lower", "ratio_upper"))
+        doc["thresholds"][1].update(no_crossing, crossed=False, open_upper=False)
+        doc["thresholds"][2].update(upper_D_T=None, ratio_upper=None, open_upper=True)
+
+    path = _edited_report(workspace, tmp_path, edit)
+    code = run(["report", "--analysis", path, "--out-dir", str(tmp_path / "out"), "--summary"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[2].startswith("  f_C=-4 (C=6.25e+16): D* unavailable; switch between D_T=")
+    assert lines[3].endswith("no approach switch found")
+    assert lines[4].endswith("no upper crossing)")
+
+
 def test_config_file_is_checked_whole(workspace, tmp_path, capsys):
     # plan reads no epsilon, but a bad one in its config is still an error
     config = _model_file(tmp_path, "config.json", {"epsilon": "x"})

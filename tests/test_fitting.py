@@ -556,10 +556,10 @@ LEVELS = [3.1, 2.9, 2.7, 3.3]
 RATIOS = (1.0, 0.5, 0.25, 0.125)
 
 
-def planted_ratio_points(exponent=-0.101, noise=None, reps=1):
+def planted_ratio_points(exponent=-0.101, noise=None, reps=1, levels=LEVELS):
     points = []
     index = 0
-    for (m, d), level in zip(GROUPS, LEVELS):
+    for (m, d), level in zip(GROUPS, levels):
         for _ in range(reps):
             for r in RATIOS:
                 loss = level * r**exponent
@@ -586,16 +586,25 @@ def test_ratio_loss_inflation_at_reference_exponent():
     assert inflation == pytest.approx(1.0725, abs=5e-4)
 
 
-def test_ratio_group_scaling_invariance():
-    base = fitting.fit_ratio_power_law(planted_ratio_points())
-    scaled_points = [
-        (m, d, r, loss * (3.0 if (m, d) == GROUPS[0] else 1.0))
-        for m, d, r, loss in planted_ratio_points()
-    ]
-    scaled = fitting.fit_ratio_power_law(scaled_points)
-    assert scaled.exponent == pytest.approx(base.exponent, abs=1e-12)
-    assert scaled.intercepts[GROUPS[0]] == pytest.approx(3.0 * base.intercepts[GROUPS[0]], rel=1e-12)
-    assert scaled.intercepts[GROUPS[1]] == pytest.approx(base.intercepts[GROUPS[1]], rel=1e-12)
+@given(
+    exponent=st.floats(-1.0, -0.01),
+    levels=st.lists(st.floats(1.0, 5.0), min_size=len(GROUPS), max_size=len(GROUPS)),
+    noise=st.lists(st.floats(-0.05, 0.05), min_size=16, max_size=16),
+    group=st.sampled_from(GROUPS),
+    factor=st.floats(0.01, 100.0),
+)
+def test_ratio_group_scaling_invariance(exponent, levels, noise, group, factor):
+    # scaling one group's losses moves only that group's intercept; the noise makes the
+    # groups' own slopes differ, so a fit that weighted groups by level would move too
+    points = planted_ratio_points(exponent, noise, levels=levels)
+    base = fitting.fit_ratio_power_law(points)
+    scaled = fitting.fit_ratio_power_law(
+        [(m, d, r, loss * (factor if (m, d) == group else 1.0)) for m, d, r, loss in points]
+    )
+    assert scaled.exponent == pytest.approx(base.exponent, rel=0, abs=1e-12)
+    for key, intercept in base.intercepts.items():
+        expected = factor * intercept if key == group else intercept
+        assert scaled.intercepts[key] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ratio_degenerate_group_listed():

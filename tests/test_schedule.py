@@ -97,7 +97,7 @@ def _simulate_accumulator(ratio, n):
     [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
 )
 def test_interleaver_matches_accumulator_oracle(ratio):
-    pattern = schedule.interleave_pattern(ratio, 4096)
+    pattern = schedule.interleave_pattern(ratio)
     assert [pattern.source_at(i) for i in range(500)] == _simulate_accumulator(ratio, 500)
 
 
@@ -106,7 +106,7 @@ def test_interleaver_matches_accumulator_oracle(ratio):
     [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
 )
 def test_interleaver_prefix_discrepancy_bounded(ratio):
-    pattern = schedule.interleave_pattern(ratio, 4096)
+    pattern = schedule.interleave_pattern(ratio)
     worst = max(
         abs(pattern.targets_before(n) - float(ratio) * n) for n in range(1, 10001)
     )
@@ -114,20 +114,18 @@ def test_interleaver_prefix_discrepancy_bounded(ratio):
 
 
 def test_interleaver_special_patterns():
-    half = schedule.interleave_pattern(Fraction(1, 2), 1)
+    half = schedule.interleave_pattern(Fraction(1, 2))
     assert [half.source_at(i) for i in range(6)] == ["target", "high"] * 3
-    third = schedule.interleave_pattern(Fraction(1, 3), 1)
+    third = schedule.interleave_pattern(Fraction(1, 3))
     window = [third.source_at(i) for i in range(9)]
     assert window == ["high", "target", "high"] * 3
-    assert all(schedule.interleave_pattern(Fraction(0), 1).source_at(i) == "high" for i in range(10))
-    assert all(schedule.interleave_pattern(Fraction(1), 1).source_at(i) == "target" for i in range(10))
+    assert all(schedule.interleave_pattern(Fraction(0)).source_at(i) == "high" for i in range(10))
+    assert all(schedule.interleave_pattern(Fraction(1)).source_at(i) == "target" for i in range(10))
 
 
 def test_interleaver_validation():
     with pytest.raises(ValidationError):
-        schedule.interleave_pattern(Fraction(3, 2), 1)
-    with pytest.raises(ValidationError):
-        schedule.interleave_pattern(Fraction(1, 2), 0)
+        schedule.interleave_pattern(Fraction(3, 2))
 
 
 def _plan_and_schedule(setup, split):
@@ -169,7 +167,7 @@ def _reference_rows(spec):
     index = 0
     batch = spec.plan.batch.global_batch_tokens
     for stage_budget in spec.plan.stages:
-        pattern = schedule.interleave_pattern(stage_budget.ratio, batch)
+        pattern = schedule.interleave_pattern(stage_budget.ratio)
         n_batches = math.ceil(stage_budget.total_tokens / batch)
         for i in range(n_batches):
             if i < n_batches - 1:
