@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Hashable, Iterable, Iterator
 
 from .budget import reference_constants
-from .errors import (INPUT_ERRORS, FileFormatError, InsufficientDataError, ValidationError,
-                     input_message)
+from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 from .space import (
     APPROACH_MONO_1STAGE,
     APPROACH_MULTI_1STAGE,
@@ -112,10 +111,10 @@ class ResultSet:
         pairs = self.pairs()
         if pair is not None:
             if pair not in pairs:
-                raise InsufficientDataError(f"no results for language pair {pair!r}")
+                raise ValidationError(f"no results for language pair {pair!r}")
             return pair
         if len(pairs) != 1:
-            raise InsufficientDataError(
+            raise ValidationError(
                 f"result set has pairs {pairs}; specify which one to analyze"
             )
         return pairs[0]
@@ -280,7 +279,7 @@ def detect_threshold(groups: Iterable[dict], d_star: float, epsilon: float = 0.0
     _check_epsilon(epsilon)
     cells = sorted(groups, key=lambda g: g["f_D"])
     if not cells:
-        raise InsufficientDataError("no minima to scan for a threshold")
+        raise ValidationError("no minima to scan for a threshold")
     compared = (APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE)
     eligible = [g for g in cells if all(category in g["minima"] for category in compared)]
     wins = [

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleSplitError, InvalidFactorError, SplitOrderingError
+from .errors import ValidationError
 
 #: Reference compute budget in FLOPs: the anchor of the whole grid.
 REFERENCE_COMPUTE = 1e18
@@ -83,11 +83,11 @@ class FactorTuple:
 
     def __post_init__(self) -> None:
         if not 0 <= self.f_r <= F_R_MAX:
-            raise InvalidFactorError(f"f_r must be in [0, {F_R_MAX}], got {self.f_r}")
+            raise ValidationError(f"f_r must be in [0, {F_R_MAX}], got {self.f_r}")
         if self.f_k < 0:
-            raise InvalidFactorError(f"f_k must be >= 0, got {self.f_k}")
+            raise ValidationError(f"f_k must be >= 0, got {self.f_k}")
         if self.f_C > 0:
-            raise InvalidFactorError(f"f_C must be <= 0, got {self.f_C}")
+            raise ValidationError(f"f_C must be <= 0, got {self.f_C}")
 
     @property
     def f_D(self) -> int:
@@ -130,7 +130,7 @@ class DerivedSetup:
 def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     """Expand a factor tuple into concrete training quantities.
 
-    Raises InvalidFactorError when a derived quantity (or the epoch count
+    Raises ValidationError when a derived quantity (or the epoch count
     as a float) overflows or underflows to zero. Cached: the result is
     frozen, so every setup with these factors shares one; the default grid
     has 586 distinct tuples.
@@ -148,7 +148,7 @@ def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     except OverflowError:
         scaled = None
     if scaled is None or 0.0 in scaled:
-        raise InvalidFactorError(f"{factors} leaves the float range")
+        raise ValidationError(f"{factors} leaves the float range")
     model_scale, compute, target_tokens, total_tokens, _ = scaled
     return DerivedSetup(
         factors=factors,
@@ -195,11 +195,11 @@ def stage_split(first_ratio, second_ratio, average_ratio) -> StageSplit:
     r2 = Fraction(second_ratio)
     r = Fraction(average_ratio)
     if r1 >= r2:
-        raise SplitOrderingError(f"stage ratios must satisfy r1 < r2, got {r1} >= {r2}")
+        raise ValidationError(f"stage ratios must satisfy r1 < r2, got {r1} >= {r2}")
     if r1 < 0 or r2 > 1:
-        raise InfeasibleSplitError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
+        raise ValidationError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
     if not r1 <= r <= r2:
-        raise InfeasibleSplitError(
+        raise ValidationError(
             f"average ratio {r} outside the stage-ratio interval [{r1}, {r2}]"
         )
     first_length = (r2 - r) / (r2 - r1)

@@ -194,15 +194,14 @@ def _cmd_plan(args) -> int:
         setup_id=spec.id,
         high_available=args.high_available,
     )
-    sched = schedule.build_schedule(plan, base_seed=base_seed)
     doc = {
         "schema_version": 1,
         "training_plan": trainplan.plan_to_wire(plan),
-        "schedule": schedule.schedule_to_wire(sched),
+        "schedule": schedule.build_schedule(plan, base_seed=base_seed),
     }
     outputs = {args.out: _json_text(doc)}
     if args.schedule_csv:
-        outputs[args.schedule_csv] = schedule.schedule_csv(sched)
+        outputs[args.schedule_csv] = schedule.schedule_csv(plan)
     _write_outputs(outputs, args.force)
     print(f"wrote plan for {spec.id} to {args.out}", file=sys.stderr)
     return 0

@@ -1,8 +1,12 @@
-"""Exception hierarchy.
+"""Exception classes: one per way a caller tells the errors apart.
 
 The CLI maps these onto exit codes: :class:`UsageError` -> 1, any
 :class:`FitError` -> 3, every other :class:`MixsweepError` (and I/O
-failures) -> 2.
+failures) -> 2. Each class below the base stays because something tells it
+apart: ``UsageError`` and ``FitError`` pick their exit codes,
+``fit_epoch_cells`` catches ``UnderdeterminedError`` and
+``UnidentifiableError`` by name, and ``FileFormatError`` is what
+``cli._read`` raises. ``ValidationError`` covers every other bad value.
 """
 
 
@@ -14,44 +18,12 @@ class UsageError(MixsweepError):
     """Bad command line invocation (unknown flag, missing --force, ...)."""
 
 
-class InvalidFactorError(MixsweepError):
-    """Factor tuple violates its sign constraints."""
-
-
-class SplitOrderingError(MixsweepError):
-    """Two-stage ratios are not strictly increasing (r1 >= r2)."""
-
-
-class InfeasibleSplitError(MixsweepError):
-    """Average ratio cannot be reached by mixing the two stage ratios."""
-
-
-class UnsupportedScaleError(MixsweepError):
-    """Model-scale factor outside the shape ladder."""
-
-
-class UnsupportedModelError(MixsweepError):
-    """Model shape outside the range the batch-sizing rule is defined for."""
-
-
-class MinimumBatchError(MixsweepError):
-    """Compute budget too small for even a single-sequence batch."""
-
-
-class InsufficientCorpusError(MixsweepError):
-    """Schedule needs more high-resource tokens than declared available."""
-
-
 class FileFormatError(MixsweepError):
     """Malformed input file (bad CSV row, bad JSON line, bad header)."""
 
 
 class ValidationError(MixsweepError):
-    """Domain value out of range (e.g. non-positive validation loss)."""
-
-
-class InsufficientDataError(MixsweepError):
-    """Analysis requested on a slice with no usable measurements."""
+    """A value out of range: a factor, a stage split, a model shape, a budget, a data slice."""
 
 
 class FitError(MixsweepError):

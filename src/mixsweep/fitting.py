@@ -739,9 +739,8 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, Quadratic
     """The approach and the (f_C, f_D, fit) cells of an epoch_quadratics model file.
 
     A cell's C and D_T must stay finite and nonzero, as a derived setup's do. Its
-    k_star must be positive and finite, and equal 2**f_k_star, as
-    ``fit_epoch_quadratic`` derives it, wherever 2**f_k_star is a positive float; an
-    f_k_star beyond that range is left to the fits, which reject a non-finite error.
+    k_star must equal 2**f_k_star, as ``fit_epoch_quadratic`` derives it, and be a
+    positive, finite float.
     """
     ref = reference_constants()
     params, diagnostics = _sections(obj, "epoch_quadratics")
@@ -764,7 +763,7 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, Quadratic
             power = 2.0**fit.minimizer
         except OverflowError:
             power = math.inf
-        if fit.k_star <= 0.0 or (0.0 < power < math.inf and fit.k_star != power):
+        if not (0.0 < power < math.inf and fit.k_star == power):
             raise ValueError(
                 f"cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star, positive and "
                 f"finite; got k_star={fit.k_star!r} for f_k_star={fit.minimizer!r}"

@@ -1,14 +1,14 @@
-"""Deterministic token-mixture schedules.
+"""Deterministic token-mixture schedules, read from a training plan.
 
-A schedule is a view over a training plan's stage budgets and step
-counts: per-epoch reshuffle seeds for the repeated target corpus, and an
-exact-ratio batch interleaving pattern per stage.
+A schedule is plan.json's ``schedule`` section plus the batch rows of the
+schedule CSV. Both read the plan's stage budgets and step counts directly:
+per-epoch reshuffle seeds for the repeated target corpus, and an
+exact-ratio batch interleaving per stage.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice, repeat
 from typing import Iterator
@@ -30,144 +30,44 @@ def epoch_seeds(epochs: int, base_seed: int) -> list[int]:
     return [mix64(base_seed, i) for i in range(1, epochs + 1)]
 
 
-@dataclass(frozen=True, slots=True)
-class InterleavePattern:
-    """Error-diffusion interleaving of target and high-resource batches.
+def targets_before(ratio: Fraction, n_batches: int) -> int:
+    """Number of target batches among the first ``n_batches`` of a stage with this ratio.
 
+    Error-diffusion interleaving of target and high-resource batches.
     Conceptually an accumulator gains ``ratio`` per batch and emits a
     target batch whenever it reaches 1/2 (then pays 1 back). That keeps
     the running deficit in (-1/2, 1/2], so any prefix of n batches holds
-    within one batch of ratio*n target batches. The closed form below
+    within one batch of ratio*n target batches. This closed form
     evaluates any position independently in exact integer arithmetic.
     """
-
-    ratio: Fraction
-
-    def targets_before(self, n_batches: int) -> int:
-        """Number of target batches among the first ``n_batches``."""
-        p, q = self.ratio.numerator, self.ratio.denominator
-        return (2 * n_batches * p + q) // (2 * q)
-
-    def source_at(self, batch_index: int) -> str:
-        """'target' or 'high' for the 0-based batch index (stateless)."""
-        if self.targets_before(batch_index + 1) > self.targets_before(batch_index):
-            return "target"
-        return "high"
+    p, q = ratio.numerator, ratio.denominator
+    return (2 * n_batches * p + q) // (2 * q)
 
 
-def interleave_pattern(stage_ratio) -> InterleavePattern:
-    """Pattern descriptor for one stage's ratio at batch granularity."""
-    ratio = Fraction(stage_ratio)
-    if not 0 <= ratio <= 1:
-        raise ValidationError(f"stage ratio must be in [0, 1], got {ratio}")
-    return InterleavePattern(ratio=ratio)
+def source_at(ratio: Fraction, batch_index: int) -> str:
+    """'target' or 'high' for the 0-based batch index (stateless)."""
+    if targets_before(ratio, batch_index + 1) > targets_before(ratio, batch_index):
+        return "target"
+    return "high"
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleSpec:
-    """Complete mixture schedule for one setup.
+def build_schedule(plan: TrainingPlan, *, base_seed: int = 0) -> dict:
+    """plan.json's ``schedule`` section (schema_version 1): epoch seeds over the plan's stages.
 
-    Fully determined by (training plan, base seed); re-building with the
-    same inputs yields byte-identical serializations.
+    Fully determined by (training plan, base seed).
     """
-
-    plan: TrainingPlan
-    base_seed: int
-    seeds: tuple[int, ...]
-    trailing_partial_epoch: bool
-
-
-def build_schedule(plan: TrainingPlan, *, base_seed: int = 0) -> ScheduleSpec:
-    """Epoch seeds for the plan's epochs over the plan's stage budgets."""
-    batches = sum(b.target_tokens for b in plan.stages) / plan.batch.global_batch_tokens
-    partial = abs(batches - round(batches)) > 1e-9 * max(batches, 1.0)
-    return ScheduleSpec(
-        plan=plan,
-        base_seed=base_seed,
-        seeds=tuple(epoch_seeds(plan.epochs, base_seed)),
-        trailing_partial_epoch=partial,
-    )
-
-
-def _stage_runs(spec: ScheduleSpec) -> Iterator[tuple[int, int, list[str], int, str, float]]:
-    """Per stage with batches: (first index, stage, period, full, last source, last tokens).
-
-    Each stage runs for its ``plan.steps`` batches: ``full`` whole batches,
-    then one last row that holds the rest of the stage's tokens, so per-stage
-    token sums reproduce the budgets exactly. A zero-token stage has no run.
-
-    A stage's sources repeat with period q, the denominator of its ratio
-    p/q: ``targets_before(n + q) == targets_before(n) + p``, so
-    ``source_at(i + q) == source_at(i)``. Each stage therefore evaluates
-    at most q sources, and batch i takes ``period[i % len(period)]``.
-    """
-    batch = spec.plan.batch.global_batch_tokens
-    index = 0
-    for budget, n_batches in zip(spec.plan.stages, spec.plan.steps):
-        if n_batches == 0:
-            continue
-        pattern = interleave_pattern(budget.ratio)
-        period = [
-            pattern.source_at(i) for i in range(min(pattern.ratio.denominator, n_batches))
-        ]
-        full = n_batches - 1
-        yield (
-            index,
-            budget.stage_index,
-            period,
-            full,
-            period[full % len(period)],
-            budget.total_tokens - batch * full,
-        )
-        index += n_batches
-
-
-def schedule_rows(spec: ScheduleSpec) -> Iterator[tuple[int, int, str, float]]:
-    """Expanded (batch_index, stage, source, tokens) rows.
-
-    Each stage's full batches cycle its source period; its last batch may be
-    partial (see ``_stage_runs``).
-    """
-    batch = float(spec.plan.batch.global_batch_tokens)
-    for first, stage, period, full, last_source, last_tokens in _stage_runs(spec):
-        yield from zip(
-            range(first, first + full), repeat(stage), islice(cycle(period), full), repeat(batch)
-        )
-        yield (first + full, stage, last_source, last_tokens)
-
-
-def schedule_csv(spec: ScheduleSpec) -> str:
-    """``schedule_rows`` as CSV text under a header, byte for byte as csv.writer writes it.
-
-    csv.writer writes an int as ``str`` and a float as its ``repr``, and quotes
-    none of these cells. So each stage builds its q line tails once, and a
-    full row is its index joined to the next tail.
-    """
-    batch = repr(float(spec.plan.batch.global_batch_tokens))
-    buf = io.StringIO()
-    buf.write("batch_index,stage,source,tokens\n")
-    for first, stage, period, full, last_source, last_tokens in _stage_runs(spec):
-        tails = [f",{stage},{source},{batch}\n" for source in period]
-        buf.writelines(
-            map(str.__add__, map(str, range(first, first + full)), islice(cycle(tails), full))
-        )
-        buf.write(f"{first + full},{stage},{last_source},{last_tokens!r}\n")
-    return buf.getvalue()
-
-
-def schedule_to_wire(spec: ScheduleSpec) -> dict:
-    """JSON-ready dict for a schedule (schema_version 1)."""
-    plan = spec.plan
+    batch = plan.batch.global_batch_tokens
+    batches = sum(b.target_tokens for b in plan.stages) / batch
     return {
         "schema_version": 1,
         "setup_id": plan.setup_id,
         "epochs": plan.epochs,
-        "base_seed": spec.base_seed,
-        "epoch_seeds": list(spec.seeds),
-        "trailing_partial_epoch": spec.trailing_partial_epoch,
+        "base_seed": base_seed,
+        "epoch_seeds": epoch_seeds(plan.epochs, base_seed),
+        "trailing_partial_epoch": abs(batches - round(batches)) > 1e-9 * max(batches, 1.0),
         "stages": [
             {
-                "index": budget.stage_index,
+                "index": index,
                 "total_tokens": budget.total_tokens,
                 "target_tokens": budget.target_tokens,
                 "high_tokens": budget.high_tokens,
@@ -176,9 +76,74 @@ def schedule_to_wire(spec: ScheduleSpec) -> dict:
                 "interleave": {
                     "ratio": float(budget.ratio),
                     "ratio_frac": str(budget.ratio),
-                    "batch_tokens": plan.batch.global_batch_tokens,
+                    "batch_tokens": batch,
                 },
             }
-            for budget in plan.stages
+            for index, budget in enumerate(plan.stages, 1)
         ],
     }
+
+
+def _stage_runs(plan: TrainingPlan) -> Iterator[tuple[int, int, list[str], int, str, float]]:
+    """Per stage with batches: (first index, stage, period, full, last source, last tokens).
+
+    Each stage runs for its ``plan.steps`` batches: ``full`` whole batches,
+    then one last row that holds the rest of the stage's tokens, so per-stage
+    token sums reproduce the budgets exactly. A zero-token stage has no run.
+    A stage's number is its 1-based position in ``plan.stages``.
+
+    A stage's sources repeat with period q, the denominator of its ratio
+    p/q: ``targets_before(n + q) == targets_before(n) + p``, so
+    ``source_at(i + q) == source_at(i)``. Each stage therefore evaluates
+    at most q sources, and batch i takes ``period[i % len(period)]``.
+    """
+    batch = plan.batch.global_batch_tokens
+    index = 0
+    for stage, (budget, n_batches) in enumerate(zip(plan.stages, plan.steps), 1):
+        if n_batches == 0:
+            continue
+        ratio = budget.ratio
+        period = [source_at(ratio, i) for i in range(min(ratio.denominator, n_batches))]
+        full = n_batches - 1
+        yield (
+            index,
+            stage,
+            period,
+            full,
+            period[full % len(period)],
+            budget.total_tokens - batch * full,
+        )
+        index += n_batches
+
+
+def schedule_rows(plan: TrainingPlan) -> Iterator[tuple[int, int, str, float]]:
+    """Expanded (batch_index, stage, source, tokens) rows.
+
+    Each stage's full batches cycle its source period; its last batch may be
+    partial (see ``_stage_runs``).
+    """
+    batch = float(plan.batch.global_batch_tokens)
+    for first, stage, period, full, last_source, last_tokens in _stage_runs(plan):
+        yield from zip(
+            range(first, first + full), repeat(stage), islice(cycle(period), full), repeat(batch)
+        )
+        yield (first + full, stage, last_source, last_tokens)
+
+
+def schedule_csv(plan: TrainingPlan) -> str:
+    """``schedule_rows`` as CSV text under a header, byte for byte as csv.writer writes it.
+
+    csv.writer writes an int as ``str`` and a float as its ``repr``, and quotes
+    none of these cells. So each stage builds its q line tails once, and a
+    full row is its index joined to the next tail.
+    """
+    batch = repr(float(plan.batch.global_batch_tokens))
+    buf = io.StringIO()
+    buf.write("batch_index,stage,source,tokens\n")
+    for first, stage, period, full, last_source, last_tokens in _stage_runs(plan):
+        tails = [f",{stage},{source},{batch}\n" for source in period]
+        buf.writelines(
+            map(str.__add__, map(str, range(first, first + full)), islice(cycle(tails), full))
+        )
+        buf.write(f"{first + full},{stage},{last_source},{last_tokens!r}\n")
+    return buf.getvalue()

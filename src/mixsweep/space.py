@@ -25,7 +25,7 @@ from .budget import (
     ratio_for,
     stage_split,
 )
-from .errors import INPUT_ERRORS, FileFormatError, InfeasibleSplitError, input_message
+from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 
 APPROACH_MONO_1STAGE = "mono-1stage"
 APPROACH_MULTI_1STAGE = "multi-1stage"
@@ -110,7 +110,7 @@ class SetupSpec:
     def __post_init__(self) -> None:
         r1, r2 = self.first_stage_ratio, self.second_stage_ratio
         if (r1 is None) != (r2 is None):
-            raise InfeasibleSplitError("two-stage setups need both r1 and r2")
+            raise ValidationError("two-stage setups need both r1 and r2")
         f = self.factors
         setup_id = _factors_id(f.f_C, f.f_D, f.f_r, f.f_M, f.f_k)
         if r1 is not None and r2 is not None:
@@ -118,7 +118,7 @@ class SetupSpec:
             n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
             f_r = f.f_r
             if not (n1 << f_r < d1 and d2 < n2 << f_r):
-                raise InfeasibleSplitError(
+                raise ValidationError(
                     f"need r1 < r < r2 strictly, got r1={r1}, r={ratio_for(f_r)}, r2={r2}"
                 )
             setup_id += _ratios_id(n1, d1, n2, d2)
@@ -282,9 +282,13 @@ def json_field(obj: dict, key: str, kind: type):
 def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
     """One shared FactorTuple per distinct factor values; the default grid has 586.
 
-    Fed only values ``json_field`` has checked as ints: ``True`` would hit ``1``'s entry.
+    Each is derived once here, so a tuple whose derived values leave the float
+    range fails on its line. Fed only values ``json_field`` has checked as ints:
+    ``True`` would hit ``1``'s entry.
     """
-    return FactorTuple(f_r, f_M, f_k, f_C)
+    factors = FactorTuple(f_r, f_M, f_k, f_C)
+    derive_single_stage(factors)
+    return factors
 
 
 def from_wire(obj: dict) -> SetupSpec:

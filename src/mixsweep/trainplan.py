@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import DerivedSetup, StageSplit, reference_constants
-from .errors import (
-    InsufficientCorpusError,
-    MinimumBatchError,
-    UnsupportedModelError,
-    UnsupportedScaleError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 #: Fixed sequence length in tokens.
 SEQ_LEN = 4096
@@ -115,7 +109,7 @@ def shape_for_factor(f_M: int) -> ModelShape:
         return SHAPE_LADDER[f_M]
     except KeyError:
         supported = sorted(SHAPE_LADDER)
-        raise UnsupportedScaleError(
+        raise ValidationError(
             f"f_M={f_M} outside the shape ladder [{supported[0]}, {supported[-1]}]"
         ) from None
 
@@ -162,7 +156,7 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
             local_batch = local
             break
     else:
-        raise UnsupportedModelError(
+        raise ValidationError(
             f"complexity {complexity:.3g} >= {COMPLEXITY_THRESHOLDS[-1]:.3g}: "
             "batch rule undefined for this shape"
         )
@@ -170,7 +164,7 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
         BATCH_COEFF * compute**BATCH_EXPONENT / (shape.seq_len * devices)
     )
     if optimal_local < 1:
-        raise MinimumBatchError(
+        raise ValidationError(
             f"optimal per-device batch rounds to {optimal_local} at compute {compute:.3g}"
         )
     if optimal_local < local_batch:
@@ -192,7 +186,6 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
 class StageTokenBudget:
     """Token budget for one stage; target + high == total by construction."""
 
-    stage_index: int
     total_tokens: float
     target_tokens: float
     high_tokens: float
@@ -213,11 +206,10 @@ def _quantized_share(share, total: float) -> float:
     return min(max(steps, 0), round(total / quantum)) * quantum
 
 
-def _stage(index: int, raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget:
+def _stage(raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget:
     high = raw_total - target
     # store the re-summed total so target + high == total holds exactly
     return StageTokenBudget(
-        stage_index=index,
         total_tokens=target + high,
         target_tokens=target,
         high_tokens=high,
@@ -246,7 +238,7 @@ def stage_budgets(
     target_total = math.ldexp(ref.target_tokens, f.f_D + f.f_k)
     total = setup.total_tokens
     if split is None:
-        budgets = [_stage(1, total, target_total, setup.ratio)]
+        budgets = [_stage(total, target_total, setup.ratio)]
     else:
         # stage 1's exact share of the target-token budget
         share = split.first_length * split.first_ratio / setup.ratio
@@ -254,15 +246,15 @@ def stage_budgets(
         target_2 = target_total - target_1
         total_1 = float(split.first_length) * total
         budgets = [
-            _stage(1, total_1, target_1, split.first_ratio),
-            _stage(2, total - total_1, target_2, split.second_ratio),
+            _stage(total_1, target_1, split.first_ratio),
+            _stage(total - total_1, target_2, split.second_ratio),
         ]
     if high_available is not None:
         if math.isnan(high_available):
             raise ValidationError("high_available must be a number, got nan")
         needed = sum(b.high_tokens for b in budgets)
         if needed > high_available:
-            raise InsufficientCorpusError(
+            raise ValidationError(
                 f"schedule needs {needed:.6g} high-resource tokens, "
                 f"only {high_available:.6g} declared available"
             )
@@ -273,8 +265,8 @@ def stage_budgets(
 class TrainingPlan:
     """Everything needed to launch one training setup.
 
-    ``stages`` are the per-stage token budgets and ``steps`` their step
-    counts at the global batch. Steps round up so budgeted tokens are never
+    ``stages`` are the per-stage token budgets, numbered from 1 by their
+    position, and ``steps`` their step counts at the global batch. Steps round up so budgeted tokens are never
     dropped; the final partial batch is kept. Every stage runs the same LR
     schedule: warmup (``WARMUP_STEPS``) to the shared ``eta_max`` (each
     stage re-warms to the same peak), then the fixed ``MILESTONES`` decay.
@@ -309,8 +301,8 @@ def build_training_plan(
     stages = tuple(stage_budgets(setup, split, high_available=high_available))
     steps = tuple(math.ceil(b.total_tokens / batch.global_batch_tokens) for b in stages)
     warnings = tuple(
-        f"stage {b.stage_index}: warmup-exceeds-stage ({n} steps < {WARMUP_STEPS} warmup)"
-        for b, n in zip(stages, steps)
+        f"stage {index}: warmup-exceeds-stage ({n} steps < {WARMUP_STEPS} warmup)"
+        for index, n in enumerate(steps, 1)
         if n < WARMUP_STEPS
     )
     return TrainingPlan(
@@ -354,7 +346,7 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
         },
         "stages": [
             {
-                "index": stage.stage_index,
+                "index": index,
                 "ratio": float(stage.ratio),
                 "total_tokens": stage.total_tokens,
                 "target_tokens": stage.target_tokens,
@@ -368,7 +360,7 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
                 },
                 "warmup_exceeds_stage": steps < WARMUP_STEPS,
             }
-            for stage, steps in zip(plan.stages, plan.steps)
+            for index, (stage, steps) in enumerate(zip(plan.stages, plan.steps), 1)
         ],
         "warnings": list(plan.warnings),
     }

@@ -186,8 +186,9 @@ def test_criterion_09_schedule_accounting(all_setups):
     interleave_ok = True
     for ratio in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
                   Fraction(1, 2), Fraction(1)):
-        pattern = schedule.interleave_pattern(ratio)
-        worst = max(abs(pattern.targets_before(n) - float(ratio) * n) for n in range(1, 10001))
+        worst = max(
+            abs(schedule.targets_before(ratio, n) - float(ratio) * n) for n in range(1, 10001)
+        )
         interleave_ok = interleave_ok and worst <= 1.0
     seeds = schedule.epoch_seeds(64, 42)
     seeds_ok = len(set(seeds)) == 64 and seeds == schedule.epoch_seeds(64, 42)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mixsweep import analysis, space, surrogate
 from mixsweep.budget import FactorTuple, reference_constants
-from mixsweep.errors import FileFormatError, InsufficientDataError, ValidationError
+from mixsweep.errors import FileFormatError, ValidationError
 
 MONO = "mono-1stage"
 MULTI1 = "multi-1stage"
@@ -105,10 +105,10 @@ def test_for_pair_requires_disambiguation():
     records = [_record(setups[0].id, 2.0, "a"), _record(setups[0].id, 2.1, "b")]
     results = analysis.ingest(records, setups)
     assert results.pairs() == ("a", "b")
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ValidationError, match=r"has pairs \('a', 'b'\); specify which one"):
         results.for_pair()
     assert results.for_pair("b") == {setups[0].id: 2.1}
-    with pytest.raises(InsufficientDataError, match="no results for language pair 'c'"):
+    with pytest.raises(ValidationError, match="no results for language pair 'c'"):
         results.for_pair("c")
 
 

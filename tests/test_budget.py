@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mixsweep import budget
-from mixsweep.errors import InfeasibleSplitError, InvalidFactorError, SplitOrderingError
+from mixsweep.errors import ValidationError
 
 
 def test_reference_constants_match_direct_evaluation():
@@ -52,16 +54,20 @@ def test_derive_mixed_factors():
 def test_equal_factor_tuples_share_one_derived_setup():
     first = budget.derive_single_stage(budget.FactorTuple(2, 1, 3, -2))
     assert budget.derive_single_stage(budget.FactorTuple(2, 1, 3, -2)) is first
-    with pytest.raises(InvalidFactorError, match="leaves the float range"):
+    with pytest.raises(ValidationError, match="leaves the float range"):
         budget.derive_single_stage(budget.FactorTuple(0, -2000, 0, 0))
 
 
-@pytest.mark.parametrize(
-    "factors",
-    [(-1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 1)],
-)
+_INVALID_FACTORS = {
+    (-1, 0, 0, 0): r"f_r must be in \[0, 4096\], got -1",
+    (0, 0, -2, 0): "f_k must be >= 0, got -2",
+    (0, 0, 0, 1): "f_C must be <= 0, got 1",
+}
+
+
+@pytest.mark.parametrize("factors", list(_INVALID_FACTORS))
 def test_invalid_factors_rejected(factors):
-    with pytest.raises(InvalidFactorError):
+    with pytest.raises(ValidationError, match=_INVALID_FACTORS[factors]):
         budget.FactorTuple(*factors)
 
 
@@ -129,10 +135,24 @@ def test_stage_split_round_trip_exact():
                 assert 0 <= split.first_length <= 1
 
 
+_unit_fractions = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(
+    0, 1, max_denominator=10**6
+)
+
+
+@given(st.lists(_unit_fractions, min_size=3, max_size=3).map(sorted))
+def test_stage_split_identities_on_generated_ratios(ratios):
+    r1, r, r2 = ratios
+    assume(r1 < r2)
+    split = budget.stage_split(r1, r2, r)
+    assert split.average_ratio == r
+    assert split.first_length + split.second_length == 1
+
+
 def test_stage_split_errors():
-    with pytest.raises(SplitOrderingError):
+    with pytest.raises(ValidationError, match="stage ratios must satisfy r1 < r2, got 1/2 >= 1/4"):
         budget.stage_split(Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))
-    with pytest.raises(InfeasibleSplitError):
+    with pytest.raises(ValidationError, match=r"average ratio 1/8 outside .* \[1/4, 1/2\]"):
         budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 8))
 
 
@@ -142,7 +162,7 @@ def test_stage_split_errors():
     ids=["r1-negative", "r2-above-one"],
 )
 def test_stage_split_rejects_stage_ratios_outside_the_unit_interval(r1, r2):
-    with pytest.raises(InfeasibleSplitError, match=r"stage ratios must lie in \[0, 1\]"):
+    with pytest.raises(ValidationError, match=r"stage ratios must lie in \[0, 1\]"):
         budget.stage_split(r1, r2, Fraction(1, 3))
 
 

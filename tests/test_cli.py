@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -430,6 +432,41 @@ def test_quickstart_artifacts_match_benchmark_digests(tmp_path, monkeypatch, cap
     assert actual == digests
 
 
+def _mixsweep_globals():
+    return {
+        (module_name, key): value
+        for module_name, module in list(sys.modules.items())
+        if module_name.split(".")[0] == "mixsweep" and module is not None
+        for key, value in vars(module).items()
+    }
+
+
+def test_benchmark_tracer_names_resolve_and_are_restored(workspace, tmp_path, monkeypatch):
+    # perfbench's tracer wraps mixsweep functions by name, so a rename in src breaks it
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    originals = {}
+    for module, attr, *_ in tracing._CALLS + tracing._GENERATORS:
+        owner, name = tracing._resolve(importlib.import_module(f"mixsweep.{module}"), attr)
+        assert hasattr(owner, name), f"mixsweep.{module}.{attr}"
+        originals[owner, name] = getattr(owner, name)
+    bound, finders = _mixsweep_globals(), list(sys.meta_path)
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        argv = ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+                "--out", str(tmp_path / "plan.json"), "--schedule-csv", str(tmp_path / "s.csv")]
+        assert run(argv) == 0
+    names = {span[2] for span in tracer.spans}
+    assert {"schedule.build_schedule", "trainplan.build_training_plan"} <= names
+    assert all(getattr(*key) is original for key, original in originals.items())
+    now = _mixsweep_globals()
+    assert all(now[key] is value for key, value in bound.items())
+    assert sys.meta_path == finders
+
+
 def _model_file(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -549,8 +586,8 @@ def test_fit_kstar_rejects_h_max_above_its_bound(workspace, tmp_path, capsys):
     "value, code, message",
     [
         (math.nan, 2, "error: {path}: f_k_star must be a finite number, got nan"),
-        # finite, but its squared residual overflows at every shift exponent
-        (1e308, 3, "fit error: the squared error of the best fit is not finite (inf)"),
+        # finite, but 2**1e308 is no float, so the cell's k_star cannot equal it
+        (1e308, 2, "error: {path}: cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star"),
     ],
     ids=["nan", "overflow"],
 )
@@ -564,7 +601,7 @@ def test_fit_kstar_never_writes_a_non_finite_model(
     path = _model_file(tmp_path, "e.json", epochs)
     assert run(["fit", "kstar", "--epoch-fits", path, "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert err.startswith(message.format(path=path))
+    assert err.startswith(message.format(path=path, **epochs["parameters"]["fits"][0]))
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
@@ -789,8 +826,9 @@ def test_epoch_cell_beyond_the_float_range_is_data_error(
 @pytest.mark.parametrize("command", ["fit-kstar", "report"])
 @pytest.mark.parametrize(
     "f_k_star, k_star",
-    [(400.0, -5.0), (3.0, 0.0), (2.0, 5.0), (2000.0, -5.0)],
-    ids=["negative", "zero", "mismatched", "negative-beyond-the-float-range"],
+    [(400.0, -5.0), (3.0, 0.0), (2.0, 5.0), (2000.0, -5.0), (1e308, 5.0), (-2000.0, 5.0)],
+    ids=["negative", "zero", "mismatched", "negative-beyond-the-float-range", "overflow",
+         "underflow"],
 )
 def test_epoch_cell_k_star_must_be_two_to_the_f_k_star(
     workspace, tmp_path, capsys, command, f_k_star, k_star
@@ -1021,15 +1059,19 @@ def test_setup_ratio_factor_beyond_its_bound_is_data_error(tmp_path, capsys):
     ids=["model-scale-overflow", "target-tokens-underflow", "epochs-overflow"],
 )
 def test_simulate_rejects_factors_beyond_the_float_range(tmp_path, capsys, factors):
+    wire = {"f_r": 0, "f_M": 0, "f_k": 0, "f_C": 0, **factors}
     setups = tmp_path / "setups.jsonl"
-    setups.write_text(json.dumps({"f_r": 0, "f_M": 0, "f_k": 0, "f_C": 0, **factors}) + "\n")
-    out = tmp_path / "r.csv"
-    code = run(["simulate", "--setups", str(setups), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: FactorTuple(") and err.endswith(") leaves the float range\n")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    setups.write_text(json.dumps(wire) + "\n")
+    out = tmp_path / "out"
+    tuple_text = ", ".join(f"{key}={wire[key]}" for key in ("f_r", "f_M", "f_k", "f_C"))
+    # the setup is derived when its line is read, so plan fails on it too
+    for argv in (["simulate"], ["plan", "any-id"]):
+        code = run([*argv, "--setups", str(setups), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {setups}: line 1: FactorTuple({tuple_text}) leaves the float range\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "analyze"])

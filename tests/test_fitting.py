@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mixsweep import analysis, fitting, surrogate
 from mixsweep.budget import reference_constants
 from mixsweep.errors import (
+    FitError,
     UnderdeterminedError,
     UnidentifiableError,
     ValidationError,
@@ -298,6 +299,15 @@ def test_kstar_rejects_non_finite_curve_points(value):
     curves = planted_curves()
     curves[2] = (*curves[2][:2], value)
     with pytest.raises(ValidationError, match="k\\* curve points must be finite"):
+        fitting.fit_kstar_model(curves, "mono-1stage")
+
+
+def test_kstar_fit_with_an_overflowing_error_is_a_fit_error():
+    # finite points whose squared residual overflows at every shift exponent; the
+    # epoch-fits loader rejects such a log2 k*, so only a library caller meets this guard
+    curves = planted_curves()
+    curves[2] = (*curves[2][:2], 1e308)
+    with pytest.raises(FitError, match=r"the squared error of the best fit is not finite \(inf\)"):
         fitting.fit_kstar_model(curves, "mono-1stage")
 
 

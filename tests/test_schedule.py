@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixsweep import budget, cli, schedule, space, trainplan
-from mixsweep.errors import InsufficientCorpusError, ValidationError
+from mixsweep.errors import ValidationError
 from mixsweep.seeds import mix64
 
 
@@ -50,11 +50,34 @@ def test_target_sum_exact_across_grid(all_setups):
             assert b.target_tokens + b.high_tokens == b.total_tokens
 
 
+@st.composite
+def _split_setups(draw):
+    """Factor tuples beyond the default grid, with r1 < 2**-f_r < r2."""
+    f_r = draw(st.integers(1, 20))
+    factors = budget.FactorTuple(
+        f_r, draw(st.integers(-30, 30)), draw(st.integers(0, 30)), draw(st.integers(-30, 0))
+    )
+    ratio = budget.ratio_for(f_r)
+    below = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda a: a < 1))
+    above = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda b: b > 0))
+    return factors, budget.stage_split(ratio * below, ratio + (1 - ratio) * above, ratio)
+
+
+@given(_split_setups())
+def test_stage_budgets_sum_exactly_on_generated_setups(case):
+    factors, split = case
+    budgets = trainplan.stage_budgets(budget.derive_single_stage(factors), split)
+    expected = math.ldexp(budget.reference_constants().target_tokens, factors.f_D + factors.f_k)
+    assert sum(b.target_tokens for b in budgets) == expected
+    for b in budgets:
+        assert b.target_tokens + b.high_tokens == b.total_tokens
+
+
 def test_insufficient_high_resource_corpus():
     setup = budget.derive_single_stage(budget.FactorTuple(2, 0, 0, 0))
     needed = setup.total_tokens * 3 / 4
     trainplan.stage_budgets(setup, high_available=needed)  # exactly enough
-    with pytest.raises(InsufficientCorpusError):
+    with pytest.raises(ValidationError, match="high-resource tokens, only .* declared available"):
         trainplan.stage_budgets(setup, high_available=needed * 0.999)
 
 
@@ -97,8 +120,7 @@ def _simulate_accumulator(ratio, n):
     [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
 )
 def test_interleaver_matches_accumulator_oracle(ratio):
-    pattern = schedule.interleave_pattern(ratio)
-    assert [pattern.source_at(i) for i in range(500)] == _simulate_accumulator(ratio, 500)
+    assert [schedule.source_at(ratio, i) for i in range(500)] == _simulate_accumulator(ratio, 500)
 
 
 @pytest.mark.parametrize(
@@ -106,31 +128,19 @@ def test_interleaver_matches_accumulator_oracle(ratio):
     [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
 )
 def test_interleaver_prefix_discrepancy_bounded(ratio):
-    pattern = schedule.interleave_pattern(ratio)
     worst = max(
-        abs(pattern.targets_before(n) - float(ratio) * n) for n in range(1, 10001)
+        abs(schedule.targets_before(ratio, n) - float(ratio) * n) for n in range(1, 10001)
     )
     assert worst <= 1.0
 
 
 def test_interleaver_special_patterns():
-    half = schedule.interleave_pattern(Fraction(1, 2))
-    assert [half.source_at(i) for i in range(6)] == ["target", "high"] * 3
-    third = schedule.interleave_pattern(Fraction(1, 3))
-    window = [third.source_at(i) for i in range(9)]
+    half = Fraction(1, 2)
+    assert [schedule.source_at(half, i) for i in range(6)] == ["target", "high"] * 3
+    window = [schedule.source_at(Fraction(1, 3), i) for i in range(9)]
     assert window == ["high", "target", "high"] * 3
-    assert all(schedule.interleave_pattern(Fraction(0)).source_at(i) == "high" for i in range(10))
-    assert all(schedule.interleave_pattern(Fraction(1)).source_at(i) == "target" for i in range(10))
-
-
-def test_interleaver_validation():
-    with pytest.raises(ValidationError):
-        schedule.interleave_pattern(Fraction(3, 2))
-
-
-def _plan_and_schedule(setup, split):
-    plan = trainplan.build_training_plan(setup, split)
-    return plan, schedule.build_schedule(plan)
+    assert all(schedule.source_at(Fraction(0), i) == "high" for i in range(10))
+    assert all(schedule.source_at(Fraction(1), i) == "target" for i in range(10))
 
 
 def test_build_schedule_deterministic():
@@ -138,43 +148,42 @@ def test_build_schedule_deterministic():
     setup = spec.derived()
     plan = trainplan.build_training_plan(setup, spec.split(), setup_id=spec.id)
     one = schedule.build_schedule(plan, base_seed=7)
-    two = schedule.build_schedule(plan, base_seed=7)
-    assert one == two
-    assert schedule.schedule_to_wire(one) == schedule.schedule_to_wire(two)
-    assert one.plan.setup_id == spec.id
-    assert one.seeds == tuple(schedule.epoch_seeds(setup.epochs, 7))
-    assert one.plan.stages == plan.stages
-    assert one.trailing_partial_epoch  # reference corpus is not batch-aligned
+    assert one == schedule.build_schedule(plan, base_seed=7)
+    assert one["setup_id"] == spec.id
+    assert one["base_seed"] == 7
+    assert one["epoch_seeds"] == schedule.epoch_seeds(setup.epochs, 7)
+    stages = [(s["index"], s["total_tokens"]) for s in one["stages"]]
+    assert stages == [(1, plan.stages[0].total_tokens), (2, plan.stages[1].total_tokens)]
+    assert one["trailing_partial_epoch"]  # reference corpus is not batch-aligned
 
 
 def test_schedule_rows_accounting():
     spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
-    plan, sched = _plan_and_schedule(spec.derived(), spec.split())
+    plan = trainplan.build_training_plan(spec.derived(), spec.split())
     batch = plan.batch.global_batch_tokens
-    rows = list(schedule.schedule_rows(sched))
+    rows = list(schedule.schedule_rows(plan))
     indices = [r[0] for r in rows]
     assert indices == list(range(len(rows)))
-    for stage_budget in sched.plan.stages:
-        stage_rows = [r for r in rows if r[1] == stage_budget.stage_index]
+    for stage, stage_budget in enumerate(plan.stages, 1):
+        stage_rows = [r for r in rows if r[1] == stage]
         assert sum(r[3] for r in stage_rows) == stage_budget.total_tokens
         assert all(r[3] <= batch for r in stage_rows)
     # stage 1 of this split is high-resource only
     assert all(r[2] == "high" for r in rows if r[1] == 1)
 
 
-def _reference_rows(spec):
+def _reference_rows(plan):
     """The plain per-row expansion: one ``source_at`` evaluation per batch."""
     index = 0
-    batch = spec.plan.batch.global_batch_tokens
-    for stage_budget in spec.plan.stages:
-        pattern = schedule.interleave_pattern(stage_budget.ratio)
+    batch = plan.batch.global_batch_tokens
+    for stage, stage_budget in enumerate(plan.stages, 1):
         n_batches = math.ceil(stage_budget.total_tokens / batch)
         for i in range(n_batches):
             if i < n_batches - 1:
                 tokens = float(batch)
             else:
                 tokens = stage_budget.total_tokens - batch * (n_batches - 1)
-            yield (index, stage_budget.stage_index, pattern.source_at(i), tokens)
+            yield (index, stage, schedule.source_at(stage_budget.ratio, i), tokens)
             index += 1
 
 
@@ -184,13 +193,13 @@ _ratios = st.one_of(
 )
 
 
-def _spec(batch, totals_and_ratios):
-    """A schedule of one stage per (total tokens, ratio), indexed from 1."""
+def _plan(batch, totals_and_ratios):
+    """A plan of one stage per (total tokens, ratio)."""
     stages = tuple(
-        trainplan.StageTokenBudget(index, total, total * float(ratio), 0.0, ratio)
-        for index, (total, ratio) in enumerate(totals_and_ratios, 1)
+        trainplan.StageTokenBudget(total, total * float(ratio), 0.0, ratio)
+        for total, ratio in totals_and_ratios
     )
-    plan = trainplan.TrainingPlan(
+    return trainplan.TrainingPlan(
         setup_id="x",
         shape=trainplan.SHAPE_LADDER[0],
         eta_max=0.0,
@@ -199,34 +208,33 @@ def _spec(batch, totals_and_ratios):
         steps=tuple(math.ceil(b.total_tokens / batch) for b in stages),
         epochs=1,
     )
-    return schedule.ScheduleSpec(plan, 0, (0,), False)
 
 
 @st.composite
-def _schedules(draw):
-    """Schedules of 1-3 stages, with whole, partial, sub-batch and empty stage totals."""
+def _plans(draw):
+    """Plans of 1-3 stages, with whole, partial, sub-batch and empty stage totals."""
     batch = draw(st.sampled_from([1, 3, 4096, 98304]))
     stages = []
     for _ in range(draw(st.integers(1, 3))):
         full = draw(st.integers(0, 200))
         partial = draw(st.sampled_from([0.0, 0.25, 0.999, 1e-9]) | st.floats(0, 1, exclude_max=True))
         stages.append((float(full * batch) + partial * batch, draw(_ratios)))
-    return _spec(batch, stages)
+    return _plan(batch, stages)
 
 
-@given(_schedules())
-def test_schedule_rows_match_per_row_expansion(spec):
-    rows = list(schedule.schedule_rows(spec))
+@given(_plans())
+def test_schedule_rows_match_per_row_expansion(plan):
+    rows = list(schedule.schedule_rows(plan))
     # repr pins the cell types too (a float 4096.0 is not an int 4096)
-    assert list(map(repr, rows)) == list(map(repr, _reference_rows(spec)))
+    assert list(map(repr, rows)) == list(map(repr, _reference_rows(plan)))
 
 
 _HEADER = ("batch_index", "stage", "source", "tokens")
 
 
-@given(_schedules())
-def test_schedule_csv_matches_csv_writer(spec):
-    assert schedule.schedule_csv(spec) == cli._csv_text(_HEADER, _reference_rows(spec))
+@given(_plans())
+def test_schedule_csv_matches_csv_writer(plan):
+    assert schedule.schedule_csv(plan) == cli._csv_text(_HEADER, _reference_rows(plan))
 
 
 @pytest.mark.parametrize(
@@ -242,35 +250,35 @@ def test_schedule_csv_matches_csv_writer(spec):
     ],
 )
 def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
-    spec = _spec(batch, stages)
-    text = schedule.schedule_csv(spec)
-    assert text == cli._csv_text(_HEADER, _reference_rows(spec))
-    assert text == cli._csv_text(_HEADER, schedule.schedule_rows(spec))
+    plan = _plan(batch, stages)
+    text = schedule.schedule_csv(plan)
+    assert text == cli._csv_text(_HEADER, _reference_rows(plan))
+    assert text == cli._csv_text(_HEADER, schedule.schedule_rows(plan))
 
 
 def test_schedule_rows_skip_a_zero_token_stage():
     # r1 == r: the split gives stage 1 the whole length and stage 2 nothing
     setup = budget.derive_single_stage(budget.FactorTuple(2, 4, 0, -4))  # r=1/4
     split = budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    plan, sched = _plan_and_schedule(setup, split)
+    plan = trainplan.build_training_plan(setup, split)
     assert plan.steps[1] == 0
-    assert sched.plan.stages[1].total_tokens == 0.0
-    rows = list(schedule.schedule_rows(sched))
-    assert rows == list(_reference_rows(sched))
+    assert plan.stages[1].total_tokens == 0.0
+    rows = list(schedule.schedule_rows(plan))
+    assert rows == list(_reference_rows(plan))
     assert rows and {r[1] for r in rows} == {1}
-    assert schedule.schedule_csv(sched) == cli._csv_text(_HEADER, rows)
+    assert schedule.schedule_csv(plan) == cli._csv_text(_HEADER, rows)
 
 
 @given(st.data())
 def test_plan_and_schedule_agree_per_stage(all_setups, data):
     spec = data.draw(st.sampled_from(all_setups))
     setup = spec.derived()
-    plan, sched = _plan_and_schedule(setup, spec.split())
+    plan = trainplan.build_training_plan(setup, spec.split())
     plan_stages = trainplan.plan_to_wire(plan)["stages"]
-    schedule_stages = schedule.schedule_to_wire(sched)["stages"]
+    schedule_stages = schedule.build_schedule(plan)["stages"]
     tokens = {
         stage: list(map(itemgetter(3), rows))
-        for stage, rows in groupby(schedule.schedule_rows(sched), key=itemgetter(1))
+        for stage, rows in groupby(schedule.schedule_rows(plan), key=itemgetter(1))
     }
     for planned, scheduled in zip(plan_stages, schedule_stages, strict=True):
         stage_tokens = tokens.get(planned["index"], [])  # a zero-token stage has no rows

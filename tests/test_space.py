@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mixsweep import space
 from mixsweep.budget import FactorTuple
-from mixsweep.errors import FileFormatError, InfeasibleSplitError
+from mixsweep.errors import FileFormatError, ValidationError
 
 ROW_SPECS = {
     0: ((-1, 5), (-5, 2)),
@@ -110,7 +110,7 @@ def test_two_stage_never_violates_ordering(all_setups):
 
 
 def test_manual_two_stage_boundary_rejected():
-    with pytest.raises(InfeasibleSplitError):
+    with pytest.raises(ValidationError, match="need r1 < r < r2 strictly, got r1=1/2, r=1/2"):
         space.SetupSpec(FactorTuple(1, 0, 0, 0), Fraction(1, 2), Fraction(3, 4))
 
 
@@ -132,7 +132,7 @@ def test_two_stage_ordering_check_matches_fraction_comparison(case):
     if r1 < ratio < r2:
         assert space.SetupSpec(factors, r1, r2).is_two_stage
     else:
-        with pytest.raises(InfeasibleSplitError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             space.SetupSpec(factors, r1, r2)
         assert str(excinfo.value) == f"need r1 < r < r2 strictly, got r1={r1}, r={ratio}, r2={r2}"
 

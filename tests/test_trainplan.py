@@ -4,12 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mixsweep import budget, trainplan
-from mixsweep.errors import (
-    MinimumBatchError,
-    UnsupportedModelError,
-    UnsupportedScaleError,
-    ValidationError,
-)
+from mixsweep.errors import ValidationError
 
 #: (f_M, n_layers, n_heads, d_model, printed 3-significant-figure scale)
 LADDER_ROWS = [
@@ -51,9 +46,9 @@ def test_ladder_halves_scale_per_step():
 
 
 def test_unsupported_scale():
-    with pytest.raises(UnsupportedScaleError):
+    with pytest.raises(ValidationError, match=r"f_M=-2 outside the shape ladder \[-1, 5\]"):
         trainplan.shape_for_factor(-2)
-    with pytest.raises(UnsupportedScaleError):
+    with pytest.raises(ValidationError, match=r"f_M=6 outside the shape ladder \[-1, 5\]"):
         trainplan.shape_for_factor(6)
 
 
@@ -103,12 +98,12 @@ def test_batch_config_small_budget_trace():
 def test_batch_config_unsupported_complexity():
     shape = trainplan.ModelShape(n_layers=8, n_heads=8, d_model=5000)
     assert shape.complexity == 2e8
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(ValidationError, match="batch rule undefined for this shape"):
         trainplan.batch_config(1e18, shape)
 
 
 def test_batch_config_minimum_batch_error():
-    with pytest.raises(MinimumBatchError):
+    with pytest.raises(ValidationError, match="optimal per-device batch rounds to 0 at compute"):
         trainplan.batch_config(1e12, trainplan.shape_for_factor(0))
 
 
