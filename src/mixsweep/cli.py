@@ -2,10 +2,15 @@
 
 Subcommands: enumerate, plan, simulate, analyze, fit (epochs|kstar|ratio),
 predict kstar, report. Every command is deterministic given its inputs and
-declared seeds; all file writes are atomic (write-temp-then-rename) and
-existing outputs are never overwritten without --force.
+declared seeds. A command's handler only computes: it returns its outputs, its
+stdout text and its one-line stderr note, and :func:`run` commits them in one
+place. Every output is written to a temp file and renamed into place, then
+stdout and stderr are written; if any step fails (a full disk, a closed pipe),
+no output is left and a file replaced under --force is restored. Existing
+outputs are never overwritten without --force.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 fit error.
+Exit codes: 0 success, 1 usage error, 2 data/validation error (and any
+unexpected exception, as ``error: internal error: ...``), 3 fit error.
 Config precedence: flags > config file (--config or $MIXSWEEP_CONFIG) > defaults.
 """
 
@@ -19,7 +24,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import analysis, fitting, schedule, space, surrogate, trainplan
 from .budget import reference_constants
@@ -42,21 +47,37 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _write_outputs(outputs: dict[str, str], force: bool) -> None:
-    """Write path -> text for one command: every output is placed, or none is.
+class _Result(NamedTuple):
+    """What one command produces; :func:`run` commits it with :func:`_write_outputs`."""
 
-    Every temp file is written before the first rename, and a file about to be
-    replaced is first hard-linked to a backup. On failure each placed output is
+    outputs: list[tuple[str, str]]  # (path, text)
+    stdout: str = ""  # without its final newline; "" writes nothing
+    note: str = ""  # the one stderr line, likewise
+
+
+def _write_outputs(result: _Result, force: bool) -> None:
+    """Place every output, then write stdout and the stderr note: all of it, or no output.
+
+    Every path is checked before anything is written. Every temp file is written
+    before the first rename, and a file about to be replaced is first hard-linked
+    to a backup. If a write, a rename or either stream fails, each placed output is
     removed or swapped back for its backup; no temp or backup file outlives the call.
     """
-    for path in outputs:
+    seen: set[str] = set()
+    for path, _ in result.outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"two outputs name the same file {path}")
+        seen.add(real)
+        if os.path.isdir(path):
+            raise ValidationError(f"{path}: is a directory")
         if os.path.exists(path) and not force:
             raise UsageError(f"refusing to overwrite {path} (pass --force)")
     temps: dict[str, str] = {}
     backups: dict[str, str] = {}
     placed: list[str] = []
     try:
-        for path, text in outputs.items():
+        for path, text in result.outputs:
             directory = os.path.dirname(path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
@@ -70,6 +91,10 @@ def _write_outputs(outputs: dict[str, str], force: bool) -> None:
                 backups[path] = backup
             os.replace(tmp, path)
             placed.append(path)
+        for stream, text in ((sys.stdout, result.stdout), (sys.stderr, result.note)):
+            if text:
+                stream.write(text + "\n")
+                stream.flush()  # a closed pipe fails here, while the outputs can be rolled back
     except BaseException:
         for path in placed:
             with contextlib.suppress(OSError):
@@ -155,7 +180,7 @@ def _resolve(flag_value, config: dict, key: str, default):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Result:
     ranges = space.default_ranges()
     if args.fc:
         unknown = [f for f in args.fc if f not in ranges.rows]
@@ -170,9 +195,7 @@ def _cmd_enumerate(args) -> int:
         specs = space.enumerate_all(ranges)
     buf = io.StringIO()
     count = space.write_jsonl(specs, buf)
-    _write_outputs({args.out: buf.getvalue()}, args.force)
-    print(f"wrote {count} setups to {args.out}", file=sys.stderr)
-    return 0
+    return _Result([(args.out, buf.getvalue())], note=f"wrote {count} setups to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +203,7 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> _Result:
     config = _load_config(args)
     devices = _resolve(args.devices, config, "devices", trainplan.DEFAULT_DEVICES)
     base_seed = _resolve(args.base_seed, config, "seed", 0)
@@ -199,12 +222,10 @@ def _cmd_plan(args) -> int:
         "training_plan": trainplan.plan_to_wire(plan),
         "schedule": schedule.build_schedule(plan, base_seed=base_seed),
     }
-    outputs = {args.out: _json_text(doc)}
+    outputs = [(args.out, _json_text(doc))]
     if args.schedule_csv:
-        outputs[args.schedule_csv] = schedule.schedule_csv(plan)
-    _write_outputs(outputs, args.force)
-    print(f"wrote plan for {spec.id} to {args.out}", file=sys.stderr)
-    return 0
+        outputs.append((args.schedule_csv, schedule.schedule_csv(plan)))
+    return _Result(outputs, note=f"wrote plan for {spec.id} to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +233,16 @@ def _cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Result:
     config = _load_config(args)
-    params = (
-        _read_json(args.params, surrogate.params_from_dict)
-        if args.params
-        else surrogate.SurrogateParams()
-    )
+    params = (_read_json(args.params, surrogate.params_from_dict) if args.params
+              else surrogate.SurrogateParams())
     seed = _resolve(args.seed, config, "seed", None)
-    specs = _read_setups(args.setups)
-    records = surrogate.generate_dataset(
-        specs, params, seed, language_pair=args.pair
-    )
-    text = _csv_text(
-        analysis.RESULTS_HEADER,
-        ((r.setup_id, r.language_pair, r.val_loss) for r in records),
-    )
-    _write_outputs({args.out: text}, args.force)
-    print(f"wrote {len(records)} surrogate records to {args.out}", file=sys.stderr)
-    return 0
+    records = surrogate.generate_dataset(_read_setups(args.setups), params, seed,
+                                         language_pair=args.pair)
+    text = _csv_text(analysis.RESULTS_HEADER,
+                     ((r.setup_id, r.language_pair, r.val_loss) for r in records))
+    return _Result([(args.out, text)], note=f"wrote {len(records)} surrogate records to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +250,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _analysis_tables(report: dict, directory: str) -> dict[str, str]:
+def _analysis_tables(report: dict, directory: str) -> list[tuple[str, str]]:
     """``report.json``'s groups and scale minima as CSV text; each cell is read as its type."""
     field = space.json_field
     approach_rows = (
@@ -252,31 +264,24 @@ def _analysis_tables(report: dict, directory: str) -> dict[str, str]:
          field(row, "M", float), field(row, "loss", float), field(row, "setup_id", str))
         for row in field(report, "scale_minima", list)
     )
-    return {
-        os.path.join(directory, "approach_minima.csv"): _csv_text(
-            ("C", "D_T", "approach", "min_loss", "setup_id"), approach_rows
-        ),
-        os.path.join(directory, "scale_minima.csv"): _csv_text(
-            ("C", "D_T", "f_M", "M", "min_loss", "setup_id"), scale_rows
-        ),
-    }
+    return [
+        (os.path.join(directory, "approach_minima.csv"),
+         _csv_text(("C", "D_T", "approach", "min_loss", "setup_id"), approach_rows)),
+        (os.path.join(directory, "scale_minima.csv"),
+         _csv_text(("C", "D_T", "f_M", "M", "min_loss", "setup_id"), scale_rows)),
+    ]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> _Result:
     config = _load_config(args)
     epsilon = _resolve(args.epsilon, config, "epsilon", 0.0)
     report = analysis.build_report(_ingest(args), pair=args.pair, epsilon=epsilon)
-    outputs = {args.out: _json_text(report)}
+    outputs = [(args.out, _json_text(report))]
     if args.tables_dir:
-        outputs.update(_analysis_tables(report, args.tables_dir))
-    _write_outputs(outputs, args.force)
+        outputs += _analysis_tables(report, args.tables_dir)
     rejected = len(report["ingest"]["rejected_unknown"])
-    print(
-        f"analyzed {report['ingest']['n_records']} records "
-        f"({rejected} rejected) -> {args.out}",
-        file=sys.stderr,
-    )
-    return 0
+    return _Result(outputs, note=f"analyzed {report['ingest']['n_records']} records "
+                                 f"({rejected} rejected) -> {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,41 +289,32 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fit_epochs(args) -> int:
+def _cmd_fit_epochs(args) -> _Result:
     cells = analysis.epoch_minima(_ingest(args), args.approach, args.pair)
     fits, warnings = fitting.fit_epoch_cells(cells)
     doc = fitting.epoch_fits_to_wire(args.approach, fits, warnings)
-    _write_outputs({args.out: _json_text(doc)}, args.force)
-    print(f"fitted {len(fits)} epoch quadratics -> {args.out}", file=sys.stderr)
-    return 0
+    return _Result([(args.out, _json_text(doc))],
+                   note=f"fitted {len(fits)} epoch quadratics -> {args.out}")
 
 
-def _cmd_fit_kstar(args) -> int:
+def _cmd_fit_kstar(args) -> _Result:
     approach, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
     ref = reference_constants()
     curves = [
         (math.ldexp(ref.compute, f_C), float(f_D), fit.minimizer) for f_C, f_D, fit in fits
     ]
     model = fitting.fit_kstar_model(curves, approach=approach, h_max=args.h_max)
-    _write_outputs({args.out: _json_text(fitting.kstar_to_wire(model))}, args.force)
-    print(
-        f"fitted epoch-extrapolation model (shift exponent "
-        f"{model.shift_exponent:.4f}) -> {args.out}",
-        file=sys.stderr,
-    )
-    return 0
+    return _Result([(args.out, _json_text(fitting.kstar_to_wire(model)))],
+                   note=f"fitted epoch-extrapolation model (shift exponent "
+                        f"{model.shift_exponent:.4f}) -> {args.out}")
 
 
-def _cmd_fit_ratio(args) -> int:
+def _cmd_fit_ratio(args) -> _Result:
     points = [point[1:] for point in analysis.ratio_points(_ingest(args), args.pair)]
     fit = fitting.fit_ratio_power_law(points)
-    _write_outputs({args.out: _json_text(fitting.ratio_fit_to_wire(fit))}, args.force)
-    print(
-        f"fitted ratio power law (exponent {fit.exponent:.4f}, "
-        f"{fit.group_count} groups) -> {args.out}",
-        file=sys.stderr,
-    )
-    return 0
+    return _Result([(args.out, _json_text(fitting.ratio_fit_to_wire(fit)))],
+                   note=f"fitted ratio power law (exponent {fit.exponent:.4f}, "
+                        f"{fit.group_count} groups) -> {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +322,12 @@ def _cmd_fit_ratio(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> _Result:
     model = _read_json(args.model_file, fitting.kstar_from_wire)
     value = fitting.predict_kstar(
         model, args.compute, args.target_tokens, round_to_power_of_two=args.round_pow2
     )
-    print(repr(value))
-    return 0
+    return _Result([], stdout=repr(value))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +335,7 @@ def _cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> _Result:
     ingest = args.results is not None and args.setups is not None
     for flag, value in (("--ratio-fit", args.ratio_fit), ("--pair", args.pair)):
         if value is not None and not ingest:
@@ -349,7 +344,7 @@ def _cmd_report(args) -> int:
         raise UsageError("--results and --setups go together")
     # every input is read and every output rendered before anything is written
     outputs, summary = _read_json(args.analysis, lambda report: (
-        _analysis_tables(report, args.out_dir), _render_summary(report) if args.summary else None
+        _analysis_tables(report, args.out_dir), _render_summary(report) if args.summary else ""
     ))
     ref = reference_constants()
     if args.epoch_fits:
@@ -359,18 +354,20 @@ def _cmd_report(args) -> int:
              fit.minimizer, fit.k_star, fit.convex)
             for f_C, f_D, fit in fits
         ]
-        outputs[os.path.join(args.out_dir, "epoch_optima.csv")] = _csv_text(
-            ("C", "D_T", "f_k_star", "k_star", "convex"), rows
-        )
+        outputs.append((os.path.join(args.out_dir, "epoch_optima.csv"),
+                        _csv_text(("C", "D_T", "f_k_star", "k_star", "convex"), rows)))
     if args.kstar_model:
-        model = _read_json(args.kstar_model, fitting.kstar_from_wire)
-        lo = math.floor(min(model.positions)) - 1
-        hi = math.ceil(max(model.positions)) + 1
-        grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
-        rows = [(ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t)) for d_t in grid]
-        outputs[os.path.join(args.out_dir, "kstar_extrapolation.csv")] = _csv_text(
-            ("C", "D_T", "k_star"), rows
-        )
+        def extrapolate(obj):  # read with the model, so a prediction's error names the file too
+            model = fitting.kstar_from_wire(obj)
+            lo = math.floor(min(model.positions)) - 1
+            hi = math.ceil(max(model.positions)) + 1
+            grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
+            return [(ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t))
+                    for d_t in grid]
+
+        rows = _read_json(args.kstar_model, extrapolate)
+        outputs.append((os.path.join(args.out_dir, "kstar_extrapolation.csv"),
+                        _csv_text(("C", "D_T", "k_star"), rows)))
     if ingest:
         results = _ingest(args)
         ratio_fit = None
@@ -380,15 +377,10 @@ def _cmd_report(args) -> int:
         for _, m, d, r, loss in sorted(analysis.ratio_points(results, args.pair)):
             known = ratio_fit is not None and (m, d) in ratio_fit.intercepts
             rows.append((m, d, r, loss, ratio_fit.predict(m, d, r) if known else ""))
-        outputs[os.path.join(args.out_dir, "ratio_curves.csv")] = _csv_text(
-            ("M", "D", "r", "val_loss", "predicted_loss"), rows
-        )
-    _write_outputs(outputs, args.force)
-    if summary is not None:
-        print(summary)
-    else:
-        print(f"wrote report tables to {args.out_dir}", file=sys.stderr)
-    return 0
+        outputs.append((os.path.join(args.out_dir, "ratio_curves.csv"),
+                        _csv_text(("M", "D", "r", "val_loss", "predicted_loss"), rows)))
+    note = "" if args.summary else f"wrote report tables to {args.out_dir}"
+    return _Result(outputs, stdout=summary, note=note)
 
 
 def _render_summary(report: dict) -> str:
@@ -537,24 +529,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse and execute; returns the process exit code."""
-    parser = build_parser()
+    """Parse, execute and commit one command; returns the process exit code.
+
+    Every failure is one stderr line; a failed command leaves no output.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        _write_outputs(args.handler(args), getattr(args, "force", False))
+        return 0
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"usage error: {exc}", 1
     except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"fit error: {exc}", 3
     except (MixsweepError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
+    except Exception as exc:  # a bug, not a bad input: still one line, not a traceback
+        message, code = f"error: internal error: {type(exc).__name__}: {exc}", 2
+    print(message, file=sys.stderr)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -2,9 +2,10 @@
 
 The CLI maps these onto exit codes: :class:`UsageError` -> 1, any
 :class:`FitError` -> 3, every other :class:`MixsweepError` (and I/O
-failures) -> 2. Each class below the base stays because something tells it
-apart: ``UsageError`` and ``FitError`` pick their exit codes,
-``fit_epoch_cells`` catches ``UnderdeterminedError`` and
+failures) -> 2. Any other exception is a bug; it also exits 2, as the one
+line ``error: internal error: <type>: <message>``. Each class below the base
+stays because something tells it apart: ``UsageError`` and ``FitError`` pick
+their exit codes, ``fit_epoch_cells`` catches ``UnderdeterminedError`` and
 ``UnidentifiableError`` by name, and ``FileFormatError`` is what
 ``cli._read`` raises. ``ValidationError`` covers every other bad value.
 """

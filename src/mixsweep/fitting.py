@@ -490,9 +490,11 @@ def predict_kstar(
             f"got {compute}, {target_tokens}"
         )
     ref = reference_constants()
-    shifted = math.log2(target_tokens / ref.target_tokens) - model.shift_exponent * math.log2(
-        compute / ref.compute
-    )
+    corpus, scale = target_tokens / ref.target_tokens, compute / ref.compute
+    if not (corpus and scale):  # a subnormal value divided by the reference is 0
+        raise ValidationError(f"compute and target tokens too small to scale, got {compute}, "
+                              f"{target_tokens}")
+    shifted = math.log2(corpus) - model.shift_exponent * math.log2(scale)
     # _sse_and_grad's segment evaluation for one point: the same float operations in order
     xp = model.positions[::-1]  # ascending
     fp = model.levels[::-1]
@@ -500,8 +502,10 @@ def predict_kstar(
     width = xp[k + 1] - xp[k]
     slope = (fp[k + 1] - fp[k]) / width
     level = max(fp[k] + slope * (shifted - xp[k]), 0.0)
-    if round_to_power_of_two:
+    if round_to_power_of_two and math.isfinite(level):
         level = float(math.floor(level + 0.5))
+    if not level < 1024:  # 2.0**1024 leaves the float range; NaN fails this test too
+        raise ValidationError(f"predicted k* 2**{level:.4g} leaves the float range")
     return 2.0**level
 
 

@@ -319,6 +319,43 @@ def test_predict_kstar_rejects_non_finite(workspace, capsys, compute, target):
     assert captured.err.count("\n") == 1
 
 
+def test_predict_kstar_rejects_a_subnormal_budget(workspace, capsys):
+    code = run(["predict", "kstar", "--model", workspace["kstar"], "--C", "5e-324", "--DT", "2e9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: compute and target tokens too small to scale, got 5e-324, 2000000000.0\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_kstar_prediction_beyond_the_float_range_is_data_error(
+    workspace, tmp_path, capsys, command
+):
+    # a valid model whose first segment is so steep that f_D = -2 extrapolates to 2**~20000
+    knots = [{"h": 0.0, "f_D": 1.0}, {"h": 1.0, "f_D": 0.0}, {"h": 2.0, "f_D": -1e-4}]
+    path = _model_file(tmp_path, "k.json", {
+        "model_type": "kstar",
+        "parameters": {"approach": "mono-1stage", "shift_exponent": 0.5, "knots": knots},
+        "diagnostics": {"rss": 0.0, "n_points": 3, "warnings": []},
+    })
+    ref = reference_constants()
+    out = tmp_path / "rpt"
+    code = run({
+        "predict": ["predict", "kstar", "--model", path, "--C", repr(ref.compute),
+                    "--DT", repr(ref.target_tokens / 4)],
+        "report": ["report", "--analysis", workspace["report"], "--out-dir", str(out),
+                   "--kstar-model", path],
+    }[command])
+    captured = capsys.readouterr()
+    named = f"{path}: " if command == "report" else ""
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {named}predicted k* 2**2e+04 leaves the float range\n"
+    assert not out.exists()
+
+
 def test_report_tables_and_summary(workspace, tmp_path, capsys):
     code = run(
         [
@@ -973,6 +1010,106 @@ def test_failed_second_rename_with_force_restores_replaced_files(
     assert sorted(os.listdir(tmp_path)) == ["p.json", "s.csv"]
 
 
+def _run_into_closed_pipe(args, cwd):
+    """Exit code and stderr of ``mixsweep args`` whose stdout's reader has gone.
+
+    A real process, so the interpreter's own flush of stdout at exit is covered too.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixsweep.cli", *args], cwd=cwd, env=env, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["report", "predict"])
+def test_closed_stdout_leaves_no_output(workspace, tmp_path, command):
+    out = tmp_path / "rpt"
+    args = {
+        "report": ["report", "--analysis", workspace["report"], "--out-dir", str(out),
+                   "--summary"],
+        "predict": ["predict", "kstar", "--model", workspace["kstar"], "--C", "1e18",
+                    "--DT", "2.13e9"],
+    }[command]
+    code, err = _run_into_closed_pipe(args, tmp_path)
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert [f for _, _, files in os.walk(tmp_path) for f in files] == []
+
+
+def test_closed_stdout_with_force_restores_the_old_tables(workspace, tmp_path):
+    out = tmp_path / "rpt"
+    out.mkdir()
+    old = {"approach_minima.csv": b"old approach\n", "scale_minima.csv": b"old scale\n"}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    code, err = _run_into_closed_pipe(
+        ["report", "--analysis", workspace["report"], "--out-dir", str(out), "--summary",
+         "--force"], tmp_path
+    )
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == old
+
+
+def test_stray_exception_is_one_internal_error_line(workspace, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stray bug")
+
+    monkeypatch.setattr(cli.analysis, "build_report", broken)
+    code = run(
+        ["analyze", "--results", workspace["results"], "--setups", workspace["setups"],
+         "--out", str(tmp_path / "r.json"), "--tables-dir", str(tmp_path / "t")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: internal error: RuntimeError: stray bug\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["plan", "fC0_fD0_fr0_fM0_fk0", "--out", "X", "--schedule-csv", "X"], "X"),
+        (["plan", "fC0_fD0_fr0_fM0_fk0", "--out", "./X", "--schedule-csv", "X"], "X"),
+        (["analyze", "--out", "tb/approach_minima.csv", "--tables-dir", "tb"],
+         "tb/approach_minima.csv"),
+    ],
+    ids=["plan-same-spelling", "plan-dot-slash", "analyze-into-tables-dir"],
+)
+def test_two_outputs_naming_one_file_is_usage_error(
+    workspace, tmp_path, capsys, monkeypatch, args, named
+):
+    monkeypatch.chdir(tmp_path)
+    inputs = ["--setups", workspace["setups"]]
+    if args[0] == "analyze":
+        inputs += ["--results", workspace["results"]]
+    code = run([*args, *inputs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"usage error: two outputs name the same file {named}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+def test_directory_as_output_is_data_error(tmp_path, capsys, force):
+    directory = tmp_path / "somedir"
+    directory.mkdir()
+    code = run(["enumerate", "--out", str(directory), *(["--force"] if force else [])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {directory}: is a directory\n"
+    assert os.listdir(tmp_path) == ["somedir"]
+    assert os.listdir(directory) == []
+
+
 @pytest.mark.parametrize(
     "value", [1.7, True, "1"], ids=["float", "bool", "string"]
 )
@@ -1581,8 +1718,10 @@ def test_one_bad_input_exits_cleanly(fuzz_inputs, name, data):
         err = stderr.getvalue()
         assert code in (0, 1, 2, 3)
         assert err.count("\n") <= 1 and "Traceback" not in err
+        assert "internal error:" not in err  # the backstop hides no new bug
         left = [f for _, _, files in os.walk(root) for f in files if ".tmp." in f or ".bak." in f]
         assert left == []
         if code != 0:
+            assert stdout.getvalue() == ""
             assert not os.path.exists(out)
             assert err.startswith(("error: ", "usage error: ", "fit error: "))
