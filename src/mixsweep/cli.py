@@ -61,7 +61,8 @@ def _write_outputs(result: _Result, force: bool) -> None:
     Every path is checked before anything is written. Every temp file is written
     before the first rename, and a file about to be replaced is first hard-linked
     to a backup. If a write, a rename or either stream fails, each placed output is
-    removed or swapped back for its backup; no temp or backup file outlives the call.
+    removed or swapped back for its backup; no temp or backup file, and no directory
+    made for an output, outlives the call.
     """
     seen: set[str] = set()
     for path, _ in result.outputs:
@@ -76,11 +77,16 @@ def _write_outputs(result: _Result, force: bool) -> None:
     temps: dict[str, str] = {}
     backups: dict[str, str] = {}
     placed: list[str] = []
+    made: list[str] = []  # directories made for the outputs, each after its parent
     try:
         for path, text in result.outputs:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
+            directory, missing = os.path.dirname(path), []
+            while directory and not os.path.isdir(directory):
+                missing.insert(0, directory)
+                directory = os.path.dirname(directory)
+            made += missing
+            if missing:
+                os.makedirs(missing[-1])
             tmp = temps[path] = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -93,8 +99,16 @@ def _write_outputs(result: _Result, force: bool) -> None:
             placed.append(path)
         for stream, text in ((sys.stdout, result.stdout), (sys.stderr, result.note)):
             if text:
-                stream.write(text + "\n")
-                stream.flush()  # a closed pipe fails here, while the outputs can be rolled back
+                try:
+                    stream.write(text + "\n")
+                    stream.flush()  # a closed pipe fails here, while the outputs can be rolled back
+                except OSError:  # point it at devnull: its buffered bytes would fail again at exit
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    with contextlib.suppress(OSError, ValueError):  # no descriptor: leave it
+                        os.dup2(devnull, stream.fileno())
+                    os.close(devnull)
+                    raise
+        made.clear()  # each now holds an output
     except BaseException:
         for path in placed:
             with contextlib.suppress(OSError):
@@ -107,6 +121,9 @@ def _write_outputs(result: _Result, force: bool) -> None:
         for leftover in [*temps.values(), *backups.values()]:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -235,13 +252,20 @@ def _cmd_plan(args) -> _Result:
 
 def _cmd_simulate(args) -> _Result:
     config = _load_config(args)
-    params = (_read_json(args.params, surrogate.params_from_dict) if args.params
-              else surrogate.SurrogateParams())
+    params = (
+        _read_json(args.params, surrogate.params_from_dict)
+        if args.params
+        else surrogate.SurrogateParams()
+    )
     seed = _resolve(args.seed, config, "seed", None)
-    records = surrogate.generate_dataset(_read_setups(args.setups), params, seed,
-                                         language_pair=args.pair)
-    text = _csv_text(analysis.RESULTS_HEADER,
-                     ((r.setup_id, r.language_pair, r.val_loss) for r in records))
+    specs = _read_setups(args.setups)
+    records = surrogate.generate_dataset(
+        specs, params, seed, language_pair=args.pair
+    )
+    text = _csv_text(
+        analysis.RESULTS_HEADER,
+        ((r.setup_id, r.language_pair, r.val_loss) for r in records),
+    )
     return _Result([(args.out, text)], note=f"wrote {len(records)} surrogate records to {args.out}")
 
 
@@ -280,8 +304,11 @@ def _cmd_analyze(args) -> _Result:
     if args.tables_dir:
         outputs += _analysis_tables(report, args.tables_dir)
     rejected = len(report["ingest"]["rejected_unknown"])
-    return _Result(outputs, note=f"analyzed {report['ingest']['n_records']} records "
-                                 f"({rejected} rejected) -> {args.out}")
+    return _Result(
+        outputs,
+        note=f"analyzed {report['ingest']['n_records']} records "
+        f"({rejected} rejected) -> {args.out}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +320,9 @@ def _cmd_fit_epochs(args) -> _Result:
     cells = analysis.epoch_minima(_ingest(args), args.approach, args.pair)
     fits, warnings = fitting.fit_epoch_cells(cells)
     doc = fitting.epoch_fits_to_wire(args.approach, fits, warnings)
-    return _Result([(args.out, _json_text(doc))],
-                   note=f"fitted {len(fits)} epoch quadratics -> {args.out}")
+    return _Result(
+        [(args.out, _json_text(doc))], note=f"fitted {len(fits)} epoch quadratics -> {args.out}"
+    )
 
 
 def _cmd_fit_kstar(args) -> _Result:
@@ -304,17 +332,21 @@ def _cmd_fit_kstar(args) -> _Result:
         (math.ldexp(ref.compute, f_C), float(f_D), fit.minimizer) for f_C, f_D, fit in fits
     ]
     model = fitting.fit_kstar_model(curves, approach=approach, h_max=args.h_max)
-    return _Result([(args.out, _json_text(fitting.kstar_to_wire(model)))],
-                   note=f"fitted epoch-extrapolation model (shift exponent "
-                        f"{model.shift_exponent:.4f}) -> {args.out}")
+    return _Result(
+        [(args.out, _json_text(fitting.kstar_to_wire(model)))],
+        note=f"fitted epoch-extrapolation model (shift exponent "
+        f"{model.shift_exponent:.4f}) -> {args.out}",
+    )
 
 
 def _cmd_fit_ratio(args) -> _Result:
     points = [point[1:] for point in analysis.ratio_points(_ingest(args), args.pair)]
     fit = fitting.fit_ratio_power_law(points)
-    return _Result([(args.out, _json_text(fitting.ratio_fit_to_wire(fit)))],
-                   note=f"fitted ratio power law (exponent {fit.exponent:.4f}, "
-                        f"{fit.group_count} groups) -> {args.out}")
+    return _Result(
+        [(args.out, _json_text(fitting.ratio_fit_to_wire(fit)))],
+        note=f"fitted ratio power law (exponent {fit.exponent:.4f}, "
+        f"{fit.group_count} groups) -> {args.out}",
+    )
 
 
 # ---------------------------------------------------------------------------

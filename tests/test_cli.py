@@ -982,6 +982,26 @@ def test_failed_second_rename_leaves_no_output(workspace, tmp_path, capsys, monk
     assert os.listdir(tmp_path) == []
 
 
+def test_failed_command_removes_the_directories_it_made(workspace, tmp_path, capsys, monkeypatch):
+    (tmp_path / "kept").mkdir()
+    real_replace = os.replace
+
+    def second_fails(src, dst):
+        if dst.endswith("s.csv"):
+            raise OSError(f"cannot rename {src}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(tmp_path / "a" / "b" / "p.json"),
+         "--schedule-csv", str(tmp_path / "a" / "b" / "c" / "s.csv")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot rename ")
+    assert os.listdir(tmp_path) == ["kept"]
+
+
 def test_failed_second_rename_with_force_restores_replaced_files(
     workspace, tmp_path, capsys, monkeypatch
 ):
@@ -1013,11 +1033,13 @@ def test_failed_second_rename_with_force_restores_replaced_files(
 def _run_into_closed_pipe(args, cwd):
     """Exit code and stderr of ``mixsweep args`` whose stdout's reader has gone.
 
-    A real process, so the interpreter's own flush of stdout at exit is covered too.
+    A real process with a buffered stdout, so the interpreter's own flush of
+    stdout at exit is covered too.
     """
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "mixsweep.cli", *args], cwd=cwd, env=env, stdout=write_end,
@@ -1040,7 +1062,7 @@ def test_closed_stdout_leaves_no_output(workspace, tmp_path, command):
     code, err = _run_into_closed_pipe(args, tmp_path)
     assert code == 2
     assert err == "error: [Errno 32] Broken pipe\n"
-    assert [f for _, _, files in os.walk(tmp_path) for f in files] == []
+    assert os.listdir(tmp_path) == []  # not even the --out-dir it made
 
 
 def test_closed_stdout_with_force_restores_the_old_tables(workspace, tmp_path):
