@@ -58,22 +58,27 @@ class _Result(NamedTuple):
 def _write_outputs(result: _Result, force: bool) -> None:
     """Place every output, then write stdout and the stderr note: all of it, or no output.
 
-    Every path is checked before anything is written. Every temp file is written
-    before the first rename, and a file about to be replaced is first hard-linked
-    to a backup. If a write, a rename or either stream fails, each placed output is
-    removed or swapped back for its backup; no temp or backup file, and no directory
-    made for an output, outlives the call.
+    Every path is checked before anything is written: no two outputs may be the
+    same file, and no output may be a directory that holds another. Every temp file
+    is written before the first rename, and a file about to be replaced is first
+    hard-linked to a backup. If a write, a rename or either stream fails, each
+    placed output is removed or swapped back for its backup; no temp or backup
+    file, and no directory made for an output, outlives the call.
     """
-    seen: set[str] = set()
+    reals: dict[str, str] = {}  # real path -> output path
     for path, _ in result.outputs:
         real = os.path.realpath(path)
-        if real in seen:
+        if real in reals:
             raise UsageError(f"two outputs name the same file {path}")
-        seen.add(real)
+        reals[real] = path
         if os.path.isdir(path):
             raise ValidationError(f"{path}: is a directory")
         if os.path.exists(path) and not force:
             raise UsageError(f"refusing to overwrite {path} (pass --force)")
+    for real, path in reals.items():
+        for other_real, other in reals.items():
+            if other_real.startswith(real + os.sep):
+                raise UsageError(f"output {path} would be the directory of output {other}")
     temps: dict[str, str] = {}
     backups: dict[str, str] = {}
     placed: list[str] = []
@@ -393,6 +398,12 @@ def _cmd_report(args) -> _Result:
             model = fitting.kstar_from_wire(obj)
             lo = math.floor(min(model.positions)) - 1
             hi = math.ceil(max(model.positions)) + 1
+            # each grid D_T must be a positive finite float; this also caps the grid at ~4,200 rows
+            if hi >= sys.float_info.max_exp or not (
+                0.0 < ref.target_tokens * 2.0**lo and ref.target_tokens * 2.0**hi < math.inf
+            ):
+                raise ValueError(f"knots at f_D {min(model.positions):.6g} to "
+                                 f"{max(model.positions):.6g} leave the float range of D_T")
             grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
             return [(ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t))
                     for d_t in grid]

@@ -9,8 +9,10 @@
    the exponent of a closed-form inverse fit, then golden section) with
    an inner monotone-constrained least-squares fit of the knot positions,
    initialized from isotonic regression of the pooled shifted data. The
-   inner fit runs L-BFGS-B on the exact gradient of the squared error, so
-   it needs no finite-difference probes.
+   inner fit runs this module's L-BFGS (``_lbfgs``, L-BFGS-B's unbounded
+   defaults) on the exact gradient of the squared error, so it needs no
+   finite-difference probes, and the seed's bounded least squares is a
+   Lawson-Hanson NNLS (``_nnls``).
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in closed form by within-group centering in log space.
 
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .budget import reference_constants
 from .errors import (
@@ -37,8 +40,8 @@ from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE, json_field
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside the functions that fit, as scipy is inside _fit_positions,
-# so a command that fits nothing (predict_kstar included) starts without it.
+# numpy is imported inside the functions that fit, so a command that fits nothing
+# (predict_kstar included) starts without it.
 
 #: Default top level of the piecewise-linear epoch model per approach
 #: (log2 of the largest optimal epoch count the model resolves).
@@ -173,6 +176,11 @@ class KStarModel:
     rss: float
     n_points: int
     warnings: tuple[str, ...] = ()
+    #: L-BFGS counts summed over the fit's solves (``_SOLVE_COUNTS``); None when unknown
+    solves: int | None = None
+    nfev: int | None = None
+    nit: int | None = None
+    converged: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.shift_exponent < math.inf:
@@ -311,27 +319,273 @@ def _sse_and_grad(
     return float(res @ res), grad
 
 
-def _fit_positions(
-    x: np.ndarray, y: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, float]:
+#: L-BFGS-B's defaults for an unbounded problem: memory, gradient and relative-decrease
+#: tolerances, iteration cap, and the line search's ftol, gtol, xtol, largest step and
+#: evaluations per search.
+_LBFGS_MEMORY = 10
+_LBFGS_GTOL = 1e-5
+_LBFGS_FTOL = 1e7 * sys.float_info.epsilon
+_LBFGS_MAXITER = 15000
+_LS_FTOL, _LS_GTOL, _LS_XTOL, _LS_STPMAX, _LS_MAXFEV = 1e-3, 0.9, 0.1, 1e10, 20
+
+
+class _Solve(NamedTuple):
+    """An ``_lbfgs`` result: the point, its value, and the solver's counts."""
+
+    x: np.ndarray
+    f: float
+    nfev: int
+    nit: int
+    converged: bool
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded trial step of the Moré–Thuente line search (MINPACK-2 ``dcstep``).
+
+    (stx, fx, dx) is the best step so far, (sty, fy, dy) the other end of the
+    interval, (stp, fp, dp) the newest trial; each d is the directional derivative.
+    Returns the updated (stx, fx, dx, sty, fy, dy, brackt) and the next trial step.
+    Where MINPACK-2's arithmetic would give nan (a degenerate cubic, or an end whose
+    value is not finite), the step bisects the interval instead.
+    """
+    sgnd = dp * math.copysign(1.0, dx)
+    bracketing = fp > fx or sgnd < 0.0
+    try:
+        if fp > fx:  # a higher value: the minimum is bracketed
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = math.copysign(s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s)),
+                                  stp - stx)
+            r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+            stpc = stx + r * (stp - stx)
+            stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+            stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        elif sgnd < 0.0:  # a lower value, derivatives of opposite sign: bracketed
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = math.copysign(s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s)),
+                                  stx - stp)
+            r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+            stpc = stp + r * (stx - stp)
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        elif abs(dp) < abs(dx):  # a lower value, same sign, the derivative shrinks
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = math.copysign(
+                s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s))), stx - stp
+            )
+            r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+            if r < 0.0 and gamma != 0.0:
+                stpc = stp + r * (stx - stp)
+            else:
+                stpc = stpmax if stp > stx else stpmin
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            if brackt:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                bound = stp + 0.66 * (sty - stp)
+                stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+            else:
+                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+                stpf = max(stpmin, min(stpmax, stpf))
+        elif brackt:  # a lower value, same sign, the derivative does not shrink
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = math.copysign(s * math.sqrt((theta / s) ** 2 - (dy / s) * (dp / s)),
+                                  sty - stp)
+            r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+            stpf = stp + r * (sty - stp)
+        else:
+            stpf = stpmax if stp > stx else stpmin
+    except (ZeroDivisionError, ValueError):  # where MINPACK-2's arithmetic gives nan
+        stpf = math.nan
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    if not math.isfinite(stpf):
+        stpf = stx + 0.5 * (sty - stx)
+    return stx, fx, dx, sty, fy, dy, brackt or bracketing, stpf
+
+
+def _line_search(fun, x, f0, gd0, d, stp):
+    """Moré–Thuente line search (MINPACK-2 ``dcsrch``) from x along the descent direction d.
+
+    Looks for a step with sufficient decrease (ftol) and curvature (gtol), as
+    L-BFGS-B's ``lnsrlb`` drives it. A trial whose value or slope is not finite
+    counts as too long: the interval closes there and the next trial bisects it.
+    Returns the number of evaluations and the accepted (step, x, f, grad, slope),
+    or None when ``_LS_MAXFEV`` evaluations find no acceptable step.
+    """
+    gtest = _LS_FTOL * gd0
+    brackt, stage = False, 1
+    width, width1 = _LS_STPMAX, 2.0 * _LS_STPMAX
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = gd0
+    stmin, stmax = 0.0, 5.0 * stp
+    for nfev in range(1, _LS_MAXFEV + 1):
+        xt = x + stp * d
+        f, g = fun(xt)
+        gd = float(g @ d)
+        ftest = f0 + stp * gtest
+        if stage == 1 and f <= ftest and gd >= 0.0:
+            stage = 2
+        if (
+            (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax))
+            or (stp == _LS_STPMAX and f <= ftest and gd <= gtest)
+            or (stp == 0.0 and (f > ftest or gd >= gtest))
+            or (f <= ftest and abs(gd) <= _LS_GTOL * -gd0)
+        ):  # a warning or convergence: dcsrch stops at this step
+            return nfev, (stp, xt, f, g, gd)
+        if not (math.isfinite(f) and math.isfinite(gd)):  # too long
+            brackt, sty, fy, gy = True, stp, f, gd
+            stp = stx + 0.5 * (sty - stx)
+        elif stage == 1 and ftest < f <= fx:  # the modified function f - stp * gtest
+            stx, fxm, gxm, sty, fym, gym, brackt, stp = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, gd - gtest, brackt, stmin, stmax,
+            )
+            fx, gx = fxm + stx * gtest, gxm + gtest
+            fy, gy = fym + sty * gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, brackt, stp = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax
+            )
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _LS_STPMAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx  # no further progress: try the best step
+    return _LS_MAXFEV, None
+
+
+def _lbfgs(fun, x0: np.ndarray) -> _Solve:
+    """Minimize ``fun`` (returning the value and its gradient) from x0 by L-BFGS.
+
+    With no bounds L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) is plain L-BFGS,
+    and this follows its defaults: the two-loop direction over the last
+    ``_LBFGS_MEMORY`` pairs with H0 = (s.y / y.y) I (Nocedal & Wright, Alg. 7.4),
+    a first step of 1/|g|, the Moré–Thuente line search, a pair skipped unless
+    y.s > eps * (-g.d * step), and one restart from steepest descent after a
+    failed search. It stops when |g|_inf <= ``_LBFGS_GTOL`` or the value falls by
+    at most ``_LBFGS_FTOL`` relative; either counts as converged. The value never
+    rises, and a start whose value is not finite is returned as it is.
+    """
+    import numpy as np
+
+    x = x0
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    if not math.isfinite(f) or not np.isfinite(g).all():
+        return _Solve(x, f, nfev, nit, False)
+    if float(np.max(np.abs(g))) <= _LBFGS_GTOL:
+        return _Solve(x, f, nfev, nit, True)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / y.s), oldest first
+    gamma = 1.0
+    while nit < _LBFGS_MAXITER:
+        q = -g
+        alphas = []
+        for s, yv, rho in reversed(pairs):
+            alpha = rho * float(s @ q)
+            q -= alpha * yv
+            alphas.append(alpha)
+        q *= gamma
+        for (s, yv, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * float(yv @ q)) * s
+        d = q
+        gd = float(g @ d)
+        stp = 1.0 / math.sqrt(float(d @ d)) if nit == 0 else 1.0
+        evaluations, found = _line_search(fun, x, f, gd, d, stp) if gd < 0.0 else (0, None)
+        nfev += evaluations
+        if found is None:  # no acceptable step: restart once from steepest descent
+            if not pairs:
+                return _Solve(x, f, nfev, nit, False)
+            pairs.clear()
+            gamma = 1.0
+            continue
+        stp, x_new, f_new, g_new, gd_new = found
+        nit += 1
+        f_old, yv = f, g_new - g
+        x, f, g = x_new, f_new, g_new
+        if float(np.max(np.abs(g))) <= _LBFGS_GTOL:
+            return _Solve(x, f, nfev, nit, True)
+        if f_old - f <= _LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+            return _Solve(x, f, nfev, nit, True)
+        ys = (gd_new - gd) * stp
+        if ys > sys.float_info.epsilon * -gd * stp:
+            if len(pairs) == _LBFGS_MEMORY:
+                pairs.pop(0)
+            pairs.append((stp * d, yv, 1.0 / ys))
+            gamma = ys / float(yv @ yv)
+    return _Solve(x, f, nfev, nit, False)
+
+
+class _PositionsFit(tuple):
+    """A ``_fit_positions`` result: it unpacks as (positions, sse), and ``solve`` is its run.
+
+    A caller that wants only the fit unpacks two values; ``fit_kstar_model`` also
+    sums the counts of each ``solve``.
+    """
+
+    def __new__(cls, positions: np.ndarray, sse: float, solve: _Solve):
+        fit = super().__new__(cls, (positions, sse))
+        fit.solve = solve
+        return fit
+
+
+def _fit_positions(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> _PositionsFit:
     """Monotone-constrained least squares of knot positions at fixed levels.
 
     Parametrized by the top position plus log gaps so monotonicity holds by
-    construction; predictions clamp at level 0. L-BFGS-B gets the exact
-    gradient from ``_sse_and_grad``.
+    construction; predictions clamp at level 0. ``_lbfgs`` (L-BFGS, after
+    Byrd, Lu, Nocedal & Zhu 1995, with the Moré–Thuente 1994 line search) gets
+    the exact gradient from ``_sse_and_grad``.
     """
     import numpy as np
-    from scipy.optimize import minimize  # only ``fit kstar`` pays for the import
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
     # a line-search step whose log gaps overflow exp scores inf or nan and is not taken;
     # a start that overflows scores inf, and fit_kstar_model rejects a non-finite best
     with np.errstate(over="ignore", invalid="ignore"):
-        sse0 = _sse_and_grad(theta0, x, y, levels)[0]
-        result = minimize(_sse_and_grad, theta0, args=(x, y, levels), jac=True, method="L-BFGS-B")
-    if result.fun <= sse0:
-        return _positions_from_theta(result.x), float(result.fun)
-    return _positions_from_theta(theta0), sse0
+        solve = _lbfgs(lambda theta: _sse_and_grad(theta, x, y, levels), theta0)
+    return _PositionsFit(_positions_from_theta(solve.x), solve.f, solve)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a z - b| over z >= 0, by Lawson & Hanson's active-set method (1974, ch. 23)."""
+    import numpy as np
+
+    n = a.shape[1]
+    tol = 10.0 * sys.float_info.epsilon * np.abs(a).sum(axis=0).max() * max(a.shape)
+    z = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = a.T @ (b - a @ z)  # the negative gradient
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            trial = np.zeros(n)
+            trial[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (trial[passive] > 0.0).all():
+                z = trial
+                break
+            # step from z toward the trial until the first passive variable reaches 0
+            blocked = np.flatnonzero(passive & (trial <= 0.0))
+            ratios = z[blocked] / (z[blocked] - trial[blocked])
+            z = z + ratios.min() * (trial - z)
+            passive[blocked[np.argmin(ratios)]] = False
+            passive &= z > tol
+            z[~passive] = 0.0
+    return z
 
 
 def _inverse_seed(
@@ -343,30 +597,33 @@ def _inverse_seed(
     are the hat functions on the fixed levels, extended linearly past both ends.
     With p_j = p_0 - sum_{m<=j} d_m the unknowns (a, p_0, d_1, ..., d_{n-1}) enter
     linearly through the columns [delta, 1, -sum_{j>=m} B_j], under the bounds
-    a in SHIFT_EXPONENT_BOUNDS and d_m >= _MIN_KNOT_GAP (Lawson & Hanson 1974,
-    ch. 23). It measures errors along f_D, not along log2 k*, so its a seeds the
-    forward search and is not the answer. Returns nan when the data overflow the
-    design or ``lsq_linear`` rejects it.
+    a in SHIFT_EXPONENT_BOUNDS and d_m >= _MIN_KNOT_GAP. Centering the columns
+    and the target removes the free p_0, and shifting by the lower bounds leaves
+    a nonnegative least squares problem for ``_nnls`` (Lawson & Hanson 1974). The
+    problem is convex, so an a above the upper bound without it puts the bounded
+    optimum on that bound. It measures errors along f_D, not along log2 k*, so
+    its a seeds the forward search and is not the answer. Returns nan when the
+    data overflow the design or the least squares fail.
     """
     import numpy as np
-    from scipy.optimize import lsq_linear
 
     n = len(levels)
     lo, hi = SHIFT_EXPONENT_BOUNDS
-    lower = np.concatenate([[lo, -np.inf], np.full(n - 1, _MIN_KNOT_GAP)])
-    upper = np.concatenate([[hi], np.full(n, np.inf)])
+    lower = np.concatenate([[lo], np.full(n - 1, _MIN_KNOT_GAP)])
     with np.errstate(all="ignore"):
         k = np.clip(np.searchsorted(levels, log2_kstar, side="right") - 1, 0, n - 2)[:, None]
         t = (log2_kstar[:, None] - levels[k]) / LEVEL_STEP
         # sum_{j>=m} B_j(y) on segment k: 1 for m <= k, t for m = k + 1, 0 beyond
         m = np.arange(1, n)
         tail = np.where(m <= k, 1.0, np.where(m == k + 1, t, 0.0))
-        design = np.column_stack([delta, np.ones_like(delta), -tail])
-        if not np.isfinite(design).all():  # LAPACK would print to stderr before failing
-            return math.nan
+        design = np.column_stack([delta, -tail])
+        design -= design.mean(axis=0)
+        target = corpus_factor - corpus_factor.mean() - design @ lower
+        if not (np.isfinite(design).all() and np.isfinite(target).all()):
+            return math.nan  # LAPACK would print to stderr before failing
         try:
-            return float(lsq_linear(design, corpus_factor, bounds=(lower, upper)).x[0])
-        except ValueError:  # numpy's LinAlgError included
+            return min(float(_nnls(design, target)[0] + lo), hi)
+        except np.linalg.LinAlgError:
             return math.nan
 
 
@@ -388,7 +645,8 @@ def fit_kstar_model(
     and moves to the lowest until neither neighbour is lower, ordering solves
     by (sse, exponent); a golden section then refines the local minimum's
     bracket. No exponent is solved twice, and the model is the best solve of
-    the grid minimum and the golden section's last two points.
+    the grid minimum and the golden section's last two points. It records the
+    solves' L-BFGS counts, summed.
     """
     import numpy as np
 
@@ -414,9 +672,13 @@ def fit_kstar_model(
         )
     levels = np.arange(0.0, h_max + LEVEL_STEP / 2, LEVEL_STEP)
 
+    solves: list[_Solve] = []
+
     def inner(exponent: float) -> tuple[float, float, np.ndarray]:
         """One solve at a shift exponent, kept as (sse, exponent, positions)."""
-        positions, sse = _fit_positions(corpus_factor - exponent * delta, log2_kstar, levels)
+        fit = _fit_positions(corpus_factor - exponent * delta, log2_kstar, levels)
+        solves.append(fit.solve)
+        positions, sse = fit
         return sse, exponent, positions
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
@@ -469,6 +731,10 @@ def fit_kstar_model(
         rss=float(sse),
         n_points=len(curves),
         warnings=tuple(warnings),
+        solves=len(solves),
+        nfev=sum(solve.nfev for solve in solves),
+        nit=sum(solve.nit for solve in solves),
+        converged=sum(solve.converged for solve in solves),
     )
 
 
@@ -641,6 +907,10 @@ def _positive(obj: dict, key: str) -> float:
     return value
 
 
+#: The ``KStarModel`` solve counts a k* model file's diagnostics may carry.
+_SOLVE_COUNTS = ("solves", "nfev", "nit", "converged")
+
+
 def kstar_to_wire(model: KStarModel) -> dict:
     return {
         "model_type": "kstar",
@@ -655,20 +925,28 @@ def kstar_to_wire(model: KStarModel) -> dict:
         "diagnostics": {
             "rss": model.rss,
             "n_points": model.n_points,
+            **{key: getattr(model, key) for key in _SOLVE_COUNTS if model.solves is not None},
             "warnings": list(model.warnings),
         },
     }
 
 
 def kstar_from_wire(obj: dict) -> KStarModel:
+    """A k* model file; its solve counts are optional, but come all together or not at all."""
     params, diagnostics = _sections(obj, "kstar")
     knots = params["knots"]
+    counts = _SOLVE_COUNTS if any(key in diagnostics for key in _SOLVE_COUNTS) else ()
+    fields = _diagnostics(diagnostics, *counts)
+    if counts and fields["converged"] > fields["solves"]:
+        raise ValueError(
+            f"converged must be <= solves, got {fields['converged']} > {fields['solves']}"
+        )
     return KStarModel(
         approach=_approach(params),
         shift_exponent=json_field(params, "shift_exponent", float),
         levels=tuple(json_field(k, "h", float) for k in knots),
         positions=tuple(json_field(k, "f_D", float) for k in knots),
-        **_diagnostics(diagnostics),
+        **fields,
     )
 
 

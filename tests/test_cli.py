@@ -356,6 +356,31 @@ def test_kstar_prediction_beyond_the_float_range_is_data_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "positions, span",
+    [((1030.0, 1029.0), "1029 to 1030"), ((5.0, -1e12), "-1e+12 to 5")],
+    ids=["overflow", "underflow"],
+)
+def test_kstar_extrapolation_beyond_the_float_range_is_data_error(
+    workspace, tmp_path, capsys, positions, span
+):
+    # 2.0**1031 overflows; knots 1e12 apart would ask for a grid of ~4e12 rows
+    knots = [{"h": 0.0, "f_D": positions[0]}, {"h": 0.5, "f_D": positions[1]}]
+    path = _model_file(tmp_path, "k.json", {
+        "model_type": "kstar",
+        "parameters": {"approach": "mono-1stage", "shift_exponent": 0.5, "knots": knots},
+        "diagnostics": {"rss": 0.0, "n_points": 3, "warnings": []},
+    })
+    out = tmp_path / "rpt"
+    code = run(["report", "--analysis", workspace["report"], "--out-dir", str(out),
+                "--kstar-model", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: knots at f_D {span} leave the float range of D_T\n"
+    assert not out.exists()
+
+
 def test_report_tables_and_summary(workspace, tmp_path, capsys):
     code = run(
         [
@@ -400,8 +425,9 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
 
 
 def test_scipy_stays_off_the_import_path(workspace, tmp_path):
-    # only `fit kstar` needs scipy, and only the three fits need numpy; the
-    # Quickstart's other six commands run in one process that loads neither
+    # only the three fits need numpy, and no command needs scipy: the Quickstart's
+    # other six commands run in one process that loads neither, then the fits load
+    # numpy but still not scipy
     commands = [
         "enumerate --out setups.jsonl",
         "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
@@ -414,6 +440,12 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
         f"{workspace['epochs']} --kstar-model {workspace['kstar']} --ratio-fit "
         f"{workspace['ratio']} --results results.csv --setups setups.jsonl --summary",
     ]
+    fits = [
+        "fit epochs --results results.csv --setups setups.jsonl --approach mono-1stage "
+        "--out epochs.json",
+        "fit kstar --epoch-fits epochs.json --out kstar.json",
+        "fit ratio --results results.csv --setups setups.jsonl --out ratio.json",
+    ]
     script = (
         "import sys, mixsweep, mixsweep.cli\n"
         "def check(step):\n"
@@ -423,6 +455,9 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
         f"for args in {commands!r}:\n"
         "    assert mixsweep.cli.run(args.split()) == 0, args\n"
         "    check(args.split()[0])\n"
+        f"for args in {fits!r}:\n"
+        "    assert mixsweep.cli.run(args.split()) == 0, args\n"
+        "    assert 'scipy' not in sys.modules, args\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
     proc = subprocess.run(
@@ -431,6 +466,7 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
+    assert (tmp_path / "kstar.json").exists()
 
 
 # README Quickstart, as the benchmark runs it, without the k* steps (their
@@ -1117,6 +1153,22 @@ def test_two_outputs_naming_one_file_is_usage_error(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"usage error: two outputs name the same file {named}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_that_is_the_directory_of_another_is_usage_error(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    # the tables would go inside the report file's path: caught before anything is written
+    monkeypatch.chdir(tmp_path)
+    code = run(["analyze", "--out", "tbx", "--tables-dir", "tbx", "--setups",
+                workspace["setups"], "--results", workspace["results"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "usage error: output tbx would be the directory of output tbx/approach_minima.csv\n"
+    )
     assert captured.out == ""
     assert os.listdir(tmp_path) == []
 

@@ -377,6 +377,49 @@ def test_kstar_wire_round_trip(planted_model):
     assert back == model
 
 
+def test_kstar_fit_records_its_solve_counts(planted_model):
+    model = planted_model
+    assert model.nfev >= model.nit > 0
+    assert 0 < model.converged <= model.solves
+    diagnostics = fitting.kstar_to_wire(model)["diagnostics"]
+    assert list(diagnostics) == [
+        "rss", "n_points", "solves", "nfev", "nit", "converged", "warnings"
+    ]
+    assert [diagnostics[key] for key in ("solves", "nfev", "nit", "converged")] == [
+        model.solves, model.nfev, model.nit, model.converged
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("solves", -1, r"solves must be >= 0, got -1"),
+        ("nfev", 2.5, r"nfev must be an integer, got 2\.5"),
+        ("nit", True, r"nit must be an integer, got True"),
+        ("converged", "more", r"converged must be <= solves, got \d+ > \d+"),
+    ],
+)
+def test_kstar_model_file_solve_counts_are_checked(planted_model, key, value, message):
+    doc = fitting.kstar_to_wire(planted_model)
+    diagnostics = doc["diagnostics"]
+    diagnostics[key] = diagnostics["solves"] + 1 if value == "more" else value
+    with pytest.raises(ValueError, match=message):
+        fitting.kstar_from_wire(doc)
+
+
+def test_kstar_model_file_without_solve_counts_loads(planted_model):
+    doc = fitting.kstar_to_wire(planted_model)
+    for key in ("solves", "nfev", "nit", "converged"):
+        del doc["diagnostics"][key]
+    model = fitting.kstar_from_wire(doc)
+    assert (model.solves, model.nfev, model.nit, model.converged) == (None,) * 4
+    assert fitting.kstar_to_wire(model) == doc
+    partial = fitting.kstar_to_wire(planted_model)
+    del partial["diagnostics"]["nit"]  # the counts come together or not at all
+    with pytest.raises(KeyError, match="nit"):
+        fitting.kstar_from_wire(partial)
+
+
 def _segments(x, positions, levels):
     """Locate each x on the ascending knots ``positions[::-1]``.
 
@@ -555,6 +598,179 @@ def test_kstar_solve_keeps_overflowing_line_search_steps_quiet(surrogate_results
     theta0 = fitting._theta_from_positions(fitting._initial_positions(x, y, levels))
     assert math.isfinite(sse) and np.all(np.isfinite(positions))
     assert sse <= fitting._sse_and_grad(theta0, x, y, levels)[0]
+
+
+# ---------------------------------------------------------------------------
+# the k* solvers: L-BFGS and the seed's nonnegative least squares
+# ---------------------------------------------------------------------------
+
+
+def _rosenbrock(x):
+    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    g = np.array(
+        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+    )
+    return f, g
+
+
+def test_lbfgs_reaches_the_minimum_of_a_planted_quadratic():
+    rng = np.random.default_rng(3)
+    basis = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    hessian = basis @ np.diag(np.logspace(0.0, 3.0, 6)) @ basis.T  # condition number 1000
+    minimum = rng.normal(size=6)
+
+    def quadratic(x):
+        return 0.5 * (x - minimum) @ hessian @ (x - minimum), hessian @ (x - minimum)
+
+    solve = fitting._lbfgs(quadratic, np.zeros(6))
+    assert solve.converged
+    assert np.max(np.abs(solve.x - minimum)) <= 1e-6
+    assert solve.f <= 1e-12
+    assert solve.nfev >= solve.nit > 0
+
+
+def test_lbfgs_reaches_the_minimum_of_rosenbrock():
+    solve = fitting._lbfgs(_rosenbrock, np.array([-1.2, 1.0]))
+    assert solve.converged
+    assert np.max(np.abs(solve.x - 1.0)) <= 1e-5
+    assert solve.f <= 1e-10
+
+
+def test_lbfgs_takes_the_l_bfgs_b_path_on_rosenbrock():
+    # a smooth problem: the same line search and update make the same iterates
+    optimize = pytest.importorskip("scipy.optimize")
+    x0 = np.array([-1.2, 1.0])
+    solve = fitting._lbfgs(_rosenbrock, x0)
+    oracle = optimize.minimize(_rosenbrock, x0, jac=True, method="L-BFGS-B")
+    assert (solve.nfev, solve.nit) == (oracle.nfev, oracle.nit)
+    assert np.max(np.abs(solve.x - oracle.x)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "value, slope, step",
+    [
+        (lambda a: (a - 100.0) ** 2, lambda a: 2.0 * (a - 100.0), 1e-3),  # extrapolates
+        (lambda a: (a - 1.0) ** 2, lambda a: 2.0 * (a - 1.0), 50.0),  # interpolates
+        (lambda a: math.cosh(a - 3.0), lambda a: math.sinh(a - 3.0), 1e-3),
+        (lambda a: (a - 2.0) ** 4 - a, lambda a: 4.0 * (a - 2.0) ** 3 - 1.0, 10.0),
+        # Moré & Thuente's first test function: the modified function picks the steps
+        (lambda a: -a / (a * a + 2.0), lambda a: (a * a - 2.0) / (a * a + 2.0) ** 2, 1e3),
+        # a smoothed kink, like the k* fit's at a data point: the bracketed safeguards act
+        (lambda a: math.sqrt(1e-4 + (a - 1.0) ** 2) - 0.01 * a,
+         lambda a: (a - 1.0) / math.sqrt(1e-4 + (a - 1.0) ** 2) - 0.01, 1e3),
+    ],
+    ids=["short-start", "long-start", "cosh", "quartic", "more-thuente-1", "smoothed-kink"],
+)
+def test_line_search_takes_the_minpack_steps(value, slope, step):
+    # scipy's port of MINPACK-2's dcsrch, driven as L-BFGS-B drives it, is the oracle
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+    trials = []
+
+    def phi(a):
+        trials.append(a)
+        return value(a)
+
+    oracle = dcsrch.DCSRCH(phi, slope, ftol=1e-3, gtol=0.9, xtol=0.1, stpmin=0.0, stpmax=1e10)
+    expected, *_, task = oracle(step, phi0=value(0.0), derphi0=slope(0.0), maxiter=20)
+    assert task.startswith(b"CONV")
+    evaluations, found = fitting._line_search(
+        lambda x: (value(x[0]), np.array([slope(x[0])])),
+        np.zeros(1), value(0.0), slope(0.0), np.ones(1), step,
+    )
+    assert found[0] == pytest.approx(expected, rel=1e-12)
+    assert evaluations == len(trials)
+
+
+def test_lbfgs_treats_a_non_finite_trial_as_too_long():
+    # the first step (1 / |g| = 5) lands at x = 1.9, where the value is nan
+    def walled(x):
+        if x[0] >= 1.5:
+            return math.nan, np.array([math.nan])
+        return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
+
+    solve = fitting._lbfgs(walled, np.array([0.9]))
+    assert solve.converged
+    assert solve.x[0] == pytest.approx(1.0, abs=1e-5)
+
+
+def test_lbfgs_returns_a_non_finite_start_unsolved():
+    solve = fitting._lbfgs(lambda x: (math.inf, np.full(2, math.nan)), np.zeros(2))
+    assert (solve.f, solve.nfev, solve.nit, solve.converged) == (math.inf, 1, 0, False)
+
+
+def _planted_smooth_solve(seed):
+    """(x, y, levels) of a noisy planted knot solve whose points stay away from the knots.
+
+    Seven knots 0.6-1.2 apart; 100 points fill the middle half of each segment, with
+    noise 0.1, so the fitted knots end ~0.1 from the nearest point.
+    """
+    rng = np.random.default_rng(seed)
+    levels = np.arange(0.0, 3.25, 0.5)
+    knots = 2.0 - np.concatenate([[0.0], np.cumsum(rng.uniform(0.6, 1.2, len(levels) - 1))])
+    xs, ys = [], []
+    for j in range(len(levels) - 1):
+        right, left = knots[j], knots[j + 1]
+        x = rng.uniform(left + 0.25 * (right - left), right - 0.25 * (right - left), 100)
+        xs.append(x)
+        ys.append(levels[j + 1] + (x - left) / (right - left) * (levels[j] - levels[j + 1]))
+    x = np.concatenate(xs)
+    return x, np.concatenate(ys) + rng.normal(0.0, 0.1, len(x)), levels
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lbfgs_matches_scipy_on_planted_smooth_solves(seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    x, y, levels = _planted_smooth_solve(seed)
+    theta0 = fitting._theta_from_positions(fitting._initial_positions(x, y, levels))
+
+    def sse_and_grad(theta):
+        return fitting._sse_and_grad(theta, x, y, levels)
+
+    solve = fitting._lbfgs(sse_and_grad, theta0)
+    oracle = optimize.minimize(sse_and_grad, theta0, jac=True, method="L-BFGS-B")
+    assert solve.converged and oracle.success
+    for theta in (solve.x, oracle.x):  # both end where the squared error is smooth
+        assert np.min(np.abs(x[:, None] - fitting._positions_from_theta(theta))) > 1e-3
+    assert solve.f == pytest.approx(oracle.fun, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("exponent, expected", [(0.5, None), (2.0, 1.5), (-0.5, 0.05)])
+def test_inverse_seed_matches_bounded_least_squares(exponent, expected):
+    # noisy planted curves whose inverse fit lands inside, above and below the exponent box
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(5)
+    curves = planted_curves((-6, -3, 0), 0.25, exponent)
+    ref = reference_constants()
+    delta = np.log2(np.asarray([c[0] for c in curves]) / ref.compute)
+    f_D = np.asarray([c[1] for c in curves])
+    y = np.asarray([c[2] for c in curves]) + rng.normal(0.0, 0.05, len(curves))
+    levels = np.arange(0.0, 4.25, 0.5)
+    # the bounded problem in its original form: columns [delta, 1, -sum_{j>=m} B_j]
+    n = len(levels)
+    k = np.clip(np.searchsorted(levels, y, side="right") - 1, 0, n - 2)[:, None]
+    t = (y[:, None] - levels[k]) / 0.5
+    m = np.arange(1, n)
+    tail = np.where(m <= k, 1.0, np.where(m == k + 1, t, 0.0))
+    design = np.column_stack([delta, np.ones_like(delta), -tail])
+    lower = np.concatenate([[0.05, -np.inf], np.full(n - 1, 1e-6)])
+    upper = np.concatenate([[1.5], np.full(n, np.inf)])
+    oracle = optimize.lsq_linear(design, f_D, bounds=(lower, upper), tol=1e-12).x[0]
+    seed = fitting._inverse_seed(f_D, delta, y, levels)
+    assert seed == pytest.approx(oracle, abs=1e-6)
+    if expected is not None:
+        assert seed == expected
+
+
+def test_nnls_matches_the_kkt_conditions():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a = rng.normal(size=(30, 8))
+        b = rng.normal(size=30)
+        z = fitting._nnls(a, b)
+        gradient = a.T @ (a @ z - b)
+        assert np.all(z >= 0.0)
+        assert np.all(gradient >= -1e-9)  # no descent direction into the feasible set
+        assert np.all(np.abs(gradient[z > 0.0]) <= 1e-9)  # stationary on the free variables
 
 
 # ---------------------------------------------------------------------------
