@@ -101,7 +101,7 @@ class DerivedSetup:
     Floats are produced with ``math.ldexp``, so every value is the exact
     power-of-two multiple of its reference constant; the compute identity
     ``model_scale * total_tokens == compute`` holds exactly on the integer
-    exponents (see :meth:`exponent_identity_holds`).
+    exponents -f_M + (f_D + f_k + f_r) == f_C, because f_D is defined from them.
     """
 
     factors: FactorTuple
@@ -115,15 +115,6 @@ class DerivedSetup:
     @property
     def f_D(self) -> int:
         return self.factors.f_D
-
-    def exponent_identity_holds(self) -> bool:
-        """Check model_scale * (epochs * target / ratio) == compute in exponent space.
-
-        Relative to the reference constants the three sides carry integer
-        exponents -f_M, (f_D + f_k + f_r) and f_C; the identity is their sum.
-        """
-        f = self.factors
-        return -f.f_M + (f.f_D + f.f_k + f.f_r) == f.f_C
 
 
 @functools.lru_cache(maxsize=4096)
@@ -169,11 +160,6 @@ class StageSplit:
     second_ratio: Fraction
     first_length: Fraction
     second_length: Fraction
-
-    @property
-    def degenerate(self) -> bool:
-        """True when one stage has zero length (collapses to single-stage)."""
-        return self.first_length == 0 or self.second_length == 0
 
     @property
     def average_ratio(self) -> Fraction:

@@ -140,7 +140,7 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _read(path: str, parse, newline: str | None = None):
@@ -332,11 +332,8 @@ def _cmd_fit_epochs(args) -> _Result:
 
 def _cmd_fit_kstar(args) -> _Result:
     approach, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
-    ref = reference_constants()
-    curves = [
-        (math.ldexp(ref.compute, f_C), float(f_D), fit.minimizer) for f_C, f_D, fit in fits
-    ]
-    model = fitting.fit_kstar_model(curves, approach=approach, h_max=args.h_max)
+    cells = [(f_C, f_D, fit.minimizer) for f_C, f_D, fit in fits]
+    model = fitting.fit_kstar_model(cells, approach=approach, h_max=args.h_max)
     return _Result(
         [(args.out, _json_text(fitting.kstar_to_wire(model)))],
         note=f"fitted epoch-extrapolation model (shift exponent "

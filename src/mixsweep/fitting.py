@@ -3,16 +3,16 @@
 1. Quadratic fit of loss against the log2 epoch factor, giving a
    continuous epoch optimum per budget cell.
 2. The epoch-extrapolation model: log2 of the optimal epoch count equals a
-   monotone decreasing piecewise-linear function of the corpus factor
-   shifted by ``a * log2(compute / reference)``. Fitted by an outer 1-D
-   search over the shift exponent (a downhill walk on a coarse grid from
-   the exponent of a closed-form inverse fit, then golden section) with
-   an inner monotone-constrained least-squares fit of the knot positions,
-   initialized from isotonic regression of the pooled shifted data. The
-   inner fit runs this module's L-BFGS (``_lbfgs``, L-BFGS-B's unbounded
-   defaults) on the exact gradient of the squared error, so it needs no
-   finite-difference probes, and the seed's bounded least squares is a
-   Lawson-Hanson NNLS (``_nnls``).
+   monotone decreasing piecewise-linear function of the corpus factor f_D
+   shifted by ``a * f_C``, with the compute factor f_C = log2(compute /
+   reference). Fitted by an outer 1-D search over the shift exponent (a
+   downhill walk on a coarse grid from the exponent of a closed-form
+   inverse fit, then golden section) with an inner monotone-constrained
+   least-squares fit of the knot positions, initialized from isotonic
+   regression of the pooled shifted data. The inner fit runs this module's
+   L-BFGS (``_lbfgs``, L-BFGS-B's unbounded defaults) on the exact gradient
+   of the squared error, so it needs no finite-difference probes, and the
+   seed's bounded least squares is a Lawson-Hanson NNLS (``_nnls``).
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in closed form by within-group centering in log space.
 
@@ -89,6 +89,10 @@ class QuadraticEpochFit:
     extrapolated: bool
 
 
+class _LossOverflowError(UnidentifiableError):
+    """A quadratic epoch fit whose squared error or coefficients leave the float range."""
+
+
 def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpochFit:
     """OLS on the basis (1, f_k, f_k^2); needs >= 3 distinct abscissae."""
     import numpy as np
@@ -100,10 +104,13 @@ def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpoch
     x = np.asarray([float(p[0]) for p in points])
     y = np.asarray([float(p[1]) for p in points])
     design = np.column_stack([np.ones_like(x), x, x * x])
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):  # losses near the float limit
+        coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+        residuals = y - design @ coeffs
+        rss = float(residuals @ residuals)
     intercept, slope, curvature = (float(c) for c in coeffs)
-    residuals = y - design @ coeffs
-    rss = float(residuals @ residuals)
+    if not all(map(math.isfinite, (intercept, slope, curvature, rss))):
+        raise _LossOverflowError("the squared error or the coefficients leave the float range")
     if curvature > 0:
         convex = True
         minimizer = -slope / (2.0 * curvature)
@@ -136,8 +143,8 @@ def fit_epoch_cells(
 ) -> tuple[list[tuple[int, int, QuadraticEpochFit]], list[str]]:
     """Quadratic fits of each (f_C, f_D) cell's (f_k, loss) points, and the warnings.
 
-    A cell with too few epoch values, or whose optimum leaves the float range, is
-    skipped with a warning; none fitted raises.
+    A cell with too few epoch values, whose fit leaves the float range, or whose
+    optimum does, is skipped with a warning; none fitted raises.
     """
     fits = []
     warnings = []
@@ -147,6 +154,8 @@ def fit_epoch_cells(
         except UnderdeterminedError:
             n = len(points)
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: {n} epoch value(s) < 3")
+        except _LossOverflowError:
+            warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: losses overflow the fit")
         except UnidentifiableError:
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: epoch optimum out of range")
     if not fits:
@@ -222,7 +231,9 @@ def _initial_positions(
     Fit a nonincreasing step function to (x, y), collapse it to strictly
     decreasing (value, mean position) blocks, then invert by interpolation
     at the fixed levels. Levels outside the fitted value range extend
-    linearly with the edge slope (slope -1 fallback for flat fits).
+    linearly with the edge slope; a flat fit, or edge values so close that
+    the extended knots would span more than the float range, extends with
+    slope -1 instead.
     """
     import numpy as np
 
@@ -242,16 +253,18 @@ def _initial_positions(
     if len(vals) == 1:
         return xmean[0] - (levels - vals[0])  # flat fit: fallback slope -1
     # invert: ascending value axis maps to descending position
-    positions = np.interp(levels, vals[::-1], xmean[::-1])
-    lo, hi = vals.min(), vals.max()
-    below = levels < lo
-    if np.any(below):
-        slope = (xmean[-1] - xmean[-2]) / (vals[-1] - vals[-2])
-        positions = np.where(below, xmean[-1] + slope * (levels - vals[-1]), positions)
-    above = levels > hi
-    if np.any(above):
-        slope = (xmean[1] - xmean[0]) / (vals[1] - vals[0])
-        positions = np.where(above, xmean[0] + slope * (levels - vals[0]), positions)
+    inside = np.interp(levels, vals[::-1], xmean[::-1])
+    below, above = levels < vals.min(), levels > vals.max()
+
+    def extend(slope_below, slope_above):
+        return np.where(below, xmean[-1] + slope_below * (levels - vals[-1]),
+                        np.where(above, xmean[0] + slope_above * (levels - vals[0]), inside))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = extend((xmean[-1] - xmean[-2]) / (vals[-1] - vals[-2]),
+                           (xmean[1] - xmean[0]) / (vals[1] - vals[0]))
+        if not math.isfinite(positions[0] - positions[-1]):
+            positions = extend(-1.0, -1.0)
     # enforce strict decrease
     for j in range(1, len(positions)):
         if positions[j] > positions[j - 1] - _MIN_KNOT_GAP:
@@ -528,35 +541,24 @@ def _lbfgs(fun, x0: np.ndarray) -> _Solve:
     return _Solve(x, f, nfev, nit, False)
 
 
-class _PositionsFit(tuple):
-    """A ``_fit_positions`` result: it unpacks as (positions, sse), and ``solve`` is its run.
-
-    A caller that wants only the fit unpacks two values; ``fit_kstar_model`` also
-    sums the counts of each ``solve``.
-    """
-
-    def __new__(cls, positions: np.ndarray, sse: float, solve: _Solve):
-        fit = super().__new__(cls, (positions, sse))
-        fit.solve = solve
-        return fit
-
-
-def _fit_positions(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> _PositionsFit:
+def _fit_positions(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> _Solve:
     """Monotone-constrained least squares of knot positions at fixed levels.
 
     Parametrized by the top position plus log gaps so monotonicity holds by
     construction; predictions clamp at level 0. ``_lbfgs`` (L-BFGS, after
     Byrd, Lu, Nocedal & Zhu 1995, with the Moré–Thuente 1994 line search) gets
-    the exact gradient from ``_sse_and_grad``.
+    the exact gradient from ``_sse_and_grad``. Returns the solve with its x
+    mapped to the knot positions.
     """
     import numpy as np
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
     # a line-search step whose log gaps overflow exp scores inf or nan and is not taken;
-    # a start that overflows scores inf, and fit_kstar_model rejects a non-finite best
+    # a start that overflows scores inf, and fit_kstar_model rejects a best solve whose
+    # squared error or knots are not finite
     with np.errstate(over="ignore", invalid="ignore"):
         solve = _lbfgs(lambda theta: _sse_and_grad(theta, x, y, levels), theta0)
-    return _PositionsFit(_positions_from_theta(solve.x), solve.f, solve)
+        return solve._replace(x=_positions_from_theta(solve.x))
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -589,14 +591,15 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _inverse_seed(
-    corpus_factor: np.ndarray, delta: np.ndarray, log2_kstar: np.ndarray, levels: np.ndarray
+    corpus_factor: np.ndarray, compute_factor: np.ndarray, log2_kstar: np.ndarray,
+    levels: np.ndarray,
 ) -> float:
     """Shift exponent of the inverted epoch model, fitted by bounded linear least squares.
 
-    The model inverts to f_D = a * delta + sum_j B_j(log2 k*) p_j, where the B_j
+    The model inverts to f_D = a * f_C + sum_j B_j(log2 k*) p_j, where the B_j
     are the hat functions on the fixed levels, extended linearly past both ends.
     With p_j = p_0 - sum_{m<=j} d_m the unknowns (a, p_0, d_1, ..., d_{n-1}) enter
-    linearly through the columns [delta, 1, -sum_{j>=m} B_j], under the bounds
+    linearly through the columns [f_C, 1, -sum_{j>=m} B_j], under the bounds
     a in SHIFT_EXPONENT_BOUNDS and d_m >= _MIN_KNOT_GAP. Centering the columns
     and the target removes the free p_0, and shifting by the lower bounds leaves
     a nonnegative least squares problem for ``_nnls`` (Lawson & Hanson 1974). The
@@ -616,7 +619,7 @@ def _inverse_seed(
         # sum_{j>=m} B_j(y) on segment k: 1 for m <= k, t for m = k + 1, 0 beyond
         m = np.arange(1, n)
         tail = np.where(m <= k, 1.0, np.where(m == k + 1, t, 0.0))
-        design = np.column_stack([delta, -tail])
+        design = np.column_stack([compute_factor, -tail])
         design -= design.mean(axis=0)
         target = corpus_factor - corpus_factor.mean() - design @ lower
         if not (np.isfinite(design).all() and np.isfinite(target).all()):
@@ -628,15 +631,17 @@ def _inverse_seed(
 
 
 def fit_kstar_model(
-    curves: Sequence[tuple[float, float, float]],
+    cells: Sequence[tuple[float, float, float]],
     approach: str = APPROACH_MONO_1STAGE,
     h_max: float | None = None,
 ) -> KStarModel:
-    """Fit the epoch model to pooled (compute, corpus factor, log2 k*) points.
+    """Fit the epoch model to pooled (f_C, f_D, log2 k*) cells, as epochs.json stores them.
 
-    Needs at least two distinct compute budgets; with a single budget the
-    shift exponent is unobservable and this raises. Every value must be
-    finite, and a fit whose best squared error overflows raises FitError.
+    log2 k* is a piecewise-linear function of the shifted corpus factor
+    f_D - a * f_C. Needs at least two distinct compute factors f_C; with a
+    single one the shift exponent a is unobservable and this raises. Every
+    value must be finite, and a fit whose best squared error overflows, or
+    whose best knots are not finite and strictly decreasing, raises FitError.
     Strongly non-monotone data still fits but carries a large-residual warning.
 
     The shift exponent is searched on a 0.05 grid over SHIFT_EXPONENT_BOUNDS,
@@ -656,85 +661,76 @@ def fit_kstar_model(
         raise ValidationError(
             f"h_max must be finite and in [{LEVEL_STEP}, {H_MAX_LIMIT}], got {h_max}"
         )
-    for point in curves:
-        if not all(map(math.isfinite, point)):
-            raise ValidationError(f"k* curve points must be finite, got {tuple(point)}")
-    ref = reference_constants()
-    compute = np.asarray([float(c[0]) for c in curves])
-    corpus_factor = np.asarray([float(c[1]) for c in curves])
-    log2_kstar = np.asarray([float(c[2]) for c in curves])
-    if len(curves) < 4:
-        raise UnderdeterminedError(f"need >= 4 points, got {len(curves)}")
-    delta = np.log2(compute / ref.compute)
-    if len({round(d, 9) for d in delta}) < 2:
+    for cell in cells:
+        if not all(map(math.isfinite, cell)):
+            raise ValidationError(f"k* curve points must be finite, got {tuple(cell)}")
+    if len(cells) < 4:
+        raise UnderdeterminedError(f"need >= 4 points, got {len(cells)}")
+    compute_factor, corpus_factor, log2_kstar = np.asarray(cells, dtype=float).T
+    if len(set(compute_factor.tolist())) < 2:
         raise UnidentifiableError(
             "curves span a single compute budget; the shift exponent is unidentifiable"
         )
     levels = np.arange(0.0, h_max + LEVEL_STEP / 2, LEVEL_STEP)
+    solves: dict[float, _Solve] = {}
 
-    solves: list[_Solve] = []
-
-    def inner(exponent: float) -> tuple[float, float, np.ndarray]:
-        """One solve at a shift exponent, kept as (sse, exponent, positions)."""
-        fit = _fit_positions(corpus_factor - exponent * delta, log2_kstar, levels)
-        solves.append(fit.solve)
-        positions, sse = fit
-        return sse, exponent, positions
+    def solve(exponent: float) -> _Solve:
+        """The knot fit at one shift exponent, solved on first use."""
+        if exponent not in solves:
+            x = corpus_factor - exponent * compute_factor
+            solves[exponent] = _fit_positions(x, log2_kstar, levels)
+        return solves[exponent]
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
-    grid = np.arange(lo, hi + 1e-9, 0.05)
-    seed = _inverse_seed(corpus_factor, delta, log2_kstar, levels)
-    best_idx = int(np.argmin(np.abs(grid - seed))) if math.isfinite(seed) else len(grid) // 2
-    grid_solves: dict[int, tuple[float, float, np.ndarray]] = {}
+    grid = np.arange(lo, hi + 1e-9, 0.05).tolist()
+    seed = _inverse_seed(corpus_factor, compute_factor, log2_kstar, levels)
+    nearest = min(range(len(grid)), key=lambda i: abs(grid[i] - seed))
+    best_idx = nearest if math.isfinite(seed) else len(grid) // 2
     for _ in grid:  # a downhill walk visits each grid point at most once
         near = range(max(best_idx - 1, 0), min(best_idx + 2, len(grid)))
-        for i in near:
-            if i not in grid_solves:
-                grid_solves[i] = inner(float(grid[i]))
-        lowest = min(near, key=lambda i: grid_solves[i][:2])
+        lowest = min(near, key=lambda i: (solve(grid[i]).f, grid[i]))
         if lowest == best_idx:
             break
         best_idx = lowest
-    a_lo = grid[max(best_idx - 1, 0)]
-    a_hi = grid[min(best_idx + 1, len(grid) - 1)]
     # golden-section refinement on the bracketing interval
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    left, right = float(a_lo), float(a_hi)
-    solve_c = inner(right - invphi * (right - left))
-    solve_d = inner(left + invphi * (right - left))
+    left, right = grid[max(best_idx - 1, 0)], grid[min(best_idx + 1, len(grid) - 1)]
+    c, d = right - invphi * (right - left), left + invphi * (right - left)
     for _ in range(40):
         if right - left < 1e-4:
             break
-        if solve_c[0] < solve_d[0]:
-            right, solve_d = solve_d[1], solve_c
-            solve_c = inner(right - invphi * (right - left))
+        if solve(c).f < solve(d).f:
+            right, d = d, c
+            c = right - invphi * (right - left)
         else:
-            left, solve_c = solve_c[1], solve_d
-            solve_d = inner(left + invphi * (right - left))
-    # the best of the three candidates, ties to the lower exponent; each is already solved
-    sse, exponent, positions = min(
-        (grid_solves[best_idx], solve_c, solve_d), key=lambda solve: solve[:2]
-    )
+            left, c = c, d
+            d = left + invphi * (right - left)
+    # the best of the three candidates, ties to the lower exponent
+    exponent = min((grid[best_idx], c, d), key=lambda a: (solve(a).f, a))
+    sse, positions = solves[exponent].f, solves[exponent].x
     if not math.isfinite(sse):
         raise FitError(f"the squared error of the best fit is not finite ({sse})")
+    # knots without data can drift until their gaps fall below float resolution
+    if not (np.isfinite(positions).all() and (positions[1:] < positions[:-1]).all()):
+        raise FitError("the knot positions of the best fit are not finite and strictly decreasing")
     warnings: list[str] = []
-    if sse / len(curves) > _LARGE_RESIDUAL_MSR:
+    if sse / len(cells) > _LARGE_RESIDUAL_MSR:
         warnings.append(
-            f"large residuals (mean squared residual {sse / len(curves):.3g}); "
+            f"large residuals (mean squared residual {sse / len(cells):.3g}); "
             "data may not be monotone in the shifted corpus factor"
         )
     return KStarModel(
         approach=approach,
-        shift_exponent=float(exponent),
+        shift_exponent=exponent,
         levels=tuple(float(v) for v in levels),
         positions=tuple(float(p) for p in positions),
         rss=float(sse),
-        n_points=len(curves),
+        n_points=len(cells),
         warnings=tuple(warnings),
         solves=len(solves),
-        nfev=sum(solve.nfev for solve in solves),
-        nit=sum(solve.nit for solve in solves),
-        converged=sum(solve.converged for solve in solves),
+        nfev=sum(s.nfev for s in solves.values()),
+        nit=sum(s.nit for s in solves.values()),
+        converged=sum(s.converged for s in solves.values()),
     )
 
 

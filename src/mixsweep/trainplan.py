@@ -81,10 +81,6 @@ class ModelShape:
         return model_scale(self.n_layers, self.d_model, self.seq_len)
 
     @property
-    def aspect_ratio(self) -> float:
-        return self.d_model / self.n_layers
-
-    @property
     def complexity(self) -> int:
         """Batch-rule complexity measure: n_layers * d_model^2."""
         return self.n_layers * self.d_model * self.d_model

@@ -151,7 +151,7 @@ def test_criterion_08_kstar_model_fitter():
             shift = 0.5 * f_C
             for i in range(int((-6 + shift) / 0.5), int(shift / 0.5) + 1):
                 f_D = i * 0.5
-                out.append((math.ldexp(ref.compute, f_C), f_D, -(2.0 / 3.0) * (f_D - shift)))
+                out.append((f_C, f_D, -(2.0 / 3.0) * (f_D - shift)))
         return out
 
     model = fitting.fit_kstar_model(curves((-4, -2)), "mono-1stage")

@@ -1066,24 +1066,76 @@ def test_failed_second_rename_with_force_restores_replaced_files(
     assert sorted(os.listdir(tmp_path)) == ["p.json", "s.csv"]
 
 
+def _run_process(args, cwd, stdout=subprocess.DEVNULL):
+    """Exit code and stderr of ``mixsweep args`` in a real process with a buffered stdout.
+
+    Unlike an in-process ``run``, numpy's warnings reach its stderr as a user sees them.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixsweep.cli", *args], cwd=cwd, env=env, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
 def _run_into_closed_pipe(args, cwd):
     """Exit code and stderr of ``mixsweep args`` whose stdout's reader has gone.
 
-    A real process with a buffered stdout, so the interpreter's own flush of
-    stdout at exit is covered too.
+    The interpreter's own flush of stdout at exit is covered too.
     """
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
-    env.pop("PYTHONUNBUFFERED", None)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "mixsweep.cli", *args], cwd=cwd, env=env, stdout=write_end,
-            stderr=subprocess.PIPE, text=True, timeout=120,
-        )
+        return _run_process(args, cwd, stdout=write_end)
     finally:
         os.close(write_end)
-    return proc.returncode, proc.stderr
+
+
+def test_fit_epochs_on_overflowing_losses_prints_one_line(workspace, tmp_path):
+    # losses near 3e160 square beyond the float range in their cell's fit
+    with open(workspace["results"]) as fh:
+        header, *rows = fh.readlines()
+    for i, row in enumerate(rows):
+        setup_id, pair, loss = row.split(",")
+        if setup_id.startswith("fC0_fD0_fr0_"):
+            rows[i] = f"{setup_id},{pair},{float(loss) * 1e160!r}\n"
+    results = tmp_path / "big.csv"
+    results.write_text(header + "".join(rows))
+    code, err = _run_process(["fit", "epochs", "--results", str(results), "--setups",
+                              workspace["setups"], "--out", "epochs.json"], tmp_path)
+    assert (code, err.count("\n")) == (0, 1) and "RuntimeWarning" not in err
+    assert err.startswith("fitted ")
+    text = (tmp_path / "epochs.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    warning = "cell (f_C=0, f_D=0) skipped: losses overflow the fit"
+    assert json.loads(text)["diagnostics"]["warnings"] == [warning]
+    code, err = _run_process(["fit", "kstar", "--epoch-fits", "epochs.json", "--out", "k.json"],
+                             tmp_path)
+    assert code == 0 and err.startswith("fitted epoch-extrapolation model")
+
+
+def test_fit_kstar_on_subnormal_optima_prints_one_line(workspace, tmp_path):
+    # log2 k* values within 4e-308 of 0: differences this small make the isotonic
+    # seed's edge slopes overflow
+    epochs = json.load(open(workspace["epochs"]))
+    template = epochs["parameters"]["fits"][0]
+    cells = [(-4, -6, 4e-308), (-4, -2, 3e-308), (-2, -5, 2e-308), (-2, 3, 1e-310)]
+    epochs["parameters"]["fits"] = [
+        template | {"f_C": f_C, "f_D": f_D, "f_k_star": f_k_star, "k_star": 1.0}
+        for f_C, f_D, f_k_star in cells
+    ]
+    _model_file(tmp_path, "e.json", epochs)
+    code, err = _run_process(["fit", "kstar", "--epoch-fits", "e.json", "--out", "k.json"],
+                             tmp_path)
+    assert err.count("\n") == 1 and "RuntimeWarning" not in err
+    if code == 0:
+        assert err.startswith("fitted epoch-extrapolation model")
+        model = fitting.kstar_from_wire(json.loads((tmp_path / "k.json").read_text()))
+        assert all(map(math.isfinite, model.positions))
+    else:
+        assert code == 3 and err.startswith("fit error: ")
 
 
 @pytest.mark.parametrize("command", ["report", "predict"])
@@ -1114,6 +1166,19 @@ def test_closed_stdout_with_force_restores_the_old_tables(workspace, tmp_path):
     assert code == 2
     assert err == "error: [Errno 32] Broken pipe\n"
     assert {path.name: path.read_bytes() for path in out.iterdir()} == old
+
+
+def test_a_non_finite_number_never_reaches_an_artifact(workspace, tmp_path, capsys, monkeypatch):
+    fit = fitting.RatioPowerLawFit(math.nan, {(1.0, 1.0): 3.0}, 0.0, 4, 1)
+    monkeypatch.setattr(cli.fitting, "fit_ratio_power_law", lambda points: fit)
+    out = tmp_path / "ratio.json"
+    code = run(["fit", "ratio", "--results", workspace["results"], "--setups",
+                workspace["setups"], "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: internal error: ValueError: Out of range float values are not JSON compliant: nan\n"
+    )
+    assert not out.exists()
 
 
 def test_stray_exception_is_one_internal_error_line(workspace, tmp_path, capsys, monkeypatch):

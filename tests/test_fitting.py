@@ -63,6 +63,17 @@ def test_near_flat_convex_cell_is_skipped_not_a_traceback():
         fitting.fit_epoch_cells({(0, -1): flat})
 
 
+def test_cell_whose_losses_overflow_the_fit_is_skipped():
+    # losses near 3e160 that no quadratic fits: the squared residuals leave the float range
+    big = [(f_k, 3e160 * (1.0 + 0.01 * (-1) ** f_k)) for f_k in range(5)]
+    with pytest.raises(UnidentifiableError, match="leave the float range"):
+        fitting.fit_epoch_quadratic(big)
+    curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
+    fits, warnings = fitting.fit_epoch_cells({(0, -1): big, (0, 0): curve})
+    assert fits == [(0, 0, fitting.fit_epoch_quadratic(curve))]
+    assert warnings == ["cell (f_C=0, f_D=-1) skipped: losses overflow the fit"]
+
+
 def test_quadratic_shift_equivariance():
     points = [(f_k, 0.05 * (f_k - 2.5) ** 2 + 2.0) for f_k in range(6)]
     base = fitting.fit_epoch_quadratic(points)
@@ -113,9 +124,8 @@ def _planted_level(x):
 def planted_curves(
     budget_factors=(-4, -2), step=0.5, exponent=PLANTED_SHIFT, slope=2.0 / 3.0, move=0.0
 ):
-    """Exact points of log2 k* = -slope * x for x = f_D - exponent * f_C in [-4 / slope, 0],
-    each corpus factor f_D then moved by ``move``."""
-    ref = reference_constants()
+    """Exact (f_C, f_D, log2 k*) cells of log2 k* = -slope * x for x = f_D - exponent * f_C
+    in [-4 / slope, 0], each corpus factor f_D then moved by ``move``."""
     curves = []
     for f_C in budget_factors:
         shift = exponent * f_C
@@ -124,7 +134,7 @@ def planted_curves(
         for i in range(lo, hi + 1):
             f_D = i * step
             x = f_D - shift
-            curves.append((math.ldexp(ref.compute, f_C), f_D + move, -slope * x))
+            curves.append((f_C, f_D + move, -slope * x))
     return curves
 
 
@@ -144,8 +154,9 @@ def test_kstar_recovers_planted_model(planted_model):
 def test_kstar_predicts_training_points(planted_model):
     model = planted_model
     ref = reference_constants()
-    for compute, f_D, level in planted_curves()[::5]:
-        predicted = fitting.predict_kstar(model, compute, math.ldexp(ref.target_tokens, 0) * 2.0**f_D)
+    for f_C, f_D, level in planted_curves()[::5]:
+        compute = math.ldexp(ref.compute, f_C)
+        predicted = fitting.predict_kstar(model, compute, ref.target_tokens * 2.0**f_D)
         assert predicted == pytest.approx(2.0**level, rel=1e-3)
 
 
@@ -199,14 +210,11 @@ def test_kstar_fit_solves_each_shift_exponent_once(monkeypatch):
 def _full_grid_search(curves, approach):
     """The shift-exponent search without a seed: every point of the 0.05 grid solved,
     then the golden section on the grid minimum's bracket. Returns (sse, exponent)."""
-    ref = reference_constants()
-    delta = np.log2(np.asarray([c[0] for c in curves]) / ref.compute)
-    f_D = np.asarray([c[1] for c in curves])
-    y = np.asarray([c[2] for c in curves])
+    f_C, f_D, y = (np.asarray([c[i] for c in curves], dtype=float) for i in range(3))
     levels = np.arange(0.0, fitting.H_MAX_BY_APPROACH[approach] + 0.25, 0.5)
 
     def solve(exponent):
-        return fitting._fit_positions(f_D - exponent * delta, y, levels)[1], exponent
+        return fitting._fit_positions(f_D - exponent * f_C, y, levels).f, exponent
 
     grid = np.arange(0.05, 1.5 + 1e-9, 0.05)
     grid_solves = [solve(float(a)) for a in grid]
@@ -231,8 +239,7 @@ def _surrogate_curves(all_setups, approach, sigma, seed):
     params = surrogate.SurrogateParams(noise_sigma=sigma, seed=seed)
     results = analysis.ingest(surrogate.generate_dataset(all_setups, params), all_setups)
     fits, _ = fitting.fit_epoch_cells(analysis.epoch_minima(results, approach))
-    ref = reference_constants()
-    return [(math.ldexp(ref.compute, f_C), float(f_D), fit.minimizer) for f_C, f_D, fit in fits]
+    return [(f_C, f_D, fit.minimizer) for f_C, f_D, fit in fits]
 
 
 @pytest.mark.parametrize(
@@ -311,12 +318,31 @@ def test_kstar_fit_with_an_overflowing_error_is_a_fit_error():
         fitting.fit_kstar_model(curves, "mono-1stage")
 
 
+def test_kstar_fit_whose_knots_lose_their_order_is_a_fit_error():
+    # no monotone model fits these four cells; the best solve pushes its knots above
+    # the data so far out that their gaps fall below float resolution
+    cells = [(-4, -1, 3.0), (-4, 0, 1.0), (-2, -1, 1.0), (-2, 0, 3.0)]
+    with pytest.raises(FitError, match="knot positions of the best fit are not finite"):
+        fitting.fit_kstar_model(cells, "mono-1stage")
+
+
+def test_initial_positions_survive_edge_slopes_that_overflow():
+    # log2 k* values within 4e-308 of 0: the isotonic blocks' edge slopes overflow,
+    # so the levels beyond them extend with slope -1
+    x = np.asarray([-4.0, 0.0, -4.0, 4.0])
+    y = np.asarray([4e-308, 3e-308, 2e-308, 1e-310])
+    levels = np.arange(0.0, 4.25, 0.5)
+    positions = fitting._initial_positions(x, y, levels)
+    assert np.all(np.isfinite(positions)) and np.all(np.diff(positions) < 0)
+    np.testing.assert_array_equal(positions[2:] - positions[1:-1], -0.5)
+
+
 def test_kstar_shift_equivariance(planted_model):
     base = planted_model
     shift = 2
     moved = [
-        (compute * 2.0**shift, f_D + PLANTED_SHIFT * shift, level)
-        for compute, f_D, level in planted_curves()
+        (f_C + shift, f_D + PLANTED_SHIFT * shift, level)
+        for f_C, f_D, level in planted_curves()
     ]
     translated = fitting.fit_kstar_model(moved, "mono-1stage")
     assert translated.shift_exponent == pytest.approx(base.shift_exponent, abs=0.02)
@@ -332,12 +358,11 @@ def test_kstar_default_levels_by_approach(planted_model):
 
 
 def test_kstar_warns_on_non_monotone_data():
-    ref = reference_constants()
     curves = []
     for f_C in (-4, -2):
         for f_D in range(-6, 1):
             # increasing in f_D: opposite of the model's monotone shape
-            curves.append((math.ldexp(ref.compute, f_C), float(f_D), 2.0 + 0.5 * f_D))
+            curves.append((f_C, f_D, 2.0 + 0.5 * f_D))
     model = fitting.fit_kstar_model(curves, "mono-1stage")
     assert any("residual" in w for w in model.warnings)
 
@@ -526,15 +551,11 @@ def _perturbed_theta(x, y, levels, rng, offset):
 
 def _gradient_cases():
     rng = np.random.default_rng(17)
-    ref = reference_constants()
-    curves = planted_curves()
-    delta = np.log2([c[0] / ref.compute for c in curves])
-    f_D = np.asarray([c[1] for c in curves])
-    y = np.asarray([c[2] for c in curves])
+    f_C, f_D, y = (np.asarray([c[i] for c in planted_curves()], dtype=float) for i in range(3))
     for h_max in (3.0, 4.0):
         levels = np.arange(0.0, h_max + 0.25, 0.5)
         for exponent in (0.35, 0.5, 0.8):
-            x = f_D - exponent * delta
+            x = f_D - exponent * f_C
             # move the top knot left and narrow the gaps so both ends hold points
             offset = np.concatenate([[-0.4], np.full(len(levels) - 1, -0.3)])
             yield x, y, levels, _perturbed_theta(x, y, levels, rng, offset)
@@ -586,18 +607,29 @@ def test_sse_and_grad_matches_the_plain_objective_bit_for_bit():
     assert min(seen.values()) >= 50, seen
 
 
-def test_kstar_solve_keeps_overflowing_line_search_steps_quiet(surrogate_results):
-    # On the default surrogate's epoch optima with h_max = 6, the L-BFGS-B line
-    # search at a = 0.35 tries log gaps whose exp overflows; the suite turns
-    # the RuntimeWarning that would reach stderr into an error.
-    fits, _ = fitting.fit_epoch_cells(analysis.epoch_minima(surrogate_results, "mono-1stage"))
-    x = np.asarray([f_D - 0.35 * f_C for f_C, f_D, _ in fits], dtype=float)
-    y = np.asarray([fit.minimizer for _, _, fit in fits])
-    levels = np.arange(0.0, 6.25, 0.5)
-    positions, sse = fitting._fit_positions(x, y, levels)
-    theta0 = fitting._theta_from_positions(fitting._initial_positions(x, y, levels))
-    assert math.isfinite(sse) and np.all(np.isfinite(positions))
-    assert sse <= fitting._sse_and_grad(theta0, x, y, levels)[0]
+def test_kstar_line_search_backs_off_quietly_from_overflowing_log_gaps(monkeypatch):
+    # On these noisy planted cells some line-search trials push a log gap past
+    # exp's range. The squared error stays finite but its gradient does not, so
+    # _line_search counts each such trial as too long; the suite turns the
+    # RuntimeWarning that would reach stderr into an error.
+    rng = np.random.default_rng(0)
+    cells = [
+        (f_C, f_D, -(2.0 / 3.0) * (f_D - 0.5 * f_C) + rng.normal(0.0, 2.0))
+        for f_C in (-4, -2) for f_D in range(-8, 1)
+    ]
+    non_finite = []
+    sse_and_grad = fitting._sse_and_grad
+
+    def recording(theta, x, y, levels):
+        sse, grad = sse_and_grad(theta, x, y, levels)
+        if not (math.isfinite(sse) and np.isfinite(grad).all()):
+            non_finite.append(theta)
+        return sse, grad
+
+    monkeypatch.setattr(fitting, "_sse_and_grad", recording)
+    model = fitting.fit_kstar_model(cells, "mono-1stage")
+    assert non_finite and all(np.max(theta[1:]) > 709.0 for theta in non_finite)
+    assert math.isfinite(model.rss)  # and KStarModel checks that every knot is finite
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +772,20 @@ def test_inverse_seed_matches_bounded_least_squares(exponent, expected):
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(5)
     curves = planted_curves((-6, -3, 0), 0.25, exponent)
-    ref = reference_constants()
-    delta = np.log2(np.asarray([c[0] for c in curves]) / ref.compute)
-    f_D = np.asarray([c[1] for c in curves])
-    y = np.asarray([c[2] for c in curves]) + rng.normal(0.0, 0.05, len(curves))
+    f_C, f_D, y = (np.asarray([c[i] for c in curves], dtype=float) for i in range(3))
+    y = y + rng.normal(0.0, 0.05, len(curves))
     levels = np.arange(0.0, 4.25, 0.5)
-    # the bounded problem in its original form: columns [delta, 1, -sum_{j>=m} B_j]
+    # the bounded problem in its original form: columns [f_C, 1, -sum_{j>=m} B_j]
     n = len(levels)
     k = np.clip(np.searchsorted(levels, y, side="right") - 1, 0, n - 2)[:, None]
     t = (y[:, None] - levels[k]) / 0.5
     m = np.arange(1, n)
     tail = np.where(m <= k, 1.0, np.where(m == k + 1, t, 0.0))
-    design = np.column_stack([delta, np.ones_like(delta), -tail])
+    design = np.column_stack([f_C, np.ones_like(f_C), -tail])
     lower = np.concatenate([[0.05, -np.inf], np.full(n - 1, 1e-6)])
     upper = np.concatenate([[1.5], np.full(n, np.inf)])
     oracle = optimize.lsq_linear(design, f_D, bounds=(lower, upper), tol=1e-12).x[0]
-    seed = fitting._inverse_seed(f_D, delta, y, levels)
+    seed = fitting._inverse_seed(f_D, f_C, y, levels)
     assert seed == pytest.approx(oracle, abs=1e-6)
     if expected is not None:
         assert seed == expected

@@ -35,7 +35,7 @@ def test_ladder_recomputed_scale_matches_printed(f_M, n_layers, n_heads, d_model
 
 def test_ladder_shapes_satisfy_aspect_bound():
     for shape in trainplan.SHAPE_LADDER.values():
-        assert 30 <= shape.aspect_ratio <= 150
+        assert 30 <= shape.d_model / shape.n_layers <= 150
         assert shape.d_model % shape.n_heads == 0
 
 
