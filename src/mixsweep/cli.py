@@ -323,16 +323,14 @@ def _cmd_analyze(args) -> _Result:
 
 def _cmd_fit_epochs(args) -> _Result:
     cells = analysis.epoch_minima(_ingest(args), args.approach, args.pair)
-    fits, warnings = fitting.fit_epoch_cells(cells)
-    doc = fitting.epoch_fits_to_wire(args.approach, fits, warnings)
-    return _Result(
-        [(args.out, _json_text(doc))], note=f"fitted {len(fits)} epoch quadratics -> {args.out}"
-    )
+    doc = fitting.fit_epoch_cells(cells, args.approach)
+    note = f"fitted {len(doc['parameters']['fits'])} epoch quadratics -> {args.out}"
+    return _Result([(args.out, _json_text(doc))], note=note)
 
 
 def _cmd_fit_kstar(args) -> _Result:
     approach, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
-    cells = [(f_C, f_D, fit.minimizer) for f_C, f_D, fit in fits]
+    cells = [(fit["f_C"], fit["f_D"], fit["f_k_star"]) for fit in fits]
     model = fitting.fit_kstar_model(cells, approach=approach, h_max=args.h_max)
     return _Result(
         [(args.out, _json_text(fitting.kstar_to_wire(model)))],
@@ -343,11 +341,11 @@ def _cmd_fit_kstar(args) -> _Result:
 
 def _cmd_fit_ratio(args) -> _Result:
     points = [point[1:] for point in analysis.ratio_points(_ingest(args), args.pair)]
-    fit = fitting.fit_ratio_power_law(points)
+    doc = fitting.fit_ratio_power_law(points)
     return _Result(
-        [(args.out, _json_text(fitting.ratio_fit_to_wire(fit)))],
-        note=f"fitted ratio power law (exponent {fit.exponent:.4f}, "
-        f"{fit.group_count} groups) -> {args.out}",
+        [(args.out, _json_text(doc))],
+        note=f"fitted ratio power law (exponent {doc['parameters']['exponent']:.4f}, "
+        f"{doc['diagnostics']['group_count']} groups) -> {args.out}",
     )
 
 
@@ -384,9 +382,9 @@ def _cmd_report(args) -> _Result:
     if args.epoch_fits:
         _, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
         rows = [
-            (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D),
-             fit.minimizer, fit.k_star, fit.convex)
-            for f_C, f_D, fit in fits
+            (math.ldexp(ref.compute, fit["f_C"]), math.ldexp(ref.target_tokens, fit["f_D"]),
+             fit["f_k_star"], fit["k_star"], fit["convex"])
+            for fit in fits
         ]
         outputs.append((os.path.join(args.out_dir, "epoch_optima.csv"),
                         _csv_text(("C", "D_T", "f_k_star", "k_star", "convex"), rows)))
@@ -409,14 +407,25 @@ def _cmd_report(args) -> _Result:
         outputs.append((os.path.join(args.out_dir, "kstar_extrapolation.csv"),
                         _csv_text(("C", "D_T", "k_star"), rows)))
     if ingest:
-        results = _ingest(args)
-        ratio_fit = None
-        if args.ratio_fit:
-            ratio_fit = _read_json(args.ratio_fit, fitting.ratio_fit_from_wire)
-        rows = []
-        for _, m, d, r, loss in sorted(analysis.ratio_points(results, args.pair)):
-            known = ratio_fit is not None and (m, d) in ratio_fit.intercepts
-            rows.append((m, d, r, loss, ratio_fit.predict(m, d, r) if known else ""))
+        points = [point[1:] for point in sorted(analysis.ratio_points(_ingest(args), args.pair))]
+
+        def predict(obj):  # read with the fit, so a prediction's error names the file too
+            exponent, intercepts = fitting.ratio_fit_from_wire(obj)
+            losses = {}
+            for m, d, r, _ in points:
+                if (m, d) in intercepts:  # a group the fit dropped gets no prediction
+                    try:
+                        loss = intercepts[m, d] * r**exponent
+                    except OverflowError:
+                        loss = math.inf
+                    if not 0.0 < loss < math.inf:
+                        raise ValueError(f"predicted loss of group (M={m:.6g}, D={d:.6g}) "
+                                         f"at r={r:.6g} leaves the float range")
+                    losses[m, d, r] = loss
+            return losses
+
+        predicted = _read_json(args.ratio_fit, predict) if args.ratio_fit else {}
+        rows = [(m, d, r, loss, predicted.get((m, d, r), "")) for m, d, r, loss in points]
         outputs.append((os.path.join(args.out_dir, "ratio_curves.csv"),
                         _csv_text(("M", "D", "r", "val_loss", "predicted_loss"), rows)))
     note = "" if args.summary else f"wrote report tables to {args.out_dir}"

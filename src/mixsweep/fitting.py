@@ -16,6 +16,11 @@
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in closed form by within-group centering in log space.
 
+``fit_epoch_cells`` and ``fit_ratio_power_law`` return epochs.json and ratio.json
+as the dicts that are written, and ``fit_epoch_quadratic`` one epochs.json cell.
+``fit_kstar_model`` returns a ``KStarModel``, whose constructor checks its knots.
+Each loader (``*_from_wire``) checks a model file and returns what its readers use.
+
 Regressions run on natural logs internally; reported quantities are base-2
 where the grid is base-2.
 """
@@ -68,33 +73,18 @@ _LARGE_RESIDUAL_MSR = 0.25
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class QuadraticEpochFit:
-    """Least-squares quadratic in the log2 epoch factor.
-
-    ``minimizer`` is the continuous argmin: the vertex when the fit is
-    convex, otherwise the grid argmin (with ``convex`` cleared).
-    ``extrapolated`` flags a minimizer more than one grid step outside the
-    fitted abscissa range.
-    """
-
-    curvature: float
-    slope: float
-    intercept: float
-    minimizer: float
-    k_star: float
-    convex: bool
-    rss: float
-    n_points: int
-    extrapolated: bool
-
-
 class _LossOverflowError(UnidentifiableError):
     """A quadratic epoch fit whose squared error or coefficients leave the float range."""
 
 
-def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpochFit:
-    """OLS on the basis (1, f_k, f_k^2); needs >= 3 distinct abscissae."""
+def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> dict:
+    """OLS on the basis (1, f_k, f_k^2); needs >= 3 distinct abscissae.
+
+    Returns an epochs.json cell's fields after its f_C and f_D. ``f_k_star`` is the
+    continuous argmin: the vertex when the fit is convex, otherwise the grid argmin
+    (with ``convex`` false). ``extrapolated`` flags an f_k_star more than one grid step
+    outside the fitted abscissa range.
+    """
     import numpy as np
 
     if len({float(x) for x, _ in points}) < 3:
@@ -125,23 +115,21 @@ def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> QuadraticEpoch
     if not 0.0 < k_star < math.inf:  # a near-flat convex fit can put its vertex anywhere
         raise UnidentifiableError(f"epoch optimum 2**{minimizer} leaves the float range")
     extrapolated = not (x.min() - 1.0 <= minimizer <= x.max() + 1.0)
-    return QuadraticEpochFit(
-        curvature=curvature,
-        slope=slope,
-        intercept=intercept,
-        minimizer=minimizer,
-        k_star=k_star,
-        convex=convex,
-        rss=rss,
-        n_points=len(points),
-        extrapolated=extrapolated,
-    )
+    return {
+        "curvature": curvature,
+        "slope": slope,
+        "intercept": intercept,
+        "f_k_star": minimizer,
+        "k_star": k_star,
+        "convex": convex,
+        "rss": rss,
+        "n_points": len(points),
+        "extrapolated": extrapolated,
+    }
 
 
-def fit_epoch_cells(
-    cells: dict[tuple[int, int], list[tuple[int, float]]]
-) -> tuple[list[tuple[int, int, QuadraticEpochFit]], list[str]]:
-    """Quadratic fits of each (f_C, f_D) cell's (f_k, loss) points, and the warnings.
+def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], approach: str) -> dict:
+    """epochs.json: the quadratic fit of each (f_C, f_D) cell's (f_k, loss) points.
 
     A cell with too few epoch values, whose fit leaves the float range, or whose
     optimum does, is skipped with a warning; none fitted raises.
@@ -150,7 +138,7 @@ def fit_epoch_cells(
     warnings = []
     for (f_C, f_D), points in cells.items():
         try:
-            fits.append((f_C, f_D, fit_epoch_quadratic(points)))
+            fits.append({"f_C": f_C, "f_D": f_D} | fit_epoch_quadratic(points))
         except UnderdeterminedError:
             n = len(points)
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: {n} epoch value(s) < 3")
@@ -160,7 +148,15 @@ def fit_epoch_cells(
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: epoch optimum out of range")
     if not fits:
         raise UnderdeterminedError("no budget cell has a usable epoch fit")
-    return fits, warnings
+    return {
+        "model_type": "epoch_quadratics",
+        "parameters": {"approach": approach, "fits": fits},
+        "diagnostics": {
+            "rss": sum(fit["rss"] for fit in fits),
+            "n_points": sum(fit["n_points"] for fit in fits),
+            "warnings": warnings,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -776,42 +772,17 @@ def predict_kstar(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioPowerLawFit:
-    """Shared-exponent power law of loss against the language ratio.
-
-    ``intercepts`` maps each (model scale, total tokens) group to its
-    ratio-1 loss level. Scaling one group's losses by a positive constant
-    moves only that group's intercept; the exponent is unchanged.
-    """
-
-    exponent: float
-    intercepts: dict[tuple[float, float], float]
-    rss: float
-    n_points: int
-    group_count: int
-    warnings: tuple[str, ...] = ()
-
-    def predict(self, model_scale: float, total_tokens: float, ratio: float) -> float:
-        try:
-            level = self.intercepts[(model_scale, total_tokens)]
-        except KeyError:
-            raise ValidationError(
-                f"no intercept for group (M={model_scale:.6g}, D={total_tokens:.6g})"
-            ) from None
-        return level * float(ratio) ** self.exponent
-
-
-def fit_ratio_power_law(
-    points: Iterable[tuple[float, float, float, float]]
-) -> RatioPowerLawFit:
-    """Closed-form shared-slope regression in log-log space.
+def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> dict:
+    """ratio.json: a closed-form shared-slope regression in log-log space.
 
     Points are (model scale, total tokens, ratio, loss), grouped by the
     exact (model scale, total tokens) pair. Within-group centering removes
     the intercepts, so the pooled slope is sum of centered cross products
-    over sum of centered squares, summed in sorted group order. A group with
-    a single ratio value is dropped with a warning; none left raises.
+    over sum of centered squares, summed in sorted group order. Each group's
+    intercept L0 is its ratio-1 loss level, so scaling one group's losses by a
+    positive constant moves only that group's L0. A group with a single ratio
+    value is dropped with a warning; none left raises, and so does an L0 that
+    leaves the float range.
     """
     import numpy as np
 
@@ -843,20 +814,30 @@ def fit_ratio_power_law(
     if not centered:
         raise UnderdeterminedError("no (model scale, total tokens) group has two distinct ratios")
     exponent = numerator / denominator
-    intercepts = {}
+    intercepts = []
     rss = 0.0
-    for key, (x, y, x_mean, y_mean) in centered.items():
-        intercepts[key] = math.exp(y_mean - exponent * x_mean)
+    for (m, d), (x, y, x_mean, y_mean) in centered.items():
+        try:
+            level = math.exp(y_mean - exponent * x_mean)
+        except OverflowError:
+            level = math.inf
+        if not 0.0 < level < math.inf:
+            raise UnidentifiableError(
+                f"ratio-1 loss of group (M={m:.6g}, D={d:.6g}) leaves the float range"
+            )
+        intercepts.append({"M": m, "D": d, "L0": level})
         res = y - (y_mean + exponent * (x - x_mean))
         rss += float(res @ res)
-    return RatioPowerLawFit(
-        exponent=exponent,
-        intercepts=intercepts,
-        rss=rss,
-        n_points=sum(len(x) for x, *_ in centered.values()),
-        group_count=len(centered),
-        warnings=tuple(warnings),
-    )
+    return {
+        "model_type": "ratio_power_law",
+        "parameters": {"exponent": exponent, "intercepts": intercepts},
+        "diagnostics": {
+            "rss": rss,
+            "n_points": sum(len(x) for x, *_ in centered.values()),
+            "group_count": len(centered),
+            "warnings": warnings,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -946,76 +927,28 @@ def kstar_from_wire(obj: dict) -> KStarModel:
     )
 
 
-def ratio_fit_to_wire(fit: RatioPowerLawFit) -> dict:
-    return {
-        "model_type": "ratio_power_law",
-        "parameters": {
-            "exponent": fit.exponent,
-            "intercepts": [
-                {"M": m, "D": d, "L0": level}
-                for (m, d), level in sorted(fit.intercepts.items())
-            ],
-        },
-        "diagnostics": {
-            "rss": fit.rss,
-            "n_points": fit.n_points,
-            "group_count": fit.group_count,
-            "warnings": list(fit.warnings),
-        },
-    }
-
-
-def ratio_fit_from_wire(obj: dict) -> RatioPowerLawFit:
+def ratio_fit_from_wire(obj: dict) -> tuple[float, dict[tuple[float, float], float]]:
+    """The exponent and the {(M, D): L0} intercepts of a ratio_power_law model file."""
     params, diagnostics = _sections(obj, "ratio_power_law")
-    return RatioPowerLawFit(
-        exponent=json_field(params, "exponent", float),
-        intercepts={
-            (_positive(e, "M"), _positive(e, "D")): _positive(e, "L0")
-            for e in params["intercepts"]
-        },
-        **_diagnostics(diagnostics, "group_count"),
-    )
-
-
-#: (field, wire name, type) of each QuadraticEpochFit field in an epoch_quadratics file.
-_QUADRATIC_WIRE = (
-    ("curvature", "curvature", float),
-    ("slope", "slope", float),
-    ("intercept", "intercept", float),
-    ("minimizer", "f_k_star", float),
-    ("k_star", "k_star", float),
-    ("convex", "convex", bool),
-    ("rss", "rss", float),
-    ("n_points", "n_points", int),
-    ("extrapolated", "extrapolated", bool),
-)
-
-
-def epoch_fits_to_wire(
-    approach: str, fits: Sequence[tuple[int, int, QuadraticEpochFit]], warnings: Sequence[str]
-) -> dict:
-    """Quadratic epoch fits per (f_C, f_D) cell as one model file."""
-    return {
-        "model_type": "epoch_quadratics",
-        "parameters": {
-            "approach": approach,
-            "fits": [
-                {"f_C": f_C, "f_D": f_D}
-                | {wire: getattr(fit, field) for field, wire, _ in _QUADRATIC_WIRE}
-                for f_C, f_D, fit in fits
-            ],
-        },
-        "diagnostics": {
-            "rss": sum(fit.rss for _, _, fit in fits),
-            "n_points": sum(fit.n_points for _, _, fit in fits),
-            "warnings": list(warnings),
-        },
+    exponent = json_field(params, "exponent", float)
+    intercepts = {
+        (_positive(e, "M"), _positive(e, "D")): _positive(e, "L0") for e in params["intercepts"]
     }
+    _diagnostics(diagnostics, "group_count")
+    return exponent, intercepts
 
 
-def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, QuadraticEpochFit]]]:
-    """The approach and the (f_C, f_D, fit) cells of an epoch_quadratics model file.
+#: The JSON type of each field of an epochs.json cell after its f_C and f_D, in file order.
+_EPOCH_CELL = {
+    "curvature": float, "slope": float, "intercept": float, "f_k_star": float, "k_star": float,
+    "convex": bool, "rss": float, "n_points": int, "extrapolated": bool,
+}
 
+
+def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict]]:
+    """The approach and the cells of an epoch_quadratics model file.
+
+    Each cell is its f_C, f_D and ``_EPOCH_CELL`` fields, each read as its JSON type.
     A cell's C and D_T must stay finite and nonzero, as a derived setup's do. Its
     k_star must equal 2**f_k_star, as ``fit_epoch_quadratic`` derives it, and be a
     positive, finite float.
@@ -1024,7 +957,7 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, Quadratic
     params, diagnostics = _sections(obj, "epoch_quadratics")
     approach = _approach(params)
     _diagnostics(diagnostics)
-    fits = []
+    cells = []
     for entry in params["fits"]:
         f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
         try:
@@ -1034,17 +967,16 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[tuple[int, int, Quadratic
         if 0.0 in budgets:
             raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) leaves the float range")
         _diagnostics(entry)
-        fit = QuadraticEpochFit(
-            **{field: json_field(entry, wire, kind) for field, wire, kind in _QUADRATIC_WIRE}
-        )
+        cell = {"f_C": f_C, "f_D": f_D}
+        cell |= {key: json_field(entry, key, kind) for key, kind in _EPOCH_CELL.items()}
         try:
-            power = 2.0**fit.minimizer
+            power = 2.0 ** cell["f_k_star"]
         except OverflowError:
             power = math.inf
-        if not (0.0 < power < math.inf and fit.k_star == power):
+        if not (0.0 < power < math.inf and cell["k_star"] == power):
             raise ValueError(
                 f"cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star, positive and "
-                f"finite; got k_star={fit.k_star!r} for f_k_star={fit.minimizer!r}"
+                f"finite; got k_star={cell['k_star']!r} for f_k_star={cell['f_k_star']!r}"
             )
-        fits.append((f_C, f_D, fit))
-    return approach, fits
+        cells.append(cell)
+    return approach, cells

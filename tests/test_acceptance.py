@@ -100,13 +100,13 @@ def test_criterion_05_batch_rule_traces():
 
 def test_criterion_06_quadratic_fitter():
     exact = fitting.fit_epoch_quadratic([(k, (k - 2) ** 2 + 1) for k in range(6)])
-    exact_ok = exact.rss <= 1e-18 and abs(exact.minimizer - 2.0) <= 1e-9
+    exact_ok = exact["rss"] <= 1e-18 and abs(exact["f_k_star"] - 2.0) <= 1e-9
     seeds = np.random.default_rng(2024).integers(0, 2**32, size=100)
     hits = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         points = [(k, 0.05 * (k - 2.3) ** 2 + 2.0 + rng.normal(0.0, 0.005)) for k in range(6)]
-        if abs(fitting.fit_epoch_quadratic(points).minimizer - 2.3) <= 0.3:
+        if abs(fitting.fit_epoch_quadratic(points)["f_k_star"] - 2.3) <= 0.3:
             hits += 1
     _criterion(
         f"6 quadratic fitter: exact on noiseless, {hits}/100 within +-0.3 at sigma=0.005",
@@ -123,7 +123,7 @@ def test_criterion_07_ratio_power_law_fitter():
         for r in (1.0, 0.5, 0.25, 0.125)
     ]
     exact = fitting.fit_ratio_power_law(exact_points)
-    exact_ok = abs(exact.exponent - (-0.101)) <= 1e-12
+    exact_ok = abs(exact["parameters"]["exponent"] - (-0.101)) <= 1e-12
     seeds = np.random.default_rng(77).integers(0, 2**32, size=100)
     hits = 0
     for seed in seeds:
@@ -134,7 +134,7 @@ def test_criterion_07_ratio_power_law_fitter():
             for _ in range(2)
             for r in (1.0, 0.5, 0.25, 0.125, 0.0625)
         ]
-        if abs(fitting.fit_ratio_power_law(points).exponent - (-0.101)) <= 0.01:
+        if abs(fitting.fit_ratio_power_law(points)["parameters"]["exponent"] - (-0.101)) <= 0.01:
             hits += 1
     _criterion(
         f"7 ratio power law: exact exponent recovery, {hits}/100 within +-0.01 at 1% noise",

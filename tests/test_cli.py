@@ -928,18 +928,18 @@ def test_epoch_cell_k_star_must_be_two_to_the_f_k_star(
 
 def test_model_files_load_and_write_back_byte_identically(workspace):
     # the workspace runs the README Quickstart (its surrogate has no noise, so the seed
-    # does not matter); each loader and writer pair must give the file back unchanged
-    for name, load, write in [
-        ("kstar", fitting.kstar_from_wire, fitting.kstar_to_wire),
-        ("ratio", fitting.ratio_fit_from_wire, fitting.ratio_fit_to_wire),
-    ]:
-        text = open(workspace[name]).read()
-        assert cli._json_text(write(load(json.loads(text)))) == text
-    text = open(workspace["epochs"]).read()
-    doc = json.loads(text)
-    approach, fits = fitting.epoch_fits_from_wire(doc)
-    warnings = doc["diagnostics"]["warnings"]
-    assert cli._json_text(fitting.epoch_fits_to_wire(approach, fits, warnings)) == text
+    # does not matter); the k* loader and writer must give the file back unchanged, and
+    # the epochs and ratio loaders must return exactly what their files hold
+    text = open(workspace["kstar"]).read()
+    assert cli._json_text(fitting.kstar_to_wire(fitting.kstar_from_wire(json.loads(text)))) == text
+    doc = json.load(open(workspace["epochs"]))
+    params = doc["parameters"]
+    assert fitting.epoch_fits_from_wire(doc) == (params["approach"], params["fits"])
+    doc = json.load(open(workspace["ratio"]))
+    params = doc["parameters"]
+    levels = {(e["M"], e["D"]): e["L0"] for e in params["intercepts"]}
+    assert len(levels) == len(params["intercepts"])
+    assert fitting.ratio_fit_from_wire(doc) == (params["exponent"], levels)
 
 
 def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):
@@ -1169,8 +1169,12 @@ def test_closed_stdout_with_force_restores_the_old_tables(workspace, tmp_path):
 
 
 def test_a_non_finite_number_never_reaches_an_artifact(workspace, tmp_path, capsys, monkeypatch):
-    fit = fitting.RatioPowerLawFit(math.nan, {(1.0, 1.0): 3.0}, 0.0, 4, 1)
-    monkeypatch.setattr(cli.fitting, "fit_ratio_power_law", lambda points: fit)
+    doc = {
+        "model_type": "ratio_power_law",
+        "parameters": {"exponent": math.nan, "intercepts": [{"M": 1.0, "D": 1.0, "L0": 3.0}]},
+        "diagnostics": {"rss": 0.0, "n_points": 4, "group_count": 1, "warnings": []},
+    }
+    monkeypatch.setattr(cli.fitting, "fit_ratio_power_law", lambda points: doc)
     out = tmp_path / "ratio.json"
     code = run(["fit", "ratio", "--results", workspace["results"], "--setups",
                 workspace["setups"], "--out", str(out)])
@@ -1480,6 +1484,61 @@ def test_fit_ratio_without_a_usable_group_is_fit_error(workspace, tmp_path, caps
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("fit error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first, second", [("1e300", "1e-300"), ("1e-300", "1e300")],
+                         ids=["overflow", "underflow"])
+def test_fit_ratio_whose_intercept_leaves_the_float_range_is_fit_error(
+    workspace, tmp_path, capsys, first, second
+):
+    # the pooled exponent is about +-1e3, so the other group's ratio-1 loss is exp(+-1.7e3):
+    # OverflowError as an internal error, or an "L0": 0.0 that report then refused
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "setup_id,language_pair,val_loss\n"
+        f"fC0_fD0_fr0_fM0_fk0,surrogate,{first}\n"
+        f"fC0_fD-1_fr1_fM0_fk0,surrogate,{second}\n"
+        "fC0_fD-1_fr2_fM1_fk0,surrogate,1\n"
+        "fC0_fD-2_fr3_fM1_fk0,surrogate,1\n"
+    )
+    out = tmp_path / "ratio.json"
+    code = run(["fit", "ratio", "--results", str(results), "--setups", workspace["setups"],
+                "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "fit error: ratio-1 loss of group (M=2.34737e+08, D=4.26008e+09) leaves the float range\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exponent, level, message",
+    [(-1e308, None, "(M=2.34737e+08, D=2.13004e+09) at r=0.5"),
+     (-300.0, 1e200, "(M=1.46711e+07, D=4.26008e+09) at r=0.25"),
+     (1100.0, None, "(M=2.34737e+08, D=2.13004e+09) at r=0.5")],
+    ids=["power-overflows", "product-overflows", "power-underflows"],
+)
+def test_report_ratio_prediction_beyond_the_float_range_is_data_error(
+    workspace, tmp_path, capsys, exponent, level, message
+):
+    # these raised OverflowError as an internal error, or wrote inf or 0.0 into ratio_curves.csv
+    def edit(doc):
+        doc["parameters"]["exponent"] = exponent
+        if level is not None:
+            doc["parameters"]["intercepts"][0]["L0"] = level
+
+    path = _model_doc(workspace, tmp_path, "ratio", edit)
+    out = tmp_path / "out"
+    code = run(["report", "--analysis", workspace["report"], "--out-dir", str(out),
+                "--ratio-fit", path, "--results", workspace["results"],
+                "--setups", workspace["setups"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: predicted loss of group {message} leaves the float range\n"
+    )
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsweep import analysis, fitting, surrogate
+from mixsweep import analysis, cli, fitting, surrogate
 from mixsweep.budget import reference_constants
 from mixsweep.errors import (
     FitError,
@@ -22,18 +23,18 @@ from mixsweep.errors import (
 def test_quadratic_exact_on_planted_curve():
     points = [(f_k, (f_k - 2) ** 2 + 1) for f_k in range(6)]
     fit = fitting.fit_epoch_quadratic(points)
-    assert fit.convex
-    assert abs(fit.minimizer - 2.0) <= 1e-9
-    assert abs(fit.k_star - 4.0) <= 1e-8
-    assert fit.rss <= 1e-18
-    assert not fit.extrapolated
+    assert fit["convex"]
+    assert abs(fit["f_k_star"] - 2.0) <= 1e-9
+    assert abs(fit["k_star"] - 4.0) <= 1e-8
+    assert fit["rss"] <= 1e-18
+    assert not fit["extrapolated"]
 
 
 def test_quadratic_concave_falls_back_to_grid_argmin():
     points = [(f_k, -((f_k - 2) ** 2) + 5) for f_k in range(6)]
     fit = fitting.fit_epoch_quadratic(points)
-    assert not fit.convex
-    assert fit.minimizer == 5.0  # smallest loss sits at the grid edge
+    assert not fit["convex"]
+    assert fit["f_k_star"] == 5.0  # smallest loss sits at the grid edge
 
 
 def test_quadratic_underdetermined():
@@ -43,11 +44,11 @@ def test_quadratic_underdetermined():
 
 def test_epoch_cells_skip_underdetermined_cells():
     curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
-    fits, warnings = fitting.fit_epoch_cells({(0, -1): curve[:2], (0, 0): curve})
-    assert fits == [(0, 0, fitting.fit_epoch_quadratic(curve))]
-    assert warnings == ["cell (f_C=0, f_D=-1) skipped: 2 epoch value(s) < 3"]
+    doc = fitting.fit_epoch_cells({(0, -1): curve[:2], (0, 0): curve}, "mono-1stage")
+    assert doc["parameters"]["fits"] == [{"f_C": 0, "f_D": 0} | fitting.fit_epoch_quadratic(curve)]
+    assert doc["diagnostics"]["warnings"] == ["cell (f_C=0, f_D=-1) skipped: 2 epoch value(s) < 3"]
     with pytest.raises(UnderdeterminedError, match="no budget cell"):
-        fitting.fit_epoch_cells({(0, -1): curve[:2]})
+        fitting.fit_epoch_cells({(0, -1): curve[:2]}, "mono-1stage")
 
 
 def test_near_flat_convex_cell_is_skipped_not_a_traceback():
@@ -56,11 +57,13 @@ def test_near_flat_convex_cell_is_skipped_not_a_traceback():
     with pytest.raises(UnidentifiableError, match="leaves the float range"):
         fitting.fit_epoch_quadratic(flat)
     curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
-    fits, warnings = fitting.fit_epoch_cells({(0, -1): flat, (0, 0): curve})
-    assert fits == [(0, 0, fitting.fit_epoch_quadratic(curve))]
-    assert warnings == ["cell (f_C=0, f_D=-1) skipped: epoch optimum out of range"]
+    doc = fitting.fit_epoch_cells({(0, -1): flat, (0, 0): curve}, "mono-1stage")
+    assert doc["parameters"]["fits"] == [{"f_C": 0, "f_D": 0} | fitting.fit_epoch_quadratic(curve)]
+    assert doc["diagnostics"]["warnings"] == [
+        "cell (f_C=0, f_D=-1) skipped: epoch optimum out of range"
+    ]
     with pytest.raises(UnderdeterminedError, match="no budget cell"):
-        fitting.fit_epoch_cells({(0, -1): flat})
+        fitting.fit_epoch_cells({(0, -1): flat}, "mono-1stage")
 
 
 def test_cell_whose_losses_overflow_the_fit_is_skipped():
@@ -69,24 +72,26 @@ def test_cell_whose_losses_overflow_the_fit_is_skipped():
     with pytest.raises(UnidentifiableError, match="leave the float range"):
         fitting.fit_epoch_quadratic(big)
     curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
-    fits, warnings = fitting.fit_epoch_cells({(0, -1): big, (0, 0): curve})
-    assert fits == [(0, 0, fitting.fit_epoch_quadratic(curve))]
-    assert warnings == ["cell (f_C=0, f_D=-1) skipped: losses overflow the fit"]
+    doc = fitting.fit_epoch_cells({(0, -1): big, (0, 0): curve}, "mono-1stage")
+    assert doc["parameters"]["fits"] == [{"f_C": 0, "f_D": 0} | fitting.fit_epoch_quadratic(curve)]
+    assert doc["diagnostics"]["warnings"] == [
+        "cell (f_C=0, f_D=-1) skipped: losses overflow the fit"
+    ]
 
 
 def test_quadratic_shift_equivariance():
     points = [(f_k, 0.05 * (f_k - 2.5) ** 2 + 2.0) for f_k in range(6)]
     base = fitting.fit_epoch_quadratic(points)
     shifted = fitting.fit_epoch_quadratic([(x, y + 7.0) for x, y in points])
-    assert shifted.minimizer == pytest.approx(base.minimizer, abs=1e-9)
-    assert shifted.curvature == pytest.approx(base.curvature, abs=1e-9)
-    assert shifted.intercept == pytest.approx(base.intercept + 7.0, abs=1e-9)
+    assert shifted["f_k_star"] == pytest.approx(base["f_k_star"], abs=1e-9)
+    assert shifted["curvature"] == pytest.approx(base["curvature"], abs=1e-9)
+    assert shifted["intercept"] == pytest.approx(base["intercept"] + 7.0, abs=1e-9)
 
 
 def test_quadratic_extrapolation_flag():
     points = [(f_k, 0.01 * (f_k - 9.0) ** 2 + 2.0) for f_k in range(4)]
     fit = fitting.fit_epoch_quadratic(points)
-    assert fit.extrapolated
+    assert fit["extrapolated"]
 
 
 def test_quadratic_monte_carlo_recovery():
@@ -103,8 +108,8 @@ def test_quadratic_monte_carlo_recovery():
         # closed-form OLS oracle
         coeffs = np.polyfit([p[0] for p in points], [p[1] for p in points], 2)
         oracle_vertex = -coeffs[1] / (2 * coeffs[0])
-        assert fit.minimizer == pytest.approx(oracle_vertex, abs=1e-9)
-        if abs(fit.minimizer - 2.3) <= 0.3:
+        assert fit["f_k_star"] == pytest.approx(oracle_vertex, abs=1e-9)
+        if abs(fit["f_k_star"] - 2.3) <= 0.3:
             hits += 1
     assert hits >= 95
 
@@ -238,8 +243,8 @@ def _surrogate_curves(all_setups, approach, sigma, seed):
     """The k* curves of one dataset of the surrogate grid the fit-quality reports use."""
     params = surrogate.SurrogateParams(noise_sigma=sigma, seed=seed)
     results = analysis.ingest(surrogate.generate_dataset(all_setups, params), all_setups)
-    fits, _ = fitting.fit_epoch_cells(analysis.epoch_minima(results, approach))
-    return [(f_C, f_D, fit.minimizer) for f_C, f_D, fit in fits]
+    doc = fitting.fit_epoch_cells(analysis.epoch_minima(results, approach), approach)
+    return [(fit["f_C"], fit["f_D"], fit["f_k_star"]) for fit in doc["parameters"]["fits"]]
 
 
 @pytest.mark.parametrize(
@@ -826,18 +831,24 @@ def planted_ratio_points(exponent=-0.101, noise=None, reps=1, levels=LEVELS):
     return points
 
 
+def intercepts(doc):
+    """The {(M, D): L0} intercepts a ratio.json document holds."""
+    return {(e["M"], e["D"]): e["L0"] for e in doc["parameters"]["intercepts"]}
+
+
 def test_ratio_exact_recovery():
     fit = fitting.fit_ratio_power_law(planted_ratio_points())
-    assert abs(fit.exponent - (-0.101)) <= 1e-12
+    assert abs(fit["parameters"]["exponent"] - (-0.101)) <= 1e-12
     for group, level in zip(GROUPS, LEVELS):
-        assert fit.intercepts[group] == pytest.approx(level, rel=1e-12)
-    assert fit.rss <= 1e-24
-    assert fit.group_count == 4
+        assert intercepts(fit)[group] == pytest.approx(level, rel=1e-12)
+    assert fit["diagnostics"]["rss"] <= 1e-24
+    assert fit["diagnostics"]["group_count"] == 4
 
 
 def test_ratio_loss_inflation_at_reference_exponent():
     fit = fitting.fit_ratio_power_law(planted_ratio_points())
-    inflation = fit.predict(*GROUPS[0], 0.5) / fit.predict(*GROUPS[0], 1.0)
+    exponent, level = fit["parameters"]["exponent"], intercepts(fit)[GROUPS[0]]
+    inflation = (level * 0.5**exponent) / (level * 1.0**exponent)
     assert inflation == pytest.approx(0.5**-0.101, rel=1e-12)
     assert inflation == pytest.approx(1.0725, abs=5e-4)
 
@@ -857,10 +868,12 @@ def test_ratio_group_scaling_invariance(exponent, levels, noise, group, factor):
     scaled = fitting.fit_ratio_power_law(
         [(m, d, r, loss * (factor if (m, d) == group else 1.0)) for m, d, r, loss in points]
     )
-    assert scaled.exponent == pytest.approx(base.exponent, rel=0, abs=1e-12)
-    for key, intercept in base.intercepts.items():
+    assert scaled["parameters"]["exponent"] == pytest.approx(
+        base["parameters"]["exponent"], rel=0, abs=1e-12
+    )
+    for key, intercept in intercepts(base).items():
         expected = factor * intercept if key == group else intercept
-        assert scaled.intercepts[key] == pytest.approx(expected, rel=1e-12)
+        assert intercepts(scaled)[key] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ratio_degenerate_group_listed():
@@ -869,14 +882,14 @@ def test_ratio_degenerate_group_listed():
     points.append((7.7e7, 1.1e9, 0.25, 3.0))  # and another
     fit = fitting.fit_ratio_power_law(points)
     base = fitting.fit_ratio_power_law(planted_ratio_points())
-    assert fit.warnings == (
+    assert fit["diagnostics"]["warnings"] == [
         "group (M=7.7e+07, D=1.1e+09) dropped: single ratio value",
         "group (M=7.7e+07, D=3.3e+09) dropped: single ratio value",
-    )
-    assert fit.exponent == base.exponent
-    assert fit.intercepts == base.intercepts
-    assert (fit.rss, fit.n_points, fit.group_count) == (base.rss, base.n_points, base.group_count)
-    assert fitting.ratio_fit_from_wire(fitting.ratio_fit_to_wire(fit)) == fit
+    ]
+    assert fit["parameters"] == base["parameters"]
+    counts = ("rss", "n_points", "group_count")
+    assert [fit["diagnostics"][k] for k in counts] == [base["diagnostics"][k] for k in counts]
+    assert fitting.ratio_fit_from_wire(fit) == (fit["parameters"]["exponent"], intercepts(fit))
 
 
 @pytest.mark.parametrize(
@@ -896,11 +909,10 @@ def test_ratio_rejects_bad_values():
 
 def test_ratio_predictions_positive():
     fit = fitting.fit_ratio_power_law(planted_ratio_points())
+    exponent, levels = fit["parameters"]["exponent"], intercepts(fit)
     assert all(
-        fit.predict(m, d, r) > 0 for (m, d) in GROUPS for r in (1.0, 0.5, 0.03125)
+        levels[m, d] * r**exponent > 0 for (m, d) in GROUPS for r in (1.0, 0.5, 0.03125)
     )
-    with pytest.raises(ValidationError):
-        fit.predict(1.0, 1.0, 0.5)
 
 
 def test_ratio_monte_carlo_recovery():
@@ -926,14 +938,66 @@ def test_ratio_monte_carlo_recovery():
             ys = np.array([math.log(p[3]) for p in points if (p[0], p[1]) == (m, d)])
             num += ((xs - xs.mean()) * (ys - ys.mean())).sum()
             den += ((xs - xs.mean()) ** 2).sum()
-        assert fit.exponent == pytest.approx(num / den, abs=1e-12)
-        if abs(fit.exponent - (-0.101)) <= 0.01:
+        assert fit["parameters"]["exponent"] == pytest.approx(num / den, abs=1e-12)
+        if abs(fit["parameters"]["exponent"] - (-0.101)) <= 0.01:
             hits += 1
     assert hits >= 95
 
 
 def test_ratio_wire_schema():
-    doc = fitting.ratio_fit_to_wire(fitting.fit_ratio_power_law(planted_ratio_points()))
+    doc = fitting.fit_ratio_power_law(planted_ratio_points())
     assert doc["model_type"] == "ratio_power_law"
     assert set(doc["diagnostics"]) == {"rss", "n_points", "group_count", "warnings"}
     assert len(doc["parameters"]["intercepts"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# model files: what a fitter returns, its loader reads
+# ---------------------------------------------------------------------------
+
+#: A loss log-uniform over 1e-300..1e300.
+_losses = st.floats(0.0, 1.0).map(lambda t: 10.0 ** (600.0 * t - 300.0))
+
+
+@given(
+    groups=st.dictionaries(
+        st.tuples(st.integers(-1, 6), st.integers(-7, 2)),  # (f_M, f_D)
+        st.dictionaries(st.integers(0, 6), _losses, min_size=1, max_size=3),  # f_r -> loss
+        min_size=2,
+        max_size=5,
+    )
+)
+def test_every_ratio_fit_is_a_file_its_loader_reads(groups):
+    # the ratio-1 loss of a fit through losses 1e300 apart can overflow, or underflow to 0
+    points = [
+        (math.ldexp(1.5e7, f_M), math.ldexp(2.13e9, f_D), 2.0**-f_r, loss)
+        for (f_M, f_D), losses in groups.items()
+        for f_r, loss in losses.items()
+    ]
+    try:
+        doc = fitting.fit_ratio_power_law(points)
+    except FitError:
+        return
+    loaded = fitting.ratio_fit_from_wire(json.loads(cli._json_text(doc)))
+    assert loaded == (doc["parameters"]["exponent"], intercepts(doc))
+    assert len(intercepts(doc)) == len(doc["parameters"]["intercepts"])
+
+
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.integers(-4, 0), st.integers(-7, 2)),  # (f_C, f_D)
+        st.dictionaries(st.integers(0, 5), _losses, min_size=2).map(lambda d: sorted(d.items())),
+        min_size=1,
+        max_size=4,
+    ),
+    approach=st.sampled_from(sorted(fitting.H_MAX_BY_APPROACH)),
+)
+def test_every_epoch_fit_is_a_file_its_loader_reads(cells, approach):
+    try:
+        doc = fitting.fit_epoch_cells(cells, approach)
+    except FitError:
+        return
+    loaded = fitting.epoch_fits_from_wire(json.loads(cli._json_text(doc)))
+    assert loaded == (approach, doc["parameters"]["fits"])
+    fits = doc["parameters"]["fits"]
+    assert [list(cell) for cell in fits] == [["f_C", "f_D", *fitting._EPOCH_CELL]] * len(fits)
