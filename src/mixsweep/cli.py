@@ -331,11 +331,11 @@ def _cmd_fit_epochs(args) -> _Result:
 def _cmd_fit_kstar(args) -> _Result:
     approach, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
     cells = [(fit["f_C"], fit["f_D"], fit["f_k_star"]) for fit in fits]
-    model = fitting.fit_kstar_model(cells, approach=approach, h_max=args.h_max)
+    doc = fitting.fit_kstar_model(cells, approach=approach, h_max=args.h_max)
     return _Result(
-        [(args.out, _json_text(fitting.kstar_to_wire(model)))],
+        [(args.out, _json_text(doc))],
         note=f"fitted epoch-extrapolation model (shift exponent "
-        f"{model.shift_exponent:.4f}) -> {args.out}",
+        f"{doc['parameters']['shift_exponent']:.4f}) -> {args.out}",
     )
 
 
@@ -391,14 +391,15 @@ def _cmd_report(args) -> _Result:
     if args.kstar_model:
         def extrapolate(obj):  # read with the model, so a prediction's error names the file too
             model = fitting.kstar_from_wire(obj)
-            lo = math.floor(min(model.positions)) - 1
-            hi = math.ceil(max(model.positions)) + 1
+            positions = model[2]
+            lo = math.floor(min(positions)) - 1
+            hi = math.ceil(max(positions)) + 1
             # each grid D_T must be a positive finite float; this also caps the grid at ~4,200 rows
             if hi >= sys.float_info.max_exp or not (
                 0.0 < ref.target_tokens * 2.0**lo and ref.target_tokens * 2.0**hi < math.inf
             ):
-                raise ValueError(f"knots at f_D {min(model.positions):.6g} to "
-                                 f"{max(model.positions):.6g} leave the float range of D_T")
+                raise ValueError(f"knots at f_D {min(positions):.6g} to "
+                                 f"{max(positions):.6g} leave the float range of D_T")
             grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
             return [(ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t))
                     for d_t in grid]

@@ -16,10 +16,10 @@
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in closed form by within-group centering in log space.
 
-``fit_epoch_cells`` and ``fit_ratio_power_law`` return epochs.json and ratio.json
-as the dicts that are written, and ``fit_epoch_quadratic`` one epochs.json cell.
-``fit_kstar_model`` returns a ``KStarModel``, whose constructor checks its knots.
-Each loader (``*_from_wire``) checks a model file and returns what its readers use.
+All three fitters return their files as the dicts that are written:
+``fit_epoch_cells`` epochs.json (and ``fit_epoch_quadratic`` one of its cells),
+``fit_kstar_model`` kstar.json and ``fit_ratio_power_law`` ratio.json. Each loader
+(``*_from_wire``) checks a model file and returns what its readers use.
 
 Regressions run on natural logs internally; reported quantities are base-2
 where the grid is base-2.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .budget import reference_constants
@@ -162,45 +161,6 @@ def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], appro
 # ---------------------------------------------------------------------------
 # Epoch-extrapolation model
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class KStarModel:
-    """Monotone piecewise-linear epoch model with a compute shift exponent.
-
-    ``positions[j]`` is the corpus factor at which the function passes
-    through ``levels[j]``. Every number is finite, the shift exponent is
-    positive, levels strictly increase and positions strictly decrease (the
-    function is invertible).
-    """
-
-    approach: str
-    shift_exponent: float
-    levels: tuple[float, ...]
-    positions: tuple[float, ...]
-    rss: float
-    n_points: int
-    warnings: tuple[str, ...] = ()
-    #: L-BFGS counts summed over the fit's solves (``_SOLVE_COUNTS``); None when unknown
-    solves: int | None = None
-    nfev: int | None = None
-    nit: int | None = None
-    converged: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.shift_exponent < math.inf:
-            raise ValidationError(
-                f"shift exponent must be finite and positive, got {self.shift_exponent}"
-            )
-        if len(self.levels) != len(self.positions) or len(self.levels) < 2:
-            raise ValidationError("need matching levels/positions with >= 2 knots")
-        levels, positions = self.levels, self.positions
-        if not all(map(math.isfinite, levels)) or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValidationError("knot levels must be finite and strictly increasing")
-        if not all(map(math.isfinite, positions)) or any(
-            a <= b for a, b in zip(positions, positions[1:])
-        ):
-            raise ValidationError("knot positions must be finite and strictly decreasing")
 
 
 def _pav_increasing(values: np.ndarray) -> np.ndarray:
@@ -549,10 +509,11 @@ def _fit_positions(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> _Solve:
     import numpy as np
 
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
-    # a line-search step whose log gaps overflow exp scores inf or nan and is not taken;
-    # a start that overflows scores inf, and fit_kstar_model rejects a best solve whose
-    # squared error or knots are not finite
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a line-search step whose log gaps overflow exp, or whose knots collapse onto one
+    # float (a zero-width segment), scores inf or nan and is not taken; a start that
+    # overflows scores inf, and fit_kstar_model rejects a best solve whose squared error
+    # or knots are not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         solve = _lbfgs(lambda theta: _sse_and_grad(theta, x, y, levels), theta0)
         return solve._replace(x=_positions_from_theta(solve.x))
 
@@ -630,8 +591,8 @@ def fit_kstar_model(
     cells: Sequence[tuple[float, float, float]],
     approach: str = APPROACH_MONO_1STAGE,
     h_max: float | None = None,
-) -> KStarModel:
-    """Fit the epoch model to pooled (f_C, f_D, log2 k*) cells, as epochs.json stores them.
+) -> dict:
+    """kstar.json: the epoch model fitted to epochs.json's pooled (f_C, f_D, log2 k*) cells.
 
     log2 k* is a piecewise-linear function of the shifted corpus factor
     f_D - a * f_C. Needs at least two distinct compute factors f_C; with a
@@ -646,8 +607,8 @@ def fit_kstar_model(
     and moves to the lowest until neither neighbour is lower, ordering solves
     by (sse, exponent); a golden section then refines the local minimum's
     bracket. No exponent is solved twice, and the model is the best solve of
-    the grid minimum and the golden section's last two points. It records the
-    solves' L-BFGS counts, summed.
+    the grid minimum and the golden section's last two points. Its diagnostics
+    carry the solves' L-BFGS counts (``_SOLVE_COUNTS``), summed.
     """
     import numpy as np
 
@@ -715,23 +676,27 @@ def fit_kstar_model(
             f"large residuals (mean squared residual {sse / len(cells):.3g}); "
             "data may not be monotone in the shifted corpus factor"
         )
-    return KStarModel(
-        approach=approach,
-        shift_exponent=exponent,
-        levels=tuple(float(v) for v in levels),
-        positions=tuple(float(p) for p in positions),
-        rss=float(sse),
-        n_points=len(cells),
-        warnings=tuple(warnings),
-        solves=len(solves),
-        nfev=sum(s.nfev for s in solves.values()),
-        nit=sum(s.nit for s in solves.values()),
-        converged=sum(s.converged for s in solves.values()),
-    )
+    return {
+        "model_type": "kstar",
+        "parameters": {
+            "approach": approach,
+            "shift_exponent": exponent,
+            "knots": [{"h": float(h), "f_D": float(p)} for h, p in zip(levels, positions)],
+        },
+        "diagnostics": {
+            "rss": sse,
+            "n_points": len(cells),
+            "solves": len(solves),
+            "nfev": sum(s.nfev for s in solves.values()),
+            "nit": sum(s.nit for s in solves.values()),
+            "converged": sum(s.converged for s in solves.values()),
+            "warnings": warnings,
+        },
+    }
 
 
 def predict_kstar(
-    model: KStarModel,
+    model: tuple[float, Sequence[float], Sequence[float]],
     compute: float,
     target_tokens: float,
     *,
@@ -739,8 +704,9 @@ def predict_kstar(
 ) -> float:
     """Optimal epoch count at (compute, corpus size), clamped to >= 1.
 
-    End segments extrapolate linearly; the clamp handles corpus sizes
-    beyond the last knot (ample data needs a single epoch).
+    ``model`` is what ``kstar_from_wire`` returns: the shift exponent and the knots'
+    levels and positions. End segments extrapolate linearly; the clamp handles corpus
+    sizes beyond the last knot (ample data needs a single epoch).
     """
     if not (0 < compute < math.inf and 0 < target_tokens < math.inf):
         raise ValidationError(
@@ -752,10 +718,11 @@ def predict_kstar(
     if not (corpus and scale):  # a subnormal value divided by the reference is 0
         raise ValidationError(f"compute and target tokens too small to scale, got {compute}, "
                               f"{target_tokens}")
-    shifted = math.log2(corpus) - model.shift_exponent * math.log2(scale)
+    shift_exponent, levels, positions = model
+    shifted = math.log2(corpus) - shift_exponent * math.log2(scale)
     # _sse_and_grad's segment evaluation for one point: the same float operations in order
-    xp = model.positions[::-1]  # ascending
-    fp = model.levels[::-1]
+    xp = positions[::-1]  # ascending
+    fp = levels[::-1]
     k = min(max(bisect.bisect_right(xp, shifted) - 1, 0), len(xp) - 2)
     width = xp[k + 1] - xp[k]
     slope = (fp[k + 1] - fp[k]) / width
@@ -846,10 +813,19 @@ def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> 
 
 
 def _sections(obj: dict, model_type: str) -> tuple[dict, dict]:
-    """A model file's (parameters, diagnostics), once its model_type is ``model_type``."""
+    """A model file's (parameters, diagnostics) objects, once its model_type is ``model_type``."""
     if obj["model_type"] != model_type:
         raise ValueError(f"expected model_type {model_type!r}, got {obj['model_type']!r}")
-    return obj["parameters"], obj["diagnostics"]
+    return json_field(obj, "parameters", dict), json_field(obj, "diagnostics", dict)
+
+
+def _objects(obj: dict, key: str) -> list[dict]:
+    """``obj[key]``, which must be a JSON list of objects."""
+    entries = json_field(obj, key, list)
+    for i, entry in enumerate(entries):
+        if type(entry) is not dict:
+            raise ValueError(f"{key}[{i}] must be an object, got {entry!r}")
+    return entries
 
 
 def _approach(params: dict) -> str:
@@ -861,9 +837,9 @@ def _approach(params: dict) -> str:
 
 
 def _diagnostics(diagnostics: dict, *counts: str) -> dict:
-    """The rss, n_points, other ``counts`` and warnings of a model file (or an epoch cell).
+    """The rss, n_points and other ``counts`` of a model file (or an epoch cell).
 
-    Returned as model keywords; no number may be negative.
+    No number may be negative, and the warnings must be a list of strings.
     """
     fields = {"rss": json_field(diagnostics, "rss", float)}
     fields |= {key: json_field(diagnostics, key, int) for key in ("n_points", *counts)}
@@ -873,7 +849,7 @@ def _diagnostics(diagnostics: dict, *counts: str) -> dict:
     warnings = diagnostics.get("warnings", [])
     if type(warnings) is not list or not all(type(w) is str for w in warnings):
         raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
-    return fields | {"warnings": tuple(warnings)}
+    return fields
 
 
 def _positive(obj: dict, key: str) -> float:
@@ -884,56 +860,53 @@ def _positive(obj: dict, key: str) -> float:
     return value
 
 
-#: The ``KStarModel`` solve counts a k* model file's diagnostics may carry.
+#: The L-BFGS counts (summed over the fit's solves) a k* model file's diagnostics may carry.
 _SOLVE_COUNTS = ("solves", "nfev", "nit", "converged")
 
 
-def kstar_to_wire(model: KStarModel) -> dict:
-    return {
-        "model_type": "kstar",
-        "parameters": {
-            "approach": model.approach,
-            "shift_exponent": model.shift_exponent,
-            "knots": [
-                {"h": level, "f_D": position}
-                for level, position in zip(model.levels, model.positions)
-            ],
-        },
-        "diagnostics": {
-            "rss": model.rss,
-            "n_points": model.n_points,
-            **{key: getattr(model, key) for key in _SOLVE_COUNTS if model.solves is not None},
-            "warnings": list(model.warnings),
-        },
-    }
+def kstar_from_wire(obj: dict) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """The shift exponent and the knots' levels and positions of a k* model file.
 
-
-def kstar_from_wire(obj: dict) -> KStarModel:
-    """A k* model file; its solve counts are optional, but come all together or not at all."""
+    The shift exponent is positive, levels strictly increase and positions strictly
+    decrease (the model is invertible). The solve counts are optional, but come all
+    together or not at all.
+    """
     params, diagnostics = _sections(obj, "kstar")
-    knots = params["knots"]
+    knots = _objects(params, "knots")
     counts = _SOLVE_COUNTS if any(key in diagnostics for key in _SOLVE_COUNTS) else ()
     fields = _diagnostics(diagnostics, *counts)
     if counts and fields["converged"] > fields["solves"]:
         raise ValueError(
             f"converged must be <= solves, got {fields['converged']} > {fields['solves']}"
         )
-    return KStarModel(
-        approach=_approach(params),
-        shift_exponent=json_field(params, "shift_exponent", float),
-        levels=tuple(json_field(k, "h", float) for k in knots),
-        positions=tuple(json_field(k, "f_D", float) for k in knots),
-        **fields,
-    )
+    _approach(params)
+    shift_exponent = json_field(params, "shift_exponent", float)
+    levels = tuple(json_field(k, "h", float) for k in knots)
+    positions = tuple(json_field(k, "f_D", float) for k in knots)
+    if shift_exponent <= 0:
+        raise ValueError(f"shift exponent must be finite and positive, got {shift_exponent}")
+    if len(knots) < 2:
+        raise ValueError("need matching levels/positions with >= 2 knots")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("knot levels must be finite and strictly increasing")
+    if any(a <= b for a, b in zip(positions, positions[1:])):
+        raise ValueError("knot positions must be finite and strictly decreasing")
+    return shift_exponent, levels, positions
 
 
 def ratio_fit_from_wire(obj: dict) -> tuple[float, dict[tuple[float, float], float]]:
-    """The exponent and the {(M, D): L0} intercepts of a ratio_power_law model file."""
+    """The exponent and the {(M, D): L0} intercepts of a ratio_power_law model file.
+
+    No (M, D) group is listed twice.
+    """
     params, diagnostics = _sections(obj, "ratio_power_law")
     exponent = json_field(params, "exponent", float)
-    intercepts = {
-        (_positive(e, "M"), _positive(e, "D")): _positive(e, "L0") for e in params["intercepts"]
-    }
+    intercepts = {}
+    for entry in _objects(params, "intercepts"):
+        m, d, level = (_positive(entry, key) for key in ("M", "D", "L0"))
+        if (m, d) in intercepts:
+            raise ValueError(f"group (M={m:.6g}, D={d:.6g}) is listed twice")
+        intercepts[m, d] = level
     _diagnostics(diagnostics, "group_count")
     return exponent, intercepts
 
@@ -948,18 +921,20 @@ _EPOCH_CELL = {
 def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict]]:
     """The approach and the cells of an epoch_quadratics model file.
 
-    Each cell is its f_C, f_D and ``_EPOCH_CELL`` fields, each read as its JSON type.
-    A cell's C and D_T must stay finite and nonzero, as a derived setup's do. Its
-    k_star must equal 2**f_k_star, as ``fit_epoch_quadratic`` derives it, and be a
-    positive, finite float.
+    Each cell is its f_C, f_D and ``_EPOCH_CELL`` fields, each read as its JSON type,
+    and no (f_C, f_D) is listed twice. A cell's C and D_T must stay finite and nonzero,
+    as a derived setup's do. Its k_star must equal 2**f_k_star, as
+    ``fit_epoch_quadratic`` derives it, and be a positive, finite float.
     """
     ref = reference_constants()
     params, diagnostics = _sections(obj, "epoch_quadratics")
     approach = _approach(params)
     _diagnostics(diagnostics)
-    cells = []
-    for entry in params["fits"]:
+    cells = {}
+    for entry in _objects(params, "fits"):
         f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
+        if (f_C, f_D) in cells:
+            raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) is listed twice")
         try:
             budgets = (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D))
         except OverflowError:
@@ -978,5 +953,5 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict]]:
                 f"cell (f_C={f_C}, f_D={f_D}): k_star must be 2**f_k_star, positive and "
                 f"finite; got k_star={cell['k_star']!r} for f_k_star={cell['f_k_star']!r}"
             )
-        cells.append(cell)
-    return approach, cells
+        cells[f_C, f_D] = cell
+    return approach, list(cells.values())

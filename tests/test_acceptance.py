@@ -154,8 +154,10 @@ def test_criterion_08_kstar_model_fitter():
                 out.append((f_C, f_D, -(2.0 / 3.0) * (f_D - shift)))
         return out
 
-    model = fitting.fit_kstar_model(curves((-4, -2)), "mono-1stage")
-    exponent_ok = abs(model.shift_exponent - 0.5) <= 0.02
+    doc = fitting.fit_kstar_model(curves((-4, -2)), "mono-1stage")
+    exponent = doc["parameters"]["shift_exponent"]
+    exponent_ok = abs(exponent - 0.5) <= 0.02
+    model = fitting.kstar_from_wire(doc)
     heldout_ok = True
     for f_D in (-5.0, -4.5, -4.0, -3.0, -2.0, -1.0):
         predicted = fitting.predict_kstar(model, ref.compute, ref.target_tokens * 2.0**f_D)
@@ -167,7 +169,7 @@ def test_criterion_08_kstar_model_fitter():
     except UnidentifiableError:
         single_ok = True
     _criterion(
-        f"8 epoch-extrapolation model: shift exponent {model.shift_exponent:.4f} "
+        f"8 epoch-extrapolation model: shift exponent {exponent:.4f} "
         "(planted 0.5), held-out within 2^0.25, single-budget raises",
         exponent_ok and heldout_ok and single_ok,
     )

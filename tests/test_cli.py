@@ -505,6 +505,22 @@ def test_quickstart_artifacts_match_benchmark_digests(tmp_path, monkeypatch, cap
     assert actual == digests
 
 
+def test_quickstart_kstar_fit_is_within_the_benchmark_bounds(workspace):
+    # kstar.json has no digest: perfbench/run.py checks it by value, with these bounds
+    reference = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+    with open(reference, encoding="utf-8") as fh:
+        bench = json.load(fh)
+    with open(workspace["epochs"], "rb") as fh:  # the Quickstart's epochs.json
+        assert hashlib.sha256(fh.read()).hexdigest() == bench["digests"]["epochs.json"]
+    expected = bench["kstar"]
+    doc = json.load(open(workspace["kstar"]))
+    positions = [knot["f_D"] for knot in doc["parameters"]["knots"]]
+    assert abs(doc["parameters"]["shift_exponent"] - expected["shift_exponent"]) <= 0.01
+    assert len(positions) == len(expected["positions"])
+    assert all(abs(p - q) <= 0.02 for p, q in zip(positions, expected["positions"]))
+    assert doc["diagnostics"]["rss"] <= expected["rss"] * (1 + 1e-9)
+
+
 def _mixsweep_globals():
     return {
         (module_name, key): value
@@ -857,13 +873,77 @@ def _cell(doc):
 )
 def test_model_file_fields_are_checked(workspace, tmp_path, capsys, name, edit, message):
     path = _model_doc(workspace, tmp_path, name, edit)
-    argv = {
+    code = run(_model_argv(name, path, workspace, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _model_argv(name, path, workspace, tmp_path):
+    """argv of the command that reads model file ``name`` from ``path``, writing to ``out``."""
+    out = str(tmp_path / "out")
+    return {
         "kstar": ["predict", "kstar", "--model", path, "--C", "1e18", "--DT", "2e9"],
-        "ratio": ["report", "--analysis", workspace["report"], "--out-dir", str(tmp_path / "out"),
+        "ratio": ["report", "--analysis", workspace["report"], "--out-dir", out,
                   "--ratio-fit", path, "--results", workspace["results"],
                   "--setups", workspace["setups"]],
-        "epochs": ["fit", "kstar", "--epoch-fits", path, "--out", str(tmp_path / "out")],
+        "epochs": ["fit", "kstar", "--epoch-fits", path, "--out", out],
     }[name]
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("kstar", lambda d: d["parameters"].update(knots="ab"), "knots must be a list, got 'ab'"),
+        ("kstar", lambda d: d.update(parameters=5), "parameters must be an object, got 5"),
+        ("kstar", lambda d: d["parameters"].update(knots=[1, 2]),
+         "knots[0] must be an object, got 1"),
+        ("ratio", lambda d: d["parameters"].update(intercepts=7),
+         "intercepts must be a list, got 7"),
+        ("epochs", lambda d: d["parameters"].update(fits={"a": 1}),
+         "fits must be a list, got {'a': 1}"),
+        ("epochs", lambda d: d.update(diagnostics="x"), "diagnostics must be an object, got 'x'"),
+    ],
+    ids=["knots-string", "parameters-number", "knots-numbers", "intercepts-number",
+         "fits-object", "diagnostics-string"],
+)
+def test_model_file_containers_are_read_as_their_json_type(
+    workspace, tmp_path, capsys, name, edit, message
+):
+    # each printed a TypeError about indexing a str or an int, without the field's name
+    path = _model_doc(workspace, tmp_path, name, edit)
+    code = run(_model_argv(name, path, workspace, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["report-ratio-fit", "fit-kstar", "report-epoch-fits"])
+def test_model_file_listing_a_group_or_cell_twice_is_data_error(
+    workspace, tmp_path, capsys, command
+):
+    # the last entry silently won: report --ratio-fit predicted losses from the second L0,
+    # fit kstar fitted both cells and report --epoch-fits wrote a row for each
+    name = "ratio" if command == "report-ratio-fit" else "epochs"
+    doc = json.load(open(workspace[name]))
+    params = doc["parameters"]
+    if name == "ratio":
+        first = params["intercepts"][0]
+        params["intercepts"].append(first | {"L0": 100.0})
+        message = f"group (M={first['M']:.6g}, D={first['D']:.6g}) is listed twice"
+    else:
+        first = params["fits"][0]
+        params["fits"].append(first | {"f_k_star": 0.0, "k_star": 1.0})
+        message = f"cell (f_C={first['f_C']}, f_D={first['f_D']}) is listed twice"
+    path = _model_file(tmp_path, f"{name}.json", doc)
+    argv = _model_argv(name, path, workspace, tmp_path)
+    if command == "report-epoch-fits":
+        argv = ["report", "--analysis", workspace["report"], "--out-dir", str(tmp_path / "out"),
+                "--epoch-fits", path]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -928,10 +1008,16 @@ def test_epoch_cell_k_star_must_be_two_to_the_f_k_star(
 
 def test_model_files_load_and_write_back_byte_identically(workspace):
     # the workspace runs the README Quickstart (its surrogate has no noise, so the seed
-    # does not matter); the k* loader and writer must give the file back unchanged, and
-    # the epochs and ratio loaders must return exactly what their files hold
+    # does not matter); each loader must return exactly what its file holds, and
+    # kstar.json must write back unchanged
     text = open(workspace["kstar"]).read()
-    assert cli._json_text(fitting.kstar_to_wire(fitting.kstar_from_wire(json.loads(text)))) == text
+    doc = json.loads(text)
+    assert cli._json_text(doc) == text
+    params = doc["parameters"]
+    knots = params["knots"]
+    assert fitting.kstar_from_wire(doc) == (
+        params["shift_exponent"], tuple(k["h"] for k in knots), tuple(k["f_D"] for k in knots)
+    )
     doc = json.load(open(workspace["epochs"]))
     params = doc["parameters"]
     assert fitting.epoch_fits_from_wire(doc) == (params["approach"], params["fits"])
@@ -1132,8 +1218,8 @@ def test_fit_kstar_on_subnormal_optima_prints_one_line(workspace, tmp_path):
     assert err.count("\n") == 1 and "RuntimeWarning" not in err
     if code == 0:
         assert err.startswith("fitted epoch-extrapolation model")
-        model = fitting.kstar_from_wire(json.loads((tmp_path / "k.json").read_text()))
-        assert all(map(math.isfinite, model.positions))
+        _, _, positions = fitting.kstar_from_wire(json.loads((tmp_path / "k.json").read_text()))
+        assert all(map(math.isfinite, positions))
     else:
         assert code == 3 and err.startswith("fit error: ")
 

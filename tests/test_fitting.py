@@ -148,16 +148,21 @@ def planted_model():
     return fitting.fit_kstar_model(planted_curves(), "mono-1stage")
 
 
+def _positions(doc):
+    """The knot positions of a kstar.json document."""
+    return [knot["f_D"] for knot in doc["parameters"]["knots"]]
+
+
 def test_kstar_recovers_planted_model(planted_model):
     model = planted_model
-    assert abs(model.shift_exponent - PLANTED_SHIFT) <= 0.02
-    for level, position in zip(model.levels, model.positions):
-        assert abs(position - (-1.5 * level)) <= 0.1
-    assert model.rss <= 1e-6
+    assert abs(model["parameters"]["shift_exponent"] - PLANTED_SHIFT) <= 0.02
+    for knot in model["parameters"]["knots"]:
+        assert abs(knot["f_D"] - (-1.5 * knot["h"])) <= 0.1
+    assert model["diagnostics"]["rss"] <= 1e-6
 
 
 def test_kstar_predicts_training_points(planted_model):
-    model = planted_model
+    model = fitting.kstar_from_wire(planted_model)
     ref = reference_constants()
     for f_C, f_D, level in planted_curves()[::5]:
         compute = math.ldexp(ref.compute, f_C)
@@ -166,7 +171,7 @@ def test_kstar_predicts_training_points(planted_model):
 
 
 def test_kstar_heldout_budget_within_quarter_step(planted_model):
-    model = planted_model
+    model = fitting.kstar_from_wire(planted_model)
     ref = reference_constants()
     for f_D in (-5.0, -4.0, -3.0, -2.0, -1.0):
         target = ref.target_tokens * 2.0**f_D
@@ -176,20 +181,20 @@ def test_kstar_heldout_budget_within_quarter_step(planted_model):
 
 
 def test_kstar_planted_point_example(planted_model):
-    model = planted_model
+    model = fitting.kstar_from_wire(planted_model)
     ref = reference_constants()
     predicted = fitting.predict_kstar(model, ref.compute, ref.target_tokens * 2.0**-3)
     assert predicted == pytest.approx(4.0, rel=1e-3)
 
 
 def test_kstar_clamps_to_one_epoch_for_ample_data(planted_model):
-    model = planted_model
+    model = fitting.kstar_from_wire(planted_model)
     ref = reference_constants()
     assert fitting.predict_kstar(model, ref.compute, ref.target_tokens * 8) == 1.0
 
 
 def test_kstar_round_to_power_of_two(planted_model):
-    model = planted_model
+    model = fitting.kstar_from_wire(planted_model)
     ref = reference_constants()
     target = ref.target_tokens * 2.0**-2.5  # planted level ~1.667
     raw = fitting.predict_kstar(model, ref.compute, target)
@@ -209,7 +214,7 @@ def test_kstar_fit_solves_each_shift_exponent_once(monkeypatch):
     model = fitting.fit_kstar_model(planted_curves(), "mono-1stage")
     assert len(solved) < 30  # a walk from the seed's grid point, not the whole 30-point grid
     assert len(set(solved)) == len(solved)
-    assert model.rss <= 1e-6
+    assert model["diagnostics"]["rss"] <= 1e-6
 
 
 def _full_grid_search(curves, approach):
@@ -270,9 +275,9 @@ def test_seeded_search_matches_the_full_grid_search(
         approach, curves = dataset[0], _surrogate_curves(all_setups, *dataset)
     model = fitting.fit_kstar_model(curves, approach)
     oracle_sse, oracle_exponent = _full_grid_search(curves, approach)
-    assert model.rss <= oracle_sse * (1.0 + rss_tolerance)
+    assert model["diagnostics"]["rss"] <= oracle_sse * (1.0 + rss_tolerance)
     if same_exponent:
-        assert model.shift_exponent == oracle_exponent
+        assert model["parameters"]["shift_exponent"] == oracle_exponent
 
 
 @settings(max_examples=25)  # each example is two k* fits of ~40 ms
@@ -288,8 +293,8 @@ def test_kstar_fit_is_shift_equivariant(exponent, budgets, slope, shift):
     # knot is identified.
     base = fitting.fit_kstar_model(planted_curves(budgets, 0.25, exponent, slope))
     moved = fitting.fit_kstar_model(planted_curves(budgets, 0.25, exponent, slope, shift))
-    assert moved.shift_exponent == base.shift_exponent
-    for a, b in zip(base.positions, moved.positions):
+    assert moved["parameters"]["shift_exponent"] == base["parameters"]["shift_exponent"]
+    for a, b in zip(_positions(base), _positions(moved)):
         assert b - a == pytest.approx(shift, rel=0, abs=1e-9)
 
 
@@ -350,16 +355,18 @@ def test_kstar_shift_equivariance(planted_model):
         for f_C, f_D, level in planted_curves()
     ]
     translated = fitting.fit_kstar_model(moved, "mono-1stage")
-    assert translated.shift_exponent == pytest.approx(base.shift_exponent, abs=0.02)
-    for a, b in zip(base.positions, translated.positions):
+    exponent = base["parameters"]["shift_exponent"]
+    assert translated["parameters"]["shift_exponent"] == pytest.approx(exponent, abs=0.02)
+    for a, b in zip(_positions(base), _positions(translated)):
         assert a == pytest.approx(b, abs=0.05)
 
 
 def test_kstar_default_levels_by_approach(planted_model):
     mono = planted_model
-    assert mono.levels == tuple(np.arange(0.0, 4.0 + 0.25, 0.5))
+    levels = [knot["h"] for knot in mono["parameters"]["knots"]]
+    assert levels == list(np.arange(0.0, 4.0 + 0.25, 0.5))
     multi = fitting.fit_kstar_model(planted_curves(), "multi-2stage")
-    assert multi.levels[-1] == 3.0
+    assert multi["parameters"]["knots"][-1]["h"] == 3.0
 
 
 def test_kstar_warns_on_non_monotone_data():
@@ -369,55 +376,65 @@ def test_kstar_warns_on_non_monotone_data():
             # increasing in f_D: opposite of the model's monotone shape
             curves.append((f_C, f_D, 2.0 + 0.5 * f_D))
     model = fitting.fit_kstar_model(curves, "mono-1stage")
-    assert any("residual" in w for w in model.warnings)
+    assert any("residual" in w for w in model["diagnostics"]["warnings"])
 
 
 def test_kstar_model_validation():
-    model = {
-        "approach": "mono-1stage",
-        "shift_exponent": 0.5,
-        "levels": (0.0, 0.5, 1.0),
-        "positions": (0.0, -1.0, -2.0),
-        "rss": 0.0,
-        "n_points": 4,
+    doc = {
+        "model_type": "kstar",
+        "parameters": {
+            "approach": "mono-1stage",
+            "shift_exponent": 0.5,
+            "knots": [{"h": 0.0, "f_D": 0.0}, {"h": 0.5, "f_D": -1.0}, {"h": 1.0, "f_D": -2.0}],
+        },
+        "diagnostics": {"rss": 0.0, "n_points": 4, "warnings": []},
     }
-    fitting.KStarModel(**model)
+    assert fitting.kstar_from_wire(doc) == (0.5, (0.0, 0.5, 1.0), (0.0, -1.0, -2.0))
     for field, value, message in [
         ("positions", (0.0, 1.0, 2.0), "positions must be finite and strictly decreasing"),
         ("shift_exponent", -0.1, "shift exponent must be finite and positive"),
-        ("shift_exponent", math.nan, "shift exponent must be finite and positive"),
-        ("shift_exponent", math.inf, "shift exponent must be finite and positive"),
-        ("levels", (0.0, math.nan, 1.0), "levels must be finite and strictly increasing"),
-        ("levels", (0.0, 0.5, math.inf), "levels must be finite and strictly increasing"),
+        ("shift_exponent", math.nan, "shift_exponent must be a finite number"),
+        ("shift_exponent", math.inf, "shift_exponent must be a finite number"),
+        ("levels", (0.0, math.nan, 1.0), "h must be a finite number"),
+        ("levels", (0.0, 0.5, math.inf), "h must be a finite number"),
         ("levels", (0.5, 0.0, 1.0), "levels must be finite and strictly increasing"),
-        ("positions", (math.inf, -1.0, -2.0), "positions must be finite and strictly decreasing"),
-        ("positions", (0.0, math.nan, -2.0), "positions must be finite and strictly decreasing"),
-        ("positions", (0.0, -1.0, -math.inf), "positions must be finite and strictly decreasing"),
+        ("positions", (math.inf, -1.0, -2.0), "f_D must be a finite number"),
+        ("positions", (0.0, math.nan, -2.0), "f_D must be a finite number"),
+        ("positions", (0.0, -1.0, -math.inf), "f_D must be a finite number"),
     ]:
-        with pytest.raises(ValidationError, match=message):
-            fitting.KStarModel(**model | {field: value})
+        edited = json.loads(json.dumps(doc))
+        params = edited["parameters"]
+        if field == "shift_exponent":
+            params[field] = value
+        else:
+            key = "h" if field == "levels" else "f_D"
+            for knot, number in zip(params["knots"], value):
+                knot[key] = number
+        with pytest.raises(ValueError, match=message):
+            fitting.kstar_from_wire(edited)
 
 
 def test_kstar_wire_round_trip(planted_model):
-    model = planted_model
-    doc = fitting.kstar_to_wire(model)
+    doc = planted_model
     assert doc["model_type"] == "kstar"
     assert set(doc) == {"model_type", "parameters", "diagnostics"}
-    back = fitting.kstar_from_wire(doc)
-    assert back == model
+    back = fitting.kstar_from_wire(json.loads(cli._json_text(doc)))
+    knots = doc["parameters"]["knots"]
+    assert back == (
+        doc["parameters"]["shift_exponent"],
+        tuple(knot["h"] for knot in knots),
+        tuple(knot["f_D"] for knot in knots),
+    )
 
 
 def test_kstar_fit_records_its_solve_counts(planted_model):
-    model = planted_model
-    assert model.nfev >= model.nit > 0
-    assert 0 < model.converged <= model.solves
-    diagnostics = fitting.kstar_to_wire(model)["diagnostics"]
+    diagnostics = planted_model["diagnostics"]
+    assert diagnostics["nfev"] >= diagnostics["nit"] > 0
+    assert 0 < diagnostics["converged"] <= diagnostics["solves"]
     assert list(diagnostics) == [
         "rss", "n_points", "solves", "nfev", "nit", "converged", "warnings"
     ]
-    assert [diagnostics[key] for key in ("solves", "nfev", "nit", "converged")] == [
-        model.solves, model.nfev, model.nit, model.converged
-    ]
+    assert all(type(diagnostics[key]) is int for key in ("solves", "nfev", "nit", "converged"))
 
 
 @pytest.mark.parametrize(
@@ -430,7 +447,7 @@ def test_kstar_fit_records_its_solve_counts(planted_model):
     ],
 )
 def test_kstar_model_file_solve_counts_are_checked(planted_model, key, value, message):
-    doc = fitting.kstar_to_wire(planted_model)
+    doc = json.loads(json.dumps(planted_model))
     diagnostics = doc["diagnostics"]
     diagnostics[key] = diagnostics["solves"] + 1 if value == "more" else value
     with pytest.raises(ValueError, match=message):
@@ -438,13 +455,11 @@ def test_kstar_model_file_solve_counts_are_checked(planted_model, key, value, me
 
 
 def test_kstar_model_file_without_solve_counts_loads(planted_model):
-    doc = fitting.kstar_to_wire(planted_model)
+    doc = json.loads(json.dumps(planted_model))
     for key in ("solves", "nfev", "nit", "converged"):
         del doc["diagnostics"][key]
-    model = fitting.kstar_from_wire(doc)
-    assert (model.solves, model.nfev, model.nit, model.converged) == (None,) * 4
-    assert fitting.kstar_to_wire(model) == doc
-    partial = fitting.kstar_to_wire(planted_model)
+    assert fitting.kstar_from_wire(doc) == fitting.kstar_from_wire(planted_model)
+    partial = json.loads(json.dumps(planted_model))
     del partial["diagnostics"]["nit"]  # the counts come together or not at all
     with pytest.raises(KeyError, match="nit"):
         fitting.kstar_from_wire(partial)
@@ -510,9 +525,7 @@ def test_predict_kstar_matches_interp_with_linear_ends():
     rng = np.random.default_rng(5)
     levels = np.arange(0.5, 4.75, 0.5)  # above 0 a while right of the knots too
     positions = 1.0 - np.cumsum(rng.integers(1, 7, len(levels))) / 4.0
-    model = fitting.KStarModel(
-        "mono-1stage", 0.25, tuple(levels), tuple(float(p) for p in positions), 0.0, 4
-    )
+    model = (0.25, tuple(levels), tuple(float(p) for p in positions))
     ref = reference_constants()
     shifted = []
     for n in range(-20, 5):
@@ -634,7 +647,8 @@ def test_kstar_line_search_backs_off_quietly_from_overflowing_log_gaps(monkeypat
     monkeypatch.setattr(fitting, "_sse_and_grad", recording)
     model = fitting.fit_kstar_model(cells, "mono-1stage")
     assert non_finite and all(np.max(theta[1:]) > 709.0 for theta in non_finite)
-    assert math.isfinite(model.rss)  # and KStarModel checks that every knot is finite
+    assert math.isfinite(model["diagnostics"]["rss"])
+    assert all(map(math.isfinite, _positions(model)))
 
 
 # ---------------------------------------------------------------------------
@@ -1001,3 +1015,38 @@ def test_every_epoch_fit_is_a_file_its_loader_reads(cells, approach):
     assert loaded == (approach, doc["parameters"]["fits"])
     fits = doc["parameters"]["fits"]
     assert [list(cell) for cell in fits] == [["f_C", "f_D", *fitting._EPOCH_CELL]] * len(fits)
+
+
+#: A log2 k* anywhere from 1e-300 to 1e300 in size, of either sign, or a moderate one.
+_levels = st.one_of(
+    st.floats(-5.0, 5.0), st.builds(math.copysign, _losses, st.sampled_from([1.0, -1.0]))
+)
+
+
+@settings(max_examples=40)  # most fits take milliseconds, and one over a second
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.integers(-4, 0), st.integers(-7, 2)),  # (f_C, f_D)
+        _levels,  # log2 k*
+        min_size=4,
+        max_size=8,
+    ),
+    approach=st.sampled_from(sorted(fitting.H_MAX_BY_APPROACH)),
+    h_max=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_every_kstar_fit_is_a_file_its_loader_reads(cells, approach, h_max):
+    # an h_max of at most 2 keeps a fit to five knots: with the default nine, some of
+    # these sparse cell sets take seconds to fit
+    try:
+        doc = fitting.fit_kstar_model([(*key, y) for key, y in cells.items()], approach, h_max)
+    except FitError:
+        return
+    params = doc["parameters"]
+    knots = params["knots"]
+    loaded = fitting.kstar_from_wire(json.loads(cli._json_text(doc)))
+    assert loaded == (
+        params["shift_exponent"], tuple(k["h"] for k in knots), tuple(k["f_D"] for k in knots)
+    )
+    assert list(doc) == ["model_type", "parameters", "diagnostics"]
+    assert list(params) == ["approach", "shift_exponent", "knots"]
+    assert list(doc["diagnostics"]) == ["rss", "n_points", *fitting._SOLVE_COUNTS, "warnings"]
