@@ -12,7 +12,9 @@
    regression of the pooled shifted data. The inner fit runs this module's
    L-BFGS (``_lbfgs``, L-BFGS-B's unbounded defaults) on the exact gradient
    of the squared error, so it needs no finite-difference probes, and the
-   seed's bounded least squares is a Lawson-Hanson NNLS (``_nnls``).
+   seed's bounded least squares is a Lawson-Hanson NNLS (``_nnls``). This
+   model works on float lists in plain Python: its vectors have about ten
+   entries, where numpy's per-call cost outweighs the arithmetic.
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in closed form by within-group centering in log space.
 
@@ -28,9 +30,11 @@ where the grid is base-2.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 import sys
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import reference_constants
 from .errors import (
@@ -41,11 +45,8 @@ from .errors import (
 )
 from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE, json_field
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported inside the functions that fit, so a command that fits nothing
-# (predict_kstar included) starts without it.
+# numpy is imported inside fit_epoch_quadratic and fit_ratio_power_law, so every command
+# but `fit epochs` and `fit ratio` starts without it; the k* fit is plain Python.
 
 #: Default top level of the piecewise-linear epoch model per approach
 #: (log2 of the largest optimal epoch count the model resolves).
@@ -163,25 +164,23 @@ def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], appro
 # ---------------------------------------------------------------------------
 
 
-def _pav_increasing(values: np.ndarray) -> np.ndarray:
+def _pav_increasing(values: Sequence[float]) -> list[float]:
     """Pool-adjacent-violators: closest nondecreasing sequence (unit weights)."""
-    import numpy as np
-
     sums: list[float] = []
     counts: list[int] = []
     for value in values:
-        sums.append(float(value))
+        sums.append(value)
         counts.append(1)
         while len(sums) > 1 and sums[-2] / counts[-2] > sums[-1] / counts[-1]:
             s, c = sums.pop(), counts.pop()
             sums[-1] += s
             counts[-1] += c
-    return np.repeat([s / c for s, c in zip(sums, counts)], counts)
+    return [s / c for s, c in zip(sums, counts) for _ in range(c)]
 
 
 def _initial_positions(
-    x: np.ndarray, y: np.ndarray, levels: np.ndarray
-) -> np.ndarray:
+    x: Sequence[float], y: Sequence[float], levels: Sequence[float]
+) -> list[float]:
     """Knot positions from isotonic regression of the pooled shifted data.
 
     Fit a nonincreasing step function to (x, y), collapse it to strictly
@@ -191,36 +190,41 @@ def _initial_positions(
     the extended knots would span more than the float range, extends with
     slope -1 instead.
     """
-    import numpy as np
-
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    iso = -_pav_increasing(-ys)
-    block_vals: list[float] = []
-    block_xmean: list[float] = []
+    order = sorted(range(len(x)), key=x.__getitem__)  # stable: equal x keep their order
+    xs = [x[i] for i in order]
+    iso = [-v for v in _pav_increasing([-y[i] for i in order])]
+    vals: list[float] = []  # strictly decreasing along ascending x
+    xmean: list[float] = []
     start = 0
     for i in range(1, len(iso) + 1):
         if i == len(iso) or iso[i] != iso[start]:
-            block_vals.append(float(iso[start]))
-            block_xmean.append(float(xs[start:i].mean()))
+            vals.append(iso[start])
+            xmean.append(sum(xs[start:i]) / (i - start))
             start = i
-    vals = np.asarray(block_vals)  # strictly decreasing along ascending x
-    xmean = np.asarray(block_xmean)
     if len(vals) == 1:
-        return xmean[0] - (levels - vals[0])  # flat fit: fallback slope -1
-    # invert: ascending value axis maps to descending position
-    inside = np.interp(levels, vals[::-1], xmean[::-1])
-    below, above = levels < vals.min(), levels > vals.max()
+        return [xmean[0] - (level - vals[0]) for level in levels]  # flat fit: fallback slope -1
+    # invert: the ascending value axis maps to descending positions
+    up_vals, up_xmean = vals[::-1], xmean[::-1]
 
-    def extend(slope_below, slope_above):
-        return np.where(below, xmean[-1] + slope_below * (levels - vals[-1]),
-                        np.where(above, xmean[0] + slope_above * (levels - vals[0]), inside))
+    def inside(level: float) -> float:  # linear interpolation within the value range
+        j = bisect.bisect_right(up_vals, level) - 1
+        if j == len(up_vals) - 1 or up_vals[j] == level:
+            return up_xmean[j]
+        slope = (up_xmean[j + 1] - up_xmean[j]) / (up_vals[j + 1] - up_vals[j])
+        return slope * (level - up_vals[j]) + up_xmean[j]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        positions = extend((xmean[-1] - xmean[-2]) / (vals[-1] - vals[-2]),
-                           (xmean[1] - xmean[0]) / (vals[1] - vals[0]))
-        if not math.isfinite(positions[0] - positions[-1]):
-            positions = extend(-1.0, -1.0)
+    def extend(slope_below: float, slope_above: float) -> list[float]:
+        return [
+            xmean[-1] + slope_below * (level - vals[-1]) if level < vals[-1]
+            else xmean[0] + slope_above * (level - vals[0]) if level > vals[0]
+            else inside(level)
+            for level in levels
+        ]
+
+    positions = extend((xmean[-1] - xmean[-2]) / (vals[-1] - vals[-2]),
+                       (xmean[1] - xmean[0]) / (vals[1] - vals[0]))
+    if not math.isfinite(positions[0] - positions[-1]):
+        positions = extend(-1.0, -1.0)
     # enforce strict decrease
     for j in range(1, len(positions)):
         if positions[j] > positions[j - 1] - _MIN_KNOT_GAP:
@@ -228,26 +232,30 @@ def _initial_positions(
     return positions
 
 
-def _positions_from_theta(theta: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _exp(t: float) -> float:
+    """exp(t), or inf where that leaves the float range."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
+
+def _positions_from_theta(theta: Sequence[float]) -> list[float]:
+    """The descending knots: theta[0] is the top one, theta[1:] the log gaps less
+    ``_MIN_KNOT_GAP``. A gap that overflows exp puts every knot below it at -inf."""
     top = theta[0]
-    gaps = _MIN_KNOT_GAP + np.exp(theta[1:])
-    return np.concatenate([[top], top - np.cumsum(gaps)])
+    gaps = itertools.accumulate(_MIN_KNOT_GAP + _exp(t) for t in theta[1:])
+    return [top, *(top - gap for gap in gaps)]
 
 
-def _theta_from_positions(positions: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    gaps = -np.diff(positions)
-    return np.concatenate(
-        [[positions[0]], np.log(np.maximum(gaps - _MIN_KNOT_GAP, 1e-9))]
-    )
+def _theta_from_positions(positions: Sequence[float]) -> list[float]:
+    return [positions[0], *(math.log(max(a - b - _MIN_KNOT_GAP, 1e-9))
+                            for a, b in zip(positions, positions[1:]))]
 
 
 def _sse_and_grad(
-    theta: np.ndarray, x: np.ndarray, y: np.ndarray, levels: np.ndarray
-) -> tuple[float, np.ndarray]:
+    theta: Sequence[float], x: Sequence[float], y: Sequence[float], levels: Sequence[float]
+) -> tuple[float, list[float]]:
     """Sum of squared residuals of the 0-clamped model and its exact gradient in theta.
 
     The knots are taken in ascending order, and x outside them extends the
@@ -257,35 +265,46 @@ def _sse_and_grad(
     knot partials then chain through the log-gap parametrization: every
     position moves one-for-one with theta[0], and position i moves by
     -exp(theta[m]) for every m <= i.
-    """
-    import numpy as np
 
+    A theta whose log gaps overflow exp, or that puts a point on a segment whose
+    knots collapse onto one float, scores inf with a nan gradient; the line
+    search takes such a trial as too long. The squared error sums the points in
+    order, and each partial sums them in order per knot, then over the knots.
+    """
     n = len(theta)
-    exp_gaps = np.exp(theta[1:])
-    xp = np.empty(n)  # _positions_from_theta(theta), ascending
-    xp[-1] = theta[0]
-    np.subtract(theta[0], np.cumsum(_MIN_KNOT_GAP + exp_gaps), out=xp[-2::-1])
-    fp = levels[::-1]  # descending along xp
-    # the left knot, clipped to the end segments: clip(searchsorted(xp, x) - 1, 0, n - 2)
-    k = np.searchsorted(xp[1:-1], x, side="right")
-    k1 = k + 1
-    xk, fk = xp[k], fp[k]
-    width = xp[k1] - xk
-    dx = x - xk
-    t = dx / width
-    slope = (fp[k1] - fk) / width
-    raw = fk + slope * dx
-    active = raw > 0.0
-    res = y - np.where(active, raw, 0.0)
-    weight = -2.0 * res
-    grad_ascending = np.bincount(
-        k, weight * np.where(active, -slope * (1.0 - t), 0.0), minlength=n
-    ) + np.bincount(k1, weight * np.where(active, -slope * t, 0.0), minlength=n)
-    tail_sums = np.cumsum(grad_ascending)[::-1]  # sum over positions i >= m
-    grad = np.empty(n)
-    grad[0] = tail_sums[0]
-    np.multiply(-exp_gaps, tail_sums[1:], out=grad[1:])
-    return float(res @ res), grad
+    try:
+        exp_gaps = [math.exp(t) for t in theta[1:]]
+        top = theta[0]
+        # _positions_from_theta(theta), ascending
+        xp = [top - gap for gap in itertools.accumulate(_MIN_KNOT_GAP + e for e in exp_gaps)]
+        xp.reverse()
+        xp.append(top)
+        fp = levels[::-1]  # descending along xp
+        left = [0.0] * n  # each knot's partials as a segment's left end, by ascending knot
+        right = [0.0] * n  # ... and as its right end
+        sse = 0.0
+        for xi, yi in zip(x, y):
+            # the left knot, clipped to the end segments
+            k = bisect.bisect_right(xp, xi, 1, n - 1) - 1
+            xk, fk = xp[k], fp[k]
+            width = xp[k + 1] - xk
+            dx = xi - xk
+            slope = (fp[k + 1] - fk) / width
+            raw = fk + slope * dx
+            if raw > 0.0:
+                res = yi - raw
+                t = dx / width
+                weight = -2.0 * res
+                left[k] += weight * (-slope * (1.0 - t))
+                right[k + 1] += weight * (-slope * t)
+            else:
+                res = yi
+            sse += res * res
+    except (OverflowError, ZeroDivisionError):
+        return math.inf, [math.nan] * n
+    # sum over positions i >= m, which are the ascending knots up to n - 1 - m
+    tail_sums = list(itertools.accumulate(map(operator.add, left, right)))[::-1]
+    return sse, [tail_sums[0], *(-e * s for e, s in zip(exp_gaps, tail_sums[1:]))]
 
 
 #: L-BFGS-B's defaults for an unbounded problem: memory, gradient and relative-decrease
@@ -301,11 +320,15 @@ _LS_FTOL, _LS_GTOL, _LS_XTOL, _LS_STPMAX, _LS_MAXFEV = 1e-3, 0.9, 0.1, 1e10, 20
 class _Solve(NamedTuple):
     """An ``_lbfgs`` result: the point, its value, and the solver's counts."""
 
-    x: np.ndarray
+    x: list[float]
     f: float
     nfev: int
     nit: int
     converged: bool
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(operator.mul, a, b))
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
@@ -396,9 +419,9 @@ def _line_search(fun, x, f0, gd0, d, stp):
     gx = gy = gd0
     stmin, stmax = 0.0, 5.0 * stp
     for nfev in range(1, _LS_MAXFEV + 1):
-        xt = x + stp * d
+        xt = [xi + stp * di for xi, di in zip(x, d)]
         f, g = fun(xt)
-        gd = float(g @ d)
+        gd = _dot(g, d)
         ftest = f0 + stp * gtest
         if stage == 1 and f <= ftest and gd >= 0.0:
             stage = 2
@@ -436,7 +459,7 @@ def _line_search(fun, x, f0, gd0, d, stp):
     return _LS_MAXFEV, None
 
 
-def _lbfgs(fun, x0: np.ndarray) -> _Solve:
+def _lbfgs(fun, x0: Sequence[float]) -> _Solve:
     """Minimize ``fun`` (returning the value and its gradient) from x0 by L-BFGS.
 
     With no bounds L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) is plain L-BFGS,
@@ -448,30 +471,29 @@ def _lbfgs(fun, x0: np.ndarray) -> _Solve:
     at most ``_LBFGS_FTOL`` relative; either counts as converged. The value never
     rises, and a start whose value is not finite is returned as it is.
     """
-    import numpy as np
-
     x = x0
     f, g = fun(x)
     nfev, nit = 1, 0
-    if not math.isfinite(f) or not np.isfinite(g).all():
+    if not math.isfinite(f) or not all(map(math.isfinite, g)):
         return _Solve(x, f, nfev, nit, False)
-    if float(np.max(np.abs(g))) <= _LBFGS_GTOL:
+    if max(map(abs, g)) <= _LBFGS_GTOL:
         return _Solve(x, f, nfev, nit, True)
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / y.s), oldest first
+    pairs: list[tuple[list[float], list[float], float]] = []  # (s, y, 1 / y.s), oldest first
     gamma = 1.0
     while nit < _LBFGS_MAXITER:
-        q = -g
+        q = [-gi for gi in g]
         alphas = []
         for s, yv, rho in reversed(pairs):
-            alpha = rho * float(s @ q)
-            q -= alpha * yv
+            alpha = rho * _dot(s, q)
+            q = [qi - alpha * yi for qi, yi in zip(q, yv)]
             alphas.append(alpha)
-        q *= gamma
+        q = [qi * gamma for qi in q]
         for (s, yv, rho), alpha in zip(pairs, reversed(alphas)):
-            q += (alpha - rho * float(yv @ q)) * s
+            beta = alpha - rho * _dot(yv, q)
+            q = [qi + beta * si for qi, si in zip(q, s)]
         d = q
-        gd = float(g @ d)
-        stp = 1.0 / math.sqrt(float(d @ d)) if nit == 0 else 1.0
+        gd = _dot(g, d)
+        stp = 1.0 / math.sqrt(_dot(d, d)) if nit == 0 else 1.0
         evaluations, found = _line_search(fun, x, f, gd, d, stp) if gd < 0.0 else (0, None)
         nfev += evaluations
         if found is None:  # no acceptable step: restart once from steepest descent
@@ -482,9 +504,9 @@ def _lbfgs(fun, x0: np.ndarray) -> _Solve:
             continue
         stp, x_new, f_new, g_new, gd_new = found
         nit += 1
-        f_old, yv = f, g_new - g
+        f_old, yv = f, [a - b for a, b in zip(g_new, g)]
         x, f, g = x_new, f_new, g_new
-        if float(np.max(np.abs(g))) <= _LBFGS_GTOL:
+        if max(map(abs, g)) <= _LBFGS_GTOL:
             return _Solve(x, f, nfev, nit, True)
         if f_old - f <= _LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
             return _Solve(x, f, nfev, nit, True)
@@ -492,12 +514,12 @@ def _lbfgs(fun, x0: np.ndarray) -> _Solve:
         if ys > sys.float_info.epsilon * -gd * stp:
             if len(pairs) == _LBFGS_MEMORY:
                 pairs.pop(0)
-            pairs.append((stp * d, yv, 1.0 / ys))
-            gamma = ys / float(yv @ yv)
+            pairs.append(([stp * di for di in d], yv, 1.0 / ys))
+            gamma = ys / _dot(yv, yv)
     return _Solve(x, f, nfev, nit, False)
 
 
-def _fit_positions(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> _Solve:
+def _fit_positions(x: Sequence[float], y: Sequence[float], levels: Sequence[float]) -> _Solve:
     """Monotone-constrained least squares of knot positions at fixed levels.
 
     Parametrized by the top position plus log gaps so monotonicity holds by
@@ -506,50 +528,81 @@ def _fit_positions(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> _Solve:
     the exact gradient from ``_sse_and_grad``. Returns the solve with its x
     mapped to the knot positions.
     """
-    import numpy as np
-
     theta0 = _theta_from_positions(_initial_positions(x, y, levels))
-    # a line-search step whose log gaps overflow exp, or whose knots collapse onto one
-    # float (a zero-width segment), scores inf or nan and is not taken; a start that
-    # overflows scores inf, and fit_kstar_model rejects a best solve whose squared error
-    # or knots are not finite
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        solve = _lbfgs(lambda theta: _sse_and_grad(theta, x, y, levels), theta0)
-        return solve._replace(x=_positions_from_theta(solve.x))
+    # a start that overflows scores inf, and fit_kstar_model rejects a best solve whose
+    # squared error or knots are not finite
+    solve = _lbfgs(lambda theta: _sse_and_grad(theta, x, y, levels), theta0)
+    return solve._replace(x=_positions_from_theta(solve.x))
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin |a z - b| over z >= 0, by Lawson & Hanson's active-set method (1974, ch. 23)."""
-    import numpy as np
+def _householder_lstsq(columns: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """argmin |A z - b| for the matrix A with these columns, by Householder QR.
 
-    n = a.shape[1]
-    tol = 10.0 * sys.float_info.epsilon * np.abs(a).sum(axis=0).max() * max(a.shape)
-    z = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    Reflection j maps column j's entries from row j on, x, onto -sign(x_0) |x| e_0;
+    the same reflections turn b into Q^T b, and back substitution solves
+    R z = (Q^T b)[:p]. Raises ZeroDivisionError when a column lies in the span of
+    the ones before it.
+    """
+    r = [list(column) for column in columns]  # becomes R, column by column
+    qtb = list(b)
+    for j, column in enumerate(r):
+        head = column[j]
+        norm = math.hypot(*column[j:])
+        v = column[j:]
+        v[0] = head + math.copysign(norm, head)
+        scale = norm * (norm + abs(head))  # v.v / 2
+        for other in (*r[j + 1:], qtb):
+            f = _dot(v, other[j:]) / scale
+            other[j:] = [o - f * vi for o, vi in zip(other[j:], v)]
+        column[j] = -math.copysign(norm, head)
+    z = [0.0] * len(r)
+    for j in reversed(range(len(r))):
+        z[j] = (qtb[j] - _dot([r[i][j] for i in range(j + 1, len(r))], z[j + 1:])) / r[j][j]
+    return z
+
+
+def _nnls(columns: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """argmin |A z - b| over z >= 0 for the matrix A with these columns.
+
+    Lawson & Hanson's active-set method (1974, ch. 23), with each passive-set
+    subproblem solved by Householder QR, their own construction.
+    """
+    n = len(columns)
+    tol = 10.0 * sys.float_info.epsilon * max(sum(map(abs, c)) for c in columns) * max(len(b), n)
+    z = [0.0] * n
+    passive = [False] * n
     for _ in range(3 * n):
-        w = a.T @ (b - a @ z)  # the negative gradient
-        if passive.all() or w[~passive].max() <= tol:
+        residual = list(b)
+        for column, zj in zip(columns, z):
+            if zj:
+                residual = [r - zj * c for r, c in zip(residual, column)]
+        w = [_dot(column, residual) for column in columns]  # the negative gradient
+        free = [j for j in range(n) if not passive[j]]
+        if not free or max(w[j] for j in free) <= tol:
             break
-        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        passive[max(free, key=w.__getitem__)] = True
         while True:
-            trial = np.zeros(n)
-            trial[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if (trial[passive] > 0.0).all():
+            chosen = [j for j in range(n) if passive[j]]
+            trial = [0.0] * n
+            for j, value in zip(chosen, _householder_lstsq([columns[j] for j in chosen], b)):
+                trial[j] = value
+            blocked = [j for j in chosen if not trial[j] > 0.0]
+            if not blocked:
                 z = trial
                 break
             # step from z toward the trial until the first passive variable reaches 0
-            blocked = np.flatnonzero(passive & (trial <= 0.0))
-            ratios = z[blocked] / (z[blocked] - trial[blocked])
-            z = z + ratios.min() * (trial - z)
-            passive[blocked[np.argmin(ratios)]] = False
-            passive &= z > tol
-            z[~passive] = 0.0
+            ratios = [z[j] / (z[j] - trial[j]) for j in blocked]
+            first = min(range(len(blocked)), key=ratios.__getitem__)
+            z = [zj + ratios[first] * (tj - zj) for zj, tj in zip(z, trial)]
+            passive[blocked[first]] = False
+            passive = [p and zj > tol for p, zj in zip(passive, z)]
+            z = [zj if p else 0.0 for zj, p in zip(z, passive)]
     return z
 
 
 def _inverse_seed(
-    corpus_factor: np.ndarray, compute_factor: np.ndarray, log2_kstar: np.ndarray,
-    levels: np.ndarray,
+    corpus_factor: Sequence[float], compute_factor: Sequence[float],
+    log2_kstar: Sequence[float], levels: Sequence[float],
 ) -> float:
     """Shift exponent of the inverted epoch model, fitted by bounded linear least squares.
 
@@ -565,26 +618,27 @@ def _inverse_seed(
     its a seeds the forward search and is not the answer. Returns nan when the
     data overflow the design or the least squares fail.
     """
-    import numpy as np
-
     n = len(levels)
     lo, hi = SHIFT_EXPONENT_BOUNDS
-    lower = np.concatenate([[lo], np.full(n - 1, _MIN_KNOT_GAP)])
-    with np.errstate(all="ignore"):
-        k = np.clip(np.searchsorted(levels, log2_kstar, side="right") - 1, 0, n - 2)[:, None]
-        t = (log2_kstar[:, None] - levels[k]) / LEVEL_STEP
-        # sum_{j>=m} B_j(y) on segment k: 1 for m <= k, t for m = k + 1, 0 beyond
-        m = np.arange(1, n)
-        tail = np.where(m <= k, 1.0, np.where(m == k + 1, t, 0.0))
-        design = np.column_stack([compute_factor, -tail])
-        design -= design.mean(axis=0)
-        target = corpus_factor - corpus_factor.mean() - design @ lower
-        if not (np.isfinite(design).all() and np.isfinite(target).all()):
-            return math.nan  # LAPACK would print to stderr before failing
-        try:
-            return min(float(_nnls(design, target)[0] + lo), hi)
-        except np.linalg.LinAlgError:
-            return math.nan
+    lower = [lo, *[_MIN_KNOT_GAP] * (n - 1)]
+    tails = []
+    for y in log2_kstar:
+        k = min(max(bisect.bisect_right(levels, y) - 1, 0), n - 2)
+        t = (y - levels[k]) / LEVEL_STEP
+        # -sum_{j>=m} B_j(y) on segment k: -1 for m <= k, -t for m = k + 1, 0 beyond
+        tails.append([-1.0 if m <= k else -t if m == k + 1 else 0.0 for m in range(1, n)])
+    design = []
+    for column in (compute_factor, *zip(*tails)):
+        mean = sum(column) / len(column)
+        design.append([v - mean for v in column])
+    corpus_mean = sum(corpus_factor) / len(corpus_factor)
+    target = [c - corpus_mean - _dot(row, lower) for c, row in zip(corpus_factor, zip(*design))]
+    if not all(map(math.isfinite, itertools.chain(target, *design))):
+        return math.nan
+    try:
+        return min(float(_nnls(design, target)[0] + lo), hi)
+    except ZeroDivisionError:  # a passive set without full column rank
+        return math.nan
 
 
 def fit_kstar_model(
@@ -610,8 +664,6 @@ def fit_kstar_model(
     the grid minimum and the golden section's last two points. Its diagnostics
     carry the solves' L-BFGS counts (``_SOLVE_COUNTS``), summed.
     """
-    import numpy as np
-
     if h_max is None:
         h_max = H_MAX_BY_APPROACH.get(approach, 4.0)
     if not LEVEL_STEP <= h_max <= H_MAX_LIMIT:
@@ -623,23 +675,23 @@ def fit_kstar_model(
             raise ValidationError(f"k* curve points must be finite, got {tuple(cell)}")
     if len(cells) < 4:
         raise UnderdeterminedError(f"need >= 4 points, got {len(cells)}")
-    compute_factor, corpus_factor, log2_kstar = np.asarray(cells, dtype=float).T
-    if len(set(compute_factor.tolist())) < 2:
+    compute_factor, corpus_factor, log2_kstar = ([float(v) for v in c] for c in zip(*cells))
+    if len(set(compute_factor)) < 2:
         raise UnidentifiableError(
             "curves span a single compute budget; the shift exponent is unidentifiable"
         )
-    levels = np.arange(0.0, h_max + LEVEL_STEP / 2, LEVEL_STEP)
+    levels = [i * LEVEL_STEP for i in range(math.ceil((h_max + LEVEL_STEP / 2) / LEVEL_STEP))]
     solves: dict[float, _Solve] = {}
 
     def solve(exponent: float) -> _Solve:
         """The knot fit at one shift exponent, solved on first use."""
         if exponent not in solves:
-            x = corpus_factor - exponent * compute_factor
+            x = [d - exponent * c for c, d in zip(compute_factor, corpus_factor)]
             solves[exponent] = _fit_positions(x, log2_kstar, levels)
         return solves[exponent]
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
-    grid = np.arange(lo, hi + 1e-9, 0.05).tolist()
+    grid = [lo + i * 0.05 for i in range(math.ceil((hi + 1e-9 - lo) / 0.05))]  # np.arange's
     seed = _inverse_seed(corpus_factor, compute_factor, log2_kstar, levels)
     nearest = min(range(len(grid)), key=lambda i: abs(grid[i] - seed))
     best_idx = nearest if math.isfinite(seed) else len(grid) // 2
@@ -668,7 +720,8 @@ def fit_kstar_model(
     if not math.isfinite(sse):
         raise FitError(f"the squared error of the best fit is not finite ({sse})")
     # knots without data can drift until their gaps fall below float resolution
-    if not (np.isfinite(positions).all() and (positions[1:] < positions[:-1]).all()):
+    if not (all(map(math.isfinite, positions))
+            and all(b < a for a, b in zip(positions, positions[1:]))):
         raise FitError("the knot positions of the best fit are not finite and strictly decreasing")
     warnings: list[str] = []
     if sse / len(cells) > _LARGE_RESIDUAL_MSR:
@@ -681,7 +734,7 @@ def fit_kstar_model(
         "parameters": {
             "approach": approach,
             "shift_exponent": exponent,
-            "knots": [{"h": float(h), "f_D": float(p)} for h, p in zip(levels, positions)],
+            "knots": [{"h": h, "f_D": p} for h, p in zip(levels, positions)],
         },
         "diagnostics": {
             "rss": sse,

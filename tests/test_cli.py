@@ -425,9 +425,9 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
 
 
 def test_scipy_stays_off_the_import_path(workspace, tmp_path):
-    # only the three fits need numpy, and no command needs scipy: the Quickstart's
-    # other six commands run in one process that loads neither, then the fits load
-    # numpy but still not scipy
+    # only the epoch and ratio fits need numpy, and no command needs scipy: the
+    # Quickstart's other seven commands, the k* fit included, run in one process that
+    # loads neither, then the two fits load numpy but still not scipy
     commands = [
         "enumerate --out setups.jsonl",
         "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
@@ -435,6 +435,7 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
         "simulate --setups setups.jsonl --out results.csv --seed 11",
         "analyze --results results.csv --setups setups.jsonl --out report.json "
         "--tables-dir tables/",
+        f"fit kstar --epoch-fits {workspace['epochs']} --out kstar.json",
         f"predict kstar --model {workspace['kstar']} --C 1e18 --DT 2.13e9",
         f"report --analysis report.json --out-dir report-tables/ --epoch-fits "
         f"{workspace['epochs']} --kstar-model {workspace['kstar']} --ratio-fit "
@@ -443,7 +444,6 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     fits = [
         "fit epochs --results results.csv --setups setups.jsonl --approach mono-1stage "
         "--out epochs.json",
-        "fit kstar --epoch-fits epochs.json --out kstar.json",
         "fit ratio --results results.csv --setups setups.jsonl --out ratio.json",
     ]
     script = (

@@ -207,7 +207,7 @@ def test_kstar_fit_solves_each_shift_exponent_once(monkeypatch):
     fit_positions = fitting._fit_positions
 
     def recording(x, y, levels):
-        solved.append(x.tobytes())
+        solved.append(tuple(x))
         return fit_positions(x, y, levels)
 
     monkeypatch.setattr(fitting, "_fit_positions", recording)
@@ -339,12 +339,20 @@ def test_kstar_fit_whose_knots_lose_their_order_is_a_fit_error():
 def test_initial_positions_survive_edge_slopes_that_overflow():
     # log2 k* values within 4e-308 of 0: the isotonic blocks' edge slopes overflow,
     # so the levels beyond them extend with slope -1
-    x = np.asarray([-4.0, 0.0, -4.0, 4.0])
-    y = np.asarray([4e-308, 3e-308, 2e-308, 1e-310])
-    levels = np.arange(0.0, 4.25, 0.5)
-    positions = fitting._initial_positions(x, y, levels)
+    x = [-4.0, 0.0, -4.0, 4.0]
+    y = [4e-308, 3e-308, 2e-308, 1e-310]
+    levels = [0.5 * i for i in range(9)]
+    positions = np.asarray(fitting._initial_positions(x, y, levels))
     assert np.all(np.isfinite(positions)) and np.all(np.diff(positions) < 0)
     np.testing.assert_array_equal(positions[2:] - positions[1:-1], -0.5)
+
+
+def test_initial_positions_take_a_block_value_on_a_level_as_its_position():
+    # blocks at log2 k* 0 and 5e-324: the slope between them overflows, so level 0,
+    # which is the first block's value, must take that block's position, not inf * 0
+    positions = fitting._initial_positions([-1.0, 0.0, 1.0, 2.0], [1.0, 5e-324, 5e-324, 0.0],
+                                           [0.0, 0.5, 1.0])
+    assert positions == [2.0, -0.25, -1.0]
 
 
 def test_kstar_shift_equivariance(planted_model):
@@ -482,8 +490,10 @@ def _segments(x, positions, levels):
 
 
 def _reference_sse_and_grad(theta, x, y, levels):
-    """The k* objective written plainly: ``fitting._sse_and_grad`` must match it bit for bit."""
-    positions = fitting._positions_from_theta(theta)
+    """The k* objective written plainly in numpy: ``fitting._sse_and_grad`` must match it
+    bit for bit. Both sum in order (``np.cumsum``, not ``res @ res``) and take exp from
+    ``math``, whose last bit numpy's exp does not always match. Also returns ``res``."""
+    positions = np.asarray(fitting._positions_from_theta(theta))
     k, t, slope, raw = _segments(x, positions, levels)
     active = raw > 0.0
     res = y - np.where(active, raw, 0.0)
@@ -494,8 +504,9 @@ def _reference_sse_and_grad(theta, x, y, levels):
         k + 1, -2.0 * res * dpred_db, minlength=n
     )
     tail_sums = np.cumsum(grad_ascending)[::-1]  # sum over positions i >= m
-    grad = np.concatenate([[tail_sums[0]], -np.exp(theta[1:]) * tail_sums[1:]])
-    return float(res @ res), grad
+    exp_gaps = np.asarray([math.exp(v) for v in theta[1:]])
+    grad = np.concatenate([[tail_sums[0]], -exp_gaps * tail_sums[1:]])
+    return float(np.cumsum(res * res)[-1]), grad, res
 
 
 def _reference_eval(x, positions, levels):
@@ -553,10 +564,11 @@ def _central_differences(f, theta, step=1e-6):
 def _perturbed_theta(x, y, levels, rng, offset):
     """Isotonic start plus noise, redrawn until no point lies within 1e-3 of a knot
     and some points fall left of the knots, right of them (under the clamp) and between."""
-    theta0 = fitting._theta_from_positions(fitting._initial_positions(x, y, levels)) + offset
+    positions = fitting._initial_positions(x.tolist(), y.tolist(), levels.tolist())
+    theta0 = np.asarray(fitting._theta_from_positions(positions)) + offset
     for _ in range(100):
         theta = theta0 + rng.normal(0.0, 0.1, len(theta0))
-        positions = fitting._positions_from_theta(theta)
+        positions = np.asarray(fitting._positions_from_theta(theta.tolist()))
         if (
             np.min(np.abs(x[:, None] - positions[None, :])) > 1e-3
             and np.any(x < positions[-1])
@@ -587,11 +599,13 @@ def test_sse_gradient_matches_central_differences():
     cases = list(_gradient_cases())
     assert len(cases) == 12
     for x, y, levels, theta in cases:
-        sse, grad = fitting._sse_and_grad(theta, x, y, levels)
+        args = x.tolist(), y.tolist(), levels.tolist()
+        sse, grad = fitting._sse_and_grad(theta.tolist(), *args)
+        grad = np.asarray(grad)
         numeric = _central_differences(
-            lambda t: fitting._sse_and_grad(t, x, y, levels)[0], theta
+            lambda t: fitting._sse_and_grad(t.tolist(), *args)[0], theta
         )
-        raw = _segments(x, fitting._positions_from_theta(theta), levels)[3]
+        raw = _segments(x, np.asarray(fitting._positions_from_theta(theta.tolist())), levels)[3]
         assert sse == pytest.approx(float(np.sum((y - np.maximum(raw, 0.0)) ** 2)), rel=1e-12)
         assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
 
@@ -608,16 +622,20 @@ def test_sse_and_grad_matches_the_plain_objective_bit_for_bit():
         elif case % 4 == 1:  # gaps at their minimum
             theta[1:] = rng.uniform(-40.0, -20.0, n_levels - 1)
         x = rng.uniform(-14.0, 6.0, int(rng.integers(1, 60)))
+        positions = np.asarray(fitting._positions_from_theta(theta.tolist()))
+        if case % 4 == 2:  # points exactly on the knots
+            x = np.concatenate([x, positions])
+        y = rng.normal(1.0, 1.5, len(x))
+        actual = fitting._sse_and_grad(theta.tolist(), x.tolist(), y.tolist(), levels.tolist())
         with np.errstate(over="ignore", invalid="ignore"):
-            positions = fitting._positions_from_theta(theta)
-            if case % 4 == 2:  # points exactly on the knots
-                x = np.concatenate([x, positions])
-            y = rng.normal(1.0, 1.5, len(x))
-            expected = _reference_sse_and_grad(theta, x, y, levels)
-            actual = fitting._sse_and_grad(theta, x, y, levels)
             raw = _segments(x, positions, levels)[3]
-        assert actual[0] == expected[0] or (math.isnan(actual[0]) and math.isnan(expected[0]))
-        assert np.array_equal(actual[1], expected[1], equal_nan=True)
+        if case % 4 == 0:  # exp raised OverflowError: scored as too long a step
+            assert actual[0] == math.inf and not np.isfinite(actual[1]).any()
+        else:
+            expected_sse, expected_grad, res = _reference_sse_and_grad(theta, x, y, levels)
+            assert actual[0] == expected_sse
+            assert actual[0] == pytest.approx(float(res @ res), rel=1e-13, abs=0.0)
+            assert np.array_equal(actual[1], expected_grad)
         seen["left"] += bool(np.any(x < positions[-1]))
         seen["right"] += bool(np.any(x > positions[0]))
         seen["clamped"] += bool(np.any(raw <= 0.0))
@@ -625,11 +643,33 @@ def test_sse_and_grad_matches_the_plain_objective_bit_for_bit():
     assert min(seen.values()) >= 50, seen
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta",
+    [[0.0, -0.5, 709.9, -0.5], [1e18, -30.0, -30.0, -30.0]],
+    ids=["log-gap-overflows-exp", "knots-collapse-onto-one-float"],
+)
+def test_sse_and_grad_scores_an_overflowing_theta_as_inf(theta):
+    # math.exp raises OverflowError past a log gap of ~709.78, and a point on a segment
+    # whose knots are one float divides by its zero width; either scores inf, which
+    # the line search takes as too long a step, and nothing warns
+    x, y, levels = [-3.0, -1.0, 0.5, 2e18], [1.5, 1.0, 0.2, 0.0], [0.0, 0.5, 1.0, 1.5]
+    sse, grad = fitting._sse_and_grad(theta, x, y, levels)
+    assert sse == math.inf
+    assert len(grad) == len(theta) and not any(map(math.isfinite, grad))
+
+
+@pytest.mark.filterwarnings("error")
+def test_positions_below_an_overflowing_log_gap_are_minus_inf():
+    positions = fitting._positions_from_theta([1.0, 0.0, 800.0, 0.0])
+    assert positions == [1.0, 1.0 - (fitting._MIN_KNOT_GAP + 1.0), -math.inf, -math.inf]
+
+
 def test_kstar_line_search_backs_off_quietly_from_overflowing_log_gaps(monkeypatch):
     # On these noisy planted cells some line-search trials push a log gap past
-    # exp's range. The squared error stays finite but its gradient does not, so
-    # _line_search counts each such trial as too long; the suite turns the
-    # RuntimeWarning that would reach stderr into an error.
+    # exp's range. math.exp raises OverflowError there and the objective scores
+    # the trial inf, so _line_search counts it as too long; the suite turns any
+    # RuntimeWarning into an error.
     rng = np.random.default_rng(0)
     cells = [
         (f_C, f_D, -(2.0 / 3.0) * (f_D - 0.5 * f_C) + rng.normal(0.0, 2.0))
@@ -658,9 +698,7 @@ def test_kstar_line_search_backs_off_quietly_from_overflowing_log_gaps(monkeypat
 
 def _rosenbrock(x):
     f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-    g = np.array(
-        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
-    )
+    g = [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
     return f, g
 
 
@@ -681,9 +719,9 @@ def test_lbfgs_reaches_the_minimum_of_a_planted_quadratic():
 
 
 def test_lbfgs_reaches_the_minimum_of_rosenbrock():
-    solve = fitting._lbfgs(_rosenbrock, np.array([-1.2, 1.0]))
+    solve = fitting._lbfgs(_rosenbrock, [-1.2, 1.0])
     assert solve.converged
-    assert np.max(np.abs(solve.x - 1.0)) <= 1e-5
+    assert max(abs(v - 1.0) for v in solve.x) <= 1e-5
     assert solve.f <= 1e-10
 
 
@@ -736,10 +774,10 @@ def test_lbfgs_treats_a_non_finite_trial_as_too_long():
     # the first step (1 / |g| = 5) lands at x = 1.9, where the value is nan
     def walled(x):
         if x[0] >= 1.5:
-            return math.nan, np.array([math.nan])
-        return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
+            return math.nan, [math.nan]
+        return (x[0] - 1.0) ** 2, [2.0 * (x[0] - 1.0)]
 
-    solve = fitting._lbfgs(walled, np.array([0.9]))
+    solve = fitting._lbfgs(walled, [0.9])
     assert solve.converged
     assert solve.x[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -815,7 +853,7 @@ def test_nnls_matches_the_kkt_conditions():
     for _ in range(50):
         a = rng.normal(size=(30, 8))
         b = rng.normal(size=30)
-        z = fitting._nnls(a, b)
+        z = np.asarray(fitting._nnls(a.T.tolist(), b.tolist()))  # a by its columns
         gradient = a.T @ (a @ z - b)
         assert np.all(z >= 0.0)
         assert np.all(gradient >= -1e-9)  # no descent direction into the feasible set
