@@ -16,7 +16,7 @@
    model works on float lists in plain Python: its vectors have about ten
    entries, where numpy's per-call cost outweighs the arithmetic.
 3. The ratio power law with one shared exponent across (model, data)
-   groups, fitted in closed form by within-group centering in log space.
+   groups, fitted in plain Python by within-group centering in log space.
 
 All three fitters return their files as the dicts that are written:
 ``fit_epoch_cells`` epochs.json (and ``fit_epoch_quadratic`` one of its cells),
@@ -45,8 +45,7 @@ from .errors import (
 )
 from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE, json_field
 
-# numpy is imported inside fit_epoch_quadratic and fit_ratio_power_law, so every command
-# but `fit epochs` and `fit ratio` starts without it; the k* fit is plain Python.
+# numpy is imported only inside fit_epoch_quadratic (lstsq): only `fit epochs` loads it.
 
 #: Default top level of the piecewise-linear epoch model per approach
 #: (log2 of the largest optimal epoch count the model resolves).
@@ -136,18 +135,23 @@ def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], appro
     """
     fits = []
     warnings = []
+    sparse = []  # the cells with fewer than 3 distinct epoch factors
     for (f_C, f_D), points in cells.items():
         try:
             fits.append({"f_C": f_C, "f_D": f_D} | fit_epoch_quadratic(points))
         except UnderdeterminedError:
-            n = len(points)
-            warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: {n} epoch value(s) < 3")
+            sparse.append(f"(f_C={f_C}, f_D={f_D})")
+            warnings.append(f"cell {sparse[-1]} skipped: {len(points)} epoch value(s) < 3")
         except _LossOverflowError:
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: losses overflow the fit")
         except UnidentifiableError:
             warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: epoch optimum out of range")
     if not fits:
-        raise UnderdeterminedError("no budget cell has a usable epoch fit")
+        first = f", first {sparse[0]}" if sparse else ""
+        raise UnderdeterminedError(
+            f"no budget cell has a usable epoch fit: {len(cells)} (f_C, f_D) cell(s) had data, "
+            f"{len(sparse)} had fewer than 3 distinct f_k{first}"
+        )
     return {
         "model_type": "epoch_quadratics",
         "parameters": {"approach": approach, "fits": fits},
@@ -796,64 +800,60 @@ def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> 
     """ratio.json: a closed-form shared-slope regression in log-log space.
 
     Points are (model scale, total tokens, ratio, loss), grouped by the
-    exact (model scale, total tokens) pair. Within-group centering removes
-    the intercepts, so the pooled slope is sum of centered cross products
-    over sum of centered squares, summed in sorted group order. Each group's
-    intercept L0 is its ratio-1 loss level, so scaling one group's losses by a
-    positive constant moves only that group's L0. A group with a single ratio
-    value is dropped with a warning; none left raises, and so does an L0 that
-    leaves the float range.
+    exact (model scale, total tokens) pair; every value must be finite.
+    Within-group centering removes the intercepts, so the pooled slope is
+    sum of centered cross products over sum of centered squares, summed in
+    sorted group order. Each group's intercept L0 is its ratio-1 loss level,
+    so scaling one group's losses by a positive constant moves only that
+    group's L0. A group with a single ratio value is dropped with a warning;
+    none left raises, and so does an L0 that leaves the float range. The
+    built-in ``sum`` adds left to right (before Python 3.12), as numpy does
+    below 8 terms, so the bits are numpy's; ``math.fsum`` rounds differently.
     """
-    import numpy as np
-
     groups: dict[tuple[float, float], list[tuple[float, float]]] = {}
-    for model_scale, total_tokens, ratio, loss in points:
-        r = float(ratio)
-        if not 0 < r <= 1:
-            raise ValidationError(f"ratio must be in (0, 1], got {r}")
+    for point in points:
+        model_scale, total_tokens, ratio, loss = map(float, point)
+        if not all(map(math.isfinite, (model_scale, total_tokens, ratio, loss))):
+            raise ValidationError(f"ratio points must be finite, got {tuple(point)}")
+        if not 0 < ratio <= 1:
+            raise ValidationError(f"ratio must be in (0, 1], got {ratio}")
         if loss <= 0:
             raise ValidationError(f"loss must be positive, got {loss}")
-        groups.setdefault((float(model_scale), float(total_tokens)), []).append(
-            (math.log(r), math.log(loss))
-        )
+        groups.setdefault((model_scale, total_tokens), []).append((math.log(ratio), math.log(loss)))
     warnings = []
-    numerator = 0.0
-    denominator = 0.0
-    centered: dict[tuple[float, float], tuple[np.ndarray, np.ndarray, float, float]] = {}
+    numerator = denominator = 0.0
+    centered = []  # (key, x, y, x_mean, y_mean) of each group kept
     for key in sorted(groups):
-        values = groups[key]
-        if len({x for x, _ in values}) < 2:
+        x, y = zip(*groups[key])
+        if len(set(x)) < 2:
             warnings.append(f"group (M={key[0]:.6g}, D={key[1]:.6g}) dropped: single ratio value")
             continue
-        x = np.asarray([v[0] for v in values])
-        y = np.asarray([v[1] for v in values])
-        x_mean, y_mean = float(x.mean()), float(y.mean())
-        numerator += float(((x - x_mean) * (y - y_mean)).sum())
-        denominator += float(((x - x_mean) ** 2).sum())
-        centered[key] = (x, y, x_mean, y_mean)
+        x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+        dx = [a - x_mean for a in x]
+        numerator += sum(d * (b - y_mean) for d, b in zip(dx, y))
+        denominator += sum(d * d for d in dx)
+        centered.append((key, x, y, x_mean, y_mean))
     if not centered:
-        raise UnderdeterminedError("no (model scale, total tokens) group has two distinct ratios")
+        raise UnderdeterminedError("no (model scale, total tokens) group has two distinct "
+                                   f"ratios: {len(warnings)} group(s) had a single ratio value")
     exponent = numerator / denominator
     intercepts = []
     rss = 0.0
-    for (m, d), (x, y, x_mean, y_mean) in centered.items():
-        try:
-            level = math.exp(y_mean - exponent * x_mean)
-        except OverflowError:
-            level = math.inf
+    for (m, d), x, y, x_mean, y_mean in centered:
+        level = _exp(y_mean - exponent * x_mean)
         if not 0.0 < level < math.inf:
             raise UnidentifiableError(
                 f"ratio-1 loss of group (M={m:.6g}, D={d:.6g}) leaves the float range"
             )
         intercepts.append({"M": m, "D": d, "L0": level})
-        res = y - (y_mean + exponent * (x - x_mean))
-        rss += float(res @ res)
+        res = [b - (y_mean + exponent * (a - x_mean)) for a, b in zip(x, y)]
+        rss += sum(e * e for e in res)
     return {
         "model_type": "ratio_power_law",
         "parameters": {"exponent": exponent, "intercepts": intercepts},
         "diagnostics": {
             "rss": rss,
-            "n_points": sum(len(x) for x, *_ in centered.values()),
+            "n_points": sum(len(x) for _, x, *_ in centered),
             "group_count": len(centered),
             "warnings": warnings,
         },

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -425,9 +426,9 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
 
 
 def test_scipy_stays_off_the_import_path(workspace, tmp_path):
-    # only the epoch and ratio fits need numpy, and no command needs scipy: the
-    # Quickstart's other seven commands, the k* fit included, run in one process that
-    # loads neither, then the two fits load numpy but still not scipy
+    # only the epoch fit needs numpy, and no command needs scipy: the Quickstart's
+    # other eight commands, the k* and ratio fits included, run in one process that
+    # loads neither, then `fit epochs` loads numpy but still not scipy
     commands = [
         "enumerate --out setups.jsonl",
         "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
@@ -436,6 +437,7 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
         "analyze --results results.csv --setups setups.jsonl --out report.json "
         "--tables-dir tables/",
         f"fit kstar --epoch-fits {workspace['epochs']} --out kstar.json",
+        "fit ratio --results results.csv --setups setups.jsonl --out ratio.json",
         f"predict kstar --model {workspace['kstar']} --C 1e18 --DT 2.13e9",
         f"report --analysis report.json --out-dir report-tables/ --epoch-fits "
         f"{workspace['epochs']} --kstar-model {workspace['kstar']} --ratio-fit "
@@ -444,7 +446,6 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     fits = [
         "fit epochs --results results.csv --setups setups.jsonl --approach mono-1stage "
         "--out epochs.json",
-        "fit ratio --results results.csv --setups setups.jsonl --out ratio.json",
     ]
     script = (
         "import sys, mixsweep, mixsweep.cli\n"
@@ -467,6 +468,7 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
     assert (tmp_path / "kstar.json").exists()
+    assert (tmp_path / "ratio.json").exists()
 
 
 # README Quickstart, as the benchmark runs it, without the k* steps (their
@@ -1686,8 +1688,44 @@ def test_fit_epochs_without_a_usable_cell_is_fit_error(workspace, tmp_path, caps
     code = run(["fit", "epochs", "--results", results, "--setups", workspace["setups"],
                 "--out", str(out)])
     assert code == 3
-    assert capsys.readouterr().err == "fit error: no budget cell has a usable epoch fit\n"
+    assert capsys.readouterr().err == (
+        "fit error: no budget cell has a usable epoch fit: 35 (f_C, f_D) cell(s) had data, "
+        "0 had fewer than 3 distinct f_k\n"
+    )
     assert not out.exists()
+
+
+def _partial_results(workspace, tmp_path, keep):
+    """The workspace results, only the rows whose setup id ``keep`` accepts."""
+    with open(workspace["results"]) as fh:
+        header, *rows = fh.readlines()
+    path = tmp_path / "partial.csv"
+    path.write_text(header + "".join(row for row in rows if keep(row.split(",")[0])))
+    return str(path)
+
+
+def test_fit_epochs_on_too_few_epoch_factors_names_the_shortfall(workspace, tmp_path, capsys):
+    results = _partial_results(
+        workspace, tmp_path, lambda setup_id: int(re.search(r"_fk(-?\d+)", setup_id)[1]) < 2
+    )
+    code = run(["fit", "epochs", "--results", results, "--setups", workspace["setups"],
+                "--out", str(tmp_path / "epochs.json")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "fit error: no budget cell has a usable epoch fit: 18 (f_C, f_D) cell(s) had data, "
+        "18 had fewer than 3 distinct f_k, first (f_C=-4, f_D=-4)\n"
+    )
+
+
+def test_fit_ratio_on_single_ratio_groups_names_the_shortfall(workspace, tmp_path, capsys):
+    results = _partial_results(workspace, tmp_path, lambda setup_id: "_fr0_" in setup_id)
+    code = run(["fit", "ratio", "--results", results, "--setups", workspace["setups"],
+                "--out", str(tmp_path / "ratio.json")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "fit error: no (model scale, total tokens) group has two distinct ratios: "
+        "13 group(s) had a single ratio value\n"
+    )
 
 
 def _bad_input_file(case, tmp_path, workspace):

@@ -79,6 +79,18 @@ def test_cell_whose_losses_overflow_the_fit_is_skipped():
     ]
 
 
+def test_epoch_cells_without_a_fit_name_the_first_sparse_cell():
+    flat = [(f_k, 3.0 - 1e-7 * f_k + 1e-13 * f_k**2) for f_k in range(10)]
+    curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
+    cells = {(0, -2): flat, (0, -1): curve[:2], (1, -1): curve[1:2]}
+    with pytest.raises(UnderdeterminedError) as err:
+        fitting.fit_epoch_cells(cells, "mono-1stage")
+    assert str(err.value) == (
+        "no budget cell has a usable epoch fit: 3 (f_C, f_D) cell(s) had data, "
+        "2 had fewer than 3 distinct f_k, first (f_C=0, f_D=-1)"
+    )
+
+
 def test_quadratic_shift_equivariance():
     points = [(f_k, 0.05 * (f_k - 2.5) ** 2 + 2.0) for f_k in range(6)]
     base = fitting.fit_epoch_quadratic(points)
@@ -948,8 +960,13 @@ def test_ratio_degenerate_group_listed():
     "points", [[], [(1e8, 1e9, 0.5, 2.0), (1e8, 1e9, 0.5, 2.1), (2e8, 1e9, 1.0, 2.0)]]
 )
 def test_ratio_without_a_usable_group_is_underdetermined(points):
-    with pytest.raises(UnderdeterminedError, match="two distinct ratios"):
+    with pytest.raises(UnderdeterminedError) as err:
         fitting.fit_ratio_power_law(points)
+    singles = len({(m, d) for m, d, *_ in points})  # every group has a single ratio
+    assert str(err.value) == (
+        "no (model scale, total tokens) group has two distinct ratios: "
+        f"{singles} group(s) had a single ratio value"
+    )
 
 
 def test_ratio_rejects_bad_values():
@@ -957,6 +974,97 @@ def test_ratio_rejects_bad_values():
         fitting.fit_ratio_power_law([(1e8, 1e9, 1.5, 2.0), (1e8, 1e9, 1.0, 2.0)])
     with pytest.raises(ValidationError):
         fitting.fit_ratio_power_law([(1e8, 1e9, 0.5, -2.0), (1e8, 1e9, 1.0, 2.0)])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", range(4))  # M, D, ratio, loss
+def test_ratio_rejects_non_finite_points(field, value):
+    points = [[1e8, 1e9, 1.0, 2.0], [1e8, 1e9, 0.5, 2.1]]
+    for point in points:
+        point[field] = value
+    with pytest.raises(ValidationError, match="ratio points must be finite"):
+        fitting.fit_ratio_power_law([tuple(point) for point in points])
+
+
+def _numpy_ratio_fit(points):
+    """(exponent, L0s, rss) of the numpy ratio fit that fit_ratio_power_law replaced."""
+    np = pytest.importorskip("numpy")
+    groups = {}
+    for m, d, r, loss in points:
+        groups.setdefault((m, d), []).append((math.log(r), math.log(loss)))
+    numerator = 0.0
+    denominator = 0.0
+    centered = {}
+    for key in sorted(groups):
+        values = groups[key]
+        if len({x for x, _ in values}) < 2:
+            continue
+        x = np.asarray([v[0] for v in values])
+        y = np.asarray([v[1] for v in values])
+        x_mean, y_mean = float(x.mean()), float(y.mean())
+        numerator += float(((x - x_mean) * (y - y_mean)).sum())
+        denominator += float(((x - x_mean) ** 2).sum())
+        centered[key] = (x, y, x_mean, y_mean)
+    exponent = numerator / denominator
+    levels = []
+    rss = 0.0
+    for x, y, x_mean, y_mean in centered.values():
+        levels.append(math.exp(y_mean - exponent * x_mean))
+        res = y - (y_mean + exponent * (x - x_mean))
+        rss += float(res @ res)
+    return exponent, levels, rss
+
+
+def _ratio_sweeps(min_size, max_size):
+    """Planted ratio fits: an exponent and 1-4 groups of (level, [(f_r, log noise), ...])."""
+    group = st.tuples(
+        st.floats(0.5, 50.0),
+        st.lists(st.tuples(st.integers(0, 6), st.floats(-0.05, 0.05)),
+                 min_size=min_size, max_size=max_size),
+    )
+    return st.tuples(st.floats(-1.0, -0.01), st.lists(group, min_size=1, max_size=4))
+
+
+def _fit_both(sweep):
+    """This module's fit and the numpy oracle's on one planted sweep, or None for neither."""
+    exponent, groups = sweep
+    points = [
+        (1.5e7 * (i + 1), 2.13e9, 2.0**-f_r, level * 2.0 ** (-f_r * exponent) * math.exp(noise))
+        for i, (level, draws) in enumerate(groups)
+        for f_r, noise in draws
+    ]
+    try:
+        doc = fitting.fit_ratio_power_law(points)
+    except UnderdeterminedError:  # every group drew a single ratio
+        with pytest.raises(ZeroDivisionError):
+            _numpy_ratio_fit(points)
+        return None
+    params = doc["parameters"]
+    fit = (params["exponent"], [e["L0"] for e in params["intercepts"]], doc["diagnostics"]["rss"])
+    return fit, _numpy_ratio_fit(points)
+
+
+@settings(max_examples=400)
+@given(sweep=_ratio_sweeps(2, 7))
+def test_ratio_fit_matches_the_numpy_fit_bit_for_bit_below_8_points(sweep):
+    # numpy's pairwise sum adds fewer than 8 terms left to right, as the built-in sum
+    # does; only the BLAS dot product behind `res @ res` may round the RSS its own way
+    fits = _fit_both(sweep)
+    if fits is not None:
+        (exponent, levels, rss), (oracle_exponent, oracle_levels, oracle_rss) = fits
+        assert (exponent, levels) == (oracle_exponent, oracle_levels)
+        assert rss == pytest.approx(oracle_rss, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=400)
+@given(sweep=_ratio_sweeps(8, 12))
+def test_ratio_fit_matches_the_numpy_fit_from_8_points(sweep):
+    # from 8 terms numpy sums in 8 interleaved partial sums, so the bits may differ
+    fits = _fit_both(sweep)
+    if fits is not None:
+        (exponent, levels, _), (oracle_exponent, oracle_levels, _) = fits
+        assert exponent == pytest.approx(oracle_exponent, rel=1e-14, abs=0.0)
+        assert levels == pytest.approx(oracle_levels, rel=1e-14, abs=0.0)
 
 
 def test_ratio_predictions_positive():
