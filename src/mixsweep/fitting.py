@@ -30,6 +30,7 @@ where the grid is base-2.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -37,12 +38,7 @@ import sys
 from typing import Iterable, NamedTuple, Sequence
 
 from .budget import reference_constants
-from .errors import (
-    FitError,
-    UnderdeterminedError,
-    UnidentifiableError,
-    ValidationError,
-)
+from .errors import FitError, UnderdeterminedError, UnidentifiableError, ValidationError
 from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE, json_field
 
 # numpy is imported only inside fit_epoch_quadratic (lstsq): only `fit epochs` loads it.
@@ -133,30 +129,30 @@ def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], appro
     A cell with too few epoch values, whose fit leaves the float range, or whose
     optimum does, is skipped with a warning; none fitted raises.
     """
-    fits = []
-    warnings = []
-    sparse = []  # the cells with fewer than 3 distinct epoch factors
+    fits, warnings = [], []
+    skipped = {}  # shortfall -> the cells skipped for it, in cell order
     for (f_C, f_D), points in cells.items():
+        cell = f"(f_C={f_C}, f_D={f_D})"
         try:
             fits.append({"f_C": f_C, "f_D": f_D} | fit_epoch_quadratic(points))
+            continue
         except UnderdeterminedError:
-            sparse.append(f"(f_C={f_C}, f_D={f_D})")
-            warnings.append(f"cell {sparse[-1]} skipped: {len(points)} epoch value(s) < 3")
+            shortfall, why = "fewer than 3 distinct f_k", f"{len(points)} epoch value(s) < 3"
         except _LossOverflowError:
-            warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: losses overflow the fit")
+            shortfall, why = "losses that overflow the fit", "losses overflow the fit"
         except UnidentifiableError:
-            warnings.append(f"cell (f_C={f_C}, f_D={f_D}) skipped: epoch optimum out of range")
+            shortfall, why = "an epoch optimum out of range", "epoch optimum out of range"
+        skipped.setdefault(shortfall, []).append(cell)
+        warnings.append(f"cell {cell} skipped: {why}")
     if not fits:
-        first = f", first {sparse[0]}" if sparse else ""
-        raise UnderdeterminedError(
-            f"no budget cell has a usable epoch fit: {len(cells)} (f_C, f_D) cell(s) had data, "
-            f"{len(sparse)} had fewer than 3 distinct f_k{first}"
-        )
+        found = "".join(f", {len(c)} had {s}, first {c[0]}" for s, c in skipped.items())
+        raise UnderdeterminedError(f"no budget cell has a usable epoch fit: {len(cells)} "
+                                   f"(f_C, f_D) cell(s) had data{found}")
     return {
         "model_type": "epoch_quadratics",
         "parameters": {"approach": approach, "fits": fits},
         "diagnostics": {
-            "rss": sum(fit["rss"] for fit in fits),
+            "rss": _sum(fit["rss"] for fit in fits),
             "n_points": sum(fit["n_points"] for fit in fits),
             "warnings": warnings,
         },
@@ -242,6 +238,11 @@ def _exp(t: float) -> float:
         return math.exp(t)
     except OverflowError:
         return math.inf
+
+
+def _sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, as numpy adds under 8 terms (``sum`` compensates from 3.12)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _positions_from_theta(theta: Sequence[float]) -> list[float]:
@@ -806,9 +807,9 @@ def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> 
     sorted group order. Each group's intercept L0 is its ratio-1 loss level,
     so scaling one group's losses by a positive constant moves only that
     group's L0. A group with a single ratio value is dropped with a warning;
-    none left raises, and so does an L0 that leaves the float range. The
-    built-in ``sum`` adds left to right (before Python 3.12), as numpy does
-    below 8 terms, so the bits are numpy's; ``math.fsum`` rounds differently.
+    none left raises, and so does an L0 that leaves the float range. Every
+    sum is ``_sum``, left to right as numpy adds below 8 terms, so the bits
+    are numpy's on every Python; ``math.fsum`` rounds differently.
     """
     groups: dict[tuple[float, float], list[tuple[float, float]]] = {}
     for point in points:
@@ -828,17 +829,16 @@ def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> 
         if len(set(x)) < 2:
             warnings.append(f"group (M={key[0]:.6g}, D={key[1]:.6g}) dropped: single ratio value")
             continue
-        x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+        x_mean, y_mean = _sum(x) / len(x), _sum(y) / len(y)
         dx = [a - x_mean for a in x]
-        numerator += sum(d * (b - y_mean) for d, b in zip(dx, y))
-        denominator += sum(d * d for d in dx)
+        numerator += _sum(d * (b - y_mean) for d, b in zip(dx, y))
+        denominator += _sum(d * d for d in dx)
         centered.append((key, x, y, x_mean, y_mean))
     if not centered:
         raise UnderdeterminedError("no (model scale, total tokens) group has two distinct "
                                    f"ratios: {len(warnings)} group(s) had a single ratio value")
     exponent = numerator / denominator
-    intercepts = []
-    rss = 0.0
+    intercepts, rss = [], 0.0
     for (m, d), x, y, x_mean, y_mean in centered:
         level = _exp(y_mean - exponent * x_mean)
         if not 0.0 < level < math.inf:
@@ -847,7 +847,7 @@ def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> 
             )
         intercepts.append({"M": m, "D": d, "L0": level})
         res = [b - (y_mean + exponent * (a - x_mean)) for a, b in zip(x, y)]
-        rss += sum(e * e for e in res)
+        rss += _sum(e * e for e in res)
     return {
         "model_type": "ratio_power_law",
         "parameters": {"exponent": exponent, "intercepts": intercepts},

@@ -1690,7 +1690,7 @@ def test_fit_epochs_without_a_usable_cell_is_fit_error(workspace, tmp_path, caps
     assert code == 3
     assert capsys.readouterr().err == (
         "fit error: no budget cell has a usable epoch fit: 35 (f_C, f_D) cell(s) had data, "
-        "0 had fewer than 3 distinct f_k\n"
+        "35 had an epoch optimum out of range, first (f_C=-4, f_D=-7)\n"
     )
     assert not out.exists()
 

@@ -79,16 +79,23 @@ def test_cell_whose_losses_overflow_the_fit_is_skipped():
     ]
 
 
-def test_epoch_cells_without_a_fit_name_the_first_sparse_cell():
+def test_epoch_cells_without_a_fit_name_each_shortfall():
+    # each shortfall is counted and its first cell named, in the order the cells come
     flat = [(f_k, 3.0 - 1e-7 * f_k + 1e-13 * f_k**2) for f_k in range(10)]
+    big = [(f_k, 3e160 * (1.0 + 0.01 * (-1) ** f_k)) for f_k in range(5)]
     curve = [(f_k, (f_k - 2) ** 2 + 1.0) for f_k in range(4)]
-    cells = {(0, -2): flat, (0, -1): curve[:2], (1, -1): curve[1:2]}
+    cells = {(0, -3): big, (0, -2): flat, (0, -1): curve[:2], (1, -1): curve[1:2], (1, -2): flat}
     with pytest.raises(UnderdeterminedError) as err:
         fitting.fit_epoch_cells(cells, "mono-1stage")
     assert str(err.value) == (
-        "no budget cell has a usable epoch fit: 3 (f_C, f_D) cell(s) had data, "
+        "no budget cell has a usable epoch fit: 5 (f_C, f_D) cell(s) had data, "
+        "1 had losses that overflow the fit, first (f_C=0, f_D=-3), "
+        "2 had an epoch optimum out of range, first (f_C=0, f_D=-2), "
         "2 had fewer than 3 distinct f_k, first (f_C=0, f_D=-1)"
     )
+    with pytest.raises(UnderdeterminedError) as err:
+        fitting.fit_epoch_cells({}, "mono-1stage")
+    assert str(err.value) == "no budget cell has a usable epoch fit: 0 (f_C, f_D) cell(s) had data"
 
 
 def test_quadratic_shift_equivariance():
@@ -984,6 +991,22 @@ def test_ratio_rejects_non_finite_points(field, value):
         point[field] = value
     with pytest.raises(ValidationError, match="ratio points must be finite"):
         fitting.fit_ratio_power_law([tuple(point) for point in points])
+
+
+def test_ratio_fit_adds_left_to_right_on_every_python():
+    # from Python 3.12 the built-in sum compensates its rounding, which moves the last
+    # bit of this fit's exponent and L0; the fit keeps numpy's left-to-right order
+    ratios, losses = (1.0, 0.75, 0.5), (2.5, 3.3, 2.9)
+    doc = fitting.fit_ratio_power_law([(1e8, 1e9, r, loss) for r, loss in zip(ratios, losses)])
+    x, y = [math.log(r) for r in ratios], [math.log(loss) for loss in losses]
+    x_mean, y_mean = (x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3
+    dx, dy = [a - x_mean for a in x], [b - y_mean for b in y]
+    exponent = (dx[0] * dy[0] + dx[1] * dy[1] + dx[2] * dy[2]) / (
+        dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2]
+    )
+    assert doc["parameters"]["exponent"] == exponent
+    assert doc["parameters"]["intercepts"][0]["L0"] == math.exp(y_mean - exponent * x_mean)
+    assert fitting._sum([1e16, 1.0, 1.0]) == 1e16  # 3.12's sum gives 1e16 + 2
 
 
 def _numpy_ratio_fit(points):
