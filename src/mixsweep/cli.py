@@ -28,8 +28,8 @@ from typing import NamedTuple, Sequence
 
 from . import analysis, fitting, schedule, space, surrogate, trainplan
 from .budget import reference_constants
-from .errors import (INPUT_ERRORS, FileFormatError, FitError, MixsweepError, UsageError,
-                     ValidationError, input_message)
+from .errors import (INPUT_ERRORS, FileFormatError, FitError, MixsweepError,
+                     UnderdeterminedError, UsageError, ValidationError, input_message)
 
 ENV_CONFIG = "MIXSWEEP_CONFIG"
 
@@ -329,9 +329,13 @@ def _cmd_fit_epochs(args) -> _Result:
 
 
 def _cmd_fit_kstar(args) -> _Result:
-    approach, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
+    approach, fits, skipped = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
     cells = [(fit["f_C"], fit["f_D"], fit["f_k_star"]) for fit in fits]
-    doc = fitting.fit_kstar_model(cells, approach=approach, h_max=args.h_max)
+    try:
+        doc = fitting.fit_kstar_model(cells, approach=approach, h_max=args.h_max)
+    except UnderdeterminedError as exc:  # too few cells: say where the others went
+        raise UnderdeterminedError(f"{exc}; the epoch-fit file holds {len(fits)} cell(s), and "
+                                   f"its warnings list {skipped} as skipped") from exc
     return _Result(
         [(args.out, _json_text(doc))],
         note=f"fitted epoch-extrapolation model (shift exponent "
@@ -380,7 +384,7 @@ def _cmd_report(args) -> _Result:
     ))
     ref = reference_constants()
     if args.epoch_fits:
-        _, fits = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
+        _, fits, _ = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
         rows = [
             (math.ldexp(ref.compute, fit["f_C"]), math.ldexp(ref.target_tokens, fit["f_D"]),
              fit["f_k_star"], fit["k_star"], fit["convex"])

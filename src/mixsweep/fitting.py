@@ -971,8 +971,9 @@ _EPOCH_CELL = {
 }
 
 
-def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict]]:
-    """The approach and the cells of an epoch_quadratics model file.
+def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict], int]:
+    """The approach and the cells of an epoch_quadratics model file, and the
+    number of cells its warnings list as skipped.
 
     Each cell is its f_C, f_D and ``_EPOCH_CELL`` fields, each read as its JSON type,
     and no (f_C, f_D) is listed twice. A cell's C and D_T must stay finite and nonzero,
@@ -983,6 +984,8 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict]]:
     params, diagnostics = _sections(obj, "epoch_quadratics")
     approach = _approach(params)
     _diagnostics(diagnostics)
+    skipped = sum(w.startswith("cell (") and " skipped: " in w
+                  for w in diagnostics.get("warnings", []))
     cells = {}
     for entry in _objects(params, "fits"):
         f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
@@ -1007,4 +1010,4 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict]]:
                 f"finite; got k_star={cell['k_star']!r} for f_k_star={cell['f_k_star']!r}"
             )
         cells[f_C, f_D] = cell
-    return approach, list(cells.values())
+    return approach, list(cells.values()), skipped

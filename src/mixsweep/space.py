@@ -85,9 +85,11 @@ def default_ranges() -> SearchRanges:
 
 
 # The id's two parts, each cached: a grid has few factor tuples (586 by default)
-# and fewer ratio pairs (24), and the setups that share one share its text.
+# and fewer ratio pairs (24), and the setups that share one share its text. A hit
+# costs no f_D property call and no Fraction attribute.
 @functools.lru_cache(maxsize=4096)
-def _factors_id(f_C: int, f_D: int, f_r: int, f_M: int, f_k: int) -> str:
+def _factors_id(f_r: int, f_M: int, f_k: int, f_C: int) -> str:
+    f_D = FactorTuple(f_r, f_M, f_k, f_C).f_D
     return f"fC{f_C}_fD{f_D}_fr{f_r}_fM{f_M}_fk{f_k}"
 
 
@@ -112,10 +114,10 @@ class SetupSpec:
         if (r1 is None) != (r2 is None):
             raise ValidationError("two-stage setups need both r1 and r2")
         f = self.factors
-        setup_id = _factors_id(f.f_C, f.f_D, f.f_r, f.f_M, f.f_k)
+        setup_id = _factors_id(f.f_r, f.f_M, f.f_k, f.f_C)
         if r1 is not None and r2 is not None:
             # r1 < 2**-f_r < r2 on integers; the Fraction is built only for the message
-            n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+            (n1, d1), (n2, d2) = r1.as_integer_ratio(), r2.as_integer_ratio()
             f_r = f.f_r
             if not (n1 << f_r < d1 and d2 < n2 << f_r):
                 raise ValidationError(
@@ -188,14 +190,17 @@ def enumerate_two_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
     """
     out: list[SetupSpec] = []
     for base in enumerate_single_stage(ranges):
-        ratio = ratio_for(base.factors.f_r)
-        for r1 in FIRST_STAGE_RATIOS:
-            if not r1 < ratio:
-                continue
-            for r2 in SECOND_STAGE_RATIOS:
-                if ratio < r2:
-                    out.append(SetupSpec(base.factors, r1, r2))
+        factors = base.factors
+        out.extend(SetupSpec(factors, r1, r2) for r1, r2 in _stage_pairs(factors.f_r))
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _stage_pairs(f_r: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The grid's (r1, r2) pairs with r1 < 2**-f_r < r2, in canonical order."""
+    ratio = ratio_for(f_r)
+    return tuple((r1, r2) for r1 in FIRST_STAGE_RATIOS if r1 < ratio
+                 for r2 in SECOND_STAGE_RATIOS if ratio < r2)
 
 
 def enumerate_all(ranges: SearchRanges | None = None) -> list[SetupSpec]:
@@ -209,38 +214,40 @@ def to_wire(spec: SetupSpec) -> dict:
     Ratios carry both a decimal float and an exact "num/den" companion
     string so consumers never have to re-derive exact values from floats.
     """
+    f = spec.factors
     derived = spec.derived()
-    obj: dict = {
-        "id": spec.id,
-        "approach": spec.approach,
-        "f_r": spec.factors.f_r,
-        "f_M": spec.factors.f_M,
-        "f_k": spec.factors.f_k,
-        "f_C": spec.factors.f_C,
-        "f_D": spec.factors.f_D,
+    r1, r2 = spec.first_stage_ratio, spec.second_stage_ratio
+    stages = () if r1 is None else (r1.numerator, r1.denominator, r2.numerator, r2.denominator)
+    ratios, ratio, split = _wire_ratios(f.f_r, *stages)
+    return {
+        "id": spec.id, "approach": spec.approach,
+        "f_r": f.f_r, "f_M": f.f_M, "f_k": f.f_k, "f_C": f.f_C, "f_D": f.f_D,
+        **ratios,
+        "derived": {
+            **ratio, "M": derived.model_scale, "k": derived.epochs, "C": derived.compute,
+            "D_T": derived.target_tokens, "D_total": derived.total_tokens, **split,
+        },
     }
-    if spec.is_two_stage:
-        obj["r1"] = float(spec.first_stage_ratio)
-        obj["r1_frac"] = str(spec.first_stage_ratio)
-        obj["r2"] = float(spec.second_stage_ratio)
-        obj["r2_frac"] = str(spec.second_stage_ratio)
-    derived_obj: dict = {
-        "r": float(derived.ratio),
-        "r_frac": str(derived.ratio),
-        "M": derived.model_scale,
-        "k": derived.epochs,
-        "C": derived.compute,
-        "D_T": derived.target_tokens,
-        "D_total": derived.total_tokens,
-    }
-    split = spec.split()
-    if split is not None:
-        derived_obj["s1"] = float(split.first_length)
-        derived_obj["s1_frac"] = str(split.first_length)
-        derived_obj["s2"] = float(split.second_length)
-        derived_obj["s2_frac"] = str(split.second_length)
-    obj["derived"] = derived_obj
-    return obj
+
+
+@functools.lru_cache(maxsize=256)
+def _wire_ratios(f_r: int, *stages: int) -> tuple[dict, dict, dict]:
+    """A setup's ratio items on the wire: (r1 to r2_frac, r and r_frac, s1 to s2_frac).
+
+    Keyed by integers, f_r then a two-stage setup's n1, d1, n2, d2, so a lookup
+    hashes no Fraction; the default grid has 4 + 34 keys. Callers copy the dicts.
+    """
+    ratio = ratio_for(f_r)
+    derived = {"r": float(ratio), "r_frac": str(ratio)}
+    if not stages:
+        return {}, derived, {}
+    n1, d1, n2, d2 = stages
+    r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
+    ratios = {"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)}
+    split = stage_split(r1, r2, ratio)
+    s1, s2 = split.first_length, split.second_length
+    split_items = {"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)}
+    return ratios, derived, split_items
 
 
 @functools.lru_cache(maxsize=64)
@@ -283,7 +290,7 @@ def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
     """One shared FactorTuple per distinct factor values; the default grid has 586.
 
     Each is derived once here, so a tuple whose derived values leave the float
-    range fails on its line. Fed only values ``json_field`` has checked as ints:
+    range fails on its line. Fed only values ``from_wire`` has checked are ints:
     ``True`` would hit ``1``'s entry.
     """
     factors = FactorTuple(f_r, f_M, f_k, f_C)
@@ -298,12 +305,12 @@ def from_wire(obj: dict) -> SetupSpec:
     ``f_D`` a line carries must equal the ones they give. ``derived`` and the
     float ``r1``/``r2`` are never read. Raises one of ``errors.INPUT_ERRORS``.
     """
-    factors = _factors(
-        json_field(obj, "f_r", int),
-        json_field(obj, "f_M", int),
-        json_field(obj, "f_k", int),
-        json_field(obj, "f_C", int),
-    )
+    get = obj.get
+    f_r, f_M, f_k, f_C = get("f_r"), get("f_M"), get("f_k"), get("f_C")
+    if not (type(f_r) is type(f_M) is type(f_k) is type(f_C) is int):
+        for key in ("f_r", "f_M", "f_k", "f_C"):  # the first missing or non-integer one
+            json_field(obj, key, int)
+    factors = _factors(f_r, f_M, f_k, f_C)
     r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
     r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
     spec = SetupSpec(factors, r1, r2)
@@ -321,6 +328,11 @@ def _mismatch(obj: dict, key: str, expected) -> FileFormatError:
     return FileFormatError(f"setup {key} {obj[key]!r} does not match fields ({expected})")
 
 
+#: ``json.loads`` of a stripped line is this plus two checks: a leading BOM, which this
+#: rejects too, and that it stops at the line's end, which ``read_jsonl`` makes.
+_scan = json.JSONDecoder().scan_once
+
+
 def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
     """Write one wire object per line; returns the number of lines."""
     count = 0
@@ -334,7 +346,8 @@ def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
 def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
     """Parse setups back from JSON Lines, reporting the offending line on error.
 
-    Setup ids must be unique: a repeated id is an error, not a silent merge.
+    Each line must be a JSON object. Setup ids must be unique: a repeated id is
+    an error, not a silent merge.
     """
     first_line: dict[str, int] = {}
     lineno = 0
@@ -344,9 +357,16 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
-                raise FileFormatError(f"invalid JSON ({exc})") from exc
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):  # json.loads raises what it raises for this line
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
+                    raise FileFormatError(f"invalid JSON ({exc})") from exc
+            if type(obj) is not dict:
+                raise FileFormatError("expected a JSON object")
             spec = from_wire(obj)
             seen = first_line.setdefault(spec.id, lineno)
             if seen != lineno:

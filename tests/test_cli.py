@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1022,7 +1023,7 @@ def test_model_files_load_and_write_back_byte_identically(workspace):
     )
     doc = json.load(open(workspace["epochs"]))
     params = doc["parameters"]
-    assert fitting.epoch_fits_from_wire(doc) == (params["approach"], params["fits"])
+    assert fitting.epoch_fits_from_wire(doc) == (params["approach"], params["fits"], 0)
     doc = json.load(open(workspace["ratio"]))
     params = doc["parameters"]
     levels = {(e["M"], e["D"]): e["L0"] for e in params["intercepts"]}
@@ -1728,6 +1729,22 @@ def test_fit_ratio_on_single_ratio_groups_names_the_shortfall(workspace, tmp_pat
     )
 
 
+def test_fit_kstar_on_a_sparse_sweep_counts_the_skipped_cells(workspace, tmp_path, capsys):
+    rnd = random.Random(3)
+    results = _partial_results(workspace, tmp_path, lambda _: rnd.random() < 0.1)
+    epochs = str(tmp_path / "epochs.json")
+    assert run(["fit", "epochs", "--results", results, "--setups", workspace["setups"],
+                "--out", epochs]) == 0
+    capsys.readouterr()
+    code = run(["fit", "kstar", "--epoch-fits", epochs, "--out", str(tmp_path / "kstar.json")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "fit error: need >= 4 points, got 1; the epoch-fit file holds 1 cell(s), and its "
+        "warnings list 12 as skipped\n"
+    )
+    assert not (tmp_path / "kstar.json").exists()
+
+
 def _bad_input_file(case, tmp_path, workspace):
     """(argv, path) of a command reading the one bad input file ``case`` names."""
     out = str(tmp_path / "out")
@@ -1781,6 +1798,23 @@ def test_bad_input_file_is_named_in_one_line(workspace, tmp_path, capsys, case, 
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["null", "[1, 2]", '"x"', "3", "true"])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_setups_line_that_is_not_an_object_is_data_error(workspace, tmp_path, capsys, command,
+                                                         line):
+    with open(workspace["setups"]) as fh:
+        first = next(fh)
+    setups, out = tmp_path / "setups.jsonl", str(tmp_path / "out")
+    setups.write_text(first + line + "\n")
+    if command == "plan":
+        argv = ["plan", json.loads(first)["id"], "--setups", str(setups), "--out", out]
+    else:
+        argv = ["simulate", "--setups", str(setups), "--out", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {setups}: line 2: expected a JSON object\n"
     assert not (tmp_path / "out").exists()
 
 

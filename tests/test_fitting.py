@@ -1181,7 +1181,7 @@ def test_every_epoch_fit_is_a_file_its_loader_reads(cells, approach):
     except FitError:
         return
     loaded = fitting.epoch_fits_from_wire(json.loads(cli._json_text(doc)))
-    assert loaded == (approach, doc["parameters"]["fits"])
+    assert loaded == (approach, doc["parameters"]["fits"], len(doc["diagnostics"]["warnings"]))
     fits = doc["parameters"]["fits"]
     assert [list(cell) for cell in fits] == [["f_C", "f_D", *fitting._EPOCH_CELL]] * len(fits)
 

@@ -1,15 +1,16 @@
 import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsweep import space
+from mixsweep import budget, space
 from mixsweep.budget import FactorTuple
-from mixsweep.errors import FileFormatError, ValidationError
+from mixsweep.errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 
 ROW_SPECS = {
     0: ((-1, 5), (-5, 2)),
@@ -316,3 +317,240 @@ def test_json_field_reads_what_json_parses():
         space.json_field(obj, "big", float)
     with pytest.raises(KeyError):
         space.json_field(obj, "missing", int)
+
+
+# The codec before its per-setup work was cached, kept as test-only oracles:
+# the cached code must write the same bytes and read to the same specs or errors.
+
+
+def _oracle_enumerate_two_stage(ranges=None):
+    out = []
+    for base in space.enumerate_single_stage(ranges):
+        ratio = Fraction(1, 2**base.factors.f_r)
+        for r1 in space.FIRST_STAGE_RATIOS:
+            if not r1 < ratio:
+                continue
+            for r2 in space.SECOND_STAGE_RATIOS:
+                if ratio < r2:
+                    out.append(space.SetupSpec(base.factors, r1, r2))
+    return out
+
+
+def _oracle_to_wire(spec):
+    derived = spec.derived()
+    obj = {
+        "id": spec.id,
+        "approach": spec.approach,
+        "f_r": spec.factors.f_r,
+        "f_M": spec.factors.f_M,
+        "f_k": spec.factors.f_k,
+        "f_C": spec.factors.f_C,
+        "f_D": spec.factors.f_D,
+    }
+    if spec.is_two_stage:
+        obj["r1"] = float(spec.first_stage_ratio)
+        obj["r1_frac"] = str(spec.first_stage_ratio)
+        obj["r2"] = float(spec.second_stage_ratio)
+        obj["r2_frac"] = str(spec.second_stage_ratio)
+    derived_obj = {
+        "r": float(derived.ratio),
+        "r_frac": str(derived.ratio),
+        "M": derived.model_scale,
+        "k": derived.epochs,
+        "C": derived.compute,
+        "D_T": derived.target_tokens,
+        "D_total": derived.total_tokens,
+    }
+    split = spec.split()
+    if split is not None:
+        derived_obj["s1"] = float(split.first_length)
+        derived_obj["s1_frac"] = str(split.first_length)
+        derived_obj["s2"] = float(split.second_length)
+        derived_obj["s2_frac"] = str(split.second_length)
+    obj["derived"] = derived_obj
+    return obj
+
+
+def _oracle_from_wire(obj):
+    factors = space._factors(
+        space.json_field(obj, "f_r", int),
+        space.json_field(obj, "f_M", int),
+        space.json_field(obj, "f_k", int),
+        space.json_field(obj, "f_C", int),
+    )
+    r1 = space._ratio(obj["r1_frac"]) if "r1_frac" in obj else None
+    r2 = space._ratio(obj["r2_frac"]) if "r2_frac" in obj else None
+    spec = space.SetupSpec(factors, r1, r2)
+    if "id" in obj and obj["id"] != spec.id:
+        raise space._mismatch(obj, "id", spec.id)
+    if "approach" in obj and obj["approach"] != spec.approach:
+        raise space._mismatch(obj, "approach", spec.approach)
+    if "f_D" in obj and (type(obj["f_D"]) is not int or obj["f_D"] != factors.f_D):
+        raise space._mismatch(obj, "f_D", factors.f_D)
+    return spec
+
+
+def _oracle_read_jsonl(fp):
+    first_line = {}
+    lineno = 0
+    try:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise FileFormatError(f"invalid JSON ({exc})") from exc
+            spec = _oracle_from_wire(obj)
+            seen = first_line.setdefault(spec.id, lineno)
+            if seen != lineno:
+                raise FileFormatError(f"duplicate setup id {spec.id!r} (first on line {seen})")
+            yield spec
+    except UnicodeDecodeError:
+        raise
+    except INPUT_ERRORS as exc:
+        raise FileFormatError(f"line {lineno}: {input_message(exc)}") from exc
+
+
+#: Two-stage setups whose ratios are off the default grid.
+_OFF_GRID = [
+    space.SetupSpec(FactorTuple(1, 2, 3, -1), Fraction(1, 3), Fraction(2, 3)),
+    space.SetupSpec(FactorTuple(1, 0, 0, 0), Fraction(2, 7), Fraction(5, 7)),
+    space.SetupSpec(FactorTuple(2, -3, 9, -4), Fraction(1, 5), Fraction(2, 7)),
+    space.SetupSpec(FactorTuple(3, 4, 0, 0), Fraction(0), Fraction(1, 3)),
+]
+
+
+def _wire_bytes(to_wire, specs):
+    return [json.dumps(to_wire(spec)) for spec in specs]
+
+
+def test_wire_bytes_match_the_oracle_on_the_grid_and_off_it(all_setups):
+    specs = all_setups + _OFF_GRID
+    assert _wire_bytes(space.to_wire, specs) == _wire_bytes(_oracle_to_wire, specs)
+
+
+@given(_setups())
+def test_wire_bytes_match_the_oracle(specs):
+    assert _wire_bytes(space.to_wire, specs) == _wire_bytes(_oracle_to_wire, specs)
+
+
+@st.composite
+def _ranges(draw):
+    """Up to 3 compute rows, each with its own f_M and f_D windows."""
+    rows = {}
+    for f_C in draw(st.sets(st.integers(-6, 0), max_size=3)):
+        m_lo, d_lo = draw(st.integers(-3, 6)), draw(st.integers(-9, 2))
+        rows[f_C] = space.RangeRow(f_M=(m_lo, m_lo + draw(st.integers(0, 5))),
+                                   f_D=(d_lo, d_lo + draw(st.integers(0, 7))))
+    return space.SearchRanges(rows=rows)
+
+
+@given(_ranges())
+def test_two_stage_enumeration_matches_the_oracle(ranges):
+    got = space.enumerate_two_stage(ranges)
+    assert got == _oracle_enumerate_two_stage(ranges)
+    assert [s.id for s in got] == [s.id for s in _oracle_enumerate_two_stage(ranges)]
+
+
+_DROP = object()
+
+
+def _edit(line, **fields):
+    """The wire line with ``fields`` set, or removed where the value is ``_DROP``."""
+    obj = json.loads(line)
+    for key, value in fields.items():
+        if value is _DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps(obj)
+
+
+def _corruptions(lines):
+    """(name, text) of each way a setups file can go wrong; lines[2] is two-stage."""
+    one, two, split = lines[0], lines[1], lines[2]
+    deep = '{"f_r": ' + "[" * 10_000 + "]" * 10_000 + "}"
+    return {
+        "good": one + two + split,
+        "bom": "\ufeff" + one + two,
+        "bom-second-line": one + "\ufeff" + two,
+        "trailing-data": one + two.rstrip("\n") + " {}\n",
+        "trailing-comma": one.rstrip("\n") + ",\n",
+        "blank-lines": "\n  \n" + one + "\t\n\n" + two + "   ",
+        "nan-in-derived": one + two.replace('"M": ', '"M": NaN, "_M": ', 1),
+        "nan-factor": _edit(one, f_k=math.nan) + "\n",
+        "infinity-factor": one.replace('"f_k": ', '"f_k": -Infinity, "_": ', 1),
+        "deep-nesting": one + deep + "\n",
+        "long-integer": one.replace('"f_M": ', '"f_M": 1' + "0" * 4_999 + ', "_": ', 1),
+        "truncated": one + two[: len(two) // 2] + "\n",
+        "duplicate-id": one + two + split + two,
+        "bool-factor": _edit(two, f_M=True) + "\n",
+        "float-factor": _edit(one, f_C=0.0) + "\n",
+        "bool-then-missing": _edit(two, f_r=False, f_C=_DROP) + "\n",
+        "tampered-id": _edit(two, id="fC0_fD0_fr0_fM0_fk0") + "\n",
+        "tampered-approach": _edit(split, approach="mono-1stage") + "\n",
+        "tampered-f_D": _edit(split, f_D=3) + "\n",
+        "bool-f_D": _edit(one, f_D=True) + "\n",
+        "bad-r1_frac": _edit(split, r1_frac="1/0") + "\n",
+        "decimal-r1_frac": _edit(split, r1_frac="0.5") + "\n",
+        "float-r1_frac": _edit(split, r1_frac=0.5) + "\n",
+        "lone-r2_frac": _edit(split, r1_frac=_DROP) + "\n",
+        "missing-field": _edit(two, f_C=_DROP) + "\n",
+        "missing-every-field": "{}\n",
+        "invalid-escape": one.replace('"id"', '"\\q"', 1),
+        "control-character": one.replace("fC", "f\x01C", 1),
+    }
+
+
+def _outcome(reader, text):
+    try:
+        return list(reader(io.StringIO(text)))
+    except FileFormatError as exc:
+        return str(exc)
+
+
+def _grid_lines():
+    """Wire lines of two single-stage setups and a two-stage one."""
+    specs = space.enumerate_all(space.default_ranges().restrict_budgets([0]))
+    buf = io.StringIO()
+    space.write_jsonl([specs[0], specs[5], next(s for s in specs if s.is_two_stage)], buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+_CORRUPTIONS = _corruptions(_grid_lines())
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS))
+def test_read_jsonl_gives_the_oracle_specs_or_error(case):
+    text = _CORRUPTIONS[case]
+    got = _outcome(space.read_jsonl, text)
+    assert got == _outcome(_oracle_read_jsonl, text)
+    assert isinstance(got, list) == (case in ("good", "blank-lines", "nan-in-derived"))
+
+
+@pytest.mark.parametrize("line", ["null", "[1, 2]", '"x"', "3", "true", "NaN", "[]"])
+def test_read_jsonl_names_a_line_that_is_not_an_object(line):
+    good = _grid_lines()[0]
+    got = _outcome(space.read_jsonl, good + line + "\n")
+    assert got == "line 2: expected a JSON object"
+    assert got != _outcome(_oracle_read_jsonl, good + line + "\n")
+
+
+def test_writing_the_grid_splits_each_stage_ratio_triple_once(monkeypatch):
+    for value in vars(space).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    calls = []
+
+    def counting_split(*args):
+        calls.append(args)
+        return budget.stage_split(*args)
+
+    monkeypatch.setattr(space, "stage_split", counting_split)
+    specs = space.enumerate_all()
+    triples = {(s.first_stage_ratio, s.second_stage_ratio, s.factors.f_r)
+               for s in specs if s.is_two_stage}
+    assert space.write_jsonl(specs, io.StringIO()) == 5_250
+    assert 0 < len(calls) <= len(triples) == 34
