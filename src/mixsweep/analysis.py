@@ -87,6 +87,7 @@ class IngestSummary:
     the 1-based record index in the input stream; for CSV input the file
     line is position + 1 (header). ``duplicates`` maps (setup_id, pair) to
     the number of extra measurements reduced away (minimum kept).
+    perfbench's tracer sums ``ingest(...).summary.duplicates`` by these pairs.
     """
 
     n_input: int
@@ -97,17 +98,26 @@ class IngestSummary:
 
 @dataclass(frozen=True)
 class ResultSet:
-    """Validated measurements bound to their setups (immutable snapshot)."""
+    """Validated measurements bound to their setups (immutable snapshot).
 
-    losses: dict[tuple[str, str], float]
+    ``losses`` maps each language pair to its losses keyed by setup id, both
+    in the order they were first measured.
+    """
+
+    losses: dict[str, dict[str, float]]
     setups: dict[str, SetupSpec]
     summary: IngestSummary
 
     def pairs(self) -> tuple[str, ...]:
-        return tuple(sorted({pair for _, pair in self.losses}))
+        return tuple(sorted(self.losses))
 
     def resolve_pair(self, pair: str | None = None) -> str:
         """``pair`` if it has results, or the only pair held when ``pair`` is None."""
+        if not self.losses:
+            raise ValidationError(
+                f"no accepted results: {self.summary.n_input} record(s) read, "
+                f"{len(self.summary.rejected_unknown)} with an unknown setup id"
+            )
         pairs = self.pairs()
         if pair is not None:
             if pair not in pairs:
@@ -124,12 +134,7 @@ class ResultSet:
 
         ``pair=None`` is allowed only when the set holds exactly one pair.
         """
-        pair = self.resolve_pair(pair)
-        return {
-            setup_id: loss
-            for (setup_id, rec_pair), loss in self.losses.items()
-            if rec_pair == pair
-        }
+        return self.losses[self.resolve_pair(pair)]
 
 
 def ingest(records: Iterable[LossRecord], setups: Iterable[SetupSpec]) -> ResultSet:
@@ -140,24 +145,25 @@ def ingest(records: Iterable[LossRecord], setups: Iterable[SetupSpec]) -> Result
     extra count reported.
     """
     setups_by_id = {spec.id: spec for spec in setups}
-    losses: dict[tuple[str, str], float] = {}
+    losses: dict[str, dict[str, float]] = {}
     rejected: list[tuple[int, str]] = []
     duplicates: dict[tuple[str, str], int] = {}
-    n_input = 0
+    position = 0
     for position, record in enumerate(records, start=1):
-        n_input += 1
-        if record.setup_id not in setups_by_id:
-            rejected.append((position, record.setup_id))
+        setup_id = record.setup_id
+        if setup_id not in setups_by_id:
+            rejected.append((position, setup_id))
             continue
-        key = (record.setup_id, record.language_pair)
-        if key in losses:
+        by_id = losses.setdefault(record.language_pair, {})
+        if setup_id in by_id:
+            key = (setup_id, record.language_pair)
             duplicates[key] = duplicates.get(key, 0) + 1
-            losses[key] = min(losses[key], record.val_loss)
+            by_id[setup_id] = min(by_id[setup_id], record.val_loss)
         else:
-            losses[key] = record.val_loss
+            by_id[setup_id] = record.val_loss
     summary = IngestSummary(
-        n_input=n_input,
-        n_records=len(losses),
+        n_input=position,
+        n_records=sum(map(len, losses.values())),
         rejected_unknown=tuple(rejected),
         duplicates=tuple(sorted(duplicates.items())),
     )

@@ -205,10 +205,10 @@ def _resolve(flag_value, config: dict, key: str, default):
 def _cmd_enumerate(args) -> _Result:
     ranges = space.default_ranges()
     if args.fc:
-        unknown = [f for f in args.fc if f not in ranges.rows]
+        unknown = [f for f in args.fc if f not in ranges]
         if unknown:
             raise UsageError(f"--fc values outside the grid rows: {unknown}")
-        ranges = ranges.restrict_budgets(args.fc)
+        ranges = {f_C: ranges[f_C] for f_C in args.fc}
     if args.stages == "single":
         specs = space.enumerate_single_stage(ranges)
     elif args.stages == "two":

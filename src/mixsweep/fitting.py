@@ -199,7 +199,7 @@ def _initial_positions(
     for i in range(1, len(iso) + 1):
         if i == len(iso) or iso[i] != iso[start]:
             vals.append(iso[start])
-            xmean.append(sum(xs[start:i]) / (i - start))
+            xmean.append(_sum(xs[start:i]) / (i - start))
             start = i
     if len(vals) == 1:
         return [xmean[0] - (level - vals[0]) for level in levels]  # flat fit: fallback slope -1
@@ -333,7 +333,11 @@ class _Solve(NamedTuple):
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(map(operator.mul, a, b))
+    """Left to right, as ``_sum`` adds, in a loop that costs less per call than it."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
@@ -573,7 +577,7 @@ def _nnls(columns: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]
     subproblem solved by Householder QR, their own construction.
     """
     n = len(columns)
-    tol = 10.0 * sys.float_info.epsilon * max(sum(map(abs, c)) for c in columns) * max(len(b), n)
+    tol = 10.0 * sys.float_info.epsilon * max(_sum(map(abs, c)) for c in columns) * max(len(b), n)
     z = [0.0] * n
     passive = [False] * n
     for _ in range(3 * n):
@@ -634,9 +638,9 @@ def _inverse_seed(
         tails.append([-1.0 if m <= k else -t if m == k + 1 else 0.0 for m in range(1, n)])
     design = []
     for column in (compute_factor, *zip(*tails)):
-        mean = sum(column) / len(column)
+        mean = _sum(column) / len(column)
         design.append([v - mean for v in column])
-    corpus_mean = sum(corpus_factor) / len(corpus_factor)
+    corpus_mean = _sum(corpus_factor) / len(corpus_factor)
     target = [c - corpus_mean - _dot(row, lower) for c, row in zip(corpus_factor, zip(*design))]
     if not all(map(math.isfinite, itertools.chain(target, *design))):
         return math.nan

@@ -59,29 +59,15 @@ F_R_RANGE = (0, 4)
 F_K_RANGE = (0, 10)
 
 
-@dataclass(frozen=True)
-class SearchRanges:
-    """Per-budget factor ranges, keyed by f_C. All intervals are half-open [lo, hi)."""
-
-    rows: dict[int, RangeRow]
-
-    def restrict_budgets(self, f_C_values: Iterable[int]) -> "SearchRanges":
-        """Keep only the rows for the given compute factors."""
-        keep = set(f_C_values)
-        return SearchRanges(rows={f_C: row for f_C, row in self.rows.items() if f_C in keep})
-
-
-def default_ranges() -> SearchRanges:
-    """The default sweep grid: five compute rows with matched f_M/f_D windows."""
-    return SearchRanges(
-        rows={
-            0: RangeRow(f_M=(-1, 5), f_D=(-5, 2)),
-            -1: RangeRow(f_M=(0, 5), f_D=(-6, 1)),
-            -2: RangeRow(f_M=(0, 5), f_D=(-6, 1)),
-            -3: RangeRow(f_M=(1, 6), f_D=(-7, 0)),
-            -4: RangeRow(f_M=(1, 6), f_D=(-7, 0)),
-        }
-    )
+def default_ranges() -> dict[int, RangeRow]:
+    """The default sweep grid: five compute rows, keyed by f_C, with matched f_M/f_D windows."""
+    return {
+        0: RangeRow(f_M=(-1, 5), f_D=(-5, 2)),
+        -1: RangeRow(f_M=(0, 5), f_D=(-6, 1)),
+        -2: RangeRow(f_M=(0, 5), f_D=(-6, 1)),
+        -3: RangeRow(f_M=(1, 6), f_D=(-7, 0)),
+        -4: RangeRow(f_M=(1, 6), f_D=(-7, 0)),
+    }
 
 
 # The id's two parts, each cached: a grid has few factor tuples (586 by default)
@@ -164,13 +150,13 @@ def in_category(spec: SetupSpec, category: str) -> bool:
     raise ValueError(f"unknown category {category!r}")
 
 
-def enumerate_single_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
+def enumerate_single_stage(ranges: dict[int, RangeRow] | None = None) -> list[SetupSpec]:
     """All single-stage setups whose derived f_D falls inside its row window."""
     ranges = default_ranges() if ranges is None else ranges
     out: list[SetupSpec] = []
     # f_k = f_M - f_r - f_D + f_C is fixed by the other four factors, so
     # this loop order is already the canonical (f_C, f_D, f_r, f_M) order
-    for f_C, row in sorted(ranges.rows.items()):
+    for f_C, row in sorted(ranges.items()):
         for f_D in range(*row.f_D):
             for f_r in range(*F_R_RANGE):
                 for f_M in range(*row.f_M):
@@ -180,7 +166,7 @@ def enumerate_single_stage(ranges: SearchRanges | None = None) -> list[SetupSpec
     return out
 
 
-def enumerate_two_stage(ranges: SearchRanges | None = None) -> list[SetupSpec]:
+def enumerate_two_stage(ranges: dict[int, RangeRow] | None = None) -> list[SetupSpec]:
     """Two-stage variants of every single-stage tuple, with r1 < r < r2 strictly.
 
     Boundary cases r1 == r and r == r2 are representable only as
@@ -203,7 +189,7 @@ def _stage_pairs(f_r: int) -> tuple[tuple[Fraction, Fraction], ...]:
                  for r2 in SECOND_STAGE_RATIOS if ratio < r2)
 
 
-def enumerate_all(ranges: SearchRanges | None = None) -> list[SetupSpec]:
+def enumerate_all(ranges: dict[int, RangeRow] | None = None) -> list[SetupSpec]:
     """Single-stage block followed by the two-stage block, each in canonical order."""
     return enumerate_single_stage(ranges) + enumerate_two_stage(ranges)
 

@@ -63,7 +63,7 @@ def test_criterion_04_enumeration_oracle():
             for f_k in range(0, 10):
                 if -5 <= -f_r + f_M - f_k + 0 < 2:
                     count += 1
-    row = space.default_ranges().restrict_budgets([0])
+    row = {0: space.default_ranges()[0]}
     enumerated = len(space.enumerate_single_stage(row))
     quarter = sum(
         1 for r1 in space.FIRST_STAGE_RATIOS for r2 in space.SECOND_STAGE_RATIOS

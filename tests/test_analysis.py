@@ -89,7 +89,7 @@ def test_ingest_reduces_duplicates_to_minimum():
     setups = _small_setups()
     records = [_record(setups[0].id, 2.0), _record(setups[0].id, 1.9)]
     results = analysis.ingest(records, setups)
-    assert results.losses[(setups[0].id, "test")] == 1.9
+    assert results.losses == {"test": {setups[0].id: 1.9}}
     assert results.summary.duplicates == (((setups[0].id, "test"), 1),)
 
 
@@ -98,6 +98,8 @@ def test_ingest_empty_stream():
     assert results.summary.n_input == 0
     assert results.summary.rejected_unknown == ()
     assert results.losses == {}
+    with pytest.raises(ValidationError, match=r"^no accepted results: 0 record\(s\) read, 0 with"):
+        results.for_pair("test")
 
 
 def test_for_pair_requires_disambiguation():
@@ -110,6 +112,60 @@ def test_for_pair_requires_disambiguation():
     assert results.for_pair("b") == {setups[0].id: 2.1}
     with pytest.raises(ValidationError, match="no results for language pair 'c'"):
         results.for_pair("c")
+
+
+def _oracle_ingest(records, setups):
+    """Ingest as it was with one flat (setup_id, pair) map: (losses, report's ingest section)."""
+    known = {spec.id for spec in setups}
+    losses, rejected, duplicates = {}, [], {}
+    n_input = 0
+    for position, record in enumerate(records, start=1):
+        n_input += 1
+        if record.setup_id not in known:
+            rejected.append((position, record.setup_id))
+            continue
+        key = (record.setup_id, record.language_pair)
+        if key in losses:
+            duplicates[key] = duplicates.get(key, 0) + 1
+            losses[key] = min(losses[key], record.val_loss)
+        else:
+            losses[key] = record.val_loss
+    section = {
+        "n_input": n_input,
+        "n_records": len(losses),
+        "rejected_unknown": [{"position": pos, "setup_id": sid} for pos, sid in rejected],
+        "duplicates": [
+            {"setup_id": sid, "language_pair": pair, "extra": count}
+            for (sid, pair), count in sorted(duplicates.items())
+        ],
+    }
+    return losses, section
+
+
+def _oracle_for_pair(losses, pair):
+    return {setup_id: loss for (setup_id, rec_pair), loss in losses.items() if rec_pair == pair}
+
+
+_ingest_records = st.lists(
+    st.builds(
+        _record,
+        st.sampled_from([s.id for s in _small_setups()] + ["nope", "fC9_unknown"]),
+        st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+        st.sampled_from(["en-sw", "en-ha", "fr-wo"]),
+    ),
+    max_size=40,
+)
+
+
+@given(_ingest_records)
+def test_ingest_matches_the_flat_oracle(records):
+    results = analysis.ingest(records, _small_setups())
+    losses, section = _oracle_ingest(records, _small_setups())
+    pairs = sorted({pair for _, pair in losses})
+    assert results.pairs() == tuple(pairs)
+    for pair in pairs:  # the order matters: ratio_points yields in it
+        assert list(results.for_pair(pair).items()) == list(_oracle_for_pair(losses, pair).items())
+        assert analysis.build_report(results, pair)["ingest"] == section
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +431,7 @@ def test_build_report_handles_missing_mono():
 
 _POOL = [
     s
-    for s in space.enumerate_all(space.default_ranges().restrict_budgets([-4, 0]))
+    for s in space.enumerate_all({f_C: space.default_ranges()[f_C] for f_C in (-4, 0)})
     if s.factors.f_D in (-5, -4)
 ]
 _result_sets = st.dictionaries(

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -470,6 +471,47 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
     assert (tmp_path / "kstar.json").exists()
     assert (tmp_path / "ratio.json").exists()
+
+
+def _other_interpreters() -> dict[tuple[int, int], str]:
+    """``python3.10`` ... ``python3.14`` on PATH that start, keyed by a version not this one's."""
+    found = {}
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            proc = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                                  capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = tuple(map(int, proc.stdout.split())) if proc.returncode == 0 else None
+        if version and version != sys.version_info[:2]:
+            found.setdefault(version, exe)
+    return found
+
+
+def test_fits_write_the_same_bytes_on_every_interpreter(workspace, tmp_path):
+    # the k* and ratio fits add left to right, so the built-in sum's compensated
+    # rounding (3.12 on) cannot move a bit; neither fit loads numpy
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10-3.14 interpreter on PATH")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)),
+               PYTHONDONTWRITEBYTECODE="1")
+    commands = {
+        "kstar": ["fit", "kstar", "--epoch-fits", workspace["epochs"]],
+        "ratio": ["fit", "ratio", "--results", workspace["results"],
+                  "--setups", workspace["setups"]],
+    }
+    for version, exe in sorted(interpreters.items()):
+        for name, args in commands.items():
+            out = tmp_path / f"{name}-{version[0]}.{version[1]}.json"
+            proc = subprocess.run([exe, "-m", "mixsweep.cli", *args, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, (exe, proc.stderr)
+            with open(workspace[name], "rb") as fh:
+                assert out.read_bytes() == fh.read(), (exe, name)
 
 
 # README Quickstart, as the benchmark runs it, without the k* steps (their
@@ -1941,6 +1983,29 @@ def test_pair_without_results_is_data_error(workspace, tmp_path, capsys, command
                 workspace["setups"], "--pair", "zz-yy", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == "error: no results for language pair 'zz-yy'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", [[], ["--pair", "en-sw"]], ids=["no-pair", "pair"])
+@pytest.mark.parametrize(
+    "rows,counts",
+    [("", "0 record(s) read, 0"), ("nope,en-sw,2.0\nnope,en-sw,1.5\n", "2 record(s) read, 2")],
+    ids=["header-only", "all-unknown"],
+)
+@pytest.mark.parametrize("command", ["analyze", "fit epochs", "fit ratio", "report"])
+def test_no_accepted_results_is_named(workspace, tmp_path, capsys, command, rows, counts, pair):
+    # exited 2 asking which of the pairs () to analyze, or naming the pair as missing
+    results = tmp_path / "r.csv"
+    results.write_text("setup_id,language_pair,val_loss\n" + rows)
+    out = tmp_path / "out"
+    head = ["report", "--analysis", workspace["report"], "--out-dir"] if command == "report" \
+        else [*command.split(), "--out"]
+    code = run([*head, str(out), "--results", str(results), "--setups", workspace["setups"],
+                *pair])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: no accepted results: {counts} with an unknown setup id\n"
+    )
     assert not out.exists()
 
 

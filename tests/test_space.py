@@ -34,14 +34,14 @@ def brute_force_row_count(f_C):
 
 
 def test_single_stage_reference_row_count():
-    row = space.default_ranges().restrict_budgets([0])
+    row = {0: space.default_ranges()[0]}
     setups = space.enumerate_single_stage(row)
     assert len(setups) == brute_force_row_count(0) == 134
 
 
 @pytest.mark.parametrize("f_C", sorted(ROW_SPECS))
 def test_single_stage_counts_per_row(f_C):
-    row = space.default_ranges().restrict_budgets([f_C])
+    row = {f_C: space.default_ranges()[f_C]}
     assert len(space.enumerate_single_stage(row)) == brute_force_row_count(f_C)
 
 
@@ -67,13 +67,13 @@ def test_enumeration_is_deterministic_and_ordered():
 
 
 def test_budget_restriction_drops_other_rows():
-    restricted = space.default_ranges().restrict_budgets([-4, -2])
+    restricted = {f_C: space.default_ranges()[f_C] for f_C in (-4, -2)}
     setups = space.enumerate_single_stage(restricted)
     assert {s.factors.f_C for s in setups} == {-4, -2}
 
 
 def test_empty_ranges_give_empty_list():
-    empty = space.default_ranges().restrict_budgets([])
+    empty = {}
     assert space.enumerate_single_stage(empty) == []
     assert space.enumerate_two_stage(empty) == []
 
@@ -94,7 +94,7 @@ def brute_force_variant_count(ratio):
 def test_two_stage_variant_counts(f_r, expected):
     ratio = Fraction(1, 2**f_r)
     assert brute_force_variant_count(ratio) == expected
-    row = space.default_ranges().restrict_budgets([0])
+    row = {0: space.default_ranges()[0]}
     base = [s for s in space.enumerate_single_stage(row) if s.factors.f_r == f_r]
     variants = [s for s in space.enumerate_two_stage(row) if s.factors.f_r == f_r]
     assert len(variants) == expected * len(base)
@@ -162,7 +162,7 @@ def test_same_budget_cell_for_compensating_factors():
 
 
 def test_reference_row_has_seven_budget_cells():
-    row = space.default_ranges().restrict_budgets([0])
+    row = {0: space.default_ranges()[0]}
     cells = {(s.factors.f_C, s.factors.f_D) for s in space.enumerate_single_stage(row)}
     assert sorted(f_D for _, f_D in cells) == list(range(-5, 2))
 
@@ -444,7 +444,7 @@ def _ranges(draw):
         m_lo, d_lo = draw(st.integers(-3, 6)), draw(st.integers(-9, 2))
         rows[f_C] = space.RangeRow(f_M=(m_lo, m_lo + draw(st.integers(0, 5))),
                                    f_D=(d_lo, d_lo + draw(st.integers(0, 7))))
-    return space.SearchRanges(rows=rows)
+    return rows
 
 
 @given(_ranges())
@@ -513,7 +513,7 @@ def _outcome(reader, text):
 
 def _grid_lines():
     """Wire lines of two single-stage setups and a two-stage one."""
-    specs = space.enumerate_all(space.default_ranges().restrict_budgets([0]))
+    specs = space.enumerate_all({0: space.default_ranges()[0]})
     buf = io.StringIO()
     space.write_jsonl([specs[0], specs[5], next(s for s in specs if s.is_two_stage)], buf)
     return buf.getvalue().splitlines(keepends=True)

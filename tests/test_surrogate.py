@@ -126,7 +126,7 @@ def test_noiseless_dataset_equals_composite():
 
 
 def test_reference_row_record_count():
-    row = space.default_ranges().restrict_budgets([0])
+    row = {0: space.default_ranges()[0]}
     setups = space.enumerate_single_stage(row)
     records = surrogate.generate_dataset(setups, surrogate.SurrogateParams())
     assert len(records) == 134
