@@ -473,7 +473,7 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     assert (tmp_path / "ratio.json").exists()
 
 
-def _other_interpreters() -> dict[tuple[int, int], str]:
+def _other_interpreters():
     """``python3.10`` ... ``python3.14`` on PATH that start, keyed by a version not this one's."""
     found = {}
     for minor in range(10, 15):
@@ -599,6 +599,23 @@ def test_benchmark_tracer_names_resolve_and_are_restored(workspace, tmp_path, mo
     now = _mixsweep_globals()
     assert all(now[key] is value for key, value in bound.items())
     assert sys.meta_path == finders
+
+
+def test_benchmark_tracer_reads_what_ingest_returns(workspace, tmp_path, monkeypatch):
+    # the tracer counts duplicates from ingest(...).summary.duplicates, so a change to
+    # that shape fails every traced analyze, fit epochs, fit ratio and report
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        argv = ["analyze", "--results", workspace["results"], "--setups", workspace["setups"],
+                "--out", str(tmp_path / "report.json")]
+        assert run(argv) == 0
+    assert tracer.counts["analysis.duplicates_reduced"] == 0
+    assert tracer.counts["analysis.for_pair_scans"] > 0
 
 
 def _model_file(tmp_path, name, doc):
@@ -1998,10 +2015,11 @@ def test_no_accepted_results_is_named(workspace, tmp_path, capsys, command, rows
     results = tmp_path / "r.csv"
     results.write_text("setup_id,language_pair,val_loss\n" + rows)
     out = tmp_path / "out"
-    head = ["report", "--analysis", workspace["report"], "--out-dir"] if command == "report" \
-        else [*command.split(), "--out"]
-    code = run([*head, str(out), "--results", str(results), "--setups", workspace["setups"],
-                *pair])
+    if command == "report":
+        argv = ["report", "--analysis", workspace["report"], "--out-dir", str(out)]
+    else:
+        argv = [*command.split(), "--out", str(out)]
+    code = run([*argv, "--results", str(results), "--setups", workspace["setups"], *pair])
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: no accepted results: {counts} with an unknown setup id\n"
