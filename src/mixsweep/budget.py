@@ -152,30 +152,13 @@ def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StageSplit:
-    """Stage ratios and the stage-length proportions that realize an average ratio."""
-
-    first_ratio: Fraction
-    second_ratio: Fraction
-    first_length: Fraction
-    second_length: Fraction
-
-    @property
-    def average_ratio(self) -> Fraction:
-        return (
-            self.first_length * self.first_ratio
-            + self.second_length * self.second_ratio
-        )
-
-
 @functools.lru_cache(maxsize=128)
-def stage_split(first_ratio, second_ratio, average_ratio) -> StageSplit:
-    """Solve for stage-length proportions given both stage ratios and the average.
+def stage_split(first_ratio, second_ratio, average_ratio) -> Fraction:
+    """The first stage's share of the setup, given both stage ratios and the average.
 
-    The first-stage proportion is (r2 - r) / (r2 - r1); exact because all
-    arithmetic is on fractions. Cached: a grid has at most 96 distinct
-    (r1, r2, r) triples, and equal keys convert to equal fractions.
+    The share is (r2 - r) / (r2 - r1), the second stage's is one minus it; exact
+    because all arithmetic is on fractions. Cached: a grid has at most 96
+    distinct (r1, r2, r) triples, and equal keys convert to equal fractions.
     """
     r1 = Fraction(first_ratio)
     r2 = Fraction(second_ratio)
@@ -188,10 +171,4 @@ def stage_split(first_ratio, second_ratio, average_ratio) -> StageSplit:
         raise ValidationError(
             f"average ratio {r} outside the stage-ratio interval [{r1}, {r2}]"
         )
-    first_length = (r2 - r) / (r2 - r1)
-    return StageSplit(
-        first_ratio=r1,
-        second_ratio=r2,
-        first_length=first_length,
-        second_length=1 - first_length,
-    )
+    return (r2 - r) / (r2 - r1)

@@ -232,13 +232,7 @@ def _cmd_plan(args) -> _Result:
     spec = next((s for s in _read_setups(args.setups) if s.id == args.setup_id), None)
     if spec is None:
         raise ValidationError(f"setup id {args.setup_id!r} not found in {args.setups}")
-    plan = trainplan.build_training_plan(
-        spec.derived(),
-        spec.split(),
-        devices=devices,
-        setup_id=spec.id,
-        high_available=args.high_available,
-    )
+    plan = trainplan.build_training_plan(spec, devices=devices, high_available=args.high_available)
     doc = {
         "schema_version": 1,
         "training_plan": trainplan.plan_to_wire(plan),

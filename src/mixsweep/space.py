@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
 
-from .budget import (
-    DerivedSetup,
-    FactorTuple,
-    StageSplit,
-    derive_single_stage,
-    ratio_for,
-    stage_split,
-)
+from .budget import DerivedSetup, FactorTuple, derive_single_stage, ratio_for, stage_split
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 
 APPROACH_MONO_1STAGE = "mono-1stage"
@@ -127,17 +120,6 @@ class SetupSpec:
     def derived(self) -> DerivedSetup:
         return derive_single_stage(self.factors)
 
-    def split(self) -> StageSplit | None:
-        if not self.is_two_stage:
-            return None
-        assert self.first_stage_ratio is not None
-        assert self.second_stage_ratio is not None
-        return stage_split(
-            self.first_stage_ratio,
-            self.second_stage_ratio,
-            ratio_for(self.factors.f_r),
-        )
-
 
 def in_category(spec: SetupSpec, category: str) -> bool:
     """Nested category membership: mono < multi-1stage < multi-2stage."""
@@ -230,8 +212,8 @@ def _wire_ratios(f_r: int, *stages: int) -> tuple[dict, dict, dict]:
     n1, d1, n2, d2 = stages
     r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
     ratios = {"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)}
-    split = stage_split(r1, r2, ratio)
-    s1, s2 = split.first_length, split.second_length
+    s1 = stage_split(r1, r2, ratio)
+    s2 = 1 - s1
     split_items = {"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)}
     return ratios, derived, split_items
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .budget import DerivedSetup, StageSplit, reference_constants
+from .budget import DerivedSetup, reference_constants, stage_split
 from .errors import ValidationError
+from .space import SetupSpec
 
 #: Fixed sequence length in tokens.
 SEQ_LEN = 4096
@@ -124,8 +126,7 @@ def round_half_away(value: float) -> int:
     return math.ceil(value - 0.5)
 
 
-@dataclass(frozen=True, slots=True)
-class BatchConfig:
+class BatchConfig(NamedTuple):
     """Sequences per device, accumulation steps and the resulting global batch."""
 
     local_batch: int
@@ -213,14 +214,12 @@ def _stage(raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget
     )
 
 
-def stage_budgets(
-    setup: DerivedSetup,
-    split: StageSplit | None = None,
-    *,
-    high_available: float | None = None,
-) -> list[StageTokenBudget]:
+def stage_budgets(setup: DerivedSetup, r1: Fraction | None = None, r2: Fraction | None = None,
+                  *, high_available: float | None = None) -> list[StageTokenBudget]:
     """Split a setup's total tokens into per-stage target/high budgets.
 
+    Stage ratios ``r1`` and ``r2`` make two stages; they must straddle
+    ``setup.ratio``, and stage 1's share of the setup is ``stage_split``'s.
     The sum of target tokens across stages equals epochs * target_tokens
     exactly: stage 1 takes its fractional share snapped to the budget's
     floating-point quantum and stage 2 the exact complement. Stage totals
@@ -233,17 +232,16 @@ def stage_budgets(
     # epochs * target corpus, scaled exactly from the reference constant
     target_total = math.ldexp(ref.target_tokens, f.f_D + f.f_k)
     total = setup.total_tokens
-    if split is None:
+    if r1 is None and r2 is None:
         budgets = [_stage(total, target_total, setup.ratio)]
     else:
+        s1 = stage_split(r1, r2, setup.ratio)
         # stage 1's exact share of the target-token budget
-        share = split.first_length * split.first_ratio / setup.ratio
-        target_1 = _quantized_share(share, target_total)
-        target_2 = target_total - target_1
-        total_1 = float(split.first_length) * total
+        target_1 = _quantized_share(s1 * r1 / setup.ratio, target_total)
+        total_1 = float(s1) * total
         budgets = [
-            _stage(total_1, target_1, split.first_ratio),
-            _stage(total - total_1, target_2, split.second_ratio),
+            _stage(total_1, target_1, r1),
+            _stage(total - total_1, target_total - target_1, r2),
         ]
     if high_available is not None:
         if math.isnan(high_available):
@@ -279,22 +277,18 @@ class TrainingPlan:
     warnings: tuple[str, ...] = ()
 
 
-def build_training_plan(
-    setup: DerivedSetup,
-    split: StageSplit | None = None,
-    *,
-    devices: int = DEFAULT_DEVICES,
-    setup_id: str = "",
-    high_available: float | None = None,
-) -> TrainingPlan:
-    """Assemble the full plan for a derived setup (optionally two-stage).
+def build_training_plan(spec: SetupSpec, *, devices: int = DEFAULT_DEVICES,
+                        high_available: float | None = None) -> TrainingPlan:
+    """Assemble the full plan for a setup, two-stage if it has stage ratios.
 
     A stage shorter than the warmup is still emitted but flagged.
     """
+    setup = spec.derived()
     shape = shape_for_factor(setup.factors.f_M)
     eta_max = learning_rate(setup.compute)
     batch = batch_config(setup.compute, shape, devices=devices)
-    stages = tuple(stage_budgets(setup, split, high_available=high_available))
+    stages = tuple(stage_budgets(setup, spec.first_stage_ratio, spec.second_stage_ratio,
+                                 high_available=high_available))
     steps = tuple(math.ceil(b.total_tokens / batch.global_batch_tokens) for b in stages)
     warnings = tuple(
         f"stage {index}: warmup-exceeds-stage ({n} steps < {WARMUP_STEPS} warmup)"
@@ -302,7 +296,7 @@ def build_training_plan(
         if n < WARMUP_STEPS
     )
     return TrainingPlan(
-        setup_id=setup_id,
+        setup_id=spec.id,
         shape=shape,
         eta_max=eta_max,
         batch=batch,
@@ -333,13 +327,7 @@ def plan_to_wire(plan: TrainingPlan) -> dict:
             "gradient_clip_norm": GRADIENT_CLIP_NORM,
             "init_std": INIT_STD,
         },
-        "batch": {
-            "local_batch": plan.batch.local_batch,
-            "devices": plan.batch.devices,
-            "accumulation": plan.batch.accumulation,
-            "global_batch_seqs": plan.batch.global_batch_seqs,
-            "global_batch_tokens": plan.batch.global_batch_tokens,
-        },
+        "batch": plan.batch._asdict(),
         "stages": [
             {
                 "index": index,

@@ -102,21 +102,15 @@ def test_factor_to_quadruple_bijection():
 
 
 def test_stage_split_midpoint():
-    split = budget.stage_split(0, Fraction(1, 2), Fraction(1, 4))
-    assert split.first_length == Fraction(1, 2)
-    assert split.second_length == Fraction(1, 2)
+    assert budget.stage_split(0, Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 2)
 
 
 def test_stage_split_asymmetric():
-    split = budget.stage_split(Fraction(1, 8), Fraction(1, 2), Fraction(1, 4))
-    assert split.first_length == Fraction(2, 3)
-    assert split.second_length == Fraction(1, 3)
+    assert budget.stage_split(Fraction(1, 8), Fraction(1, 2), Fraction(1, 4)) == Fraction(2, 3)
 
 
 def test_stage_split_boundary_is_degenerate_single_stage():
-    split = budget.stage_split(Fraction(1, 8), Fraction(1, 2), Fraction(1, 2))
-    assert split.first_length == 0
-    assert split.second_length == 1
+    assert budget.stage_split(Fraction(1, 8), Fraction(1, 2), Fraction(1, 2)) == 0
 
 
 def test_stage_split_round_trip_exact():
@@ -129,10 +123,10 @@ def test_stage_split_round_trip_exact():
             for r in ratios:
                 if not r1 <= r <= r2:
                     continue
-                split = budget.stage_split(r1, r2, r)
-                assert split.average_ratio == r
-                assert split.first_length + split.second_length == 1
-                assert 0 <= split.first_length <= 1
+                s1 = budget.stage_split(r1, r2, r)
+                assert type(s1) is Fraction
+                assert s1 * r1 + (1 - s1) * r2 == r
+                assert 0 <= s1 <= 1
 
 
 _unit_fractions = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(
@@ -144,9 +138,9 @@ _unit_fractions = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(
 def test_stage_split_identities_on_generated_ratios(ratios):
     r1, r, r2 = ratios
     assume(r1 < r2)
-    split = budget.stage_split(r1, r2, r)
-    assert split.average_ratio == r
-    assert split.first_length + split.second_length == 1
+    s1 = budget.stage_split(r1, r2, r)
+    assert s1 * r1 + (1 - s1) * r2 == r
+    assert 0 <= s1 <= 1
 
 
 def test_stage_split_errors():
@@ -168,8 +162,6 @@ def test_stage_split_rejects_stage_ratios_outside_the_unit_interval(r1, r2):
 
 def test_float_round_trip_tolerance():
     # float path of s1*r1 + s2*r2 stays within 1e-12 of the exact ratio
-    split = budget.stage_split(Fraction(1, 8), Fraction(3, 4), Fraction(1, 4))
-    back = float(split.first_length) * float(split.first_ratio) + float(
-        split.second_length
-    ) * float(split.second_ratio)
+    s1 = budget.stage_split(Fraction(1, 8), Fraction(3, 4), Fraction(1, 4))
+    back = float(s1) * 0.125 + float(1 - s1) * 0.75
     assert math.isclose(back, 0.25, rel_tol=1e-12)

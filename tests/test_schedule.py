@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import groupby
@@ -22,8 +23,7 @@ def test_single_stage_budget_is_definition_of_ratio():
 
 def test_two_stage_budget_example():
     setup = budget.derive_single_stage(budget.FactorTuple(2, 1, 1, -1))  # r=1/4
-    split = budget.stage_split(Fraction(0), Fraction(1, 2), Fraction(1, 4))
-    first, second = trainplan.stage_budgets(setup, split)
+    first, second = trainplan.stage_budgets(setup, Fraction(0), Fraction(1, 2))
     total = setup.total_tokens
     assert first.total_tokens == pytest.approx(total / 2, rel=1e-15)
     assert first.target_tokens == 0.0
@@ -40,7 +40,7 @@ def test_target_sum_exact_across_grid(all_setups):
     assert two_stage
     for spec in two_stage:
         setup = spec.derived()
-        budgets = trainplan.stage_budgets(setup, spec.split())
+        budgets = trainplan.stage_budgets(setup, spec.first_stage_ratio, spec.second_stage_ratio)
         expected = math.ldexp(ref.target_tokens, setup.f_D + setup.factors.f_k)
         assert sum(b.target_tokens for b in budgets) == expected
         assert sum(b.total_tokens for b in budgets) == pytest.approx(
@@ -60,13 +60,13 @@ def _split_setups(draw):
     ratio = budget.ratio_for(f_r)
     below = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda a: a < 1))
     above = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda b: b > 0))
-    return factors, budget.stage_split(ratio * below, ratio + (1 - ratio) * above, ratio)
+    return factors, ratio * below, ratio + (1 - ratio) * above
 
 
 @given(_split_setups())
 def test_stage_budgets_sum_exactly_on_generated_setups(case):
-    factors, split = case
-    budgets = trainplan.stage_budgets(budget.derive_single_stage(factors), split)
+    factors, r1, r2 = case
+    budgets = trainplan.stage_budgets(budget.derive_single_stage(factors), r1, r2)
     expected = math.ldexp(budget.reference_constants().target_tokens, factors.f_D + factors.f_k)
     assert sum(b.target_tokens for b in budgets) == expected
     for b in budgets:
@@ -146,7 +146,7 @@ def test_interleaver_special_patterns():
 def test_build_schedule_deterministic():
     spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
     setup = spec.derived()
-    plan = trainplan.build_training_plan(setup, spec.split(), setup_id=spec.id)
+    plan = trainplan.build_training_plan(spec)
     one = schedule.build_schedule(plan, base_seed=7)
     assert one == schedule.build_schedule(plan, base_seed=7)
     assert one["setup_id"] == spec.id
@@ -159,7 +159,7 @@ def test_build_schedule_deterministic():
 
 def test_schedule_rows_accounting():
     spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
-    plan = trainplan.build_training_plan(spec.derived(), spec.split())
+    plan = trainplan.build_training_plan(spec)
     batch = plan.batch.global_batch_tokens
     rows = list(schedule.schedule_rows(plan))
     indices = [r[0] for r in rows]
@@ -257,10 +257,11 @@ def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
 
 
 def test_schedule_rows_skip_a_zero_token_stage():
-    # r1 == r: the split gives stage 1 the whole length and stage 2 nothing
-    setup = budget.derive_single_stage(budget.FactorTuple(2, 4, 0, -4))  # r=1/4
-    split = budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    plan = trainplan.build_training_plan(setup, split)
+    # r1 a hair below r = 1/4: stage 2's share rounds to a zero-token stage
+    r1 = Fraction(1, 4) - Fraction(1, 10**400)
+    spec = space.SetupSpec(budget.FactorTuple(2, 4, 0, -4), r1, Fraction(1, 2))
+    assert space.from_wire(json.loads(json.dumps(space.to_wire(spec)))) == spec
+    plan = trainplan.build_training_plan(spec)
     assert plan.steps[1] == 0
     assert plan.stages[1].total_tokens == 0.0
     rows = list(schedule.schedule_rows(plan))
@@ -272,8 +273,7 @@ def test_schedule_rows_skip_a_zero_token_stage():
 @given(st.data())
 def test_plan_and_schedule_agree_per_stage(all_setups, data):
     spec = data.draw(st.sampled_from(all_setups))
-    setup = spec.derived()
-    plan = trainplan.build_training_plan(setup, spec.split())
+    plan = trainplan.build_training_plan(spec)
     plan_stages = trainplan.plan_to_wire(plan)["stages"]
     schedule_stages = schedule.build_schedule(plan)["stages"]
     tokens = {

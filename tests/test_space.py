@@ -106,8 +106,7 @@ def test_two_stage_never_violates_ordering(all_setups):
             continue
         ratio = Fraction(1, 2**setup.factors.f_r)
         assert setup.first_stage_ratio < ratio < setup.second_stage_ratio
-        split = setup.split()
-        assert 0 < split.first_length < 1
+        assert 0 < budget.stage_split(setup.first_stage_ratio, setup.second_stage_ratio, ratio) < 1
 
 
 def test_manual_two_stage_boundary_rejected():
@@ -361,12 +360,12 @@ def _oracle_to_wire(spec):
         "D_T": derived.target_tokens,
         "D_total": derived.total_tokens,
     }
-    split = spec.split()
-    if split is not None:
-        derived_obj["s1"] = float(split.first_length)
-        derived_obj["s1_frac"] = str(split.first_length)
-        derived_obj["s2"] = float(split.second_length)
-        derived_obj["s2_frac"] = str(split.second_length)
+    if spec.is_two_stage:
+        s1 = budget.stage_split(spec.first_stage_ratio, spec.second_stage_ratio, derived.ratio)
+        derived_obj["s1"] = float(s1)
+        derived_obj["s1_frac"] = str(s1)
+        derived_obj["s2"] = float(1 - s1)
+        derived_obj["s2_frac"] = str(1 - s1)
     obj["derived"] = derived_obj
     return obj
 

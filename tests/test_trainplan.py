@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixsweep import budget, trainplan
+from mixsweep import budget, space, trainplan
 from mixsweep.errors import ValidationError
 
 #: (f_M, n_layers, n_heads, d_model, printed 3-significant-figure scale)
@@ -133,8 +133,10 @@ def test_lr_schedule_milestones_fixed():
 
 
 def test_single_stage_plan():
-    setup = budget.derive_single_stage(budget.FactorTuple(0, 0, 0, 0))
-    plan = trainplan.build_training_plan(setup, setup_id="fC0_fD0_fr0_fM0_fk0")
+    spec = space.SetupSpec(budget.FactorTuple(0, 0, 0, 0))
+    setup = spec.derived()
+    plan = trainplan.build_training_plan(spec)
+    assert plan.setup_id == spec.id == "fC0_fD0_fr0_fM0_fk0"
     assert len(plan.stages) == 1
     assert plan.steps == (math.ceil(setup.total_tokens / plan.batch.global_batch_tokens),)
     assert plan.stages[0].ratio == 1
@@ -151,9 +153,9 @@ def test_single_stage_plan():
 
 
 def test_two_stage_plan_shares_peak_lr():
-    setup = budget.derive_single_stage(budget.FactorTuple(2, 1, 1, -1))
-    split = budget.stage_split(Fraction(0), Fraction(1, 2), Fraction(1, 4))
-    plan = trainplan.build_training_plan(setup, split)
+    spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))
+    setup = spec.derived()
+    plan = trainplan.build_training_plan(spec)
     assert len(plan.stages) == 2
     for stage in trainplan.plan_to_wire(plan)["stages"]:
         assert stage["lr_schedule"]["eta_max"] == plan.eta_max
@@ -165,18 +167,17 @@ def test_two_stage_plan_shares_peak_lr():
 
 
 def test_short_stage_flagged():
-    setup = budget.derive_single_stage(budget.FactorTuple(3, 1, 0, -4))
-    split = budget.stage_split(Fraction(1, 16), Fraction(1), Fraction(1, 8))
-    assert split.second_length == Fraction(1, 15)
-    plan = trainplan.build_training_plan(setup, split)
+    assert 1 - budget.stage_split(Fraction(1, 16), Fraction(1), Fraction(1, 8)) == Fraction(1, 15)
+    spec = space.SetupSpec(budget.FactorTuple(3, 1, 0, -4), Fraction(1, 16), Fraction(1))
+    plan = trainplan.build_training_plan(spec)
     assert plan.steps[1] < 500
     assert trainplan.plan_to_wire(plan)["stages"][1]["warmup_exceeds_stage"] is True
     assert any("warmup-exceeds-stage" in w for w in plan.warnings)
 
 
 def test_plan_wire_schema():
-    setup = budget.derive_single_stage(budget.FactorTuple(0, 0, 0, 0))
-    doc = trainplan.plan_to_wire(trainplan.build_training_plan(setup, setup_id="x"))
+    spec = space.SetupSpec(budget.FactorTuple(0, 0, 0, 0))
+    doc = trainplan.plan_to_wire(trainplan.build_training_plan(spec))
     assert doc["schema_version"] == 1
     assert set(doc) == {
         "schema_version", "setup_id", "model_shape", "optimizer", "batch", "stages", "warnings",
