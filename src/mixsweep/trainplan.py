@@ -204,7 +204,8 @@ def _quantized_share(share, total: float) -> float:
 
 
 def _stage(raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget:
-    high = raw_total - target
+    # a target-only stage's float total can round below its target: no high tokens then
+    high = max(raw_total - target, 0.0)
     # store the re-summed total so target + high == total holds exactly
     return StageTokenBudget(
         total_tokens=target + high,

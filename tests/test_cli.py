@@ -147,6 +147,19 @@ def test_plan_devices_override(workspace, tmp_path):
     assert doc["training_plan"]["batch"]["devices"] == 4
 
 
+def test_plan_target_only_stage_has_no_high_tokens(workspace, tmp_path):
+    # stage 2 holds only target tokens; its float total once rounded below them
+    out = tmp_path / "plan.json"
+    code = run(["plan", "fC-4_fD-7_fr2_fM1_fk2_r10_r21", "--setups", workspace["setups"],
+                "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    for section in ("training_plan", "schedule"):
+        stage = doc[section]["stages"][1]
+        assert stage["high_tokens"] == 0.0
+        assert stage["target_tokens"] == stage["total_tokens"]
+
+
 def test_plan_unknown_setup_id(workspace, tmp_path):
     code = run(
         ["plan", "fC0_fD0_fr9_fM0_fk0", "--setups", workspace["setups"],
@@ -529,6 +542,16 @@ _QUICKSTART = (
     ("report --analysis report.json --out-dir report-tables/ --epoch-fits epochs.json "
      "--ratio-fit ratio.json --results results.csv --setups setups.jsonl --summary", True),
 )
+
+
+def test_readme_library_use_snippet_runs(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    (snippet,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(snippet, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("131072 (4063, 4063) [")
 
 
 def test_quickstart_artifacts_match_benchmark_digests(tmp_path, monkeypatch, capsys):

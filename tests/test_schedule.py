@@ -50,17 +50,35 @@ def test_target_sum_exact_across_grid(all_setups):
             assert b.target_tokens + b.high_tokens == b.total_tokens
 
 
+def test_no_grid_stage_has_negative_high_tokens(all_setups):
+    # with r2 = 1, stage 2's float total can round below its target tokens
+    bad = [
+        (spec.id, index)
+        for spec in all_setups if spec.is_two_stage
+        for index, b in enumerate(trainplan.stage_budgets(
+            spec.derived(), spec.first_stage_ratio, spec.second_stage_ratio), 1)
+        if not (b.high_tokens >= 0 and b.target_tokens <= b.total_tokens)
+    ]
+    assert not bad, f"{len(bad)} stages, first {bad[0]}"
+
+
 @st.composite
 def _split_setups(draw):
-    """Factor tuples beyond the default grid, with r1 < 2**-f_r < r2."""
+    """Factor tuples beyond the default grid, with r1 < 2**-f_r < r2.
+
+    r1 is off the ratio grid (a denominator such as 3, 7, 1000 or 2**20), and
+    half of the draws have r2 = 1, a target-only stage 2.
+    """
     f_r = draw(st.integers(1, 20))
     factors = budget.FactorTuple(
         f_r, draw(st.integers(-30, 30)), draw(st.integers(0, 30)), draw(st.integers(-30, 0))
     )
     ratio = budget.ratio_for(f_r)
-    below = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda a: a < 1))
+    den = draw(st.sampled_from([3, 7, 1000, 2**20]) | st.integers(1, 10**6))
+    r1 = Fraction(draw(st.integers(0, math.ceil(den * ratio) - 1)), den)
     above = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda b: b > 0))
-    return factors, ratio * below, ratio + (1 - ratio) * above
+    r2 = Fraction(1) if draw(st.booleans()) else ratio + (1 - ratio) * above
+    return factors, r1, r2
 
 
 @given(_split_setups())
@@ -69,8 +87,11 @@ def test_stage_budgets_sum_exactly_on_generated_setups(case):
     budgets = trainplan.stage_budgets(budget.derive_single_stage(factors), r1, r2)
     expected = math.ldexp(budget.reference_constants().target_tokens, factors.f_D + factors.f_k)
     assert sum(b.target_tokens for b in budgets) == expected
+    assert [b.ratio for b in budgets] == [r1, r2]
     for b in budgets:
         assert b.target_tokens + b.high_tokens == b.total_tokens
+        assert b.high_tokens >= 0
+        assert b.target_tokens <= b.total_tokens
 
 
 def test_insufficient_high_resource_corpus():
