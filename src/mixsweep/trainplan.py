@@ -2,7 +2,7 @@
 
 The shape ladder, the learning-rate and batch-size power laws, the
 multi-step decay schedule and the optimizer constants together turn a
-derived setup into an executable plan. All rounding rules are fixed and
+setup (a ``SetupSpec``) into an executable plan. All rounding rules are fixed and
 documented so plans are bit-reproducible.
 """
 
