@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import IO, Callable, Hashable, Iterable, Iterator
+from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .budget import reference_constants
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
@@ -31,19 +30,25 @@ from .space import (
 RESULTS_HEADER = ("setup_id", "language_pair", "val_loss")
 
 
-@dataclass(frozen=True, slots=True)
-class LossRecord:
-    """One measured validation loss (nats/token) for a setup and language pair."""
-
+class _LossFields(NamedTuple):
     setup_id: str
     language_pair: str
     val_loss: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.val_loss) or self.val_loss <= 0:
-            raise ValidationError(
-                f"val_loss must be positive and finite, got {self.val_loss!r}"
-            )
+
+class LossRecord(_LossFields):
+    """One measured validation loss (nats/token) for a setup and language pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, setup_id: str, language_pair: str, val_loss: float) -> LossRecord:
+        if not math.isfinite(val_loss) or val_loss <= 0:
+            raise ValidationError(f"val_loss must be positive and finite, got {val_loss!r}")
+        return tuple.__new__(cls, (setup_id, language_pair, val_loss))
+
+    @classmethod
+    def _make(cls, iterable) -> LossRecord:
+        return cls(*iterable)  # so ``_replace`` re-runs the check
 
 
 def read_results_csv(fp: IO[str]) -> Iterator[LossRecord]:
@@ -79,8 +84,7 @@ def read_results_csv(fp: IO[str]) -> Iterator[LossRecord]:
         raise FileFormatError(f"line {reader.line_num}: {input_message(exc)}") from exc
 
 
-@dataclass(frozen=True)
-class IngestSummary:
+class IngestSummary(NamedTuple):
     """What happened during ingestion.
 
     ``rejected_unknown`` holds (position, setup_id) pairs where position is
@@ -96,8 +100,7 @@ class IngestSummary:
     duplicates: tuple[tuple[tuple[str, str], int], ...]
 
 
-@dataclass(frozen=True)
-class ResultSet:
+class ResultSet(NamedTuple):
     """Validated measurements bound to their setups (immutable snapshot).
 
     ``losses`` maps each language pair to its losses keyed by setup id, both

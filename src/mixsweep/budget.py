@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -25,8 +25,7 @@ DATA_ALLOCATION_COEFF = 5.8316
 DATA_ALLOCATION_EXPONENT = 0.4757
 
 
-@dataclass(frozen=True, slots=True)
-class ReferenceConstants:
+class ReferenceConstants(NamedTuple):
     """Anchor point of the sweep grid.
 
     ``model_scale * target_tokens == compute`` holds to within a few ulp
@@ -66,36 +65,48 @@ def ratio_for(f_r: int) -> Fraction:
     return Fraction(1, 2**f_r)
 
 
-@dataclass(frozen=True, slots=True)
-class FactorTuple:
-    """Integer halving factors for ratio, model scale, epochs and compute.
-
-    ``f_r`` halves the target-language ratio, ``f_M`` halves the model
-    scale, ``f_k`` doubles the epoch count and ``f_C`` halves the compute
-    budget. The corpus factor ``f_D`` is fully determined by the other
-    four and is therefore a derived property, never stored.
-    """
-
+class _FactorFields(NamedTuple):
     f_r: int
     f_M: int
     f_k: int
     f_C: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.f_r <= F_R_MAX:
-            raise ValidationError(f"f_r must be in [0, {F_R_MAX}], got {self.f_r}")
-        if self.f_k < 0:
-            raise ValidationError(f"f_k must be >= 0, got {self.f_k}")
-        if self.f_C > 0:
-            raise ValidationError(f"f_C must be <= 0, got {self.f_C}")
+
+class FactorTuple(_FactorFields):
+    """Integer halving factors for ratio, model scale, epochs and compute.
+
+    ``f_r`` halves the target-language ratio, ``f_M`` halves the model
+    scale, ``f_k`` doubles the epoch count and ``f_C`` halves the compute
+    budget. The corpus factor ``f_D`` is fully determined by the other
+    four and is therefore a derived property, never stored. Each factor
+    must be an ``int``: neither ``True`` nor ``1.0`` stands for ``1``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
+        if not (type(f_r) is type(f_M) is type(f_k) is type(f_C) is int):
+            for name, value in zip(cls._fields, (f_r, f_M, f_k, f_C)):
+                if type(value) is not int:
+                    raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= f_r <= F_R_MAX:
+            raise ValidationError(f"f_r must be in [0, {F_R_MAX}], got {f_r}")
+        if f_k < 0:
+            raise ValidationError(f"f_k must be >= 0, got {f_k}")
+        if f_C > 0:
+            raise ValidationError(f"f_C must be <= 0, got {f_C}")
+        return tuple.__new__(cls, (f_r, f_M, f_k, f_C))
+
+    @classmethod
+    def _make(cls, iterable) -> FactorTuple:
+        return cls(*iterable)  # so ``_replace`` re-runs the checks
 
     @property
     def f_D(self) -> int:
         return -self.f_r + self.f_M - self.f_k + self.f_C
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedSetup:
+class DerivedSetup(NamedTuple):
     """Concrete hyperparameters derived from a :class:`FactorTuple`.
 
     Floats are produced with ``math.ldexp``, so every value is the exact

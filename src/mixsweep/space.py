@@ -13,9 +13,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .budget import DerivedSetup, FactorTuple, derive_single_stage, ratio_for, stage_split
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
@@ -39,8 +38,7 @@ FIRST_STAGE_RATIOS = (
 SECOND_STAGE_RATIOS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 
-@dataclass(frozen=True, slots=True)
-class RangeRow:
+class RangeRow(NamedTuple):
     """Half-open integer intervals for one compute-budget row of the grid."""
 
     f_M: tuple[int, int]
@@ -77,33 +75,52 @@ def _ratios_id(n1: int, d1: int, n2: int, d2: int) -> str:
     return f"_r1{Fraction(n1, d1)}_r2{Fraction(n2, d2)}"
 
 
-@dataclass(frozen=True, slots=True)
-class SetupSpec:
-    """One training setup: factors plus optional two-stage ratios."""
-
+class _SetupFields(NamedTuple):
     factors: FactorTuple
-    first_stage_ratio: Fraction | None = None
-    second_stage_ratio: Fraction | None = None
-    #: Canonical id, reproducible across runs: factor values plus exact ratios.
-    #: Built once from the fields above; not an argument, not compared, not in the repr.
-    id: str = field(init=False, compare=False, repr=False)
+    first_stage_ratio: Fraction | None
+    second_stage_ratio: Fraction | None
+    id: str
 
-    def __post_init__(self) -> None:
-        r1, r2 = self.first_stage_ratio, self.second_stage_ratio
+
+class SetupSpec(_SetupFields):
+    """One training setup: factors plus optional two-stage ratios.
+
+    ``id`` is the canonical id, reproducible across runs: factor values plus
+    exact ratios. It is built from the other fields, so it is not an argument
+    and not in the repr.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, factors: FactorTuple, first_stage_ratio: Fraction | None = None,
+                second_stage_ratio: Fraction | None = None) -> SetupSpec:
+        r1, r2 = first_stage_ratio, second_stage_ratio
         if (r1 is None) != (r2 is None):
             raise ValidationError("two-stage setups need both r1 and r2")
-        f = self.factors
-        setup_id = _factors_id(f.f_r, f.f_M, f.f_k, f.f_C)
+        setup_id = _factors_id(factors.f_r, factors.f_M, factors.f_k, factors.f_C)
         if r1 is not None and r2 is not None:
             # r1 < 2**-f_r < r2 on integers; the Fraction is built only for the message
             (n1, d1), (n2, d2) = r1.as_integer_ratio(), r2.as_integer_ratio()
-            f_r = f.f_r
+            f_r = factors.f_r
             if not (n1 << f_r < d1 and d2 < n2 << f_r):
                 raise ValidationError(
                     f"need r1 < r < r2 strictly, got r1={r1}, r={ratio_for(f_r)}, r2={r2}"
                 )
             setup_id += _ratios_id(n1, d1, n2, d2)
-        object.__setattr__(self, "id", setup_id)
+        return tuple.__new__(cls, (factors, r1, r2, setup_id))
+
+    @classmethod
+    def _make(cls, iterable) -> SetupSpec:
+        """A setup from its fields, so ``_replace`` re-runs the checks; a given id is ignored."""
+        factors, r1, r2, *_ = iterable
+        return cls(factors, r1, r2)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]  # the constructor's arguments, for pickle and copy
+
+    def __repr__(self) -> str:
+        return (f"SetupSpec(factors={self.factors!r}, first_stage_ratio="
+                f"{self.first_stage_ratio!r}, second_stage_ratio={self.second_stage_ratio!r})")
 
     @property
     def is_two_stage(self) -> bool:

@@ -9,8 +9,7 @@ whose constants are configuration, not claims.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import LossRecord
 from .errors import ValidationError
@@ -24,8 +23,25 @@ from .space import SetupSpec, json_field
 NOISE_SIGMA_MAX = 64.0
 
 
-@dataclass(frozen=True, slots=True)
-class SurrogateParams:
+class _ParamFields(NamedTuple):
+    irreducible_loss: float
+    model_coeff: float
+    model_exponent: float
+    data_coeff: float
+    data_exponent: float
+    ratio_exponent: float
+    repeat_decay: float
+    second_stage_weight: float
+    noise_sigma: float
+    seed: int
+
+
+#: The knobs that must be positive and finite.
+_POSITIVE = ("irreducible_loss", "model_coeff", "model_exponent", "data_coeff",
+             "data_exponent", "repeat_decay")
+
+
+class SurrogateParams(_ParamFields):
     """Composite-landscape knobs. All constants are test-fixture configuration.
 
     ``ratio_exponent`` is negative by convention (loss grows as the ratio
@@ -34,35 +50,44 @@ class SurrogateParams:
     gamma = 0 makes two-stage setups indistinguishable from single-stage
     ones with the same average ratio. Defaults are tuned so that, on the
     default grid, gamma = 0.5 produces an approach switch below the
-    compute-optimal corpus while gamma = 0 produces none.
+    compute-optimal corpus while gamma = 0 produces none. Every float knob
+    must be finite and ``seed`` an ``int``; each check names its field.
     """
 
-    irreducible_loss: float = 2.0
-    model_coeff: float = 120.0
-    model_exponent: float = 0.3
-    data_coeff: float = 400.0
-    data_exponent: float = 0.3
-    ratio_exponent: float = -0.4
-    repeat_decay: float = 15.4
-    second_stage_weight: float = 0.5
-    noise_sigma: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.irreducible_loss, self.model_coeff, self.data_coeff) <= 0:
-            raise ValidationError("loss coefficients must be positive")
-        if min(self.model_exponent, self.data_exponent) <= 0:
-            raise ValidationError("scale exponents must be positive")
-        if self.ratio_exponent >= 0:
-            raise ValidationError("ratio_exponent must be negative")
-        if self.repeat_decay <= 0:
-            raise ValidationError("repeat_decay must be positive")
-        if not 0 <= self.second_stage_weight <= 1:
-            raise ValidationError("second_stage_weight must be in [0, 1]")
-        if not 0 <= self.noise_sigma <= NOISE_SIGMA_MAX:
+    def __new__(cls, irreducible_loss: float = 2.0, model_coeff: float = 120.0,
+                model_exponent: float = 0.3, data_coeff: float = 400.0,
+                data_exponent: float = 0.3, ratio_exponent: float = -0.4,
+                repeat_decay: float = 15.4, second_stage_weight: float = 0.5,
+                noise_sigma: float = 0.0, seed: int = 0) -> SurrogateParams:
+        params = tuple.__new__(cls, (
+            irreducible_loss, model_coeff, model_exponent, data_coeff, data_exponent,
+            ratio_exponent, repeat_decay, second_stage_weight, noise_sigma, seed,
+        ))
+        for name in _POSITIVE:
+            value = getattr(params, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+        if not -math.inf < ratio_exponent < 0:
             raise ValidationError(
-                f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {self.noise_sigma!r}"
+                f"ratio_exponent must be negative and finite, got {ratio_exponent!r}"
             )
+        if not 0 <= second_stage_weight <= 1:
+            raise ValidationError(
+                f"second_stage_weight must be in [0, 1], got {second_stage_weight!r}"
+            )
+        if not 0 <= noise_sigma <= NOISE_SIGMA_MAX:
+            raise ValidationError(
+                f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {noise_sigma!r}"
+            )
+        if type(seed) is not int:
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
+        return params
+
+    @classmethod
+    def _make(cls, iterable) -> SurrogateParams:
+        return cls(*iterable)  # so ``_replace`` re-runs the checks
 
 
 def effective_tokens(
@@ -166,7 +191,7 @@ def generate_dataset(
 
 def params_from_dict(obj: dict) -> SurrogateParams:
     """Build params from a JSON dict of known keys: ``seed`` an integer, the rest finite numbers."""
-    unknown = set(obj) - set(SurrogateParams.__dataclass_fields__)
+    unknown = set(obj) - set(SurrogateParams._fields)
     if unknown:
         raise ValidationError(f"unknown parameter(s): {sorted(unknown)}")
     return SurrogateParams(

@@ -9,7 +9,6 @@ documented so plans are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,8 +54,14 @@ def model_scale(n_layers: int, d_model: int, seq_len: int) -> int:
     return 72 * n_layers * d_model * d_model + 12 * n_layers * d_model * seq_len
 
 
-@dataclass(frozen=True, slots=True)
-class ModelShape:
+class _ShapeFields(NamedTuple):
+    n_layers: int
+    n_heads: int
+    d_model: int
+    seq_len: int
+
+
+class ModelShape(_ShapeFields):
     """Transformer shape.
 
     Construction only checks positivity and head divisibility. The
@@ -65,18 +70,19 @@ class ModelShape:
     batch-sizing rule's error branches.
     """
 
-    n_layers: int
-    n_heads: int
-    d_model: int
-    seq_len: int = SEQ_LEN
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.n_layers, self.n_heads, self.d_model, self.seq_len) <= 0:
+    def __new__(cls, n_layers: int, n_heads: int, d_model: int,
+                seq_len: int = SEQ_LEN) -> ModelShape:
+        if min(n_layers, n_heads, d_model, seq_len) <= 0:
             raise ValidationError("shape dimensions must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ValidationError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
+        if d_model % n_heads != 0:
+            raise ValidationError(f"d_model {d_model} not divisible by n_heads {n_heads}")
+        return tuple.__new__(cls, (n_layers, n_heads, d_model, seq_len))
+
+    @classmethod
+    def _make(cls, iterable) -> ModelShape:
+        return cls(*iterable)  # so ``_replace`` re-runs the checks
 
     @property
     def flops_per_token(self) -> int:
@@ -179,8 +185,7 @@ def batch_config(compute: float, shape: ModelShape, devices: int = DEFAULT_DEVIC
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StageTokenBudget:
+class StageTokenBudget(NamedTuple):
     """Token budget for one stage; target + high == total by construction."""
 
     total_tokens: float
@@ -256,8 +261,7 @@ def stage_budgets(setup: DerivedSetup, r1: Fraction | None = None, r2: Fraction 
     return budgets
 
 
-@dataclass(frozen=True, slots=True)
-class TrainingPlan:
+class TrainingPlan(NamedTuple):
     """Everything needed to launch one training setup.
 
     ``stages`` are the per-stage token budgets, numbered from 1 by their

@@ -71,6 +71,16 @@ def test_invalid_factors_rejected(factors):
         budget.FactorTuple(*factors)
 
 
+@pytest.mark.parametrize("name", ["f_r", "f_M", "f_k", "f_C"])
+@pytest.mark.parametrize("value", [True, 0.0, -1.0, "0"])
+def test_non_int_factors_rejected(name, value):
+    # 1.0 and True hash like 1, so accepting them would let the id cache mix them up
+    factors = {"f_r": 1, "f_M": 0, "f_k": 0, "f_C": 0}
+    factors[name] = value
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+        budget.FactorTuple(**factors)
+
+
 def _grid():
     for f_r in range(0, 4):
         for f_M in range(-1, 6):

@@ -486,6 +486,40 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     assert (tmp_path / "ratio.json").exists()
 
 
+def test_dataclasses_stay_off_the_import_path(workspace, tmp_path):
+    # the record types are named tuples, so no process pays for `dataclasses` and the
+    # modules it loads; checked after the import and after each of the eight commands
+    # that do not use numpy (`inspect` is not checked: a `.pth` file may load it)
+    commands = [
+        "enumerate --out setups.jsonl",
+        "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
+        "--schedule-csv schedule.csv",
+        "simulate --setups setups.jsonl --out results.csv --seed 11",
+        "analyze --results results.csv --setups setups.jsonl --out report.json "
+        "--tables-dir tables/",
+        f"fit kstar --epoch-fits {workspace['epochs']} --out kstar.json",
+        "fit ratio --results results.csv --setups setups.jsonl --out ratio.json",
+        f"predict kstar --model {workspace['kstar']} --C 1e18 --DT 2.13e9",
+        f"report --analysis report.json --out-dir report-tables/ --epoch-fits "
+        f"{workspace['epochs']} --kstar-model {workspace['kstar']} --ratio-fit "
+        f"{workspace['ratio']} --results results.csv --setups setups.jsonl --summary",
+    ]
+    script = (
+        "import sys, mixsweep.cli\n"
+        "assert 'dataclasses' not in sys.modules, 'import'\n"
+        f"for args in {commands!r}:\n"
+        "    assert mixsweep.cli.run(args.split()) == 0, args\n"
+        "    assert 'dataclasses' not in sys.modules, args\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
+
+
 def _other_interpreters():
     """``python3.10`` ... ``python3.14`` on PATH that start, keyed by a version not this one's."""
     found = {}

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -250,7 +249,7 @@ def test_jsonl_round_trip_keeps_specs_ids_and_shared_factors(specs):
         assert all(a.factors is b.factors for b in read if b.factors == a.factors)
     spec = read[-1]
     f = spec.factors
-    moved = dataclasses.replace(spec, factors=FactorTuple(f.f_r, f.f_M, f.f_k + 1, f.f_C))
+    moved = spec._replace(factors=FactorTuple(f.f_r, f.f_M, f.f_k + 1, f.f_C))
     assert moved.id == _written_out_id(moved) != spec.id
     assert "id=" not in repr(moved)
 

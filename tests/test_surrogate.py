@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -80,6 +79,21 @@ def test_params_validation():
             surrogate.SurrogateParams(noise_sigma=sigma)
 
 
+_FLOAT_KNOBS = ("irreducible_loss", "model_coeff", "data_coeff", "model_exponent",
+                "data_exponent", "ratio_exponent", "repeat_decay")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in _FLOAT_KNOBS for value in (math.nan, math.inf, -math.inf)]
+    + [("seed", 1.5), ("seed", True), ("seed", "1")],
+)
+def test_params_reject_non_finite_knobs_and_non_int_seeds(name, value):
+    # nan <= 0 is False, so an ordering check alone lets nan through
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        surrogate.SurrogateParams(**{name: value})
+
+
 def test_noise_at_its_bound_keeps_every_loss_finite_and_positive(all_setups):
     params = surrogate.SurrogateParams(noise_sigma=surrogate.NOISE_SIGMA_MAX, seed=3)
     records = surrogate.generate_dataset(all_setups, params)
@@ -88,7 +102,7 @@ def test_noise_at_its_bound_keeps_every_loss_finite_and_positive(all_setups):
 
 def test_params_dict_round_trip():
     params = surrogate.SurrogateParams(noise_sigma=0.02, seed=9)
-    assert surrogate.params_from_dict(dataclasses.asdict(params)) == params
+    assert surrogate.params_from_dict(params._asdict()) == params
 
 
 def test_generate_dataset_deterministic(all_setups):
