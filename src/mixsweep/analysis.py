@@ -20,11 +20,9 @@ from .budget import reference_constants
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 from .space import (
     APPROACH_MONO_1STAGE,
-    APPROACH_MULTI_1STAGE,
     APPROACH_MULTI_2STAGE,
-    APPROACHES,
+    CATEGORIES_BY_APPROACH,
     SetupSpec,
-    in_category,
 )
 
 RESULTS_HEADER = ("setup_id", "language_pair", "val_loss")
@@ -212,27 +210,20 @@ def category_minima(results: ResultSet, pair: str | None = None) -> list[dict]:
 
     A group is a ``_cell`` plus ``minima``, which maps each category to its
     ``loss`` and ``setup_id``. A category with no measured member is absent
-    (not zero). The nesting inequality multi-2stage <= multi-1stage <=
-    mono-1stage is structural; a violation would signal a membership bug,
-    so it is re-checked here.
+    (not zero). A setup competes in the categories ``CATEGORIES_BY_APPROACH``
+    gives its approach, so multi-2stage <= multi-1stage <= mono-1stage holds
+    by construction.
     """
     best = _argmin(
         results,
         pair,
-        lambda s: [(s.factors.f_C, s.factors.f_D, c) for c in APPROACHES if in_category(s, c)],
+        lambda s: [(s.factors.f_C, s.factors.f_D, c) for c in CATEGORIES_BY_APPROACH[s.approach]],
     )
     groups: dict[tuple[int, int], dict] = {}
     for (f_C, f_D, category), (loss, spec) in best.items():
         if (f_C, f_D) not in groups:
             groups[f_C, f_D] = {**_cell(f_C, f_D), "minima": {}}
         groups[f_C, f_D]["minima"][category] = {"loss": loss, "setup_id": spec.id}
-    chain = (APPROACH_MULTI_2STAGE, APPROACH_MULTI_1STAGE, APPROACH_MONO_1STAGE)
-    for (f_C, f_D), group in groups.items():
-        present = [group["minima"][c]["loss"] for c in chain if c in group["minima"]]
-        if any(a > b for a, b in zip(present, present[1:])):
-            raise AssertionError(
-                f"category nesting violated at (f_C={f_C}, f_D={f_D}); membership bug"
-            )
     return list(groups.values())
 
 
@@ -243,8 +234,12 @@ def epoch_minima(
 
     Only setups in the nested ``approach`` category take part.
     """
+    if approach not in CATEGORIES_BY_APPROACH:
+        raise ValueError(f"unknown category {approach!r}")
+
     def keys(s: SetupSpec) -> list:
-        return [(s.factors.f_C, s.factors.f_D, s.factors.f_k)] if in_category(s, approach) else []
+        in_approach = approach in CATEGORIES_BY_APPROACH[s.approach]
+        return [(s.factors.f_C, s.factors.f_D, s.factors.f_k)] if in_approach else []
 
     best = _argmin(results, pair, keys)
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}

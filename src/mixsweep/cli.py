@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = fit_sub.add_parser("epochs", help="quadratic epoch-optimum fits per budget cell")
     pf.add_argument("--results", required=True)
     pf.add_argument("--setups", required=True)
-    pf.add_argument("--approach", choices=(space.APPROACH_MONO_1STAGE, space.APPROACH_MULTI_2STAGE),
+    pf.add_argument("--approach", choices=tuple(fitting.H_MAX_BY_APPROACH),
                     default=space.APPROACH_MONO_1STAGE)
     pf.add_argument("--pair")
     pf.add_argument("--out", required=True)

@@ -24,6 +24,11 @@ APPROACH_MULTI_1STAGE = "multi-1stage"
 APPROACH_MULTI_2STAGE = "multi-2stage"
 APPROACHES = (APPROACH_MONO_1STAGE, APPROACH_MULTI_1STAGE, APPROACH_MULTI_2STAGE)
 
+#: The nested categories a setup of each approach competes in: its own and every wider
+#: one (mono-1stage < multi-1stage < multi-2stage), since a single-stage setup is a
+#: degenerate two-stage one.
+CATEGORIES_BY_APPROACH = {a: APPROACHES[i:] for i, a in enumerate(APPROACHES)}
+
 #: First-stage ratio grid for two-stage setups (0 means a high-resource-only stage).
 FIRST_STAGE_RATIOS = (
     Fraction(0),
@@ -136,17 +141,6 @@ class SetupSpec(_SetupFields):
 
     def derived(self) -> DerivedSetup:
         return derive_single_stage(self.factors)
-
-
-def in_category(spec: SetupSpec, category: str) -> bool:
-    """Nested category membership: mono < multi-1stage < multi-2stage."""
-    if category == APPROACH_MULTI_2STAGE:
-        return True
-    if category == APPROACH_MULTI_1STAGE:
-        return not spec.is_two_stage
-    if category == APPROACH_MONO_1STAGE:
-        return spec.approach == APPROACH_MONO_1STAGE
-    raise ValueError(f"unknown category {category!r}")
 
 
 def enumerate_single_stage(ranges: dict[int, RangeRow] | None = None) -> list[SetupSpec]:

@@ -136,6 +136,17 @@ def test_two_stage_ordering_check_matches_fraction_comparison(case):
         assert str(excinfo.value) == f"need r1 < r < r2 strictly, got r1={r1}, r={ratio}, r2={r2}"
 
 
+def _in_category(spec, category):
+    """Nested category membership by a branch chain: the oracle for the category table."""
+    if category == "multi-2stage":
+        return True
+    if category == "multi-1stage":
+        return not spec.is_two_stage
+    if category == "mono-1stage":
+        return spec.approach == "mono-1stage"
+    raise ValueError(f"unknown category {category!r}")
+
+
 def test_approach_tags():
     mono = space.SetupSpec(FactorTuple(0, 0, 0, 0))
     multi = space.SetupSpec(FactorTuple(1, 0, 0, 0))
@@ -143,12 +154,17 @@ def test_approach_tags():
     assert mono.approach == "mono-1stage"
     assert multi.approach == "multi-1stage"
     assert two.approach == "multi-2stage"
-    # nested membership
-    assert space.in_category(mono, "multi-1stage")
-    assert space.in_category(mono, "multi-2stage")
-    assert space.in_category(multi, "multi-2stage")
-    assert not space.in_category(multi, "mono-1stage")
-    assert not space.in_category(two, "multi-1stage")
+    # nested membership, for all 3 x 3 (approach, category) pairs
+    assert _in_category(mono, "multi-1stage")
+    assert _in_category(mono, "multi-2stage")
+    assert _in_category(multi, "multi-2stage")
+    assert not _in_category(multi, "mono-1stage")
+    assert not _in_category(two, "multi-1stage")
+    assert list(space.CATEGORIES_BY_APPROACH) == list(space.APPROACHES)
+    for spec in (mono, multi, two):
+        for category in space.APPROACHES:
+            in_table = category in space.CATEGORIES_BY_APPROACH[spec.approach]
+            assert in_table == _in_category(spec, category), (spec.approach, category)
 
 
 def test_same_budget_cell_for_compensating_factors():
