@@ -23,9 +23,12 @@ from .space import (
     APPROACH_MULTI_2STAGE,
     CATEGORIES_BY_APPROACH,
     SetupSpec,
+    number_parser,
 )
 
 RESULTS_HEADER = ("setup_id", "language_pair", "val_loss")
+
+_parse_float = number_parser(float)
 
 
 class _LossFields(NamedTuple):
@@ -72,7 +75,7 @@ def read_results_csv(fp: IO[str]) -> Iterator[LossRecord]:
                 raise FileFormatError(f"expected 3 fields, got {len(row)}")
             setup_id, pair, raw_loss = (field.strip() for field in row)
             try:
-                loss = float(raw_loss)
+                loss = _parse_float(raw_loss)
             except ValueError:
                 raise FileFormatError(f"val_loss {raw_loss!r} is not a number") from None
             yield LossRecord(setup_id=setup_id, language_pair=pair, val_loss=loss)
@@ -182,9 +185,11 @@ def _argmin(
     setup. The result is sorted by key.
     """
     best: dict = {}
+    setups = results.setups
     for setup_id, loss in results.for_pair(pair).items():
-        spec = results.setups[setup_id]
-        rank = (loss, spec.factors.f_k, spec.factors.f_M, setup_id)
+        spec = setups[setup_id]
+        _, f_M, f_k, _ = spec.factors
+        rank = (loss, f_k, f_M, setup_id)
         for key in keys(spec):
             incumbent = best.get(key)
             if incumbent is None or rank < incumbent[0]:
@@ -214,11 +219,12 @@ def category_minima(results: ResultSet, pair: str | None = None) -> list[dict]:
     gives its approach, so multi-2stage <= multi-1stage <= mono-1stage holds
     by construction.
     """
-    best = _argmin(
-        results,
-        pair,
-        lambda s: [(s.factors.f_C, s.factors.f_D, c) for c in CATEGORIES_BY_APPROACH[s.approach]],
-    )
+    def keys(s: SetupSpec) -> list:
+        factors = s.factors
+        f_C, f_D = factors.f_C, factors.f_D
+        return [(f_C, f_D, c) for c in CATEGORIES_BY_APPROACH[s.approach]]
+
+    best = _argmin(results, pair, keys)
     groups: dict[tuple[int, int], dict] = {}
     for (f_C, f_D, category), (loss, spec) in best.items():
         if (f_C, f_D) not in groups:
@@ -238,8 +244,9 @@ def epoch_minima(
         raise ValueError(f"unknown category {approach!r}")
 
     def keys(s: SetupSpec) -> list:
+        factors = s.factors
         in_approach = approach in CATEGORIES_BY_APPROACH[s.approach]
-        return [(s.factors.f_C, s.factors.f_D, s.factors.f_k)] if in_approach else []
+        return [(factors.f_C, factors.f_D, factors.f_k)] if in_approach else []
 
     best = _argmin(results, pair, keys)
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}

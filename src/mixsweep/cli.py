@@ -36,6 +36,9 @@ ENV_CONFIG = "MIXSWEEP_CONFIG"
 #: The JSON type ``space.json_field`` reads each config setting as.
 _CONFIG_KEYS = {"devices": int, "seed": int, "epsilon": float}
 
+#: The numeric flags' types: ``int`` and ``float`` of ASCII text without ``_``.
+_INT, _FLOAT = space.number_parser(int), space.number_parser(float)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="emit the setup grid as JSON Lines")
     p.add_argument("--out", required=True)
     p.add_argument("--stages", choices=("both", "single", "two"), default="both")
-    p.add_argument("--fc", type=int, nargs="+", help="restrict to these compute factors")
+    p.add_argument("--fc", type=_INT, nargs="+", help="restrict to these compute factors")
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -497,10 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("setup_id")
     p.add_argument("--setups", required=True, help="setups JSONL from enumerate")
     p.add_argument("--out", required=True)
-    p.add_argument("--devices", type=int)
-    p.add_argument("--base-seed", type=int, dest="base_seed")
+    p.add_argument("--devices", type=_INT)
+    p.add_argument("--base-seed", type=_INT, dest="base_seed")
     p.add_argument("--schedule-csv", dest="schedule_csv")
-    p.add_argument("--high-available", type=float, dest="high_available")
+    p.add_argument("--high-available", type=_FLOAT, dest="high_available")
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=_cmd_plan)
 
@@ -508,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setups", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--params", help="JSON file of surrogate-landscape settings")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_INT)
     p.add_argument("--pair", default="surrogate")
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=_cmd_simulate)
@@ -518,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setups", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pair")
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=_FLOAT)
     p.add_argument("--tables-dir", dest="tables_dir")
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=_cmd_analyze)
@@ -538,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = fit_sub.add_parser("kstar", help="epoch-extrapolation model from epoch fits")
     pf.add_argument("--epoch-fits", required=True, dest="epoch_fits")
-    pf.add_argument("--h-max", type=float, dest="h_max")
+    pf.add_argument("--h-max", type=_FLOAT, dest="h_max")
     pf.add_argument("--out", required=True)
     pf.add_argument("--force", action="store_true")
     pf.set_defaults(handler=_cmd_fit_kstar)
@@ -555,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict_sub = p.add_subparsers(dest="what", required=True)
     pp = predict_sub.add_parser("kstar", help="optimal epoch count at (C, D_T)")
     pp.add_argument("--model", required=True, dest="model_file")
-    pp.add_argument("--C", type=float, required=True, dest="compute")
-    pp.add_argument("--DT", type=float, required=True, dest="target_tokens")
+    pp.add_argument("--C", type=_FLOAT, required=True, dest="compute")
+    pp.add_argument("--DT", type=_FLOAT, required=True, dest="target_tokens")
     pp.add_argument("--round-pow2", action="store_true", dest="round_pow2")
     pp.set_defaults(handler=_cmd_predict)
 

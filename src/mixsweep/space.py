@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .budget import DerivedSetup, FactorTuple, derive_single_stage, ratio_for, stage_split
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
@@ -262,6 +262,22 @@ def json_field(obj: dict, key: str, kind: type):
     expected = {int: "an integer", float: "a finite number", bool: "true or false",
                 str: "a string", list: "a list", dict: "an object"}
     raise ValueError(f"{key} must be {expected[kind]}, got {value!r}")
+
+
+def number_parser(kind: type) -> Callable[[str], int | float]:
+    """``kind`` (``int`` or ``float``) of a text, read only from ASCII without ``_``.
+
+    Both builtins also read ``1_6`` as 16 and non-ASCII digits (``"２.５"`` as 2.5);
+    the parser raises ValueError for those. It bears ``kind``'s name, which argparse
+    puts in its ``invalid <type> value`` message.
+    """
+    def parse(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 @functools.lru_cache(maxsize=4096)

@@ -265,6 +265,75 @@ def test_malformed_results_is_data_error(workspace, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("loss", ["3_713502782055917", "\uff12.\uff15"],
+                         ids=["underscore", "full-width-digits"])
+def test_val_loss_is_only_ascii_digits(workspace, tmp_path, capsys, loss):
+    # float() reads "3_713502782055917" as 3.7e15 and the full-width "２.５" as 2.5
+    results = tmp_path / "results.csv"
+    with open(workspace["results"], encoding="utf-8") as fh:
+        text = fh.read()
+    results.write_text(f"{text}fC0_fD0_fr0_fM0_fk0,surrogate,{loss}\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = run(["analyze", "--results", str(results), "--setups", workspace["setups"],
+                "--out", str(out)])
+    line = text.count("\n") + 1
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {results}: line {line}: val_loss {loss!r} is not a number\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["plan", "fC0_fD0_fr0_fM0_fk0", "--devices", "1_6"],
+      "argument --devices: invalid int value: '1_6'"),
+     (["analyze", "--results", "{results}", "--epsilon", "0_01"],
+      "argument --epsilon: invalid float value: '0_01'")],
+    ids=["devices", "epsilon"],
+)
+def test_numeric_flags_are_only_ascii_digits(workspace, tmp_path, capsys, argv, message):
+    # int() and float() read "1_6" as 16 and "0_01" as 1.0
+    out = tmp_path / "out.json"
+    argv = [arg.format(**workspace) for arg in argv]
+    code = run([*argv, "--setups", workspace["setups"], "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [(["enumerate"], "--out"),
+     (["plan"], "setup_id, --setups, --out"),
+     (["simulate"], "--setups, --out"),
+     (["analyze"], "--results, --setups, --out"),
+     (["fit", "epochs"], "--results, --setups, --out"),
+     (["fit", "kstar"], "--epoch-fits, --out"),
+     (["fit", "ratio"], "--results, --setups, --out"),
+     (["predict", "kstar"], "--model, --C, --DT"),
+     (["report"], "--analysis, --out-dir")],
+    ids=["enumerate", "plan", "simulate", "analyze", "fit-epochs", "fit-kstar", "fit-ratio",
+         "predict-kstar", "report"],
+)
+def test_missing_required_flags_are_named(capsys, argv, missing):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: the following arguments are required: {missing}\n"
+
+
+def test_fit_epochs_approach_choices(capsys):
+    argv = ["fit", "epochs", "--results", "r.csv", "--setups", "s.jsonl", "--out", "e.json",
+            "--approach", "multi-1stage"]
+    assert run(argv) == 1
+    # argparse stopped quoting the choices in Python 3.12.8 and 3.13.1
+    choices = ("'mono-1stage', 'multi-2stage'", "mono-1stage, multi-2stage")
+    assert capsys.readouterr().err in {
+        f"usage error: argument --approach: invalid choice: 'multi-1stage' (choose from {c})\n"
+        for c in choices
+    }
+
+
 def test_single_budget_kstar_is_fit_error(workspace, tmp_path):
     doc = json.load(open(workspace["epochs"]))
     doc["parameters"]["fits"] = [f for f in doc["parameters"]["fits"] if f["f_C"] == -4]
@@ -443,7 +512,9 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
 def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     # only the epoch fit needs numpy, and no command needs scipy: the Quickstart's
     # other eight commands, the k* and ratio fits included, run in one process that
-    # loads neither, then `fit epochs` loads numpy but still not scipy
+    # loads neither, then `fit epochs` loads numpy but still not scipy. The record
+    # types are named tuples, so those eight load no `dataclasses` either (`inspect`
+    # is not checked: a `.pth` file may load it)
     commands = [
         "enumerate --out setups.jsonl",
         "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
@@ -465,7 +536,7 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     script = (
         "import sys, mixsweep, mixsweep.cli\n"
         "def check(step):\n"
-        "    for name in ('scipy', 'numpy'):\n"
+        "    for name in ('scipy', 'numpy', 'dataclasses'):\n"
         "        assert name not in sys.modules, (name, step)\n"
         "check('import')\n"
         f"for args in {commands!r}:\n"
@@ -484,40 +555,6 @@ def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
     assert (tmp_path / "kstar.json").exists()
     assert (tmp_path / "ratio.json").exists()
-
-
-def test_dataclasses_stay_off_the_import_path(workspace, tmp_path):
-    # the record types are named tuples, so no process pays for `dataclasses` and the
-    # modules it loads; checked after the import and after each of the eight commands
-    # that do not use numpy (`inspect` is not checked: a `.pth` file may load it)
-    commands = [
-        "enumerate --out setups.jsonl",
-        "plan fC0_fD0_fr0_fM0_fk0 --setups setups.jsonl --out plan.json "
-        "--schedule-csv schedule.csv",
-        "simulate --setups setups.jsonl --out results.csv --seed 11",
-        "analyze --results results.csv --setups setups.jsonl --out report.json "
-        "--tables-dir tables/",
-        f"fit kstar --epoch-fits {workspace['epochs']} --out kstar.json",
-        "fit ratio --results results.csv --setups setups.jsonl --out ratio.json",
-        f"predict kstar --model {workspace['kstar']} --C 1e18 --DT 2.13e9",
-        f"report --analysis report.json --out-dir report-tables/ --epoch-fits "
-        f"{workspace['epochs']} --kstar-model {workspace['kstar']} --ratio-fit "
-        f"{workspace['ratio']} --results results.csv --setups setups.jsonl --summary",
-    ]
-    script = (
-        "import sys, mixsweep.cli\n"
-        "assert 'dataclasses' not in sys.modules, 'import'\n"
-        f"for args in {commands!r}:\n"
-        "    assert mixsweep.cli.run(args.split()) == 0, args\n"
-        "    assert 'dataclasses' not in sys.modules, args\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "report-tables" / "kstar_extrapolation.csv").exists()
 
 
 def _other_interpreters():
