@@ -265,25 +265,6 @@ def test_malformed_results_is_data_error(workspace, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("loss", ["3_713502782055917", "\uff12.\uff15"],
-                         ids=["underscore", "full-width-digits"])
-def test_val_loss_is_only_ascii_digits(workspace, tmp_path, capsys, loss):
-    # float() reads "3_713502782055917" as 3.7e15 and the full-width "２.５" as 2.5
-    results = tmp_path / "results.csv"
-    with open(workspace["results"], encoding="utf-8") as fh:
-        text = fh.read()
-    results.write_text(f"{text}fC0_fD0_fr0_fM0_fk0,surrogate,{loss}\n", encoding="utf-8")
-    out = tmp_path / "report.json"
-    code = run(["analyze", "--results", str(results), "--setups", workspace["setups"],
-                "--out", str(out)])
-    line = text.count("\n") + 1
-    assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: {results}: line {line}: val_loss {loss!r} is not a number\n"
-    )
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [(["plan", "fC0_fD0_fr0_fM0_fk0", "--devices", "1_6"],
@@ -1914,6 +1895,10 @@ def _bad_input_file(case, tmp_path, workspace):
         "results-not-utf8": ("r.csv", b"\xff" + results),
         "results-field-limit": ("r.csv", "setup_id,language_pair,val_loss\n" + "x" * 131073
                                 + ",surrogate,3.0\n"),
+        # float() reads these as 37135.0 and 2.5
+        "results-underscore": ("r.csv", results + b"fC0_fD0_fr0_fM0_fk0,surrogate,3_7135\n"),
+        "results-full-width": ("r.csv", results + "fC0_fD0_fr0_fM0_fk0,surrogate,\uff12.\uff15\n"
+                               .encode()),
         "report-no-groups": ("a.json", '{"ingest": 5}'),
         "report-scale-minima-object": ("a.json", '{"groups": [], "scale_minima": {}}'),
     }[case]
@@ -1940,6 +1925,8 @@ def _bad_input_file(case, tmp_path, workspace):
         ("results-not-utf8",
          "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         ("results-field-limit", "line 2: field larger than field limit (131072)"),
+        ("results-underscore", "line 5252: val_loss '3_7135' is not a number"),
+        ("results-full-width", "line 5252: val_loss '\uff12.\uff15' is not a number"),
         ("report-no-groups", "missing field 'groups'"),
         ("report-scale-minima-object", "scale_minima must be a list, got {}"),
     ],
