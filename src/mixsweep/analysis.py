@@ -244,9 +244,10 @@ def epoch_minima(
         raise ValueError(f"unknown category {approach!r}")
 
     def keys(s: SetupSpec) -> list:
+        if approach not in CATEGORIES_BY_APPROACH[s.approach]:
+            return []
         factors = s.factors
-        in_approach = approach in CATEGORIES_BY_APPROACH[s.approach]
-        return [(factors.f_C, factors.f_D, factors.f_k)] if in_approach else []
+        return [(factors.f_C, factors.f_D, factors.f_k)]
 
     best = _argmin(results, pair, keys)
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}
