@@ -307,7 +307,7 @@ def test_fit_epochs_approach_choices(capsys):
     argv = ["fit", "epochs", "--results", "r.csv", "--setups", "s.jsonl", "--out", "e.json",
             "--approach", "multi-1stage"]
     assert run(argv) == 1
-    # argparse stopped quoting the choices in Python 3.12.8 and 3.13.1
+    # newer argparse lists the choices unquoted: 3.13.13 does, 3.13.0 does not
     choices = ("'mono-1stage', 'multi-2stage'", "mono-1stage, multi-2stage")
     assert capsys.readouterr().err in {
         f"usage error: argument --approach: invalid choice: 'multi-1stage' (choose from {c})\n"
