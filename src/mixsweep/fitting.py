@@ -7,14 +7,15 @@
    shifted by ``a * f_C``, with the compute factor f_C = log2(compute /
    reference). Fitted by an outer 1-D search over the shift exponent (a
    downhill walk on a coarse grid from the exponent of a closed-form
-   inverse fit, then golden section) with an inner monotone-constrained
-   least-squares fit of the knot positions, initialized from isotonic
-   regression of the pooled shifted data. The inner fit runs this module's
-   L-BFGS (``_lbfgs``, L-BFGS-B's unbounded defaults) on the exact gradient
-   of the squared error, so it needs no finite-difference probes, and the
-   seed's bounded least squares is a Lawson-Hanson NNLS (``_nnls``). This
-   model works on float lists in plain Python: its vectors have about ten
-   entries, where numpy's per-call cost outweighs the arithmetic.
+   inverse fit, then Brent's method from the walk's grid minimum, ``_brent``)
+   with an inner monotone-constrained least-squares fit of the knot
+   positions, initialized from isotonic regression of the pooled shifted
+   data. The inner fit runs this module's L-BFGS (``_lbfgs``, L-BFGS-B's
+   unbounded defaults) on the exact gradient of the squared error, so it
+   needs no finite-difference probes, and the seed's bounded least squares
+   is a Lawson-Hanson NNLS (``_nnls``). This model works on float lists in
+   plain Python: its vectors have about ten entries, where numpy's per-call
+   cost outweighs the arithmetic.
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in plain Python by within-group centering in log space.
 
@@ -650,6 +651,74 @@ def _inverse_seed(
         return math.nan
 
 
+#: Brent's refinement of the shift exponent: its absolute tolerance and trial cap.
+_BRENT_XATOL = 1e-3
+_BRENT_MAXITER = 100
+
+
+def _brent(fun, left: float, x: float, fx: float, right: float) -> float:
+    """Brent's bounded minimization of ``fun`` on [left, right], from x with fun(x) = fx.
+
+    Brent (1973, *Algorithms for Minimization without Derivatives*, ch. 5), as
+    ``fminbound`` runs it: a step to the vertex of the parabola through the
+    three best points when that vertex lies inside the interval and the step is
+    under half the step before last, else a golden-section step into the larger
+    side of the best point. Unlike ``fminbound`` it starts from a point whose
+    value is known, and a trial replaces the best point only when its value is
+    strictly lower, so x comes back unless a trial beats it. Stops when the
+    interval is within about ``_BRENT_XATOL`` of the best point, or after
+    ``_BRENT_MAXITER`` trials. Returns the best point.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)  # fminbound's
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = left, right
+    w = v = x  # the second-best point and the one before it
+    fw = fv = fx
+    d = e = 0.0  # the last step and the one before it
+    for _ in range(_BRENT_MAXITER):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if x + d - a < tol2 or b - (x + d) < tol2:  # too near an end: step tol1 inward
+                d = -tol1 if xm < x else tol1
+        else:
+            e = (a if x >= xm else b) - x
+            d = golden * e
+        u = x - max(-d, tol1) if d < 0.0 else x + max(d, tol1)
+        fu = fun(u)
+        if fu < fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
+
+
 def fit_kstar_model(
     cells: Sequence[tuple[float, float, float]],
     approach: str = APPROACH_MONO_1STAGE,
@@ -668,10 +737,12 @@ def fit_kstar_model(
     starting at the grid point nearest ``_inverse_seed`` (the middle of the grid
     when the seed is not finite). The walk solves that point and its neighbours
     and moves to the lowest until neither neighbour is lower, ordering solves
-    by (sse, exponent); a golden section then refines the local minimum's
-    bracket. No exponent is solved twice, and the model is the best solve of
-    the grid minimum and the golden section's last two points. Its diagnostics
-    carry the solves' L-BFGS counts (``_SOLVE_COUNTS``), summed.
+    by (sse, exponent). Brent's method (``_brent``) then refines the exponent on
+    the local minimum's bracket, starting from that grid point's solve, to
+    ``_BRENT_XATOL``. No exponent is solved twice, and the model is the best
+    solve made, ranked by (sse, exponent): the grid minimum itself unless a
+    trial has a strictly lower squared error. Its diagnostics carry the solves'
+    L-BFGS counts (``_SOLVE_COUNTS``), summed.
     """
     if h_max is None:
         h_max = H_MAX_BY_APPROACH.get(approach, 4.0)
@@ -710,21 +781,10 @@ def fit_kstar_model(
         if lowest == best_idx:
             break
         best_idx = lowest
-    # golden-section refinement on the bracketing interval
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    left, right = grid[max(best_idx - 1, 0)], grid[min(best_idx + 1, len(grid) - 1)]
-    c, d = right - invphi * (right - left), left + invphi * (right - left)
-    for _ in range(40):
-        if right - left < 1e-4:
-            break
-        if solve(c).f < solve(d).f:
-            right, d = d, c
-            c = right - invphi * (right - left)
-        else:
-            left, c = c, d
-            d = left + invphi * (right - left)
-    # the best of the three candidates, ties to the lower exponent
-    exponent = min((grid[best_idx], c, d), key=lambda a: (solve(a).f, a))
+    start = grid[best_idx]
+    _brent(lambda a: solve(a).f, grid[max(best_idx - 1, 0)], start, solve(start).f,
+           grid[min(best_idx + 1, len(grid) - 1)])
+    exponent = min(solves, key=lambda a: (solves[a].f, a))  # the best solve made
     sse, positions = solves[exponent].f, solves[exponent].x
     if not math.isfinite(sse):
         raise FitError(f"the squared error of the best fit is not finite ({sse})")

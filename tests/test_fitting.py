@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixsweep import analysis, cli, fitting, surrogate
@@ -238,29 +238,22 @@ def test_kstar_fit_solves_each_shift_exponent_once(monkeypatch):
 
 def _full_grid_search(curves, approach):
     """The shift-exponent search without a seed: every point of the 0.05 grid solved,
-    then the golden section on the grid minimum's bracket. Returns (sse, exponent)."""
+    then ``fitting._brent`` from the grid minimum on its bracket. Returns the best solve
+    made as (sse, exponent)."""
     f_C, f_D, y = (np.asarray([c[i] for c in curves], dtype=float) for i in range(3))
     levels = np.arange(0.0, fitting.H_MAX_BY_APPROACH[approach] + 0.25, 0.5)
+    solves = {}
 
-    def solve(exponent):
-        return fitting._fit_positions(f_D - exponent * f_C, y, levels).f, exponent
+    def sse(exponent):
+        if exponent not in solves:
+            solves[exponent] = fitting._fit_positions(f_D - exponent * f_C, y, levels).f
+        return solves[exponent]
 
-    grid = np.arange(0.05, 1.5 + 1e-9, 0.05)
-    grid_solves = [solve(float(a)) for a in grid]
-    best = min(range(len(grid)), key=lambda i: grid_solves[i])
-    left, right = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = solve(right - invphi * (right - left)), solve(left + invphi * (right - left))
-    for _ in range(40):
-        if right - left < 1e-4:
-            break
-        if c[0] < d[0]:
-            right, d = d[1], c
-            c = solve(right - invphi * (right - left))
-        else:
-            left, c = c[1], d
-            d = solve(left + invphi * (right - left))
-    return min(grid_solves[best], c, d)
+    grid = [float(a) for a in np.arange(0.05, 1.5 + 1e-9, 0.05)]
+    best = min(range(len(grid)), key=lambda i: (sse(grid[i]), grid[i]))
+    fitting._brent(sse, grid[max(best - 1, 0)], grid[best], sse(grid[best]),
+                   grid[min(best + 1, len(grid) - 1)])
+    return min((f, a) for a, f in solves.items())
 
 
 def _surrogate_curves(all_setups, approach, sigma, seed):
@@ -297,6 +290,78 @@ def test_seeded_search_matches_the_full_grid_search(
     assert model["diagnostics"]["rss"] <= oracle_sse * (1.0 + rss_tolerance)
     if same_exponent:
         assert model["parameters"]["shift_exponent"] == oracle_exponent
+
+
+@pytest.mark.parametrize(
+    "profile, left, right",
+    [
+        (lambda a: (a - 0.537) ** 2, 0.45, 0.55),
+        (lambda a: math.cosh(8.0 * (a - 0.512)), 0.45, 0.55),
+        (lambda a: (a - 0.18) ** 4 - 0.01 * a, 0.1, 0.2),
+        (lambda a: -math.exp(-((a - 0.05004) / 0.02) ** 2), 0.05, 0.1),  # near the left end
+        (lambda a: abs(a - 0.6483) ** 1.5, 0.55, 0.65),
+        (lambda a: 1.0 - math.sin(20.0 * a), 0.05, 0.15),  # peak at pi / 40
+    ],
+    ids=["quadratic", "cosh", "quartic", "left-end", "cusp", "sine"],
+)
+def test_brent_finds_the_minimizer_fminbound_finds(profile, left, right):
+    optimize = pytest.importorskip("scipy.optimize")
+    # the walk starts Brent from the middle of its bracket, the grid minimum
+    middle = left + 0.5 * (right - left)
+    found = fitting._brent(profile, left, middle, profile(middle), right)
+    oracle = optimize.fminbound(profile, left, right, xtol=fitting._BRENT_XATOL)
+    assert left <= found <= right
+    assert abs(found - oracle) <= fitting._BRENT_XATOL
+    assert profile(found) <= profile(middle)
+
+
+def test_brent_keeps_a_start_that_no_trial_beats():
+    # the start's value is taken as given, and only a strictly lower trial replaces it
+    trials = []
+
+    def profile(a):
+        trials.append(a)
+        return 1.0 + (a - 0.52) ** 2  # 1.0 only at 0.52, the start's value
+
+    assert fitting._brent(profile, 0.45, 0.5, 1.0, 0.55) == 0.5
+    assert 0 < len(trials) <= fitting._BRENT_MAXITER
+    assert fitting._brent(lambda a: 0.0, 0.45, 0.5, 0.0, 0.55) == 0.5  # a flat profile
+
+
+@settings(max_examples=25)  # each example is one k* fit of ~40-100 ms
+@given(
+    exponent=st.one_of(
+        st.sampled_from([float(a) for a in np.arange(0.05, 1.5 + 1e-9, 0.05)]),
+        st.floats(0.05, 1.5),
+    ),
+    budgets=st.lists(st.integers(-6, 0), min_size=2, max_size=2, unique=True),
+    slope=st.floats(0.5, 1.5),
+)
+@example(exponent=0.05, budgets=[-4, -2], slope=2.0 / 3.0)
+@example(exponent=1.5000000000000002, budgets=[-4, -2], slope=2.0 / 3.0)
+def test_kstar_refinement_never_loses_the_grid_minimum(exponent, budgets, slope):
+    # Brent's refinement starts from the walk's grid minimum and its bracket: the fit's
+    # squared error is never above that solve's, and when no trial beats it the model's
+    # exponent is that grid float itself
+    starts, trials = [], []
+    brent = fitting._brent
+
+    def recording(fun, left, x, fx, right):
+        def trial(a):
+            trials.append((fun(a), a))
+            return trials[-1][0]
+
+        starts.append((x, fx))
+        return brent(trial, left, x, fx, right)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_brent", recording)
+        doc = fitting.fit_kstar_model(planted_curves(budgets, 0.25, exponent, slope))
+    [(x, fx)] = starts
+    assert doc["diagnostics"]["rss"] <= fx
+    if min(trials) > (fx, x):
+        assert doc["parameters"]["shift_exponent"] == x
+        assert doc["diagnostics"]["rss"] == fx
 
 
 @settings(max_examples=25)  # each example is two k* fits of ~40 ms
@@ -347,12 +412,33 @@ def test_kstar_fit_with_an_overflowing_error_is_a_fit_error():
         fitting.fit_kstar_model(curves, "mono-1stage")
 
 
-def test_kstar_fit_whose_knots_lose_their_order_is_a_fit_error():
-    # no monotone model fits these four cells; the best solve pushes its knots above
-    # the data so far out that their gaps fall below float resolution
-    cells = [(-4, -1, 3.0), (-4, 0, 1.0), (-2, -1, 1.0), (-2, 0, 3.0)]
+def test_kstar_fit_whose_knots_lose_their_order_is_a_fit_error(monkeypatch):
+    # knots that no data constrain can drift until their gaps fall below float
+    # resolution; a best solve whose knots are not strictly decreasing is refused
+    def unordered(x, y, levels):
+        knots = [-float(i) for i in range(len(levels))]
+        knots[2] = knots[1]
+        return fitting._Solve(knots, 1.0, 1, 1, True)
+
+    monkeypatch.setattr(fitting, "_fit_positions", unordered)
     with pytest.raises(FitError, match="knot positions of the best fit are not finite"):
-        fitting.fit_kstar_model(cells, "mono-1stage")
+        fitting.fit_kstar_model(planted_curves(), "mono-1stage")
+
+
+def test_kstar_fit_of_four_cells_that_no_monotone_model_fits():
+    # the best solve pushes the knots above the data (levels 2.5-4) billions of units out,
+    # still ordered; the fit carries the large-residual warning
+    cells = [(-4, -1, 3.0), (-4, 0, 1.0), (-2, -1, 1.0), (-2, 0, 3.0)]
+    doc = fitting.fit_kstar_model(cells, "mono-1stage")
+    assert doc["parameters"]["shift_exponent"] == pytest.approx(0.080, abs=5e-4)
+    assert doc["diagnostics"]["rss"] == pytest.approx(3.0, rel=1e-9)
+    assert doc["diagnostics"]["warnings"] == [
+        "large residuals (mean squared residual 0.75); "
+        "data may not be monotone in the shifted corpus factor"
+    ]
+    positions = _positions(doc)
+    assert all(b < a for a, b in zip(positions, positions[1:]))
+    assert all(-5e9 < p < -4e9 for p in positions[5:])
 
 
 def test_initial_positions_survive_edge_slopes_that_overflow():
@@ -685,15 +771,17 @@ def test_positions_below_an_overflowing_log_gap_are_minus_inf():
 
 
 def test_kstar_line_search_backs_off_quietly_from_overflowing_log_gaps(monkeypatch):
-    # On these noisy planted cells some line-search trials push a log gap past
-    # exp's range. math.exp raises OverflowError there and the objective scores
-    # the trial inf, so _line_search counts it as too long; the suite turns any
-    # RuntimeWarning into an error.
+    # On these noisy planted cells, at this shift exponent (a trial of the golden-section
+    # refinement the fit once ran), some line-search trials push a log gap past exp's
+    # range. math.exp raises OverflowError there and the objective scores the trial inf,
+    # so _line_search counts it as too long; the suite turns any RuntimeWarning into an
+    # error.
     rng = np.random.default_rng(0)
     cells = [
         (f_C, f_D, -(2.0 / 3.0) * (f_D - 0.5 * f_C) + rng.normal(0.0, 2.0))
         for f_C in (-4, -2) for f_D in range(-8, 1)
     ]
+    exponent = 0.06195867987574658
     non_finite = []
     sse_and_grad = fitting._sse_and_grad
 
@@ -704,10 +792,11 @@ def test_kstar_line_search_backs_off_quietly_from_overflowing_log_gaps(monkeypat
         return sse, grad
 
     monkeypatch.setattr(fitting, "_sse_and_grad", recording)
-    model = fitting.fit_kstar_model(cells, "mono-1stage")
+    x = [f_D - exponent * f_C for f_C, f_D, _ in cells]
+    solve = fitting._fit_positions(x, [y for *_, y in cells], [i * 0.5 for i in range(9)])
     assert non_finite and all(np.max(theta[1:]) > 709.0 for theta in non_finite)
-    assert math.isfinite(model["diagnostics"]["rss"])
-    assert all(map(math.isfinite, _positions(model)))
+    assert math.isfinite(solve.f)
+    assert all(map(math.isfinite, solve.x))
 
 
 # ---------------------------------------------------------------------------
