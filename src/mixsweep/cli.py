@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -484,7 +485,9 @@ def _render_summary(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="mixsweep", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="config file (overrides $MIXSWEEP_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -303,6 +303,39 @@ def test_missing_required_flags_are_named(capsys, argv, missing):
     assert err == f"usage error: the following arguments are required: {missing}\n"
 
 
+def test_one_process_runs_each_command_as_a_fresh_process_does(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; a usage error, then commands that parse
+    # cleanly, must exit, print and write as each would in a process of its own
+    commands = [
+        ["plan", "--out", "p.json"],
+        ["enumerate", "--out", "s.jsonl", "--fc", "0", "--stages", "single"],
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", "s.jsonl", "--out", "p.json",
+         "--devices", "x"],
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", "s.jsonl", "--out", "p.json",
+         "--schedule-csv", "p.csv"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixsweep.__file__)))
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    fresh.mkdir()
+    shared.mkdir()
+    expected = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "mixsweep.cli", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=120)
+        expected.append((proc.returncode, proc.stdout, proc.stderr))
+    monkeypatch.chdir(shared)
+    got = []
+    for argv in commands:
+        code = run(argv)
+        got.append((code, *capsys.readouterr()))
+    assert got == expected
+    assert [code for code, *_ in got] == [1, 0, 1, 0]
+    assert cli.build_parser() is cli.build_parser()
+    assert sorted(p.name for p in shared.iterdir()) == ["p.csv", "p.json", "s.jsonl"]
+    for path in shared.iterdir():
+        assert path.read_bytes() == (fresh / path.name).read_bytes()
+
+
 def test_fit_epochs_approach_choices(capsys):
     argv = ["fit", "epochs", "--results", "r.csv", "--setups", "s.jsonl", "--out", "e.json",
             "--approach", "multi-1stage"]
