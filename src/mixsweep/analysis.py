@@ -334,9 +334,6 @@ def build_report(
     _check_epsilon(epsilon)  # also when no budget reaches detect_threshold
     pair = results.resolve_pair(pair)
     groups = category_minima(results, pair)
-    mono = _argmin(
-        results, pair, lambda s: [s.factors.f_C] if s.approach == APPROACH_MONO_1STAGE else []
-    )
     by_budget: dict[int, list[dict]] = {}
     for group in groups:
         by_budget.setdefault(group["f_C"], []).append(group)
@@ -344,11 +341,20 @@ def build_report(
     thresholds = []
     for f_C, cells in by_budget.items():
         entry = {"f_C": f_C, "C": cells[0]["C"]}
-        if f_C not in mono:
+        # the budget's best mono-1stage setup is the best of its cells' minima, under
+        # _argmin's rank (loss, f_k, f_M, id)
+        ranked = []
+        for group in cells:
+            if APPROACH_MONO_1STAGE in group["minima"]:
+                best = group["minima"][APPROACH_MONO_1STAGE]
+                spec = results.setups[best["setup_id"]]
+                _, f_M, f_k, _ = spec.factors
+                ranked.append(((best["loss"], f_k, f_M, spec.id), spec))
+        if not ranked:
             note = f"no mono-1stage measurements at compute factor f_C={f_C}"
             compute_optimal.append(entry | {"D_star": None, "setup_id": None, "note": note})
             continue
-        spec = mono[f_C][1]
+        spec = min(ranked)[1]
         derived = spec.derived()
         d_star = derived.epochs * derived.target_tokens
         compute_optimal.append(entry | {"D_star": d_star, "setup_id": spec.id})

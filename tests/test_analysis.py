@@ -248,6 +248,18 @@ def test_compute_optimal_tie_prefers_fewer_epochs():
     assert entry["setup_id"] == few.id
 
 
+def test_compute_optimal_tie_across_cells_prefers_fewer_epochs():
+    # equal losses in two corpus cells of one budget: the rank (loss, f_k, f_M, id) picks
+    # the fewer epochs, though that setup has the larger f_M and the larger id
+    more = space.SetupSpec(FactorTuple(0, 0, 1, 0))  # k=2, f_D=-1
+    few = space.SetupSpec(FactorTuple(0, 2, 0, 0))  # k=1, f_D=2
+    assert more.id < few.id and more.factors.f_M < few.factors.f_M
+    results = analysis.ingest([_record(more.id, 2.0), _record(few.id, 2.0)], [more, few])
+    (entry,) = analysis.build_report(results)["compute_optimal"]
+    assert entry["setup_id"] == few.id
+    assert entry["D_star"] == few.derived().target_tokens
+
+
 def test_compute_optimal_matches_brute_force_on_surrogate(surrogate_results):
     losses = surrogate_results.for_pair()
     entries = analysis.build_report(surrogate_results)["compute_optimal"]
