@@ -4,7 +4,8 @@ Every training setup in the sweep is parametrized by integer "halving"
 factors. All identities between the derived quantities hold exactly
 because the arithmetic stays on integer base-2 exponents and converts to
 floats only at the boundary (``math.ldexp`` scales by powers of two
-without rounding), and because ratios are kept as exact fractions.
+without rounding), and because ratios are kept as exact fractions. The
+two-stage rule is ``space.SetupSpec``'s.
 """
 
 from __future__ import annotations
@@ -161,25 +162,3 @@ def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
         target_tokens=target_tokens,
         total_tokens=total_tokens,
     )
-
-
-@functools.lru_cache(maxsize=128)
-def stage_split(first_ratio, second_ratio, average_ratio) -> Fraction:
-    """The first stage's share of the setup, given both stage ratios and the average.
-
-    The share is (r2 - r) / (r2 - r1), the second stage's is one minus it; exact
-    because all arithmetic is on fractions. Cached: a grid has at most 96
-    distinct (r1, r2, r) triples, and equal keys convert to equal fractions.
-    """
-    r1 = Fraction(first_ratio)
-    r2 = Fraction(second_ratio)
-    r = Fraction(average_ratio)
-    if r1 >= r2:
-        raise ValidationError(f"stage ratios must satisfy r1 < r2, got {r1} >= {r2}")
-    if r1 < 0 or r2 > 1:
-        raise ValidationError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
-    if not r1 <= r <= r2:
-        raise ValidationError(
-            f"average ratio {r} outside the stage-ratio interval [{r1}, {r2}]"
-        )
-    return (r2 - r) / (r2 - r1)

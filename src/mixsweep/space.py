@@ -4,7 +4,8 @@ The default ranges reproduce the factor search space used for the sweep:
 shared ``f_r`` in [0,4) and ``f_k`` in [0,10), with per-budget rows for
 ``f_M`` and the derived ``f_D`` filter. Enumeration order is the
 lexicographic key (f_C, f_D, f_r, f_M, f_k, r1, r2), so two runs always
-produce identical lists and ids.
+produce identical lists and ids. ``SetupSpec`` holds the two-stage rule: its
+checks of the stage ratios and stage 1's share of the tokens.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .budget import DerivedSetup, FactorTuple, derive_single_stage, ratio_for, stage_split
+from .budget import DerivedSetup, FactorTuple, derive_single_stage, ratio_for
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 
 APPROACH_MONO_1STAGE = "mono-1stage"
@@ -90,9 +91,10 @@ class _SetupFields(NamedTuple):
 class SetupSpec(_SetupFields):
     """One training setup: factors plus optional two-stage ratios.
 
-    ``id`` is the canonical id, reproducible across runs: factor values plus
-    exact ratios. It is built from the other fields, so it is not an argument
-    and not in the repr.
+    Two-stage ratios must satisfy 0 <= r1 < r < r2 <= 1, or construction raises
+    ValidationError. ``id`` is the canonical id, reproducible across runs:
+    factor values plus exact ratios. It is built from the other fields, so it is
+    not an argument and not in the repr.
     """
 
     __slots__ = ()
@@ -104,13 +106,15 @@ class SetupSpec(_SetupFields):
             raise ValidationError("two-stage setups need both r1 and r2")
         setup_id = _factors_id(factors.f_r, factors.f_M, factors.f_k, factors.f_C)
         if r1 is not None and r2 is not None:
-            # r1 < 2**-f_r < r2 on integers; the Fraction is built only for the message
+            # 0 <= r1 < 2**-f_r < r2 <= 1 on integers; Fractions are built only for messages
             (n1, d1), (n2, d2) = r1.as_integer_ratio(), r2.as_integer_ratio()
             f_r = factors.f_r
             if not (n1 << f_r < d1 and d2 < n2 << f_r):
                 raise ValidationError(
                     f"need r1 < r < r2 strictly, got r1={r1}, r={ratio_for(f_r)}, r2={r2}"
                 )
+            if n1 < 0 or n2 > d2:
+                raise ValidationError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
             setup_id += _ratios_id(n1, d1, n2, d2)
         return tuple.__new__(cls, (factors, r1, r2, setup_id))
 
@@ -130,6 +134,14 @@ class SetupSpec(_SetupFields):
     @property
     def is_two_stage(self) -> bool:
         return self.second_stage_ratio is not None
+
+    @property
+    def first_stage_share(self) -> Fraction | None:
+        """Stage 1's exact share of the tokens, (r2 - r) / (r2 - r1); None for one stage."""
+        if self.second_stage_ratio is None:
+            return None
+        return _first_stage_share(self.factors.f_r, *self.first_stage_ratio.as_integer_ratio(),
+                                  *self.second_stage_ratio.as_integer_ratio())
 
     @property
     def approach(self) -> str:
@@ -209,6 +221,11 @@ def to_wire(spec: SetupSpec) -> dict:
     }
 
 
+def _first_stage_share(f_r: int, n1: int, d1: int, n2: int, d2: int) -> Fraction:
+    """(r2 - r) / (r2 - r1) for r1 = n1/d1, r = 2**-f_r and r2 = n2/d2, exact on integers."""
+    return Fraction(((n2 << f_r) - d2) * d1, (n2 * d1 - n1 * d2) << f_r)
+
+
 @functools.lru_cache(maxsize=256)
 def _wire_ratios(f_r: int, *stages: int) -> tuple[dict, dict, dict]:
     """A setup's ratio items on the wire: (r1 to r2_frac, r and r_frac, s1 to s2_frac).
@@ -223,7 +240,7 @@ def _wire_ratios(f_r: int, *stages: int) -> tuple[dict, dict, dict]:
     n1, d1, n2, d2 = stages
     r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
     ratios = {"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)}
-    s1 = stage_split(r1, r2, ratio)
+    s1 = _first_stage_share(f_r, n1, d1, n2, d2)
     s2 = 1 - s1
     split_items = {"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)}
     return ratios, derived, split_items

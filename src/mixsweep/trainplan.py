@@ -2,7 +2,8 @@
 
 The shape ladder, the learning-rate and batch-size power laws, the
 multi-step decay schedule and the optimizer constants together turn a
-setup (a ``SetupSpec``) into an executable plan. All rounding rules are fixed and
+setup (a ``SetupSpec``) into an executable plan; a two-stage setup's stage
+budgets follow its ``first_stage_share``. All rounding rules are fixed and
 documented so plans are bit-reproducible.
 """
 
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .budget import DerivedSetup, reference_constants, stage_split
+from .budget import reference_constants
 from .errors import ValidationError
 from .space import SetupSpec
 
@@ -220,12 +221,12 @@ def _stage(raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget
     )
 
 
-def stage_budgets(setup: DerivedSetup, r1: Fraction | None = None, r2: Fraction | None = None,
-                  *, high_available: float | None = None) -> list[StageTokenBudget]:
+def stage_budgets(spec: SetupSpec, *,
+                  high_available: float | None = None) -> list[StageTokenBudget]:
     """Split a setup's total tokens into per-stage target/high budgets.
 
-    Stage ratios ``r1`` and ``r2`` make two stages; they must straddle
-    ``setup.ratio``, and stage 1's share of the setup is ``stage_split``'s.
+    A two-stage setup gets two stages, at its ratios r1 and r2, and stage 1 takes
+    ``spec.first_stage_share`` of the tokens; any other setup gets one stage.
     The sum of target tokens across stages equals epochs * target_tokens
     exactly: stage 1 takes its fractional share snapped to the budget's
     floating-point quantum and stage 2 the exact complement. Stage totals
@@ -234,14 +235,15 @@ def stage_budgets(setup: DerivedSetup, r1: Fraction | None = None, r2: Fraction 
     more, this raises.
     """
     ref = reference_constants()
+    setup = spec.derived()
     f = setup.factors
     # epochs * target corpus, scaled exactly from the reference constant
     target_total = math.ldexp(ref.target_tokens, f.f_D + f.f_k)
     total = setup.total_tokens
-    if r1 is None and r2 is None:
+    s1, r1, r2 = spec.first_stage_share, spec.first_stage_ratio, spec.second_stage_ratio
+    if s1 is None:
         budgets = [_stage(total, target_total, setup.ratio)]
     else:
-        s1 = stage_split(r1, r2, setup.ratio)
         # stage 1's exact share of the target-token budget
         target_1 = _quantized_share(s1 * r1 / setup.ratio, target_total)
         total_1 = float(s1) * total
@@ -292,8 +294,7 @@ def build_training_plan(spec: SetupSpec, *, devices: int = DEFAULT_DEVICES,
     shape = shape_for_factor(setup.factors.f_M)
     eta_max = learning_rate(setup.compute)
     batch = batch_config(setup.compute, shape, devices=devices)
-    stages = tuple(stage_budgets(setup, spec.first_stage_ratio, spec.second_stage_ratio,
-                                 high_available=high_available))
+    stages = tuple(stage_budgets(spec, high_available=high_available))
     steps = tuple(math.ceil(b.total_tokens / batch.global_batch_tokens) for b in stages)
     warnings = tuple(
         f"stage {index}: warmup-exceeds-stage ({n} steps < {WARMUP_STEPS} warmup)"

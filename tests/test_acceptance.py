@@ -182,7 +182,7 @@ def test_criterion_09_schedule_accounting(all_setups):
     assert two_stage
     for spec in two_stage:
         setup = spec.derived()
-        budgets = trainplan.stage_budgets(setup, spec.first_stage_ratio, spec.second_stage_ratio)
+        budgets = trainplan.stage_budgets(spec)
         expected = math.ldexp(ref.target_tokens, setup.f_D + setup.factors.f_k)
         exact = exact and sum(b.target_tokens for b in budgets) == expected
     interleave_ok = True

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsweep import budget
+from mixsweep import budget, space
 from mixsweep.errors import ValidationError
 
 
@@ -111,67 +111,85 @@ def test_factor_to_quadruple_bijection():
         seen[key] = factors
 
 
+# A two-stage setup's stage split is its SetupSpec's first_stage_share, on r = 2**-f_r.
+def _share(f_r, r1, r2):
+    return space.SetupSpec(budget.FactorTuple(f_r, 0, 0, 0), r1, r2).first_stage_share
+
+
 def test_stage_split_midpoint():
-    assert budget.stage_split(0, Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 2)
+    assert _share(2, Fraction(0), Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_stage_split_asymmetric():
-    assert budget.stage_split(Fraction(1, 8), Fraction(1, 2), Fraction(1, 4)) == Fraction(2, 3)
+    assert _share(2, Fraction(1, 8), Fraction(1, 2)) == Fraction(2, 3)
 
 
 def test_stage_split_boundary_is_degenerate_single_stage():
-    assert budget.stage_split(Fraction(1, 8), Fraction(1, 2), Fraction(1, 2)) == 0
+    # r == r2 would leave stage 2 no tokens: only the single-stage setup stands for it
+    with pytest.raises(ValidationError, match="need r1 < r < r2 strictly"):
+        _share(1, Fraction(1, 8), Fraction(1, 2))
+    assert space.SetupSpec(budget.FactorTuple(1, 0, 0, 0)).first_stage_share is None
 
 
 def test_stage_split_round_trip_exact():
     ratios = [Fraction(0), Fraction(1, 32), Fraction(1, 16), Fraction(1, 8),
               Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-    for r1 in ratios:
-        for r2 in ratios:
-            if r1 >= r2:
-                continue
-            for r in ratios:
-                if not r1 <= r <= r2:
+    checked = 0
+    for f_r in range(6):
+        r = Fraction(1, 2**f_r)
+        for r1 in ratios:
+            for r2 in ratios:
+                if not r1 < r < r2:
                     continue
-                s1 = budget.stage_split(r1, r2, r)
+                s1 = _share(f_r, r1, r2)
                 assert type(s1) is Fraction
                 assert s1 * r1 + (1 - s1) * r2 == r
-                assert 0 <= s1 <= 1
+                assert 0 < s1 < 1
+                checked += 1
+    assert checked == 50
 
 
-_unit_fractions = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(
-    0, 1, max_denominator=10**6
-)
+@st.composite
+def _stage_ratios(draw):
+    """f_r in [1, 20] and 0 <= r1 < 2**-f_r < r2 <= 1, often with r1 = 0 or r2 = 1."""
+    f_r = draw(st.integers(1, 20))
+    r = Fraction(1, 2**f_r)
+    r1 = draw(st.just(Fraction(0))
+              | st.fractions(0, r, max_denominator=2**20).filter(lambda x: x < r))
+    r2 = draw(st.just(Fraction(1))
+              | st.fractions(r, 1, max_denominator=2**20).filter(lambda x: x > r))
+    return f_r, r1, r2
 
 
-@given(st.lists(_unit_fractions, min_size=3, max_size=3).map(sorted))
-def test_stage_split_identities_on_generated_ratios(ratios):
-    r1, r, r2 = ratios
-    assume(r1 < r2)
-    s1 = budget.stage_split(r1, r2, r)
+@given(_stage_ratios())
+def test_stage_split_identities_on_generated_ratios(case):
+    f_r, r1, r2 = case
+    r = Fraction(1, 2**f_r)
+    s1 = _share(f_r, r1, r2)
+    assert s1 == (r2 - r) / (r2 - r1)
     assert s1 * r1 + (1 - s1) * r2 == r
-    assert 0 <= s1 <= 1
+    assert 0 < s1 < 1
 
 
 def test_stage_split_errors():
-    with pytest.raises(ValidationError, match="stage ratios must satisfy r1 < r2, got 1/2 >= 1/4"):
-        budget.stage_split(Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))
-    with pytest.raises(ValidationError, match=r"average ratio 1/8 outside .* \[1/4, 1/2\]"):
-        budget.stage_split(Fraction(1, 4), Fraction(1, 2), Fraction(1, 8))
+    with pytest.raises(ValidationError, match="need r1 < r < r2 strictly, got r1=1/2, r=1/4"):
+        _share(2, Fraction(1, 2), Fraction(1, 4))
+    with pytest.raises(ValidationError, match="need r1 < r < r2 strictly, got r1=1/4, r=1/8"):
+        _share(3, Fraction(1, 4), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
-    "r1, r2",
-    [(Fraction(-1, 4), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 2))],
+    "f_r, r1, r2",
+    [(2, Fraction(-1, 4), Fraction(1, 2)), (1, Fraction(1, 4), Fraction(3, 2))],
     ids=["r1-negative", "r2-above-one"],
 )
-def test_stage_split_rejects_stage_ratios_outside_the_unit_interval(r1, r2):
+def test_stage_split_rejects_stage_ratios_outside_the_unit_interval(f_r, r1, r2):
     with pytest.raises(ValidationError, match=r"stage ratios must lie in \[0, 1\]"):
-        budget.stage_split(r1, r2, Fraction(1, 3))
+        _share(f_r, r1, r2)
 
 
 def test_float_round_trip_tolerance():
     # float path of s1*r1 + s2*r2 stays within 1e-12 of the exact ratio
-    s1 = budget.stage_split(Fraction(1, 8), Fraction(3, 4), Fraction(1, 4))
+    s1 = _share(2, Fraction(1, 8), Fraction(3, 4))
     back = float(s1) * 0.125 + float(1 - s1) * 0.75
     assert math.isclose(back, 0.25, rel_tol=1e-12)

@@ -14,16 +14,18 @@ from mixsweep.seeds import mix64
 
 
 def test_single_stage_budget_is_definition_of_ratio():
-    setup = budget.derive_single_stage(budget.FactorTuple(2, 0, 0, 0))  # r=1/4
-    (stage,) = trainplan.stage_budgets(setup)
+    spec = space.SetupSpec(budget.FactorTuple(2, 0, 0, 0))  # r=1/4
+    setup = spec.derived()
+    (stage,) = trainplan.stage_budgets(spec)
     assert stage.target_tokens == setup.total_tokens / 4
     assert stage.high_tokens == pytest.approx(setup.total_tokens * 3 / 4, rel=1e-15)
     assert stage.target_tokens + stage.high_tokens == stage.total_tokens
 
 
 def test_two_stage_budget_example():
-    setup = budget.derive_single_stage(budget.FactorTuple(2, 1, 1, -1))  # r=1/4
-    first, second = trainplan.stage_budgets(setup, Fraction(0), Fraction(1, 2))
+    spec = space.SetupSpec(budget.FactorTuple(2, 1, 1, -1), Fraction(0), Fraction(1, 2))  # r=1/4
+    setup = spec.derived()
+    first, second = trainplan.stage_budgets(spec)
     total = setup.total_tokens
     assert first.total_tokens == pytest.approx(total / 2, rel=1e-15)
     assert first.target_tokens == 0.0
@@ -40,7 +42,7 @@ def test_target_sum_exact_across_grid(all_setups):
     assert two_stage
     for spec in two_stage:
         setup = spec.derived()
-        budgets = trainplan.stage_budgets(setup, spec.first_stage_ratio, spec.second_stage_ratio)
+        budgets = trainplan.stage_budgets(spec)
         expected = math.ldexp(ref.target_tokens, setup.f_D + setup.factors.f_k)
         assert sum(b.target_tokens for b in budgets) == expected
         assert sum(b.total_tokens for b in budgets) == pytest.approx(
@@ -55,8 +57,7 @@ def test_no_grid_stage_has_negative_high_tokens(all_setups):
     bad = [
         (spec.id, index)
         for spec in all_setups if spec.is_two_stage
-        for index, b in enumerate(trainplan.stage_budgets(
-            spec.derived(), spec.first_stage_ratio, spec.second_stage_ratio), 1)
+        for index, b in enumerate(trainplan.stage_budgets(spec), 1)
         if not (b.high_tokens >= 0 and b.target_tokens <= b.total_tokens)
     ]
     assert not bad, f"{len(bad)} stages, first {bad[0]}"
@@ -64,7 +65,7 @@ def test_no_grid_stage_has_negative_high_tokens(all_setups):
 
 @st.composite
 def _split_setups(draw):
-    """Factor tuples beyond the default grid, with r1 < 2**-f_r < r2.
+    """Two-stage setups beyond the default grid, with 0 <= r1 < 2**-f_r < r2 <= 1.
 
     r1 is off the ratio grid (a denominator such as 3, 7, 1000 or 2**20), and
     half of the draws have r2 = 1, a target-only stage 2.
@@ -78,16 +79,16 @@ def _split_setups(draw):
     r1 = Fraction(draw(st.integers(0, math.ceil(den * ratio) - 1)), den)
     above = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda b: b > 0))
     r2 = Fraction(1) if draw(st.booleans()) else ratio + (1 - ratio) * above
-    return factors, r1, r2
+    return space.SetupSpec(factors, r1, r2)
 
 
 @given(_split_setups())
-def test_stage_budgets_sum_exactly_on_generated_setups(case):
-    factors, r1, r2 = case
-    budgets = trainplan.stage_budgets(budget.derive_single_stage(factors), r1, r2)
+def test_stage_budgets_sum_exactly_on_generated_setups(spec):
+    factors = spec.factors
+    budgets = trainplan.stage_budgets(spec)
     expected = math.ldexp(budget.reference_constants().target_tokens, factors.f_D + factors.f_k)
     assert sum(b.target_tokens for b in budgets) == expected
-    assert [b.ratio for b in budgets] == [r1, r2]
+    assert [b.ratio for b in budgets] == [spec.first_stage_ratio, spec.second_stage_ratio]
     for b in budgets:
         assert b.target_tokens + b.high_tokens == b.total_tokens
         assert b.high_tokens >= 0
@@ -95,11 +96,11 @@ def test_stage_budgets_sum_exactly_on_generated_setups(case):
 
 
 def test_insufficient_high_resource_corpus():
-    setup = budget.derive_single_stage(budget.FactorTuple(2, 0, 0, 0))
-    needed = setup.total_tokens * 3 / 4
-    trainplan.stage_budgets(setup, high_available=needed)  # exactly enough
+    spec = space.SetupSpec(budget.FactorTuple(2, 0, 0, 0))
+    needed = spec.derived().total_tokens * 3 / 4
+    trainplan.stage_budgets(spec, high_available=needed)  # exactly enough
     with pytest.raises(ValidationError, match="high-resource tokens, only .* declared available"):
-        trainplan.stage_budgets(setup, high_available=needed * 0.999)
+        trainplan.stage_budgets(spec, high_available=needed * 0.999)
 
 
 def test_epoch_seeds_single():

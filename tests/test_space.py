@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsweep import budget, space
+from mixsweep import space
 from mixsweep.budget import FactorTuple
 from mixsweep.errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 
@@ -104,8 +104,8 @@ def test_two_stage_never_violates_ordering(all_setups):
         if not setup.is_two_stage:
             continue
         ratio = Fraction(1, 2**setup.factors.f_r)
-        assert setup.first_stage_ratio < ratio < setup.second_stage_ratio
-        assert 0 < budget.stage_split(setup.first_stage_ratio, setup.second_stage_ratio, ratio) < 1
+        assert 0 <= setup.first_stage_ratio < ratio < setup.second_stage_ratio <= 1
+        assert 0 < setup.first_stage_share < 1
 
 
 def test_manual_two_stage_boundary_rejected():
@@ -128,12 +128,25 @@ def test_two_stage_ordering_check_matches_fraction_comparison(case):
     f_r, r1, r2 = case
     ratio = Fraction(1, 2**f_r)
     factors = FactorTuple(f_r, 0, 0, 0)
-    if r1 < ratio < r2:
+    if 0 <= r1 < ratio < r2 <= 1:
         assert space.SetupSpec(factors, r1, r2).is_two_stage
+        return
+    with pytest.raises(ValidationError) as excinfo:
+        space.SetupSpec(factors, r1, r2)
+    if r1 < ratio < r2:
+        assert str(excinfo.value) == f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}"
     else:
-        with pytest.raises(ValidationError) as excinfo:
-            space.SetupSpec(factors, r1, r2)
         assert str(excinfo.value) == f"need r1 < r < r2 strictly, got r1={r1}, r={ratio}, r2={r2}"
+
+
+@pytest.mark.parametrize(
+    "r1, r2", [(Fraction(0), Fraction(3, 2)), (Fraction(-1, 8), Fraction(1, 2))],
+    ids=["r2-above-one", "r1-negative"],
+)
+def test_stage_ratios_outside_the_unit_interval_fail_at_construction(r1, r2):
+    # r1 < r = 1/4 < r2 holds for both, so only the [0, 1] check can refuse them
+    with pytest.raises(ValidationError, match=r"^stage ratios must lie in \[0, 1\], got r1="):
+        space.SetupSpec(FactorTuple(2, 1, 3, -2), r1, r2)
 
 
 def _in_category(spec, category):
@@ -376,7 +389,8 @@ def _oracle_to_wire(spec):
         "D_total": derived.total_tokens,
     }
     if spec.is_two_stage:
-        s1 = budget.stage_split(spec.first_stage_ratio, spec.second_stage_ratio, derived.ratio)
+        r1, r2 = spec.first_stage_ratio, spec.second_stage_ratio
+        s1 = (r2 - derived.ratio) / (r2 - r1)
         derived_obj["s1"] = float(s1)
         derived_obj["s1_frac"] = str(s1)
         derived_obj["s2"] = float(1 - s1)
@@ -557,12 +571,13 @@ def test_writing_the_grid_splits_each_stage_ratio_triple_once(monkeypatch):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     calls = []
+    share = space._first_stage_share
 
     def counting_split(*args):
         calls.append(args)
-        return budget.stage_split(*args)
+        return share(*args)
 
-    monkeypatch.setattr(space, "stage_split", counting_split)
+    monkeypatch.setattr(space, "_first_stage_share", counting_split)
     specs = space.enumerate_all()
     triples = {(s.first_stage_ratio, s.second_stage_ratio, s.factors.f_r)
                for s in specs if s.is_two_stage}

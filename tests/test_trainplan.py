@@ -167,8 +167,8 @@ def test_two_stage_plan_shares_peak_lr():
 
 
 def test_short_stage_flagged():
-    assert 1 - budget.stage_split(Fraction(1, 16), Fraction(1), Fraction(1, 8)) == Fraction(1, 15)
     spec = space.SetupSpec(budget.FactorTuple(3, 1, 0, -4), Fraction(1, 16), Fraction(1))
+    assert 1 - spec.first_stage_share == Fraction(1, 15)
     plan = trainplan.build_training_plan(spec)
     assert plan.steps[1] < 500
     assert trainplan.plan_to_wire(plan)["stages"][1]["warmup_exceeds_stage"] is True
