@@ -128,8 +128,10 @@ def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], appro
     """epochs.json: the quadratic fit of each (f_C, f_D) cell's (f_k, loss) points.
 
     A cell with too few epoch values, whose fit leaves the float range, or whose
-    optimum does, is skipped with a warning; none fitted raises.
+    optimum does, is skipped with a warning; none fitted raises. So does an
+    approach that ``H_MAX_BY_APPROACH`` lacks, with ValidationError.
     """
+    _approach(approach)
     fits, warnings = [], []
     skipped = {}  # shortfall -> the cells skipped for it, in cell order
     for (f_C, f_D), points in cells.items():
@@ -727,7 +729,8 @@ def fit_kstar_model(
     """kstar.json: the epoch model fitted to epochs.json's pooled (f_C, f_D, log2 k*) cells.
 
     log2 k* is a piecewise-linear function of the shifted corpus factor
-    f_D - a * f_C. Needs at least two distinct compute factors f_C; with a
+    f_D - a * f_C. Needs an approach of ``H_MAX_BY_APPROACH``, which sets the
+    default ``h_max``, and at least two distinct compute factors f_C; with a
     single one the shift exponent a is unobservable and this raises. Every
     value must be finite, and a fit whose best squared error overflows, or
     whose best knots are not finite and strictly decreasing, raises FitError.
@@ -744,8 +747,8 @@ def fit_kstar_model(
     trial has a strictly lower squared error. Its diagnostics carry the solves'
     L-BFGS counts (``_SOLVE_COUNTS``), summed.
     """
-    if h_max is None:
-        h_max = H_MAX_BY_APPROACH.get(approach, 4.0)
+    default_h_max = H_MAX_BY_APPROACH[_approach(approach)]
+    h_max = default_h_max if h_max is None else h_max
     if not LEVEL_STEP <= h_max <= H_MAX_LIMIT:
         raise ValidationError(
             f"h_max must be finite and in [{LEVEL_STEP}, {H_MAX_LIMIT}], got {h_max}"
@@ -945,11 +948,10 @@ def _objects(obj: dict, key: str) -> list[dict]:
     return entries
 
 
-def _approach(params: dict) -> str:
-    """A model file's approach, which must be one ``H_MAX_BY_APPROACH`` knows."""
-    approach = json_field(params, "approach", str)
+def _approach(approach: str, error: type[Exception] = ValidationError) -> str:
+    """``approach`` if ``H_MAX_BY_APPROACH`` knows it; else ``error``, a loader's ValueError."""
     if approach not in H_MAX_BY_APPROACH:
-        raise ValueError(f"approach must be one of {sorted(H_MAX_BY_APPROACH)}, got {approach!r}")
+        raise error(f"approach must be one of {sorted(H_MAX_BY_APPROACH)}, got {approach!r}")
     return approach
 
 
@@ -996,7 +998,7 @@ def kstar_from_wire(obj: dict) -> tuple[float, tuple[float, ...], tuple[float, .
         raise ValueError(
             f"converged must be <= solves, got {fields['converged']} > {fields['solves']}"
         )
-    _approach(params)
+    _approach(json_field(params, "approach", str), ValueError)
     shift_exponent = json_field(params, "shift_exponent", float)
     levels = tuple(json_field(k, "h", float) for k in knots)
     positions = tuple(json_field(k, "f_D", float) for k in knots)
@@ -1046,7 +1048,7 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict], int]:
     """
     ref = reference_constants()
     params, diagnostics = _sections(obj, "epoch_quadratics")
-    approach = _approach(params)
+    approach = _approach(json_field(params, "approach", str), ValueError)
     _diagnostics(diagnostics)
     skipped = sum(w.startswith("cell (") and " skipped: " in w
                   for w in diagnostics.get("warnings", []))

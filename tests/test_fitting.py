@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixsweep import analysis, cli, fitting, surrogate
+from mixsweep import analysis, cli, fitting, space, surrogate
 from mixsweep.budget import reference_constants
 from mixsweep.errors import (
     FitError,
@@ -1255,6 +1255,10 @@ def test_every_ratio_fit_is_a_file_its_loader_reads(groups):
     assert len(intercepts(doc)) == len(doc["parameters"]["intercepts"])
 
 
+#: What both fitters and both loaders say to the one approach they have no model for.
+_UNKNOWN_APPROACH = "approach must be one of ['mono-1stage', 'multi-2stage'], got 'multi-1stage'"
+
+
 @given(
     cells=st.dictionaries(
         st.tuples(st.integers(-4, 0), st.integers(-7, 2)),  # (f_C, f_D)
@@ -1262,11 +1266,16 @@ def test_every_ratio_fit_is_a_file_its_loader_reads(groups):
         min_size=1,
         max_size=4,
     ),
-    approach=st.sampled_from(sorted(fitting.H_MAX_BY_APPROACH)),
+    approach=st.sampled_from(space.APPROACHES),
 )
 def test_every_epoch_fit_is_a_file_its_loader_reads(cells, approach):
+    # an approach the loader refuses is refused by the fitter too
     try:
         doc = fitting.fit_epoch_cells(cells, approach)
+    except ValidationError as exc:
+        assert approach not in fitting.H_MAX_BY_APPROACH
+        assert str(exc) == _UNKNOWN_APPROACH
+        return
     except FitError:
         return
     loaded = fitting.epoch_fits_from_wire(json.loads(cli._json_text(doc)))
@@ -1289,7 +1298,7 @@ _levels = st.one_of(
         min_size=4,
         max_size=8,
     ),
-    approach=st.sampled_from(sorted(fitting.H_MAX_BY_APPROACH)),
+    approach=st.sampled_from(space.APPROACHES),
     h_max=st.sampled_from([0.5, 1.0, 2.0]),
 )
 def test_every_kstar_fit_is_a_file_its_loader_reads(cells, approach, h_max):
@@ -1297,6 +1306,10 @@ def test_every_kstar_fit_is_a_file_its_loader_reads(cells, approach, h_max):
     # these sparse cell sets take seconds to fit
     try:
         doc = fitting.fit_kstar_model([(*key, y) for key, y in cells.items()], approach, h_max)
+    except ValidationError as exc:
+        assert approach not in fitting.H_MAX_BY_APPROACH
+        assert str(exc) == _UNKNOWN_APPROACH
+        return
     except FitError:
         return
     params = doc["parameters"]
