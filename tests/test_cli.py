@@ -112,6 +112,20 @@ def test_enumerate_budget_restriction(tmp_path):
     assert run(["enumerate", "--out", str(tmp_path / "x.jsonl"), "--fc", "3"]) == 1
 
 
+def test_enumerate_stages_split_the_grid(workspace, tmp_path):
+    # --stages single and --stages two together write --stages both, the default, line for line
+    text = {}
+    for stages in ("single", "two"):
+        out = tmp_path / f"{stages}.jsonl"
+        assert run(["enumerate", "--out", str(out), "--stages", stages]) == 0
+        text[stages] = out.read_text(encoding="utf-8")
+    with open(workspace["setups"], encoding="utf-8") as fh:
+        both = fh.read()
+    assert text["two"].count("\n") == 4_664
+    assert text["single"] + text["two"] == both
+    assert both.count("\n") == 5_250
+
+
 def test_plan_emits_plan_and_schedule(workspace):
     code = run(
         [
@@ -253,6 +267,19 @@ def test_missing_input_is_data_error(tmp_path):
          "--setups", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "r.json")]
     )
     assert code == 2
+
+
+def test_blank_results_line_is_skipped(workspace, tmp_path):
+    with open(workspace["results"], "rb") as fh:
+        lines = fh.readlines()
+    blank = tmp_path / "blank.csv"
+    blank.write_bytes(b"".join(lines[:100] + [b"\n"] + lines[100:]))
+    reports = []
+    for results in (workspace["results"], str(blank)):
+        reports.append(tmp_path / f"report{len(reports)}.json")
+        assert run(["analyze", "--results", results, "--setups", workspace["setups"],
+                    "--out", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_malformed_results_is_data_error(workspace, tmp_path):
@@ -1965,6 +1992,7 @@ def _bad_input_file(case, tmp_path, workspace):
         "results-full-width": ("r.csv", results + "fC0_fD0_fr0_fM0_fk0,surrogate,\uff12.\uff15\n"
                                .encode()),
         "report-no-groups": ("a.json", '{"ingest": 5}'),
+        "report-not-an-object": ("a.json", "[1]"),
         "report-scale-minima-object": ("a.json", '{"groups": [], "scale_minima": {}}'),
     }[case]
     path = tmp_path / name
@@ -1993,6 +2021,7 @@ def _bad_input_file(case, tmp_path, workspace):
         ("results-underscore", "line 5252: val_loss '3_7135' is not a number"),
         ("results-full-width", "line 5252: val_loss '\uff12.\uff15' is not a number"),
         ("report-no-groups", "missing field 'groups'"),
+        ("report-not-an-object", "expected a JSON object"),
         ("report-scale-minima-object", "scale_minima must be a list, got {}"),
     ],
 )
