@@ -63,6 +63,9 @@ _MIN_KNOT_GAP = 1e-6
 #: Mean squared residual above which a fit carries a large-residual warning.
 _LARGE_RESIDUAL_MSR = 0.25
 
+#: The knot seed extends no steeper than this many times the isotonic fit's overall secant.
+_SEED_SLOPE_CAP = 4.0
+
 
 # ---------------------------------------------------------------------------
 # Quadratic epoch fit
@@ -189,9 +192,13 @@ def _initial_positions(
     Fit a nonincreasing step function to (x, y), collapse it to strictly
     decreasing (value, mean position) blocks, then invert by interpolation
     at the fixed levels. Levels outside the fitted value range extend
-    linearly with the edge slope; a flat fit, or edge values so close that
-    the extended knots would span more than the float range, extends with
-    slope -1 instead.
+    linearly with the edge slope, capped in magnitude at ``_SEED_SLOPE_CAP``
+    times the overall secant (first to last block): two edge blocks whose
+    values differ by ~1e-13 give a slope ~1e13, which would seed the outer
+    knots ~1e12 away from data that span a few units, where the first line
+    search finds no acceptable step and the solve stops unconverged at its
+    seed. A flat fit, or edge values so close that the extended knots would
+    span more than the float range, extends with slope -1 instead.
     """
     order = sorted(range(len(x)), key=x.__getitem__)  # stable: equal x keep their order
     xs = [x[i] for i in order]
@@ -224,8 +231,9 @@ def _initial_positions(
             for level in levels
         ]
 
-    positions = extend((xmean[-1] - xmean[-2]) / (vals[-1] - vals[-2]),
-                       (xmean[1] - xmean[0]) / (vals[1] - vals[0]))
+    cap = _SEED_SLOPE_CAP * (xmean[-1] - xmean[0]) / (vals[-1] - vals[0])  # both slopes < 0
+    positions = extend(max((xmean[-1] - xmean[-2]) / (vals[-1] - vals[-2]), cap),
+                       max((xmean[1] - xmean[0]) / (vals[1] - vals[0]), cap))
     if not math.isfinite(positions[0] - positions[-1]):
         positions = extend(-1.0, -1.0)
     # enforce strict decrease

@@ -130,20 +130,29 @@ def schedule_rows(plan: TrainingPlan) -> Iterator[tuple[int, int, str, float]]:
         yield (first + full, stage, last_source, last_tokens)
 
 
+_CHUNK_ROWS = 4096
+
+
 def schedule_csv(plan: TrainingPlan) -> str:
     """``schedule_rows`` as CSV text under a header, byte for byte as csv.writer writes it.
 
     csv.writer writes an int as ``str`` and a float as its ``repr``, and quotes
-    none of these cells. So each stage builds its q line tails once, and a
-    full row is its index joined to the next tail.
+    none of these cells. So each stage builds its q row templates
+    ``%d,stage,source,batch`` once, and fills its full rows in chunks of at
+    most ``_CHUNK_ROWS``: one %-format of the chunk's templates, cut from the
+    cycled period, with its consecutive batch indices. Chunks bound the size
+    of each format's argument tuple and result string.
     """
     batch = repr(float(plan.batch.global_batch_tokens))
     buf = io.StringIO()
     buf.write("batch_index,stage,source,tokens\n")
     for first, stage, period, full, last_source, last_tokens in _stage_runs(plan):
-        tails = [f",{stage},{source},{batch}\n" for source in period]
-        buf.writelines(
-            map(str.__add__, map(str, range(first, first + full)), islice(cycle(tails), full))
-        )
+        rows = [f"%d,{stage},{source},{batch}\n" for source in period]
+        ring = list(islice(cycle(rows), len(rows) + _CHUNK_ROWS))
+        end = first + full
+        for i in range(first, end, _CHUNK_ROWS):
+            j = min(i + _CHUNK_ROWS, end)
+            offset = (i - first) % len(rows)
+            buf.write("".join(ring[offset : offset + j - i]) % tuple(range(i, j)))
         buf.write(f"{first + full},{stage},{last_source},{last_tokens!r}\n")
     return buf.getvalue()

@@ -248,10 +248,11 @@ def _wire_ratios(f_r: int, *stages: int) -> tuple[dict, dict, dict]:
 
 @functools.lru_cache(maxsize=64)
 def _ratio(text: str) -> Fraction:
-    """The exact stage ratio in [0, 1] that an integer or "num/den" string names.
+    """The exact stage ratio that an integer or "num/den" string names.
 
     No other form is read (``Fraction("1e-200000")`` builds a 200,001-digit
     denominator). Cached: each distinct string is parsed once; a grid uses a few.
+    ``SetupSpec`` checks the range, with the rest of the two-stage rule.
     """
     if type(text) is not str:
         raise TypeError(f"stage ratio must be a \"num/den\" string, got {text!r}")
@@ -261,8 +262,6 @@ def _ratio(text: str) -> Fraction:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"stage ratio {text!r} has a zero denominator") from None
-    if not 0 <= value <= 1:
-        raise ValueError(f"stage ratio {text!r} is outside [0, 1]")
     return value
 
 

@@ -1588,8 +1588,8 @@ def test_setup_factor_must_be_a_json_integer(tmp_path, capsys, value):
     [
         ({"r1_frac": "1/0"}, "stage ratio '1/0' has a zero denominator"),
         ({"r1_frac": float("inf")}, "stage ratio must be a \"num/den\" string, got inf"),
-        ({"r1_frac": "-1/4"}, "stage ratio '-1/4' is outside [0, 1]"),
-        ({"r2_frac": "3/2"}, "stage ratio '3/2' is outside [0, 1]"),
+        ({"r1_frac": "-1/4"}, "stage ratios must lie in [0, 1], got r1=-1/4, r2=3/4"),
+        ({"r2_frac": "3/2"}, "stage ratios must lie in [0, 1], got r1=1/4, r2=3/2"),
         ({"r1_frac": "1e-3"}, "stage ratio must be a \"num/den\" string, got '1e-3'"),
     ],
     ids=["zero-denominator", "json-infinity", "negative", "above-one", "exponent-form"],

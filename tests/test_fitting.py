@@ -460,6 +460,47 @@ def test_initial_positions_take_a_block_value_on_a_level_as_its_position():
     assert positions == [2.0, -0.25, -1.0]
 
 
+def test_initial_positions_extend_no_steeper_than_four_overall_secants():
+    # the top two blocks' values differ by 1e-13: their edge slope is -1e13, which
+    # would put levels 2.5-4 at -5e12 .. -2e13 for data in x = [0, 3]
+    x, y = [0.0, 1.0, 2.0, 3.0], [2.0, 2.0 - 1e-13, 1.0, 0.0]
+    levels = [0.5 * i for i in range(9)]
+    positions = fitting._initial_positions(x, y, levels)
+    secant = (3.0 - 0.0) / (0.0 - 2.0)  # first to last block
+    for level, position in zip(levels, positions):
+        if level > 2.0:
+            assert position >= 0.0 + 4.0 * secant * (level - 2.0) - 1e-12
+        else:
+            assert 0.0 <= position <= 3.0
+    assert all(b < a for a, b in zip(positions, positions[1:]))
+
+
+def test_kstar_fit_converges_from_a_near_tie_of_edge_blocks(all_setups):
+    # multi-2stage noise 0 with each f_k* from _householder_lstsq's vertex, which moves
+    # none by more than 4e-14 from lstsq's: near-tied edge blocks then made a seed
+    # whose first line search found no step, and the model's RSS rose by a third
+    approach = "multi-2stage"
+    params = surrogate.SurrogateParams(noise_sigma=0.0)
+    cells = analysis.epoch_minima(
+        analysis.ingest(surrogate.generate_dataset(all_setups, params), all_setups), approach
+    )
+    curves = []
+    for (f_C, f_D), points in sorted(cells.items()):
+        f_k = [float(p[0]) for p in points]
+        _, slope, curvature = fitting._householder_lstsq(
+            [[1.0] * len(f_k), f_k, [v * v for v in f_k]], [float(p[1]) for p in points]
+        )
+        curves.append((f_C, f_D, -slope / (2.0 * curvature)))
+    lstsq_curves = _surrogate_curves(all_setups, approach, 0.0, 0)
+    assert [c[:2] for c in curves] == [c[:2] for c in lstsq_curves]
+    assert max(abs(a[2] - b[2]) for a, b in zip(curves, lstsq_curves)) < 1e-13
+    model = fitting.fit_kstar_model(curves, approach)
+    diagnostics = model["diagnostics"]
+    assert diagnostics["converged"] == diagnostics["solves"]
+    lstsq_rss = fitting.fit_kstar_model(lstsq_curves, approach)["diagnostics"]["rss"]
+    assert diagnostics["rss"] <= lstsq_rss * 1.001
+
+
 def test_kstar_shift_equivariance(planted_model):
     base = planted_model
     shift = 2

@@ -252,6 +252,7 @@ def test_schedule_rows_match_per_row_expansion(plan):
 
 
 _HEADER = ("batch_index", "stage", "source", "tokens")
+_CHUNK = schedule._CHUNK_ROWS
 
 
 @given(_plans())
@@ -269,6 +270,18 @@ def test_schedule_csv_matches_csv_writer(plan):
         # partial last rows whose tokens print with the shortest round-trip repr
         (1, [(5e-324, Fraction(0)), (0.1, Fraction(1)), (3.1, Fraction(1, 3))]),
         (4, [(3.0000000000000004, Fraction(1, 2)), (4.1, Fraction(1, 3))]),
+        # the writer formats a stage's full rows in chunks of _CHUNK rows; a
+        # short first stage puts the second one's chunks off index 0
+        # full rows of exactly 2 chunks, then the last row
+        (1, [(2.5, Fraction(1, 2)), (2 * _CHUNK + 1.0, Fraction(1, 4))]),
+        # 2 chunks plus 1 full row, then a partial last row
+        (1, [(2 * _CHUNK + 1.5, Fraction(1, 4))]),
+        # one full row under a chunk
+        (1, [(float(_CHUNK), Fraction(1, 2))]),
+        # q = 3 does not divide the chunk, so chunks start mid-period
+        (4096, [(3 * _CHUNK * 4096 + 100.0, Fraction(1, 3))]),
+        # q = 5000 is longer than a chunk, over more than 2q batches
+        (1, [(3.0, Fraction(1)), (2 * 5000 + 1234.75, Fraction(1, 5000))]),
     ],
 )
 def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
@@ -276,6 +289,12 @@ def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
     text = schedule.schedule_csv(plan)
     assert text == cli._csv_text(_HEADER, _reference_rows(plan))
     assert text == cli._csv_text(_HEADER, schedule.schedule_rows(plan))
+
+
+def test_schedule_csv_of_the_longest_grid_schedule(all_setups):
+    plan = max(map(trainplan.build_training_plan, all_setups), key=lambda p: sum(p.steps))
+    assert sum(plan.steps) == 130_009
+    assert schedule.schedule_csv(plan) == cli._csv_text(_HEADER, schedule.schedule_rows(plan))
 
 
 def test_schedule_rows_skip_a_zero_token_stage():
