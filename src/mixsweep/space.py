@@ -259,10 +259,9 @@ def _ratio(text: str) -> Fraction:
     if not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
         raise ValueError(f"stage ratio must be a \"num/den\" string, got {text!r}")
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"stage ratio {text!r} has a zero denominator") from None
-    return value
 
 
 def json_field(obj: dict, key: str, kind: type):

@@ -469,7 +469,7 @@ def test_initial_positions_extend_no_steeper_than_four_overall_secants():
     secant = (3.0 - 0.0) / (0.0 - 2.0)  # first to last block
     for level, position in zip(levels, positions):
         if level > 2.0:
-            assert position >= 0.0 + 4.0 * secant * (level - 2.0) - 1e-12
+            assert position >= x[0] + 4.0 * secant * (level - 2.0) - 1e-12
         else:
             assert 0.0 <= position <= 3.0
     assert all(b < a for a, b in zip(positions, positions[1:]))

@@ -270,9 +270,8 @@ def test_schedule_csv_matches_csv_writer(plan):
         # partial last rows whose tokens print with the shortest round-trip repr
         (1, [(5e-324, Fraction(0)), (0.1, Fraction(1)), (3.1, Fraction(1, 3))]),
         (4, [(3.0000000000000004, Fraction(1, 2)), (4.1, Fraction(1, 3))]),
-        # the writer formats a stage's full rows in chunks of _CHUNK rows; a
-        # short first stage puts the second one's chunks off index 0
-        # full rows of exactly 2 chunks, then the last row
+        # schedule_csv formats a stage's full rows in chunks of _CHUNK rows.
+        # Full rows of exactly 2 chunks, after a short stage: chunks start off index 0
         (1, [(2.5, Fraction(1, 2)), (2 * _CHUNK + 1.0, Fraction(1, 4))]),
         # 2 chunks plus 1 full row, then a partial last row
         (1, [(2 * _CHUNK + 1.5, Fraction(1, 4))]),
