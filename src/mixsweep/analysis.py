@@ -63,6 +63,8 @@ def read_results_csv(fp: IO[str]) -> Iterator[LossRecord]:
         header = next(reader)
     except StopIteration:
         raise FileFormatError("empty results file (missing header)") from None
+    if header and header[0].startswith("\ufeff"):
+        raise FileFormatError("Unexpected UTF-8 BOM before the header")
     if tuple(h.strip() for h in header) != RESULTS_HEADER:
         raise FileFormatError(
             f"bad header {header!r}, expected {','.join(RESULTS_HEADER)}"
@@ -177,12 +179,12 @@ def ingest(records: Iterable[LossRecord], setups: Iterable[SetupSpec]) -> Result
 def _argmin(
     results: ResultSet, pair: str | None, keys: Callable[[SetupSpec], Iterable[Hashable]]
 ) -> dict:
-    """Minimum-loss ``(loss, spec)`` per key over the setups measured for ``pair``.
+    """The best ``(rank, spec)`` per key over the setups measured for ``pair``.
 
     ``keys(spec)`` lists the keys a setup competes under; an empty list
-    leaves it out. Ties break on (f_k, f_M, id): epochs = 2**f_k with
-    f_k >= 0, so f_k orders like the epoch count without deriving the
-    setup. The result is sorted by key.
+    leaves it out. The rank is (loss, f_k, f_M, id), so ties break on f_k,
+    f_M and id: epochs = 2**f_k with f_k >= 0, so f_k orders like the epoch
+    count without deriving the setup. The result is sorted by key.
     """
     best: dict = {}
     setups = results.setups
@@ -194,7 +196,7 @@ def _argmin(
             incumbent = best.get(key)
             if incumbent is None or rank < incumbent[0]:
                 best[key] = (rank, spec)
-    return {key: (rank[0], spec) for key, (rank, spec) in sorted(best.items())}
+    return dict(sorted(best.items()))
 
 
 def _cell(f_C: int, f_D: int) -> dict:
@@ -210,6 +212,22 @@ def _scale_row(loss: float, spec: SetupSpec) -> dict:
             "M": spec.derived().model_scale, "loss": loss, "setup_id": spec.id}
 
 
+def _category_minima(results: ResultSet, pair: str | None) -> tuple[dict, list[dict]]:
+    """``_argmin`` per (f_C, f_D, category), and its minima as ``category_minima``'s groups."""
+    def keys(s: SetupSpec) -> list:
+        factors = s.factors
+        f_C, f_D = factors.f_C, factors.f_D
+        return [(f_C, f_D, c) for c in CATEGORIES_BY_APPROACH[s.approach]]
+
+    best = _argmin(results, pair, keys)
+    groups: dict[tuple[int, int], dict] = {}
+    for (f_C, f_D, category), (rank, spec) in best.items():
+        if (f_C, f_D) not in groups:
+            groups[f_C, f_D] = {**_cell(f_C, f_D), "minima": {}}
+        groups[f_C, f_D]["minima"][category] = {"loss": rank[0], "setup_id": spec.id}
+    return best, list(groups.values())
+
+
 def category_minima(results: ResultSet, pair: str | None = None) -> list[dict]:
     """``report.json``'s ``groups``: the minimum loss per nested category in each budget cell.
 
@@ -219,18 +237,7 @@ def category_minima(results: ResultSet, pair: str | None = None) -> list[dict]:
     gives its approach, so multi-2stage <= multi-1stage <= mono-1stage holds
     by construction.
     """
-    def keys(s: SetupSpec) -> list:
-        factors = s.factors
-        f_C, f_D = factors.f_C, factors.f_D
-        return [(f_C, f_D, c) for c in CATEGORIES_BY_APPROACH[s.approach]]
-
-    best = _argmin(results, pair, keys)
-    groups: dict[tuple[int, int], dict] = {}
-    for (f_C, f_D, category), (loss, spec) in best.items():
-        if (f_C, f_D) not in groups:
-            groups[f_C, f_D] = {**_cell(f_C, f_D), "minima": {}}
-        groups[f_C, f_D]["minima"][category] = {"loss": loss, "setup_id": spec.id}
-    return list(groups.values())
+    return _category_minima(results, pair)[1]
 
 
 def epoch_minima(
@@ -251,8 +258,8 @@ def epoch_minima(
 
     best = _argmin(results, pair, keys)
     cells: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for (f_C, f_D, f_k), (loss, _) in best.items():
-        cells.setdefault((f_C, f_D), []).append((f_k, loss))
+    for (f_C, f_D, f_k), (rank, _) in best.items():
+        cells.setdefault((f_C, f_D), []).append((f_k, rank[0]))
     return cells
 
 
@@ -333,7 +340,7 @@ def build_report(
     """
     _check_epsilon(epsilon)  # also when no budget reaches detect_threshold
     pair = results.resolve_pair(pair)
-    groups = category_minima(results, pair)
+    best, groups = _category_minima(results, pair)
     by_budget: dict[int, list[dict]] = {}
     for group in groups:
         by_budget.setdefault(group["f_C"], []).append(group)
@@ -341,15 +348,9 @@ def build_report(
     thresholds = []
     for f_C, cells in by_budget.items():
         entry = {"f_C": f_C, "C": cells[0]["C"]}
-        # the budget's best mono-1stage setup is the best of its cells' minima, under
-        # _argmin's rank (loss, f_k, f_M, id)
-        ranked = []
-        for group in cells:
-            if APPROACH_MONO_1STAGE in group["minima"]:
-                best = group["minima"][APPROACH_MONO_1STAGE]
-                spec = results.setups[best["setup_id"]]
-                _, f_M, f_k, _ = spec.factors
-                ranked.append(((best["loss"], f_k, f_M, spec.id), spec))
+        # the budget's best mono-1stage setup is the best of its cells' minima
+        ranked = [best[key] for group in cells
+                  if (key := (f_C, group["f_D"], APPROACH_MONO_1STAGE)) in best]
         if not ranked:
             note = f"no mono-1stage measurements at compute factor f_C={f_C}"
             compute_optimal.append(entry | {"D_star": None, "setup_id": None, "note": note})
@@ -359,11 +360,9 @@ def build_report(
         d_star = derived.epochs * derived.target_tokens
         compute_optimal.append(entry | {"D_star": d_star, "setup_id": spec.id})
         thresholds.append(detect_threshold(cells, d_star, epsilon))
-    # every setup is in multi-2stage, so that column is the per-cell minimum
-    winners = [
-        _scale_row(best["loss"], results.setups[best["setup_id"]])
-        for best in (group["minima"][APPROACH_MULTI_2STAGE] for group in groups)
-    ]
+    # every setup is in multi-2stage, so that category is the per-cell minimum
+    winners = [_scale_row(rank[0], spec) for (_, _, category), (rank, spec) in best.items()
+               if category == APPROACH_MULTI_2STAGE]
     scales: dict[int, list[float]] = {}
     for row in winners:
         scales.setdefault(row["f_C"], []).append(row["M"])
@@ -393,5 +392,5 @@ def build_report(
             "winners": winners,
             "fold_change": {str(f_C): max(m) / min(m) for f_C, m in scales.items()},
         },
-        "scale_minima": [_scale_row(loss, spec) for loss, spec in scale_minima.values()],
+        "scale_minima": [_scale_row(rank[0], spec) for rank, spec in scale_minima.values()],
     }

@@ -162,18 +162,8 @@ def _read_setups(path: str) -> list[space.SetupSpec]:
 
 def _read_json(path: str, from_wire):
     """A JSON object file, rebuilt by ``from_wire`` (the artifact's loader)."""
-
-    def parse(fh):
-        text = fh.read()  # a UnicodeDecodeError is not reported as invalid JSON
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
-            raise FileFormatError(f"invalid JSON ({exc})") from exc
-        if not isinstance(obj, dict):
-            raise FileFormatError("expected a JSON object")
-        return from_wire(obj)
-
-    return _read(path, parse)
+    # the file is read whole first, so a UnicodeDecodeError is not reported as invalid JSON
+    return _read(path, lambda fh: from_wire(space.json_object(fh.read())))
 
 
 def _ingest(args) -> analysis.ResultSet:
@@ -260,11 +250,9 @@ def _cmd_simulate(args) -> _Result:
         if args.params
         else surrogate.SurrogateParams()
     )
-    seed = _resolve(args.seed, config, "seed", None)
+    params = params._replace(seed=_resolve(args.seed, config, "seed", params.seed))
     specs = _read_setups(args.setups)
-    records = surrogate.generate_dataset(
-        specs, params, seed, language_pair=args.pair
-    )
+    records = surrogate.generate_dataset(specs, params, language_pair=args.pair)
     text = _csv_text(
         analysis.RESULTS_HEADER,
         ((r.setup_id, r.language_pair, r.val_loss) for r in records),

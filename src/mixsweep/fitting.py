@@ -76,10 +76,17 @@ class _LossOverflowError(UnidentifiableError):
     """A quadratic epoch fit whose squared error or coefficients leave the float range."""
 
 
+#: The JSON type of each field of an epochs.json cell after its f_C and f_D, in file order.
+_EPOCH_CELL = {
+    "curvature": float, "slope": float, "intercept": float, "f_k_star": float, "k_star": float,
+    "convex": bool, "rss": float, "n_points": int, "extrapolated": bool,
+}
+
+
 def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> dict:
     """OLS on the basis (1, f_k, f_k^2); needs >= 3 distinct abscissae.
 
-    Returns an epochs.json cell's fields after its f_C and f_D. ``f_k_star`` is the
+    Returns an epochs.json cell's ``_EPOCH_CELL`` fields. ``f_k_star`` is the
     continuous argmin: the vertex when the fit is convex, otherwise the grid argmin
     (with ``convex`` false). ``extrapolated`` flags an f_k_star more than one grid step
     outside the fitted abscissa range.
@@ -114,17 +121,8 @@ def fit_epoch_quadratic(points: Sequence[tuple[float, float]]) -> dict:
     if not 0.0 < k_star < math.inf:  # a near-flat convex fit can put its vertex anywhere
         raise UnidentifiableError(f"epoch optimum 2**{minimizer} leaves the float range")
     extrapolated = not (x.min() - 1.0 <= minimizer <= x.max() + 1.0)
-    return {
-        "curvature": curvature,
-        "slope": slope,
-        "intercept": intercept,
-        "f_k_star": minimizer,
-        "k_star": k_star,
-        "convex": convex,
-        "rss": rss,
-        "n_points": len(points),
-        "extrapolated": extrapolated,
-    }
+    return dict(zip(_EPOCH_CELL, (curvature, slope, intercept, minimizer, k_star, convex, rss,
+                                  len(points), extrapolated), strict=True))
 
 
 def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], approach: str) -> dict:
@@ -289,12 +287,8 @@ def _sse_and_grad(
     """
     n = len(theta)
     try:
-        exp_gaps = [math.exp(t) for t in theta[1:]]
-        top = theta[0]
-        # _positions_from_theta(theta), ascending
-        xp = [top - gap for gap in itertools.accumulate(_MIN_KNOT_GAP + e for e in exp_gaps)]
-        xp.reverse()
-        xp.append(top)
+        exp_gaps = [math.exp(t) for t in theta[1:]]  # an overflow raises here, before the knots
+        xp = _positions_from_theta(theta)[::-1]  # ascending
         fp = levels[::-1]  # descending along xp
         left = [0.0] * n  # each knot's partials as a segment's left end, by ascending knot
         right = [0.0] * n  # ... and as its right end
@@ -1036,13 +1030,6 @@ def ratio_fit_from_wire(obj: dict) -> tuple[float, dict[tuple[float, float], flo
         intercepts[m, d] = level
     _diagnostics(diagnostics, "group_count")
     return exponent, intercepts
-
-
-#: The JSON type of each field of an epochs.json cell after its f_C and f_D, in file order.
-_EPOCH_CELL = {
-    "curvature": float, "slope": float, "intercept": float, "f_k_star": float, "k_star": float,
-    "convex": bool, "rss": float, "n_points": int, "extrapolated": bool,
-}
 
 
 def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict], int]:

@@ -343,6 +343,17 @@ def _mismatch(obj: dict, key: str, expected) -> FileFormatError:
 _scan = json.JSONDecoder().scan_once
 
 
+def json_object(text: str) -> dict:
+    """``json.loads(text)``, which must be a JSON object."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
+        raise FileFormatError(f"invalid JSON ({exc})") from exc
+    if type(obj) is not dict:
+        raise FileFormatError("expected a JSON object")
+    return obj
+
+
 def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
     """Write one wire object per line; returns the number of lines."""
     count = 0
@@ -370,13 +381,8 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
                 obj, end = _scan(line, 0)
             except (StopIteration, ValueError, RecursionError):
                 end = -1
-            if end != len(line):  # json.loads raises what it raises for this line
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # also: too long an integer, too deep
-                    raise FileFormatError(f"invalid JSON ({exc})") from exc
-            if type(obj) is not dict:
-                raise FileFormatError("expected a JSON object")
+            if end != len(line) or type(obj) is not dict:
+                obj = json_object(line)  # raises json.loads's error for this line, or not an object
             spec = from_wire(obj)
             seen = first_line.setdefault(spec.id, lineno)
             if seen != lineno:

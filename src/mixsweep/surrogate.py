@@ -160,16 +160,14 @@ def _noise_factor(seed: int, setup_id: str, sigma: float) -> float:
 def generate_dataset(
     setups: Sequence[SetupSpec] | Iterable[SetupSpec],
     params: SurrogateParams,
-    seed: int | None = None,
     *,
     language_pair: str = "surrogate",
 ) -> list[LossRecord]:
-    """One loss record per setup, fully deterministic given (params, seed).
+    """One loss record per setup, fully deterministic given the params.
 
-    Noise is derived per record from (seed, setup id), so generation is
-    order-independent and parallelizable.
+    Noise is derived per record from (``params.seed``, setup id), so generation
+    is order-independent and parallelizable.
     """
-    noise_seed = params.seed if seed is None else seed
     records: list[LossRecord] = []
     for spec in setups:
         derived = spec.derived()
@@ -182,7 +180,7 @@ def generate_dataset(
             params=params,
         )
         if params.noise_sigma > 0:
-            loss *= _noise_factor(noise_seed, spec.id, params.noise_sigma)
+            loss *= _noise_factor(params.seed, spec.id, params.noise_sigma)
         records.append(
             LossRecord(setup_id=spec.id, language_pair=language_pair, val_loss=loss)
         )

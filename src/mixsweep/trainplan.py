@@ -200,13 +200,11 @@ def _quantized_share(share, total: float) -> float:
 
     Snapping makes ``total - result`` exact in floating point (both
     operands are multiples of the same power-of-two quantum), which is
-    what lets the complements below sum back exactly.
+    what lets the complements below sum back exactly. A share in [0, 1]
+    gives a result in [0, total].
     """
-    if total == 0.0:
-        return 0.0
     quantum = math.ulp(total)
-    steps = round(float(share) * total / quantum)
-    return min(max(steps, 0), round(total / quantum)) * quantum
+    return round(float(share) * total / quantum) * quantum
 
 
 def _stage(raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget:
@@ -254,6 +252,8 @@ def stage_budgets(spec: SetupSpec, *,
     if high_available is not None:
         if math.isnan(high_available):
             raise ValidationError("high_available must be a number, got nan")
+        if high_available < 0:
+            raise ValidationError(f"high_available must be >= 0, got {high_available:.6g}")
         needed = sum(b.high_tokens for b in budgets)
         if needed > high_available:
             raise ValidationError(

@@ -550,6 +550,25 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
     assert open(a).read() != open(c).read()
 
 
+def test_simulate_seed_flag_then_config_then_params_file(workspace, tmp_path):
+    def simulate(name, params, *flags, config=None):
+        out = tmp_path / name
+        argv = ["simulate", "--setups", workspace["setups"], "--out", str(out),
+                "--params", _model_file(tmp_path, "params.json", params), *flags]
+        if config is not None:
+            argv = ["--config", _model_file(tmp_path, "config.json", config), *argv]
+        assert run(argv) == 0
+        return out.read_bytes()
+
+    unseeded, seeded = {"noise_sigma": 0.01}, {"noise_sigma": 0.01, "seed": 3}
+    five = simulate("five.csv", unseeded, "--seed", "5")
+    three = simulate("three.csv", unseeded, "--seed", "3")
+    assert five != three
+    assert simulate("flag.csv", seeded, "--seed", "5") == five
+    assert simulate("config.csv", seeded, config={"seed": 5}) == five
+    assert simulate("file.csv", seeded) == three
+
+
 def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     # only the epoch fit needs numpy, and no command needs scipy: the Quickstart's
     # other eight commands, the k* and ratio fits included, run in one process that
@@ -1264,6 +1283,16 @@ def test_plan_rejects_nan_high_available(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err == "error: high_available must be a number, got nan\n"
+
+
+def test_plan_rejects_negative_high_available(workspace, tmp_path, capsys):
+    code = run(
+        ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+         "--out", str(tmp_path / "p.json"), "--high-available", "-5"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: high_available must be >= 0, got -5\n"
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -1985,6 +2014,7 @@ def _bad_input_file(case, tmp_path, workspace):
         "setups-r1": ("s.jsonl", json.dumps(two_stage) + "\n"),
         "setups-not-utf8": ("s.jsonl", b"\xff" + lines[0].encode()),
         "results-not-utf8": ("r.csv", b"\xff" + results),
+        "results-bom": ("r.csv", "\ufeff".encode() + results),
         "results-field-limit": ("r.csv", "setup_id,language_pair,val_loss\n" + "x" * 131073
                                 + ",surrogate,3.0\n"),
         # float() reads these as 37135.0 and 2.5
@@ -2017,6 +2047,7 @@ def _bad_input_file(case, tmp_path, workspace):
          "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         ("results-not-utf8",
          "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("results-bom", "Unexpected UTF-8 BOM before the header"),
         ("results-field-limit", "line 2: field larger than field limit (131072)"),
         ("results-underscore", "line 5252: val_loss '3_7135' is not a number"),
         ("results-full-width", "line 5252: val_loss '\uff12.\uff15' is not a number"),

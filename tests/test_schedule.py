@@ -89,6 +89,11 @@ def test_stage_budgets_sum_exactly_on_generated_setups(spec):
     expected = math.ldexp(budget.reference_constants().target_tokens, factors.f_D + factors.f_k)
     assert sum(b.target_tokens for b in budgets) == expected
     assert [b.ratio for b in budgets] == [spec.first_stage_ratio, spec.second_stage_ratio]
+    # stage 1's share is snapped to the quantum of a positive total and stays inside it
+    target_1 = budgets[0].target_tokens
+    assert expected > 0
+    assert 0.0 <= target_1 <= expected
+    assert target_1 % math.ulp(expected) == 0.0
     for b in budgets:
         assert b.target_tokens + b.high_tokens == b.total_tokens
         assert b.high_tokens >= 0

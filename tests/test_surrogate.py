@@ -111,7 +111,7 @@ def test_generate_dataset_deterministic(all_setups):
     first = surrogate.generate_dataset(sample, params)
     second = surrogate.generate_dataset(sample, params)
     assert first == second
-    shifted = surrogate.generate_dataset(sample, params, seed=6)
+    shifted = surrogate.generate_dataset(sample, params._replace(seed=6))
     assert shifted != first
 
 
