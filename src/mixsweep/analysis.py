@@ -16,7 +16,7 @@ import csv
 import math
 from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple
 
-from .budget import reference_constants
+from .budget import cell_budgets
 from .errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 from .space import (
     APPROACH_MONO_1STAGE,
@@ -201,9 +201,8 @@ def _argmin(
 
 def _cell(f_C: int, f_D: int) -> dict:
     """The keys every row of a budget cell starts with: its factors, C and D_T."""
-    ref = reference_constants()
-    return {"f_C": f_C, "f_D": f_D, "C": math.ldexp(ref.compute, f_C),
-            "D_T": math.ldexp(ref.target_tokens, f_D)}
+    C, D_T = cell_budgets(f_C, f_D)
+    return {"f_C": f_C, "f_D": f_D, "C": C, "D_T": D_T}
 
 
 def _scale_row(loss: float, spec: SetupSpec) -> dict:

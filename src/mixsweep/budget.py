@@ -129,6 +129,17 @@ class DerivedSetup(NamedTuple):
         return self.factors.f_D
 
 
+def cell_budgets(f_C: int, f_D: int) -> tuple[float, float]:
+    """The cell's compute C and corpus D_T: each reference constant scaled exactly by ldexp."""
+    try:
+        budgets = (math.ldexp(_REFERENCE.compute, f_C), math.ldexp(_REFERENCE.target_tokens, f_D))
+    except OverflowError:
+        budgets = (0.0, 0.0)
+    if 0.0 in budgets:  # an overflow or an underflow to zero
+        raise ValidationError(f"cell (f_C={f_C}, f_D={f_D}) leaves the float range")
+    return budgets
+
+
 @functools.lru_cache(maxsize=4096)
 def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     """Expand a factor tuple into concrete training quantities.
@@ -138,25 +149,19 @@ def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     frozen, so every setup with these factors shares one; the default grid
     has 586 distinct tuples.
     """
-    ref = _REFERENCE
-    f_D = factors.f_D
+    f_C, f_D = factors.f_C, factors.f_D
     try:
-        scaled = (
-            math.ldexp(ref.model_scale, -factors.f_M),
-            math.ldexp(ref.compute, factors.f_C),
-            math.ldexp(ref.target_tokens, f_D),
-            math.ldexp(ref.target_tokens, f_D + factors.f_k + factors.f_r),
-            math.ldexp(1.0, factors.f_k),
-        )
-    except OverflowError:
-        scaled = None
-    if scaled is None or 0.0 in scaled:
+        compute, target_tokens = cell_budgets(f_C, f_D)
+        _, total_tokens = cell_budgets(f_C, f_D + factors.f_k + factors.f_r)
+        scaled = (math.ldexp(_REFERENCE.model_scale, -factors.f_M), math.ldexp(1.0, factors.f_k))
+    except (OverflowError, ValidationError):
+        scaled = (0.0, 0.0)
+    if 0.0 in scaled:
         raise ValidationError(f"{factors} leaves the float range")
-    model_scale, compute, target_tokens, total_tokens, _ = scaled
     return DerivedSetup(
         factors=factors,
         ratio=ratio_for(factors.f_r),
-        model_scale=model_scale,
+        model_scale=scaled[0],
         epochs=2**factors.f_k,
         compute=compute,
         target_tokens=target_tokens,

@@ -22,13 +22,12 @@ import csv
 import functools
 import io
 import json
-import math
 import os
+import re
 import sys
 from typing import NamedTuple, Sequence
 
 from . import analysis, fitting, schedule, space, surrogate, trainplan
-from .budget import reference_constants
 from .errors import (INPUT_ERRORS, FileFormatError, FitError, MixsweepError,
                      UnderdeterminedError, UsageError, ValidationError, input_message)
 
@@ -42,6 +41,12 @@ _INT, _FLOAT = space.number_parser(int), space.number_parser(float)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in each form _FLOAT reads (-1e30, -.5E-3, -inf) is a value, not a flag
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.ASCII | re.IGNORECASE)
+
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
 
@@ -368,55 +373,25 @@ def _cmd_report(args) -> _Result:
     outputs, summary = _read_json(args.analysis, lambda report: (
         _analysis_tables(report, args.out_dir), _render_summary(report) if args.summary else ""
     ))
-    ref = reference_constants()
     if args.epoch_fits:
         _, fits, _ = _read_json(args.epoch_fits, fitting.epoch_fits_from_wire)
-        rows = [
-            (math.ldexp(ref.compute, fit["f_C"]), math.ldexp(ref.target_tokens, fit["f_D"]),
-             fit["f_k_star"], fit["k_star"], fit["convex"])
-            for fit in fits
-        ]
+        rows = fitting.epoch_optima(fits)
         outputs.append((os.path.join(args.out_dir, "epoch_optima.csv"),
                         _csv_text(("C", "D_T", "f_k_star", "k_star", "convex"), rows)))
-    if args.kstar_model:
-        def extrapolate(obj):  # read with the model, so a prediction's error names the file too
-            model = fitting.kstar_from_wire(obj)
-            positions = model[2]
-            lo = math.floor(min(positions)) - 1
-            hi = math.ceil(max(positions)) + 1
-            # each grid D_T must be a positive finite float; this also caps the grid at ~4,200 rows
-            if hi >= sys.float_info.max_exp or not (
-                0.0 < ref.target_tokens * 2.0**lo and ref.target_tokens * 2.0**hi < math.inf
-            ):
-                raise ValueError(f"knots at f_D {min(positions):.6g} to "
-                                 f"{max(positions):.6g} leave the float range of D_T")
-            grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
-            return [(ref.compute, d_t, fitting.predict_kstar(model, ref.compute, d_t))
-                    for d_t in grid]
-
-        rows = _read_json(args.kstar_model, extrapolate)
+    if args.kstar_model:  # each model is evaluated as it is read, so an error names its file
+        rows = _read_json(args.kstar_model,
+                          lambda obj: fitting.kstar_extrapolation(fitting.kstar_from_wire(obj)))
         outputs.append((os.path.join(args.out_dir, "kstar_extrapolation.csv"),
                         _csv_text(("C", "D_T", "k_star"), rows)))
     if ingest:
         points = [point[1:] for point in sorted(analysis.ratio_points(_ingest(args), args.pair))]
 
-        def predict(obj):  # read with the fit, so a prediction's error names the file too
-            exponent, intercepts = fitting.ratio_fit_from_wire(obj)
-            losses = {}
-            for m, d, r, _ in points:
-                if (m, d) in intercepts:  # a group the fit dropped gets no prediction
-                    try:
-                        loss = intercepts[m, d] * r**exponent
-                    except OverflowError:
-                        loss = math.inf
-                    if not 0.0 < loss < math.inf:
-                        raise ValueError(f"predicted loss of group (M={m:.6g}, D={d:.6g}) "
-                                         f"at r={r:.6g} leaves the float range")
-                    losses[m, d, r] = loss
-            return losses
+        def predict(obj):
+            model = fitting.ratio_fit_from_wire(obj)
+            return [fitting.predict_ratio_loss(model, m, d, r) for m, d, r, _ in points]
 
-        predicted = _read_json(args.ratio_fit, predict) if args.ratio_fit else {}
-        rows = [(m, d, r, loss, predicted.get((m, d, r), "")) for m, d, r, loss in points]
+        predicted = _read_json(args.ratio_fit, predict) if args.ratio_fit else [None] * len(points)
+        rows = [(*point, "" if loss is None else loss) for point, loss in zip(points, predicted)]
         outputs.append((os.path.join(args.out_dir, "ratio_curves.csv"),
                         _csv_text(("M", "D", "r", "val_loss", "predicted_loss"), rows)))
     note = "" if args.summary else f"wrote report tables to {args.out_dir}"

@@ -22,7 +22,8 @@
 All three fitters return their files as the dicts that are written:
 ``fit_epoch_cells`` epochs.json (and ``fit_epoch_quadratic`` one of its cells),
 ``fit_kstar_model`` kstar.json and ``fit_ratio_power_law`` ratio.json. Each loader
-(``*_from_wire``) checks a model file and returns what its readers use.
+(``*_from_wire``) checks a model file and returns what its readers use, and
+``epoch_optima``, ``predict_kstar``, ``kstar_extrapolation`` and ``predict_ratio_loss`` evaluate it.
 
 Regressions run on natural logs internally; reported quantities are base-2
 where the grid is base-2.
@@ -38,7 +39,7 @@ import operator
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
-from .budget import reference_constants
+from .budget import cell_budgets, reference_constants
 from .errors import FitError, UnderdeterminedError, UnidentifiableError, ValidationError
 from .space import APPROACH_MONO_1STAGE, APPROACH_MULTI_2STAGE, json_field
 
@@ -161,6 +162,12 @@ def fit_epoch_cells(cells: dict[tuple[int, int], list[tuple[int, float]]], appro
             "warnings": warnings,
         },
     }
+
+
+def epoch_optima(fits: Iterable[dict]) -> list[tuple]:
+    """epoch_optima.csv's rows: each loaded cell's C, D_T, f_k_star, k_star and convex."""
+    return [(*cell_budgets(fit["f_C"], fit["f_D"]), fit["f_k_star"], fit["k_star"], fit["convex"])
+            for fit in fits]
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +868,21 @@ def predict_kstar(
     return 2.0**level
 
 
+def kstar_extrapolation(model: tuple[float, Sequence[float], Sequence[float]]) -> list[tuple]:
+    """kstar_extrapolation.csv's (C, D_T, k*) rows: C is the reference, and D_T steps by half
+    factors over the knots' f_D span ±1; each must be positive and finite (<= ~4,200 rows)."""
+    ref = reference_constants()
+    positions = model[2]
+    lo = math.floor(min(positions)) - 1
+    hi = math.ceil(max(positions)) + 1
+    if hi >= sys.float_info.max_exp or not (0.0 < ref.target_tokens * 2.0**lo
+                                            and ref.target_tokens * 2.0**hi < math.inf):
+        raise ValidationError(f"knots at f_D {min(positions):.6g} to "
+                              f"{max(positions):.6g} leave the float range of D_T")
+    grid = [ref.target_tokens * 2.0 ** (lo + 0.5 * i) for i in range(2 * (hi - lo) + 1)]
+    return [(ref.compute, d_t, predict_kstar(model, ref.compute, d_t)) for d_t in grid]
+
+
 # ---------------------------------------------------------------------------
 # Ratio power law
 # ---------------------------------------------------------------------------
@@ -927,6 +949,21 @@ def fit_ratio_power_law(points: Iterable[tuple[float, float, float, float]]) -> 
             "warnings": warnings,
         },
     }
+
+
+def predict_ratio_loss(model: tuple[float, dict], M: float, D: float, r: float) -> float | None:
+    """L0 * r**exponent of group (M, D) in ``ratio_fit_from_wire``'s model; None if it has no L0."""
+    exponent, intercepts = model
+    if (M, D) not in intercepts:
+        return None
+    try:
+        loss = intercepts[M, D] * r**exponent
+    except OverflowError:
+        loss = math.inf
+    if not 0.0 < loss < math.inf:
+        raise ValidationError(f"predicted loss of group (M={M:.6g}, D={D:.6g}) "
+                              f"at r={r:.6g} leaves the float range")
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1078,6 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict], int]:
     as a derived setup's do. Its k_star must equal 2**f_k_star, as
     ``fit_epoch_quadratic`` derives it, and be a positive, finite float.
     """
-    ref = reference_constants()
     params, diagnostics = _sections(obj, "epoch_quadratics")
     approach = _approach(json_field(params, "approach", str), ValueError)
     _diagnostics(diagnostics)
@@ -1052,12 +1088,7 @@ def epoch_fits_from_wire(obj: dict) -> tuple[str, list[dict], int]:
         f_C, f_D = json_field(entry, "f_C", int), json_field(entry, "f_D", int)
         if (f_C, f_D) in cells:
             raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) is listed twice")
-        try:
-            budgets = (math.ldexp(ref.compute, f_C), math.ldexp(ref.target_tokens, f_D))
-        except OverflowError:
-            budgets = (0.0,)
-        if 0.0 in budgets:
-            raise ValueError(f"cell (f_C={f_C}, f_D={f_D}) leaves the float range")
+        cell_budgets(f_C, f_D)  # raises for a cell outside the float range
         _diagnostics(entry)
         cell = {"f_C": f_C, "f_D": f_D}
         cell |= {key: json_field(entry, key, kind) for key, kind in _EPOCH_CELL.items()}

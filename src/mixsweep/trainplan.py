@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .budget import reference_constants
+from .budget import cell_budgets
 from .errors import ValidationError
 from .space import SetupSpec
 
@@ -232,11 +232,10 @@ def stage_budgets(spec: SetupSpec, *,
     never repeated; if ``high_available`` is given and the schedule needs
     more, this raises.
     """
-    ref = reference_constants()
     setup = spec.derived()
     f = setup.factors
-    # epochs * target corpus, scaled exactly from the reference constant
-    target_total = math.ldexp(ref.target_tokens, f.f_D + f.f_k)
+    # epochs * target corpus: the D_T of f_D + f_k, scaled exactly from the reference constant
+    _, target_total = cell_budgets(f.f_C, f.f_D + f.f_k)
     total = setup.total_tokens
     s1, r1, r2 = spec.first_stage_share, spec.first_stage_ratio, spec.second_stage_ratio
     if s1 is None:

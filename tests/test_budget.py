@@ -58,6 +58,24 @@ def test_equal_factor_tuples_share_one_derived_setup():
         budget.derive_single_stage(budget.FactorTuple(0, -2000, 0, 0))
 
 
+def test_cell_budgets_are_the_derived_setups_budgets(all_setups):
+    ref = budget.reference_constants()
+    for spec in all_setups:
+        setup, f = spec.derived(), spec.factors
+        assert budget.cell_budgets(f.f_C, f.f_D) == (setup.compute, setup.target_tokens)
+        assert budget.cell_budgets(f.f_C, f.f_D) == (ref.compute * 2.0**f.f_C,
+                                                      ref.target_tokens * 2.0**f.f_D)
+        assert budget.cell_budgets(f.f_C, f.f_D + f.f_k + f.f_r)[1] == setup.total_tokens
+
+
+@pytest.mark.parametrize("f_C, f_D", [(0, 2000), (0, -1200), (-1200, 0), (0, 10**400),
+                                      (-(10**400), 0)])
+def test_cell_budgets_outside_the_float_range_raise(f_C, f_D):
+    with pytest.raises(ValidationError,
+                       match=rf"^cell \(f_C={f_C}, f_D={f_D}\) leaves the float range$"):
+        budget.cell_budgets(f_C, f_D)
+
+
 _INVALID_FACTORS = {
     (-1, 0, 0, 0): r"f_r must be in \[0, 4096\], got -1",
     (0, 0, -2, 0): "f_k must be >= 0, got -2",

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mixsweep
@@ -1295,6 +1296,30 @@ def test_plan_rejects_negative_high_available(workspace, tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("value", ["-1e30", "-.5E-3", "-inf", "-2.E+3", "-Infinity"])
+@pytest.mark.parametrize("flag", ["--high-available", "--epsilon", "--h-max", "--C", "--DT"])
+def test_negative_flag_value_in_every_float_form_is_a_value(workspace, tmp_path, capsys,
+                                                            flag, value):
+    # argparse on its own takes only -5 and -.5 as negative numbers, and reads "-1e30" as an
+    # unknown flag ("expected one argument", exit 1); both spellings must reach the range check
+    out = str(tmp_path / "out")
+    ingest = ["--results", workspace["results"], "--setups", workspace["setups"]]
+    argv = {
+        "--high-available": ["plan", "fC0_fD0_fr0_fM0_fk0", "--setups", workspace["setups"],
+                             "--out", out],
+        "--epsilon": ["analyze", *ingest, "--out", out],
+        "--h-max": ["fit", "kstar", "--epoch-fits", workspace["epochs"], "--out", out],
+        "--C": ["predict", "kstar", "--model", workspace["kstar"], "--DT", "2.13e9"],
+        "--DT": ["predict", "kstar", "--model", workspace["kstar"], "--C", "1e18"],
+    }[flag]
+    assert run([*argv, f"{flag}={value}"]) == 2
+    joined = capsys.readouterr()
+    assert run([*argv, flag, value]) == 2
+    assert capsys.readouterr() == joined
+    assert joined.out == "" and joined.err.startswith("error: ") and joined.err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "params",  # (file content, message)
     [
@@ -1998,6 +2023,67 @@ def test_fit_kstar_on_a_sparse_sweep_counts_the_skipped_cells(workspace, tmp_pat
         "warnings list 12 as skipped\n"
     )
     assert not (tmp_path / "kstar.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small_sweep(tmp_path_factory):
+    """A two-budget sweep (f_C -2 and -4): its setups path and its results.csv lines."""
+    root = tmp_path_factory.mktemp("small_sweep")
+    setups, results = str(root / "setups.jsonl"), str(root / "results.csv")
+    assert run(["enumerate", "--out", setups, "--fc", "-2", "-4"]) == 0
+    assert run(["simulate", "--setups", setups, "--out", results]) == 0
+    with open(results, encoding="utf-8") as fh:
+        return setups, fh.readlines()
+
+
+#: What a fit says when a partial sweep leaves it too little to fit (exit 3).
+_SHORTFALLS = (
+    "fit error: no budget cell has a usable epoch fit: ",
+    "fit error: need >= 4 points, got ",
+    "fit error: curves span a single compute budget; ",
+    "fit error: no (model scale, total tokens) group has two distinct ratios: ",
+)
+
+
+@settings(max_examples=15)  # each example runs six commands, one k* fit among them
+@given(seed=st.integers(0, 2**32 - 1), share=st.floats(0.02, 0.5))
+def test_partial_sweep_fits_or_names_its_shortfall(small_sweep, seed, share):
+    # users measure a fraction of the grid: each fit writes its file or names what is
+    # missing, and report and predict read every model file the fits wrote
+    setups, (header, *rows) = small_sweep
+    rnd = random.Random(seed)
+    kept = [row for row in rows if rnd.random() < share]
+    assume(len({row.split("_", 1)[0] for row in kept}) >= 2)  # rows of both f_C
+
+    def check(argv, shortfalls=()):
+        """``argv`` exits 0, or 3 with one line that starts with one of ``shortfalls``."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        message = err.getvalue()
+        assert code == 0 or (code == 3 and message.startswith(shortfalls)
+                             and message.count("\n") == 1), (argv, code, message)
+
+    with tempfile.TemporaryDirectory() as root:
+        path = functools.partial(os.path.join, root)
+        with open(path("results.csv"), "w", encoding="utf-8") as fh:
+            fh.write(header + "".join(kept))
+        ingest = ["--results", path("results.csv"), "--setups", setups]
+        check(["analyze", *ingest, "--out", path("report.json")])
+        check(["fit", "epochs", *ingest, "--out", path("epochs.json")], _SHORTFALLS)
+        if os.path.exists(path("epochs.json")):
+            check(["fit", "kstar", "--epoch-fits", path("epochs.json"),
+                   "--out", path("kstar.json")], _SHORTFALLS)
+        check(["fit", "ratio", *ingest, "--out", path("ratio.json")], _SHORTFALLS)
+        models = [arg for flag, name in (("--epoch-fits", "epochs.json"),
+                                         ("--kstar-model", "kstar.json"),
+                                         ("--ratio-fit", "ratio.json"))
+                  if os.path.exists(path(name)) for arg in (flag, path(name))]
+        check(["report", "--analysis", path("report.json"), "--out-dir", path("rpt"),
+               *ingest, *models, "--summary"])
+        if os.path.exists(path("kstar.json")):
+            check(["predict", "kstar", "--model", path("kstar.json"), "--C", "1e18",
+                   "--DT", "2.13e9"])
 
 
 def _bad_input_file(case, tmp_path, workspace):

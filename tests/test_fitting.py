@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,34 @@ def test_kstar_round_to_power_of_two(planted_model):
     raw = fitting.predict_kstar(model, ref.compute, target)
     rounded = fitting.predict_kstar(model, ref.compute, target, round_to_power_of_two=True)
     assert rounded == 2.0 ** round(math.log2(raw))
+
+
+def test_kstar_extrapolation_is_predict_kstar_over_the_knot_span(planted_model):
+    model = fitting.kstar_from_wire(planted_model)
+    ref = reference_constants()
+    rows = fitting.kstar_extrapolation(model)
+    positions = model[2]
+    # half-factor steps from one factor below the lowest knot to one above the highest
+    factors = [math.log2(d_t / ref.target_tokens) for _, d_t, _ in rows]
+    assert math.floor(min(positions)) - 1 == factors[0] and factors[0] <= min(positions) - 1
+    assert math.ceil(max(positions)) + 1 == factors[-1] and factors[-1] >= max(positions) + 1
+    assert all(b - a == pytest.approx(0.5, abs=1e-9) for a, b in zip(factors, factors[1:]))
+    for compute, d_t, k_star in rows:
+        assert compute == ref.compute
+        assert k_star == fitting.predict_kstar(model, compute, d_t)
+
+
+@pytest.mark.parametrize(
+    "positions, span",
+    [((1030.0, 1029.0), "1029 to 1030"), ((5.0, -1110.0), "-1110 to 5"),
+     ((5.0, -1e12), "-1e+12 to 5")],
+    ids=["overflow", "underflow", "underflow-beyond-the-row-cap"],
+)
+def test_kstar_extrapolation_beyond_the_float_range_raises(positions, span):
+    # 2.0**1031 D_T overflows; D_ref * 2**-1111 underflows to 0
+    with pytest.raises(ValidationError,
+                       match=f"^knots at f_D {re.escape(span)} leave the float range of D_T$"):
+        fitting.kstar_extrapolation((0.5, (0.0, 0.5), positions))
 
 
 def test_kstar_fit_solves_each_shift_exponent_once(monkeypatch):
@@ -1121,6 +1150,29 @@ def test_ratio_rejects_non_finite_points(field, value):
         point[field] = value
     with pytest.raises(ValidationError, match="ratio points must be finite"):
         fitting.fit_ratio_power_law([tuple(point) for point in points])
+
+
+def test_predict_ratio_loss_is_the_power_law_of_each_kept_group():
+    fit = fitting.fit_ratio_power_law(
+        [(1e8, 1e9, r, 2.0 * r**-0.3) for r in (1.0, 0.5, 0.25)] + [(2e8, 1e9, 0.5, 3.0)]
+    )
+    model = fitting.ratio_fit_from_wire(fit)
+    exponent, intercepts = model
+    loss = fitting.predict_ratio_loss(model, 1e8, 1e9, 0.125)
+    assert loss == intercepts[1e8, 1e9] * 0.125**exponent
+    assert loss == pytest.approx(2.0 * 8**0.3)
+    assert fitting.predict_ratio_loss(model, 2e8, 1e9, 0.5) is None  # a dropped group
+
+
+@pytest.mark.parametrize(
+    "exponent, level, r",
+    [(-400.0, 1.0, 1e-300), (-10.0, 1e300, 1e-2), (400.0, 1.0, 1e-300)],
+    ids=["power-overflows", "product-overflows", "underflows-to-zero"],
+)
+def test_predict_ratio_loss_beyond_the_float_range_raises(exponent, level, r):
+    message = f"predicted loss of group (M=1, D=2) at r={r:.6g} leaves the float range"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fitting.predict_ratio_loss((exponent, {(1.0, 2.0): level}), 1.0, 2.0, r)
 
 
 def test_ratio_fit_adds_left_to_right_on_every_python():
