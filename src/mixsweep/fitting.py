@@ -744,6 +744,9 @@ def fit_kstar_model(
     value must be finite, and a fit whose best squared error overflows, or
     whose best knots are not finite and strictly decreasing, raises FitError.
     Strongly non-monotone data still fits but carries a large-residual warning.
+    A fit also warns when it has no more cells than free parameters (the knots
+    and the exponent), and when the exponent ends within ``_BRENT_XATOL`` of an
+    end of SHIFT_EXPONENT_BOUNDS: in both cases the data may not pin the model.
 
     The shift exponent is searched on a 0.05 grid over SHIFT_EXPONENT_BOUNDS,
     starting at the grid point nearest ``_inverse_seed`` (the middle of the grid
@@ -810,6 +813,12 @@ def fit_kstar_model(
             f"large residuals (mean squared residual {sse / len(cells):.3g}); "
             "data may not be monotone in the shifted corpus factor"
         )
+    if len(cells) <= len(levels) + 1:  # the knot positions and the shift exponent
+        warnings.append(f"{len(cells)} cells for {len(levels) + 1} free parameters; "
+                        "the data do not pin the model")
+    if min(exponent - lo, hi - exponent) <= _BRENT_XATOL:
+        warnings.append(f"shift exponent {exponent:.3g} at an end of its search range "
+                        f"[{lo}, {hi}]; the data may not pin it")
     return {
         "model_type": "kstar",
         "parameters": {

@@ -199,26 +199,39 @@ def enumerate_all(ranges: dict[int, RangeRow] | None = None) -> list[SetupSpec]:
     return enumerate_single_stage(ranges) + enumerate_two_stage(ranges)
 
 
-def to_wire(spec: SetupSpec) -> dict:
-    """Serializable form of a setup: ids, factors, and derived quantities.
+def wire_line(spec: SetupSpec) -> str:
+    """A setup's setups.jsonl line: ids, factors, and derived quantities, as one JSON object.
 
     Ratios carry both a decimal float and an exact "num/den" companion
     string so consumers never have to re-derive exact values from floats.
+    The line is ``json.dumps`` of that object with its keys in order (id,
+    approach, f_r to f_D, r1 to r2_frac, derived), joined from cached
+    fragments; an id or approach needs no JSON escaping.
     """
     f = spec.factors
-    derived = spec.derived()
     r1, r2 = spec.first_stage_ratio, spec.second_stage_ratio
-    stages = () if r1 is None else (r1.numerator, r1.denominator, r2.numerator, r2.denominator)
-    ratios, ratio, split = _wire_ratios(f.f_r, *stages)
-    return {
-        "id": spec.id, "approach": spec.approach,
-        "f_r": f.f_r, "f_M": f.f_M, "f_k": f.f_k, "f_C": f.f_C, "f_D": f.f_D,
-        **ratios,
-        "derived": {
-            **ratio, "M": derived.model_scale, "k": derived.epochs, "C": derived.compute,
-            "D_T": derived.target_tokens, "D_total": derived.total_tokens, **split,
-        },
-    }
+    stages = () if r1 is None else (*r1.as_integer_ratio(), *r2.as_integer_ratio())
+    approach, ratios, ratio, split = _wire_ratios(f.f_r, *stages)
+    factors, derived = _wire_factors(f)
+    return (f'{{"id": "{spec.id}", "approach": "{approach}", {factors}{ratios}, '
+            f'"derived": {{{ratio}, {derived}{split}}}}}')
+
+
+def _items(obj: dict) -> str:
+    """``json.dumps(obj)`` without its braces: the object's items, to join into a line."""
+    return json.dumps(obj)[1:-1]
+
+
+@functools.lru_cache(maxsize=4096)
+def _wire_factors(factors: FactorTuple) -> tuple[str, str]:
+    """A factor tuple's items on the wire: (f_r to f_D, M to D_total); the grid has 586."""
+    derived = derive_single_stage(factors)
+    return (
+        _items({"f_r": factors.f_r, "f_M": factors.f_M, "f_k": factors.f_k,
+                "f_C": factors.f_C, "f_D": factors.f_D}),
+        _items({"M": derived.model_scale, "k": derived.epochs, "C": derived.compute,
+                "D_T": derived.target_tokens, "D_total": derived.total_tokens}),
+    )
 
 
 def _first_stage_share(f_r: int, n1: int, d1: int, n2: int, d2: int) -> Fraction:
@@ -227,23 +240,24 @@ def _first_stage_share(f_r: int, n1: int, d1: int, n2: int, d2: int) -> Fraction
 
 
 @functools.lru_cache(maxsize=256)
-def _wire_ratios(f_r: int, *stages: int) -> tuple[dict, dict, dict]:
-    """A setup's ratio items on the wire: (r1 to r2_frac, r and r_frac, s1 to s2_frac).
+def _wire_ratios(f_r: int, *stages: int) -> tuple[str, str, str, str]:
+    """A setup's ratio parts on the wire: (approach, r1 to r2_frac, r and r_frac, s1 to s2_frac).
 
     Keyed by integers, f_r then a two-stage setup's n1, d1, n2, d2, so a lookup
-    hashes no Fraction; the default grid has 4 + 34 keys. Callers copy the dicts.
+    hashes no Fraction; the default grid has 4 + 34 keys. A single-stage setup
+    has no stage items, and each two-stage item group comes with its leading ", ".
     """
     ratio = ratio_for(f_r)
-    derived = {"r": float(ratio), "r_frac": str(ratio)}
+    derived = _items({"r": float(ratio), "r_frac": str(ratio)})
     if not stages:
-        return {}, derived, {}
+        return APPROACH_MULTI_1STAGE if f_r else APPROACH_MONO_1STAGE, "", derived, ""
     n1, d1, n2, d2 = stages
     r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
-    ratios = {"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)}
+    ratios = _items({"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)})
     s1 = _first_stage_share(f_r, n1, d1, n2, d2)
     s2 = 1 - s1
-    split_items = {"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)}
-    return ratios, derived, split_items
+    split = _items({"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)})
+    return APPROACH_MULTI_2STAGE, f", {ratios}", derived, f", {split}"
 
 
 @functools.lru_cache(maxsize=64)
@@ -300,8 +314,8 @@ def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
     """One shared FactorTuple per distinct factor values; the default grid has 586.
 
     Each is derived once here, so a tuple whose derived values leave the float
-    range fails on its line. Fed only values ``from_wire`` has checked are ints:
-    ``True`` would hit ``1``'s entry.
+    range fails on its line. Fed only ints, checked by ``from_wire`` or parsed from
+    a line's id: ``True`` would hit ``1``'s entry.
     """
     factors = FactorTuple(f_r, f_M, f_k, f_C)
     derive_single_stage(factors)
@@ -355,20 +369,47 @@ def json_object(text: str) -> dict:
 
 
 def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
-    """Write one wire object per line; returns the number of lines."""
+    """Write one ``wire_line`` per line; returns the number of lines."""
     count = 0
     for spec in specs:
-        fp.write(json.dumps(to_wire(spec)))
-        fp.write("\n")
+        fp.write(f"{wire_line(spec)}\n")
         count += 1
     return count
+
+
+#: The start of a ``wire_line``: the id's factors and exact ratios. Digits are bounded,
+#: so ``int`` and ``Fraction`` stay cheap on any line; a longer id takes the JSON path.
+_WIRE_ID = re.compile(r'\{"id": "fC(-?[0-9]{1,5})_fD-?[0-9]{1,5}_fr([0-9]{1,4})_fM(-?[0-9]{1,5})'
+                      r'_fk([0-9]{1,5})(?:_r1([0-9]{1,40}(?:/[0-9]{1,40})?)'
+                      r'_r2([0-9]{1,40}(?:/[0-9]{1,40})?))?"')
+
+
+def _from_wire_line(line: str) -> SetupSpec | None:
+    """The setup whose ``wire_line`` is exactly ``line``, else None; never raises.
+
+    Such a line is ``json.dumps`` of an object that ``from_wire`` reads back to
+    that setup with every check passing, so taking it here skips the decode and
+    changes nothing else.
+    """
+    match = _WIRE_ID.match(line)
+    if match is None:
+        return None
+    f_C, f_r, f_M, f_k, r1, r2 = match.groups()
+    try:
+        spec = SetupSpec(_factors(int(f_r), int(f_M), int(f_k), int(f_C)),
+                         None if r1 is None else _ratio(r1), None if r2 is None else _ratio(r2))
+    except INPUT_ERRORS:  # the JSON path reads the line again and names the error
+        return None
+    return spec if wire_line(spec) == line else None
 
 
 def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
     """Parse setups back from JSON Lines, reporting the offending line on error.
 
-    Each line must be a JSON object. Setup ids must be unique: a repeated id is
-    an error, not a silent merge.
+    Each line must be a JSON object. A line that is exactly ``wire_line`` of a
+    setup is read without a JSON decode; any other is decoded and checked by
+    ``from_wire``. Setup ids must be unique: a repeated id is an error, not a
+    silent merge.
     """
     first_line: dict[str, int] = {}
     lineno = 0
@@ -377,13 +418,15 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj, end = _scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(line) or type(obj) is not dict:
-                obj = json_object(line)  # raises json.loads's error for this line, or not an object
-            spec = from_wire(obj)
+            spec = _from_wire_line(line)
+            if spec is None:
+                try:
+                    obj, end = _scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = -1
+                if end != len(line) or type(obj) is not dict:
+                    obj = json_object(line)  # raises json.loads's error, or not an object
+                spec = from_wire(obj)
             seen = first_line.setdefault(spec.id, lineno)
             if seen != lineno:
                 raise FileFormatError(f"duplicate setup id {spec.id!r} (first on line {seen})")

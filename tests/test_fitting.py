@@ -456,18 +456,36 @@ def test_kstar_fit_whose_knots_lose_their_order_is_a_fit_error(monkeypatch):
 
 def test_kstar_fit_of_four_cells_that_no_monotone_model_fits():
     # the best solve pushes the knots above the data (levels 2.5-4) billions of units out,
-    # still ordered; the fit carries the large-residual warning
+    # still ordered; the fit carries the large-residual warning, and 4 cells cannot pin
+    # 9 knots and an exponent
     cells = [(-4, -1, 3.0), (-4, 0, 1.0), (-2, -1, 1.0), (-2, 0, 3.0)]
     doc = fitting.fit_kstar_model(cells, "mono-1stage")
     assert doc["parameters"]["shift_exponent"] == pytest.approx(0.080, abs=5e-4)
     assert doc["diagnostics"]["rss"] == pytest.approx(3.0, rel=1e-9)
     assert doc["diagnostics"]["warnings"] == [
         "large residuals (mean squared residual 0.75); "
-        "data may not be monotone in the shifted corpus factor"
+        "data may not be monotone in the shifted corpus factor",
+        "4 cells for 10 free parameters; the data do not pin the model",
     ]
     positions = _positions(doc)
     assert all(b < a for a, b in zip(positions, positions[1:]))
     assert all(-5e9 < p < -4e9 for p in positions[5:])
+
+
+@pytest.mark.parametrize("planted, found", [(0.0, 0.05), (2.0, 1.5)])
+def test_kstar_fit_warns_when_the_exponent_ends_at_a_search_bound(planted, found):
+    doc = fitting.fit_kstar_model(planted_curves(exponent=planted), "mono-1stage")
+    assert doc["parameters"]["shift_exponent"] == pytest.approx(found)
+    assert doc["diagnostics"]["warnings"] == [
+        f"shift exponent {found} at an end of its search range [0.05, 1.5]; "
+        "the data may not pin it"
+    ]
+
+
+def test_kstar_fit_of_more_cells_than_parameters_inside_the_bounds_has_no_warning(
+        planted_model):
+    assert planted_model["diagnostics"]["n_points"] > 10
+    assert planted_model["diagnostics"]["warnings"] == []
 
 
 def test_initial_positions_survive_edge_slopes_that_overflow():

@@ -305,7 +305,7 @@ def test_schedule_rows_skip_a_zero_token_stage():
     # r1 a hair below r = 1/4: stage 2's share rounds to a zero-token stage
     r1 = Fraction(1, 4) - Fraction(1, 10**400)
     spec = space.SetupSpec(budget.FactorTuple(2, 4, 0, -4), r1, Fraction(1, 2))
-    assert space.from_wire(json.loads(json.dumps(space.to_wire(spec)))) == spec
+    assert space.from_wire(json.loads(space.wire_line(spec))) == spec
     plan = trainplan.build_training_plan(spec)
     assert plan.steps[1] == 0
     assert plan.stages[1].total_tokens == 0.0

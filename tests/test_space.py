@@ -203,14 +203,15 @@ def test_id_format():
 
 def test_wire_round_trip(all_setups):
     for setup in all_setups[::97]:
-        assert space.from_wire(space.to_wire(setup)) == setup
+        assert space.from_wire(json.loads(space.wire_line(setup))) == setup
 
 
 def test_wire_field_contract():
-    single = space.to_wire(space.SetupSpec(FactorTuple(0, 0, 0, 0)))
+    single = json.loads(space.wire_line(space.SetupSpec(FactorTuple(0, 0, 0, 0))))
     assert list(single) == ["id", "approach", "f_r", "f_M", "f_k", "f_C", "f_D", "derived"]
     assert list(single["derived"]) == ["r", "r_frac", "M", "k", "C", "D_T", "D_total"]
-    two = space.to_wire(space.SetupSpec(FactorTuple(1, 0, 0, 0), Fraction(0), Fraction(1)))
+    two = json.loads(space.wire_line(
+        space.SetupSpec(FactorTuple(1, 0, 0, 0), Fraction(0), Fraction(1))))
     assert list(two) == [
         "id", "approach", "f_r", "f_M", "f_k", "f_C", "f_D",
         "r1", "r1_frac", "r2", "r2_frac", "derived",
@@ -284,7 +285,7 @@ def test_jsonl_round_trip_keeps_specs_ids_and_shared_factors(specs):
 
 
 def test_jsonl_errors_carry_line_numbers():
-    good = json.dumps(space.to_wire(space.SetupSpec(FactorTuple(0, 0, 0, 0))))
+    good = space.wire_line(space.SetupSpec(FactorTuple(0, 0, 0, 0)))
     with pytest.raises(FileFormatError, match="line 2"):
         list(space.read_jsonl(io.StringIO(good + "\n{not json\n")))
     tampered = json.loads(good)
@@ -450,18 +451,18 @@ _OFF_GRID = [
 ]
 
 
-def _wire_bytes(to_wire, specs):
-    return [json.dumps(to_wire(spec)) for spec in specs]
+def _oracle_lines(specs):
+    return [json.dumps(_oracle_to_wire(spec)) for spec in specs]
 
 
 def test_wire_bytes_match_the_oracle_on_the_grid_and_off_it(all_setups):
     specs = all_setups + _OFF_GRID
-    assert _wire_bytes(space.to_wire, specs) == _wire_bytes(_oracle_to_wire, specs)
+    assert list(map(space.wire_line, specs)) == _oracle_lines(specs)
 
 
 @given(_setups())
 def test_wire_bytes_match_the_oracle(specs):
-    assert _wire_bytes(space.to_wire, specs) == _wire_bytes(_oracle_to_wire, specs)
+    assert list(map(space.wire_line, specs)) == _oracle_lines(specs)
 
 
 @st.composite
@@ -583,3 +584,87 @@ def test_writing_the_grid_splits_each_stage_ratio_triple_once(monkeypatch):
                for s in specs if s.is_two_stage}
     assert space.write_jsonl(specs, io.StringIO()) == 5_250
     assert 0 < len(calls) <= len(triples) == 34
+
+
+def _no_json_decode(monkeypatch):
+    def decode(*args):
+        raise AssertionError("a line was decoded by JSON")
+
+    for name in ("_scan", "json_object", "from_wire"):
+        monkeypatch.setattr(space, name, decode)
+
+
+@pytest.mark.parametrize("argv", [[], ["--stages", "two", "--fc", "-1"]])
+def test_reading_what_enumerate_writes_decodes_no_line_by_json(tmp_path, monkeypatch, argv):
+    from mixsweep import cli
+
+    path = tmp_path / "setups.jsonl"
+    assert cli.run(["enumerate", "--out", str(path), *argv]) == 0
+    specs = (space.enumerate_two_stage({-1: space.default_ranges()[-1]}) if argv
+             else space.enumerate_all())
+    assert len(specs) == (968 if argv else 5_250)
+    assert path.read_text() == "".join(f"{space.wire_line(spec)}\n" for spec in specs)
+    _no_json_decode(monkeypatch)
+    with path.open() as fh:
+        assert list(space.read_jsonl(fh)) == specs
+
+
+def test_reading_written_off_grid_setups_decodes_no_line_by_json(monkeypatch):
+    buf = io.StringIO()
+    space.write_jsonl(_OFF_GRID, buf)
+    _no_json_decode(monkeypatch)
+    assert list(space.read_jsonl(io.StringIO(buf.getvalue()))) == _OFF_GRID
+
+
+def _changed_digit(line, draw):
+    """The line with one digit of its ``derived`` block changed."""
+    start = line.index('"derived"')
+    at = draw(st.sampled_from([i for i in range(start, len(line)) if line[i].isdigit()]))
+    return line[:at] + str((int(line[at]) + 1) % 10) + line[at + 1:]
+
+
+def _id_with(line, old, new):
+    head, rest = line.split('", "approach"', 1)
+    assert old in head
+    return head.replace(old, new, 1) + '", "approach"' + rest
+
+
+#: Ways a canonical line can miss ``wire_line``'s bytes; each takes (line, spec, draw).
+_NEAR_MISSES = {
+    "sort-keys": lambda line, spec, draw: json.dumps(json.loads(line), sort_keys=True),
+    "compact": lambda line, spec, draw: json.dumps(json.loads(line), separators=(",", ":")),
+    "derived-digit": lambda line, spec, draw: _changed_digit(line, draw),
+    "trailing-key": lambda line, spec, draw: line[:-1] + ', "note": 1}',
+    "fC-0": lambda line, spec, draw: _id_with(line, f"fC{spec.factors.f_C}_",
+                                              f"fC-0{-spec.factors.f_C or ''}_"),
+    "wrong-fD-in-id": lambda line, spec, draw: _id_with(
+        line, f"_fD{spec.factors.f_D}_", f"_fD{spec.factors.f_D + 1}_"),
+    "wrong-f_D": lambda line, spec, draw: line.replace(
+        f'"f_D": {spec.factors.f_D},', f'"f_D": {spec.factors.f_D - 1},', 1),
+}
+
+#: A setup that neither the grid nor ``_setups`` makes, to put each near miss on line 2.
+_LINE_ONE = space.wire_line(space.SetupSpec(FactorTuple(0, 30, 0, 0))) + "\n"
+
+
+@given(st.one_of(st.sampled_from(space.enumerate_all({0: space.default_ranges()[0]})),
+                 st.sampled_from(_OFF_GRID), _setups().map(lambda specs: specs[-1])),
+       st.sampled_from(sorted(_NEAR_MISSES)), st.data())
+def test_a_near_miss_of_a_written_line_reads_as_the_oracle_reads_it(spec, miss, data):
+    line = space.wire_line(spec)
+    near = _NEAR_MISSES[miss](line, spec, data.draw)
+    assert near != line
+    for text in (near + "\n", _LINE_ONE + near + "\n"):
+        assert _outcome(space.read_jsonl, text) == _outcome(_oracle_read_jsonl, text)
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "fC1_fD1_fr0_fM0_fk0"}',
+    '{"id": "fC0_fD-5000_fr5000_fM0_fk0"}',
+    '{"id": "fC0_fD-1_fr1_fM0_fk0_r11/0_r21"}',
+    '{"id": "fC0_fD-1_fr1_fM0_fk0_r10_r23/0"}',
+])
+def test_an_id_only_line_that_names_no_setup_reads_as_the_oracle_reads_it(line):
+    for text in (line + "\n", _LINE_ONE + line + "\n"):
+        got = _outcome(space.read_jsonl, text)
+        assert isinstance(got, str) and got == _outcome(_oracle_read_jsonl, text)
