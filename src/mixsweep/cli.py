@@ -68,11 +68,12 @@ def _write_outputs(result: _Result, force: bool) -> None:
     """Place every output, then write stdout and the stderr note: all of it, or no output.
 
     Every path is checked before anything is written: no two outputs may be the
-    same file, and no output may be a directory that holds another. Every temp file
-    is written before the first rename, and a file about to be replaced is first
-    hard-linked to a backup. If a write, a rename or either stream fails, each
-    placed output is removed or swapped back for its backup; no temp or backup
-    file, and no directory made for an output, outlives the call.
+    same file, no output may be a directory, a FIFO, a socket or a device, and none
+    may be a directory that holds another. Every temp file is written before the
+    first rename, and a file about to be replaced is first hard-linked to a backup.
+    If a write, a rename or either stream fails, each placed output is removed or
+    swapped back for its backup; no temp or backup file, and no directory made for
+    an output, outlives the call.
     """
     reals: dict[str, str] = {}  # real path -> output path
     for path, _ in result.outputs:
@@ -82,8 +83,11 @@ def _write_outputs(result: _Result, force: bool) -> None:
         reals[real] = path
         if os.path.isdir(path):
             raise ValidationError(f"{path}: is a directory")
-        if os.path.exists(path) and not force:
-            raise UsageError(f"refusing to overwrite {path} (pass --force)")
+        if os.path.exists(path):
+            if not os.path.isfile(path):  # a FIFO, socket or device is never replaced
+                raise ValidationError(f"{path}: is not a regular file")
+            if not force:
+                raise UsageError(f"refusing to overwrite {path} (pass --force)")
     for real, path in reals.items():
         for other_real, other in reals.items():
             if other_real.startswith(real + os.sep):

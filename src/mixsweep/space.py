@@ -314,8 +314,8 @@ def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
     """One shared FactorTuple per distinct factor values; the default grid has 586.
 
     Each is derived once here, so a tuple whose derived values leave the float
-    range fails on its line. Fed only ints, checked by ``from_wire`` or parsed from
-    a line's id: ``True`` would hit ``1``'s entry.
+    range fails on its line. Fed only ints, from ``json_field`` or a written line's
+    id: ``True`` would hit ``1``'s entry.
     """
     factors = FactorTuple(f_r, f_M, f_k, f_C)
     derive_single_stage(factors)
@@ -323,18 +323,14 @@ def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
 
 
 def from_wire(obj: dict) -> SetupSpec:
-    """Rebuild a setup from its wire form.
+    """Rebuild a setup from a decoded setups line, in any key order or spacing.
 
-    Reads the factors and the exact ratios; the ``id``, ``approach`` and
-    ``f_D`` a line carries must equal the ones they give. ``derived`` and the
-    float ``r1``/``r2`` are never read. Raises one of ``errors.INPUT_ERRORS``.
+    Reads the factors, each a JSON integer, and the exact ratios; the ``id``,
+    ``approach`` and ``f_D`` a line carries must equal the ones they give.
+    ``derived`` and the float ``r1``/``r2`` are never read, so a line may omit
+    them. Raises one of ``errors.INPUT_ERRORS``.
     """
-    get = obj.get
-    f_r, f_M, f_k, f_C = get("f_r"), get("f_M"), get("f_k"), get("f_C")
-    if not (type(f_r) is type(f_M) is type(f_k) is type(f_C) is int):
-        for key in ("f_r", "f_M", "f_k", "f_C"):  # the first missing or non-integer one
-            json_field(obj, key, int)
-    factors = _factors(f_r, f_M, f_k, f_C)
+    factors = _factors(*(json_field(obj, key, int) for key in ("f_r", "f_M", "f_k", "f_C")))
     r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
     r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
     spec = SetupSpec(factors, r1, r2)
@@ -350,11 +346,6 @@ def from_wire(obj: dict) -> SetupSpec:
 
 def _mismatch(obj: dict, key: str, expected) -> FileFormatError:
     return FileFormatError(f"setup {key} {obj[key]!r} does not match fields ({expected})")
-
-
-#: ``json.loads`` of a stripped line is this plus two checks: a leading BOM, which this
-#: rejects too, and that it stops at the line's end, which ``read_jsonl`` makes.
-_scan = json.JSONDecoder().scan_once
 
 
 def json_object(text: str) -> dict:
@@ -407,9 +398,9 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
     """Parse setups back from JSON Lines, reporting the offending line on error.
 
     Each line must be a JSON object. A line that is exactly ``wire_line`` of a
-    setup is read without a JSON decode; any other is decoded and checked by
-    ``from_wire``. Setup ids must be unique: a repeated id is an error, not a
-    silent merge.
+    setup is read without a JSON decode; any other goes through ``json_object``
+    and ``from_wire``, which name its error. Setup ids must be unique: a repeated
+    id is an error, not a silent merge.
     """
     first_line: dict[str, int] = {}
     lineno = 0
@@ -418,15 +409,7 @@ def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:
             line = line.strip()
             if not line:
                 continue
-            spec = _from_wire_line(line)
-            if spec is None:
-                try:
-                    obj, end = _scan(line, 0)
-                except (StopIteration, ValueError, RecursionError):
-                    end = -1
-                if end != len(line) or type(obj) is not dict:
-                    obj = json_object(line)  # raises json.loads's error, or not an object
-                spec = from_wire(obj)
+            spec = _from_wire_line(line) or from_wire(json_object(line))
             seen = first_line.setdefault(spec.id, lineno)
             if seen != lineno:
                 raise FileFormatError(f"duplicate setup id {spec.id!r} (first on line {seen})")

@@ -10,6 +10,7 @@ import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1611,15 +1612,27 @@ def test_output_that_is_the_directory_of_another_is_usage_error(
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
-def test_directory_as_output_is_data_error(tmp_path, capsys, force):
-    directory = tmp_path / "somedir"
-    directory.mkdir()
-    code = run(["enumerate", "--out", str(directory), *(["--force"] if force else [])])
+@pytest.mark.parametrize(
+    ("kind", "force"),
+    [("directory", False), ("directory", True), ("fifo", False), ("fifo", True)],
+    ids=["plain", "force", "fifo-plain", "fifo-force"],
+)
+def test_directory_as_output_is_data_error(tmp_path, capsys, kind, force):
+    # a FIFO, like a device, is refused even with --force: replacing it would unlink it
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        os.mkfifo(path)
+    code = run(["enumerate", "--out", str(path), "--fc", "0", *(["--force"] if force else [])])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {directory}: is a directory\n"
-    assert os.listdir(tmp_path) == ["somedir"]
-    assert os.listdir(directory) == []
+    reason = "is a directory" if kind == "directory" else "is not a regular file"
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    assert os.listdir(tmp_path) == [kind]
+    if kind == "directory":
+        assert os.listdir(path) == []
+    else:
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
 @pytest.mark.parametrize(

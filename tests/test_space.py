@@ -590,7 +590,7 @@ def _no_json_decode(monkeypatch):
     def decode(*args):
         raise AssertionError("a line was decoded by JSON")
 
-    for name in ("_scan", "json_object", "from_wire"):
+    for name in ("json_object", "from_wire"):
         monkeypatch.setattr(space, name, decode)
 
 
