@@ -4,8 +4,9 @@ The default ranges reproduce the factor search space used for the sweep:
 shared ``f_r`` in [0,4) and ``f_k`` in [0,10), with per-budget rows for
 ``f_M`` and the derived ``f_D`` filter. Enumeration order is the
 lexicographic key (f_C, f_D, f_r, f_M, f_k, r1, r2), so two runs always
-produce identical lists and ids. ``SetupSpec`` holds the two-stage rule: its
-checks of the stage ratios and stage 1's share of the tokens.
+produce identical lists and ids. A setup is a factor tuple and a stage-ratio key,
+each with one cached record that every constructor, the writer and the reader share:
+``_factor_parts`` and ``_ratio_parts``, which holds the two-stage rule.
 """
 
 from __future__ import annotations
@@ -67,18 +68,81 @@ def default_ranges() -> dict[int, RangeRow]:
     }
 
 
-# The id's two parts, each cached: a grid has few factor tuples (586 by default)
-# and fewer ratio pairs (24), and the setups that share one share its text. A hit
-# costs no f_D property call and no Fraction attribute.
+def _items(obj: dict) -> str:
+    """``json.dumps(obj)`` without its braces: the object's items, to join into a line."""
+    return json.dumps(obj)[1:-1]
+
+
+class _FactorParts(NamedTuple):
+    factors: FactorTuple  # the one tuple that every setup read with these factors shares
+    id: str
+    wire: str  # the items f_r to f_D
+    derived: str  # the items M to D_total
+
+
 @functools.lru_cache(maxsize=4096)
-def _factors_id(f_r: int, f_M: int, f_k: int, f_C: int) -> str:
-    f_D = FactorTuple(f_r, f_M, f_k, f_C).f_D
-    return f"fC{f_C}_fD{f_D}_fr{f_r}_fM{f_M}_fk{f_k}"
+def _factor_parts(f_r: int, f_M: int, f_k: int, f_C: int) -> _FactorParts:
+    """One record per distinct factor values (586 on the default grid), derived here so
+    that a tuple leaving the float range fails at construction. Fed only ints, from a
+    ``FactorTuple``, ``json_field`` or a written line's id: ``True`` would hit ``1``'s."""
+    factors = FactorTuple(f_r, f_M, f_k, f_C)
+    derived, f_D = derive_single_stage(factors), factors.f_D
+    return _FactorParts(
+        factors, f"fC{f_C}_fD{f_D}_fr{f_r}_fM{f_M}_fk{f_k}",
+        _items({"f_r": f_r, "f_M": f_M, "f_k": f_k, "f_C": f_C, "f_D": f_D}),
+        _items({"M": derived.model_scale, "k": derived.epochs, "C": derived.compute,
+                "D_T": derived.target_tokens, "D_total": derived.total_tokens}),
+    )
+
+
+def _first_stage_share(f_r: int, n1: int, d1: int, n2: int, d2: int) -> Fraction:
+    """(r2 - r) / (r2 - r1) for r1 = n1/d1, r = 2**-f_r and r2 = n2/d2, exact on integers."""
+    return Fraction(((n2 << f_r) - d2) * d1, (n2 * d1 - n1 * d2) << f_r)
+
+
+class _RatioParts(NamedTuple):
+    approach: str
+    id: str  # "_r1…_r2…", or "" for one stage
+    first_stage_share: Fraction | None
+    ratios: str  # ", " and the items r1 to r2_frac, or "" for one stage
+    ratio: str  # the items r and r_frac
+    split: str  # ", " and the items s1 to s2_frac, or "" for one stage
 
 
 @functools.lru_cache(maxsize=256)
-def _ratios_id(n1: int, d1: int, n2: int, d2: int) -> str:
-    return f"_r1{Fraction(n1, d1)}_r2{Fraction(n2, d2)}"
+def _ratio_parts(f_r: int, *stages: int) -> _RatioParts:
+    """The two-stage rule, 0 <= r1 < r < r2 <= 1, and the record of a key that keeps it.
+
+    Keyed by integers, f_r then a two-stage setup's n1, d1, n2, d2, so a lookup hashes
+    no Fraction (the default grid has 4 + 34 keys), and the rule is checked on them.
+    """
+    ratio = ratio_for(f_r)
+    derived = _items({"r": float(ratio), "r_frac": str(ratio)})
+    if not stages:
+        approach = APPROACH_MULTI_1STAGE if f_r else APPROACH_MONO_1STAGE
+        return _RatioParts(approach, "", None, "", derived, "")
+    n1, d1, n2, d2 = stages
+    r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
+    if not (n1 << f_r < d1 and d2 < n2 << f_r):
+        raise ValidationError(f"need r1 < r < r2 strictly, got r1={r1}, r={ratio}, r2={r2}")
+    if n1 < 0 or n2 > d2:
+        raise ValidationError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
+    s1 = _first_stage_share(f_r, n1, d1, n2, d2)
+    s2 = 1 - s1
+    return _RatioParts(
+        APPROACH_MULTI_2STAGE, f"_r1{r1}_r2{r2}", s1,
+        ", " + _items({"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)}),
+        derived,
+        ", " + _items({"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)}),
+    )
+
+
+def _ratio_parts_of(factors: FactorTuple, r1: Fraction | None, r2: Fraction | None) -> _RatioParts:
+    """``_ratio_parts`` of a setup's fields: two Fractions, or both None for one stage."""
+    if r1 is None:
+        return _ratio_parts(factors.f_r)
+    (n1, d1), (n2, d2) = r1.as_integer_ratio(), r2.as_integer_ratio()
+    return _ratio_parts(factors.f_r, n1, d1, n2, d2)
 
 
 class _SetupFields(NamedTuple):
@@ -91,10 +155,11 @@ class _SetupFields(NamedTuple):
 class SetupSpec(_SetupFields):
     """One training setup: factors plus optional two-stage ratios.
 
-    Two-stage ratios must satisfy 0 <= r1 < r < r2 <= 1, or construction raises
-    ValidationError. ``id`` is the canonical id, reproducible across runs:
-    factor values plus exact ratios. It is built from the other fields, so it is
-    not an argument and not in the repr.
+    ``factors`` must be a ``FactorTuple`` that derives inside the float range, each given
+    ratio a ``Fraction``, and two-stage ratios must satisfy 0 <= r1 < r < r2 <= 1, or
+    construction raises ValidationError. ``id`` is the canonical id, reproducible across
+    runs: factor values plus exact ratios. Built from the other fields, it is not an
+    argument and not in the repr.
     """
 
     __slots__ = ()
@@ -102,20 +167,14 @@ class SetupSpec(_SetupFields):
     def __new__(cls, factors: FactorTuple, first_stage_ratio: Fraction | None = None,
                 second_stage_ratio: Fraction | None = None) -> SetupSpec:
         r1, r2 = first_stage_ratio, second_stage_ratio
-        if (r1 is None) != (r2 is None):
+        if type(factors) is not FactorTuple:
+            raise ValidationError(f"factors must be a FactorTuple, got {factors!r}")
+        if not (r1 is None is r2 or type(r1) is type(r2) is Fraction):
+            for name, r in (("first_stage_ratio", r1), ("second_stage_ratio", r2)):
+                if r is not None and type(r) is not Fraction:
+                    raise ValidationError(f"{name} must be a Fraction, got {r!r}")
             raise ValidationError("two-stage setups need both r1 and r2")
-        setup_id = _factors_id(factors.f_r, factors.f_M, factors.f_k, factors.f_C)
-        if r1 is not None and r2 is not None:
-            # 0 <= r1 < 2**-f_r < r2 <= 1 on integers; Fractions are built only for messages
-            (n1, d1), (n2, d2) = r1.as_integer_ratio(), r2.as_integer_ratio()
-            f_r = factors.f_r
-            if not (n1 << f_r < d1 and d2 < n2 << f_r):
-                raise ValidationError(
-                    f"need r1 < r < r2 strictly, got r1={r1}, r={ratio_for(f_r)}, r2={r2}"
-                )
-            if n1 < 0 or n2 > d2:
-                raise ValidationError(f"stage ratios must lie in [0, 1], got r1={r1}, r2={r2}")
-            setup_id += _ratios_id(n1, d1, n2, d2)
+        setup_id = _factor_parts(*factors).id + _ratio_parts_of(factors, r1, r2).id
         return tuple.__new__(cls, (factors, r1, r2, setup_id))
 
     @classmethod
@@ -138,18 +197,11 @@ class SetupSpec(_SetupFields):
     @property
     def first_stage_share(self) -> Fraction | None:
         """Stage 1's exact share of the tokens, (r2 - r) / (r2 - r1); None for one stage."""
-        if self.second_stage_ratio is None:
-            return None
-        return _first_stage_share(self.factors.f_r, *self.first_stage_ratio.as_integer_ratio(),
-                                  *self.second_stage_ratio.as_integer_ratio())
+        return _ratio_parts_of(*self[:3]).first_stage_share
 
     @property
     def approach(self) -> str:
-        if self.is_two_stage:
-            return APPROACH_MULTI_2STAGE
-        if self.factors.f_r == 0:
-            return APPROACH_MONO_1STAGE
-        return APPROACH_MULTI_1STAGE
+        return _ratio_parts_of(*self[:3]).approach
 
     def derived(self) -> DerivedSetup:
         return derive_single_stage(self.factors)
@@ -204,60 +256,16 @@ def wire_line(spec: SetupSpec) -> str:
 
     Ratios carry both a decimal float and an exact "num/den" companion
     string so consumers never have to re-derive exact values from floats.
-    The line is ``json.dumps`` of that object with its keys in order (id,
-    approach, f_r to f_D, r1 to r2_frac, derived), joined from cached
-    fragments; an id or approach needs no JSON escaping.
     """
-    f = spec.factors
-    r1, r2 = spec.first_stage_ratio, spec.second_stage_ratio
-    stages = () if r1 is None else (*r1.as_integer_ratio(), *r2.as_integer_ratio())
-    approach, ratios, ratio, split = _wire_ratios(f.f_r, *stages)
-    factors, derived = _wire_factors(f)
-    return (f'{{"id": "{spec.id}", "approach": "{approach}", {factors}{ratios}, '
-            f'"derived": {{{ratio}, {derived}{split}}}}}')
+    factors, r1, r2, setup_id = spec
+    return _line(setup_id, _factor_parts(*factors), _ratio_parts_of(factors, r1, r2))
 
 
-def _items(obj: dict) -> str:
-    """``json.dumps(obj)`` without its braces: the object's items, to join into a line."""
-    return json.dumps(obj)[1:-1]
-
-
-@functools.lru_cache(maxsize=4096)
-def _wire_factors(factors: FactorTuple) -> tuple[str, str]:
-    """A factor tuple's items on the wire: (f_r to f_D, M to D_total); the grid has 586."""
-    derived = derive_single_stage(factors)
-    return (
-        _items({"f_r": factors.f_r, "f_M": factors.f_M, "f_k": factors.f_k,
-                "f_C": factors.f_C, "f_D": factors.f_D}),
-        _items({"M": derived.model_scale, "k": derived.epochs, "C": derived.compute,
-                "D_T": derived.target_tokens, "D_total": derived.total_tokens}),
-    )
-
-
-def _first_stage_share(f_r: int, n1: int, d1: int, n2: int, d2: int) -> Fraction:
-    """(r2 - r) / (r2 - r1) for r1 = n1/d1, r = 2**-f_r and r2 = n2/d2, exact on integers."""
-    return Fraction(((n2 << f_r) - d2) * d1, (n2 * d1 - n1 * d2) << f_r)
-
-
-@functools.lru_cache(maxsize=256)
-def _wire_ratios(f_r: int, *stages: int) -> tuple[str, str, str, str]:
-    """A setup's ratio parts on the wire: (approach, r1 to r2_frac, r and r_frac, s1 to s2_frac).
-
-    Keyed by integers, f_r then a two-stage setup's n1, d1, n2, d2, so a lookup
-    hashes no Fraction; the default grid has 4 + 34 keys. A single-stage setup
-    has no stage items, and each two-stage item group comes with its leading ", ".
-    """
-    ratio = ratio_for(f_r)
-    derived = _items({"r": float(ratio), "r_frac": str(ratio)})
-    if not stages:
-        return APPROACH_MULTI_1STAGE if f_r else APPROACH_MONO_1STAGE, "", derived, ""
-    n1, d1, n2, d2 = stages
-    r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
-    ratios = _items({"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)})
-    s1 = _first_stage_share(f_r, n1, d1, n2, d2)
-    s2 = 1 - s1
-    split = _items({"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)})
-    return APPROACH_MULTI_2STAGE, f", {ratios}", derived, f", {split}"
+def _line(setup_id: str, factor: _FactorParts, ratio: _RatioParts) -> str:
+    """``json.dumps`` of the setup's object, keys in order (id, approach, f_r to f_D, r1 to
+    r2_frac, derived), joined from its two records; an id or approach needs no escaping."""
+    return (f'{{"id": "{setup_id}", "approach": "{ratio.approach}", {factor.wire}{ratio.ratios}, '
+            f'"derived": {{{ratio.ratio}, {factor.derived}{ratio.split}}}}}')
 
 
 @functools.lru_cache(maxsize=64)
@@ -266,7 +274,7 @@ def _ratio(text: str) -> Fraction:
 
     No other form is read (``Fraction("1e-200000")`` builds a 200,001-digit
     denominator). Cached: each distinct string is parsed once; a grid uses a few.
-    ``SetupSpec`` checks the range, with the rest of the two-stage rule.
+    ``_ratio_parts`` checks the range, with the rest of the two-stage rule.
     """
     if type(text) is not str:
         raise TypeError(f"stage ratio must be a \"num/den\" string, got {text!r}")
@@ -309,19 +317,6 @@ def number_parser(kind: type) -> Callable[[str], int | float]:
     return parse
 
 
-@functools.lru_cache(maxsize=4096)
-def _factors(f_r: int, f_M: int, f_k: int, f_C: int) -> FactorTuple:
-    """One shared FactorTuple per distinct factor values; the default grid has 586.
-
-    Each is derived once here, so a tuple whose derived values leave the float
-    range fails on its line. Fed only ints, from ``json_field`` or a written line's
-    id: ``True`` would hit ``1``'s entry.
-    """
-    factors = FactorTuple(f_r, f_M, f_k, f_C)
-    derive_single_stage(factors)
-    return factors
-
-
 def from_wire(obj: dict) -> SetupSpec:
     """Rebuild a setup from a decoded setups line, in any key order or spacing.
 
@@ -330,7 +325,8 @@ def from_wire(obj: dict) -> SetupSpec:
     ``derived`` and the float ``r1``/``r2`` are never read, so a line may omit
     them. Raises one of ``errors.INPUT_ERRORS``.
     """
-    factors = _factors(*(json_field(obj, key, int) for key in ("f_r", "f_M", "f_k", "f_C")))
+    factors = _factor_parts(*(json_field(obj, key, int)
+                               for key in ("f_r", "f_M", "f_k", "f_C"))).factors
     r1 = _ratio(obj["r1_frac"]) if "r1_frac" in obj else None
     r2 = _ratio(obj["r2_frac"]) if "r2_frac" in obj else None
     spec = SetupSpec(factors, r1, r2)
@@ -379,19 +375,23 @@ def _from_wire_line(line: str) -> SetupSpec | None:
     """The setup whose ``wire_line`` is exactly ``line``, else None; never raises.
 
     Such a line is ``json.dumps`` of an object that ``from_wire`` reads back to
-    that setup with every check passing, so taking it here skips the decode and
-    changes nothing else.
+    that setup with every check passing. The two records ran those checks, so
+    taking the line here skips the decode and ``SetupSpec``, and changes nothing else.
     """
     match = _WIRE_ID.match(line)
     if match is None:
         return None
     f_C, f_r, f_M, f_k, r1, r2 = match.groups()
     try:
-        spec = SetupSpec(_factors(int(f_r), int(f_M), int(f_k), int(f_C)),
-                         None if r1 is None else _ratio(r1), None if r2 is None else _ratio(r2))
+        factor = _factor_parts(int(f_r), int(f_M), int(f_k), int(f_C))
+        r1, r2 = (None, None) if r1 is None else (_ratio(r1), _ratio(r2))
+        ratio = _ratio_parts_of(factor.factors, r1, r2)
     except INPUT_ERRORS:  # the JSON path reads the line again and names the error
         return None
-    return spec if wire_line(spec) == line else None
+    setup_id = factor.id + ratio.id
+    if _line(setup_id, factor, ratio) != line:
+        return None
+    return tuple.__new__(SetupSpec, (factor.factors, r1, r2, setup_id))
 
 
 def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:

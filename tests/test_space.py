@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixsweep import space
-from mixsweep.budget import FactorTuple
+from mixsweep.budget import FactorTuple, derive_single_stage
 from mixsweep.errors import INPUT_ERRORS, FileFormatError, ValidationError, input_message
 
 ROW_SPECS = {
@@ -147,6 +149,35 @@ def test_stage_ratios_outside_the_unit_interval_fail_at_construction(r1, r2):
     # r1 < r = 1/4 < r2 holds for both, so only the [0, 1] check can refuse them
     with pytest.raises(ValidationError, match=r"^stage ratios must lie in \[0, 1\], got r1="):
         space.SetupSpec(FactorTuple(2, 1, 3, -2), r1, r2)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((FactorTuple(1, 0, 0, 0), 0.25, 0.75), "first_stage_ratio must be a Fraction, got 0.25"),
+        ((FactorTuple(1, 0, 0, 0), Fraction(0), 1), "second_stage_ratio must be a Fraction, got 1"),
+        ((FactorTuple(1, 0, 0, 0), False, Fraction(1)),
+         "first_stage_ratio must be a Fraction, got False"),
+        ((FactorTuple(1, 0, 0, 0), "1/8", None), "first_stage_ratio must be a Fraction, got '1/8'"),
+        (((1, 0, 0, 0),), "factors must be a FactorTuple, got (1, 0, 0, 0)"),
+    ],
+    ids=["float", "int", "bool", "str", "plain-tuple"],
+)
+def test_setup_arguments_of_another_type_fail_at_construction(args, message):
+    with pytest.raises(ValidationError) as info:
+        space.SetupSpec(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ratios", [(), (Fraction(0), Fraction(1))], ids=["one", "two"])
+def test_factors_that_leave_the_float_range_fail_at_construction(ratios):
+    factors = FactorTuple(1, -2000, 0, 0)
+    with pytest.raises(ValidationError) as derived:
+        derive_single_stage(factors)
+    assert str(derived.value) == f"{factors!r} leaves the float range"
+    with pytest.raises(ValidationError) as info:
+        space.SetupSpec(factors, *ratios)
+    assert str(info.value) == str(derived.value)
 
 
 def _in_category(spec, category):
@@ -401,12 +432,12 @@ def _oracle_to_wire(spec):
 
 
 def _oracle_from_wire(obj):
-    factors = space._factors(
+    factors = space._factor_parts(
         space.json_field(obj, "f_r", int),
         space.json_field(obj, "f_M", int),
         space.json_field(obj, "f_k", int),
         space.json_field(obj, "f_C", int),
-    )
+    ).factors
     r1 = space._ratio(obj["r1_frac"]) if "r1_frac" in obj else None
     r2 = space._ratio(obj["r2_frac"]) if "r2_frac" in obj else None
     spec = space.SetupSpec(factors, r1, r2)
@@ -582,8 +613,12 @@ def test_writing_the_grid_splits_each_stage_ratio_triple_once(monkeypatch):
     specs = space.enumerate_all()
     triples = {(s.first_stage_ratio, s.second_stage_ratio, s.factors.f_r)
                for s in specs if s.is_two_stage}
-    assert space.write_jsonl(specs, io.StringIO()) == 5_250
+    buf = io.StringIO()
+    assert space.write_jsonl(specs, buf) == 5_250
     assert 0 < len(calls) <= len(triples) == 34
+    assert list(space.read_jsonl(io.StringIO(buf.getvalue()))) == specs
+    assert space._ratio_parts.cache_info().misses == 38
+    assert space._factor_parts.cache_info().misses == 586
 
 
 def _no_json_decode(monkeypatch):
@@ -614,6 +649,35 @@ def test_reading_written_off_grid_setups_decodes_no_line_by_json(monkeypatch):
     space.write_jsonl(_OFF_GRID, buf)
     _no_json_decode(monkeypatch)
     assert list(space.read_jsonl(io.StringIO(buf.getvalue()))) == _OFF_GRID
+
+
+@st.composite
+def _split_setups(draw):
+    """Two-stage setups off the ratio grid: r1's denominator such as 3, 7, 1000 or up to
+    10**6, and r2 = 1 in half of the draws."""
+    f_r = draw(st.integers(1, 20))
+    factors = FactorTuple(
+        f_r, draw(st.integers(-30, 30)), draw(st.integers(0, 30)), draw(st.integers(-30, 0))
+    )
+    ratio = Fraction(1, 2**f_r)
+    den = draw(st.sampled_from([3, 7, 1000]) | st.integers(1, 10**6))
+    r1 = Fraction(draw(st.integers(0, math.ceil(den * ratio) - 1)), den)
+    above = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda b: b > 0))
+    r2 = Fraction(1) if draw(st.booleans()) else ratio + (1 - ratio) * above
+    return space.SetupSpec(factors, r1, r2)
+
+
+@given(_split_setups())
+def test_a_written_line_reads_back_to_the_constructors_spec(spec):
+    line = space.wire_line(spec)
+    fast = space._from_wire_line(line)
+    assert list(space.read_jsonl(io.StringIO(line + "\n"))) == [fast]
+    assert fast == spec and type(fast) is space.SetupSpec
+    assert (fast.id, fast.approach, fast.first_stage_share) == (
+        spec.id, spec.approach, spec.first_stage_share)
+    assert fast == space.from_wire(json.loads(line))
+    for twin in (pickle.loads(pickle.dumps(fast)), copy.copy(fast), copy.deepcopy(fast)):
+        assert twin == fast and type(twin) is space.SetupSpec and twin.id == fast.id
 
 
 def _changed_digit(line, draw):
