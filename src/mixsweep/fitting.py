@@ -6,16 +6,15 @@
    monotone decreasing piecewise-linear function of the corpus factor f_D
    shifted by ``a * f_C``, with the compute factor f_C = log2(compute /
    reference). Fitted by an outer 1-D search over the shift exponent (a
-   downhill walk on a coarse grid from the exponent of a closed-form
-   inverse fit, then Brent's method from the walk's grid minimum, ``_brent``)
-   with an inner monotone-constrained least-squares fit of the knot
-   positions, initialized from isotonic regression of the pooled shifted
-   data. The inner fit runs this module's L-BFGS (``_lbfgs``, L-BFGS-B's
-   unbounded defaults) on the exact gradient of the squared error, so it
-   needs no finite-difference probes, and the seed's bounded least squares
-   is a Lawson-Hanson NNLS (``_nnls``). This model works on float lists in
-   plain Python: its vectors have about ten entries, where numpy's per-call
-   cost outweighs the arithmetic.
+   downhill walk on a coarse grid from the median shift between budgets,
+   ``_shift_seed``, then Brent's method from the walk's grid minimum,
+   ``_brent``) with an inner monotone-constrained least-squares fit of the
+   knot positions, initialized from isotonic regression of the pooled
+   shifted data. The inner fit runs this module's L-BFGS (``_lbfgs``,
+   L-BFGS-B's unbounded defaults) on the exact gradient of the squared
+   error, so it needs no finite-difference probes. This model works on
+   float lists in plain Python: its vectors have about ten entries, where
+   numpy's per-call cost outweighs the arithmetic.
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in plain Python by within-group centering in log space.
 
@@ -562,7 +561,8 @@ def _householder_lstsq(columns: Sequence[Sequence[float]], b: Sequence[float]) -
     Reflection j maps column j's entries from row j on, x, onto -sign(x_0) |x| e_0;
     the same reflections turn b into Q^T b, and back substitution solves
     R z = (Q^T b)[:p]. Raises ZeroDivisionError when a column lies in the span of
-    the ones before it.
+    the ones before it. The tests build exact epoch-fit vertices with it, and it is
+    the QR that can replace numpy's lstsq in ``fit_epoch_quadratic``.
     """
     r = [list(column) for column in columns]  # becomes R, column by column
     qtb = list(b)
@@ -582,84 +582,43 @@ def _householder_lstsq(columns: Sequence[Sequence[float]], b: Sequence[float]) -
     return z
 
 
-def _nnls(columns: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
-    """argmin |A z - b| over z >= 0 for the matrix A with these columns.
-
-    Lawson & Hanson's active-set method (1974, ch. 23), with each passive-set
-    subproblem solved by Householder QR, their own construction.
-    """
-    n = len(columns)
-    tol = 10.0 * sys.float_info.epsilon * max(_sum(map(abs, c)) for c in columns) * max(len(b), n)
-    z = [0.0] * n
-    passive = [False] * n
-    for _ in range(3 * n):
-        residual = list(b)
-        for column, zj in zip(columns, z):
-            if zj:
-                residual = [r - zj * c for r, c in zip(residual, column)]
-        w = [_dot(column, residual) for column in columns]  # the negative gradient
-        free = [j for j in range(n) if not passive[j]]
-        if not free or max(w[j] for j in free) <= tol:
-            break
-        passive[max(free, key=w.__getitem__)] = True
-        while True:
-            chosen = [j for j in range(n) if passive[j]]
-            trial = [0.0] * n
-            for j, value in zip(chosen, _householder_lstsq([columns[j] for j in chosen], b)):
-                trial[j] = value
-            blocked = [j for j in chosen if not trial[j] > 0.0]
-            if not blocked:
-                z = trial
-                break
-            # step from z toward the trial until the first passive variable reaches 0
-            ratios = [z[j] / (z[j] - trial[j]) for j in blocked]
-            first = min(range(len(blocked)), key=ratios.__getitem__)
-            z = [zj + ratios[first] * (tj - zj) for zj, tj in zip(z, trial)]
-            passive[blocked[first]] = False
-            passive = [p and zj > tol for p, zj in zip(passive, z)]
-            z = [zj if p else 0.0 for zj, p in zip(z, passive)]
-    return z
-
-
-def _inverse_seed(
-    corpus_factor: Sequence[float], compute_factor: Sequence[float],
-    log2_kstar: Sequence[float], levels: Sequence[float],
+def _shift_seed(
+    compute_factor: Sequence[float], corpus_factor: Sequence[float], log2_kstar: Sequence[float],
 ) -> float:
-    """Shift exponent of the inverted epoch model, fitted by bounded linear least squares.
+    """Median shift exponent between budgets: the start of the exponent search.
 
-    The model inverts to f_D = a * f_C + sum_j B_j(log2 k*) p_j, where the B_j
-    are the hat functions on the fixed levels, extended linearly past both ends.
-    With p_j = p_0 - sum_{m<=j} d_m the unknowns (a, p_0, d_1, ..., d_{n-1}) enter
-    linearly through the columns [f_C, 1, -sum_{j>=m} B_j], under the bounds
-    a in SHIFT_EXPONENT_BOUNDS and d_m >= _MIN_KNOT_GAP. Centering the columns
-    and the target removes the free p_0, and shifting by the lower bounds leaves
-    a nonnegative least squares problem for ``_nnls`` (Lawson & Hanson 1974). The
-    problem is convex, so an a above the upper bound without it puts the bounded
-    optimum on that bound. It measures errors along f_D, not along log2 k*, so
-    its a seeds the forward search and is not the answer. Returns nan when the
-    data overflow the design or the least squares fail.
+    Under the model a level of log2 k* reached at corpus factor d1 on budget c1 and at
+    d2 on budget c2 gives d1 - a * c1 = d2 - a * c2. Each budget's cells, sorted by f_D,
+    get their closest nonincreasing fit (as in ``_initial_positions``). For every
+    ordered pair of distinct budgets, each fitted level y of the first is found on the
+    first segment of the second's fit with lo <= y <= hi and lo < hi, whose d2 is
+    interpolated linearly. Returns the median of the finite a = (d1 - d2) / (c1 - c2),
+    or nan when there are none.
     """
-    n = len(levels)
-    lo, hi = SHIFT_EXPONENT_BOUNDS
-    lower = [lo, *[_MIN_KNOT_GAP] * (n - 1)]
-    tails = []
-    for y in log2_kstar:
-        k = min(max(bisect.bisect_right(levels, y) - 1, 0), n - 2)
-        t = (y - levels[k]) / LEVEL_STEP
-        # -sum_{j>=m} B_j(y) on segment k: -1 for m <= k, -t for m = k + 1, 0 beyond
-        tails.append([-1.0 if m <= k else -t if m == k + 1 else 0.0 for m in range(1, n)])
-    design = []
-    for column in (compute_factor, *zip(*tails)):
-        mean = _sum(column) / len(column)
-        design.append([v - mean for v in column])
-    corpus_mean = _sum(corpus_factor) / len(corpus_factor)
-    target = [c - corpus_mean - _dot(row, lower) for c, row in zip(corpus_factor, zip(*design))]
-    if not all(map(math.isfinite, itertools.chain(target, *design))):
+    budgets: dict[float, list[tuple[float, float]]] = {}
+    for c, d, y in zip(compute_factor, corpus_factor, log2_kstar):
+        budgets.setdefault(c, []).append((d, y))
+    for c, points in budgets.items():  # each budget's levels become their fit
+        points.sort(key=operator.itemgetter(0))  # stable: equal f_D keep their order
+        fitted = _pav_increasing([-y for _, y in points])
+        budgets[c] = [(d, -v) for (d, _), v in zip(points, fitted)]
+    shifts = []
+    for (c1, fit1), (c2, fit2) in itertools.permutations(budgets.items(), 2):
+        segments = [(d_hi, hi, d_lo, lo)
+                    for (d_hi, hi), (d_lo, lo) in zip(fit2, fit2[1:]) if lo < hi]
+        for d1, y in fit1:
+            for d_hi, hi, d_lo, lo in segments:
+                if lo <= y <= hi:
+                    a = (d1 - (d_hi + (hi - y) / (hi - lo) * (d_lo - d_hi))) / (c1 - c2)
+                    if math.isfinite(a):
+                        shifts.append(a)
+                    break
+    if not shifts:
         return math.nan
-    try:
-        return min(float(_nnls(design, target)[0] + lo), hi)
-    except ZeroDivisionError:  # a passive set without full column rank
-        return math.nan
+    shifts.sort()
+    half = len(shifts) // 2
+    # halves first: the mean of two finite values near the float limit stays finite
+    return shifts[half] if len(shifts) % 2 else shifts[half - 1] / 2 + shifts[half] / 2
 
 
 #: Brent's refinement of the shift exponent: its absolute tolerance and trial cap.
@@ -749,7 +708,7 @@ def fit_kstar_model(
     end of SHIFT_EXPONENT_BOUNDS: in both cases the data may not pin the model.
 
     The shift exponent is searched on a 0.05 grid over SHIFT_EXPONENT_BOUNDS,
-    starting at the grid point nearest ``_inverse_seed`` (the middle of the grid
+    starting at the grid point nearest ``_shift_seed`` (the middle of the grid
     when the seed is not finite). The walk solves that point and its neighbours
     and moves to the lowest until neither neighbour is lower, ordering solves
     by (sse, exponent). Brent's method (``_brent``) then refines the exponent on
@@ -765,6 +724,8 @@ def fit_kstar_model(
         raise ValidationError(
             f"h_max must be finite and in [{LEVEL_STEP}, {H_MAX_LIMIT}], got {h_max}"
         )
+    if h_max % LEVEL_STEP:  # the levels are the multiples of LEVEL_STEP up to h_max
+        raise ValidationError(f"h_max must be a multiple of {LEVEL_STEP}, got {h_max}")
     for cell in cells:
         if not all(map(math.isfinite, cell)):
             raise ValidationError(f"k* curve points must be finite, got {tuple(cell)}")
@@ -775,7 +736,7 @@ def fit_kstar_model(
         raise UnidentifiableError(
             "curves span a single compute budget; the shift exponent is unidentifiable"
         )
-    levels = [i * LEVEL_STEP for i in range(math.ceil((h_max + LEVEL_STEP / 2) / LEVEL_STEP))]
+    levels = [i * LEVEL_STEP for i in range(int(h_max / LEVEL_STEP) + 1)]
     solves: dict[float, _Solve] = {}
 
     def solve(exponent: float) -> _Solve:
@@ -787,7 +748,7 @@ def fit_kstar_model(
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
     grid = [lo + i * 0.05 for i in range(math.ceil((hi + 1e-9 - lo) / 0.05))]  # np.arange's
-    seed = _inverse_seed(corpus_factor, compute_factor, log2_kstar, levels)
+    seed = _shift_seed(compute_factor, corpus_factor, log2_kstar)
     nearest = min(range(len(grid)), key=lambda i: abs(grid[i] - seed))
     best_idx = nearest if math.isfinite(seed) else len(grid) // 2
     for _ in grid:  # a downhill walk visits each grid point at most once

@@ -166,8 +166,13 @@ def generate_dataset(
     """One loss record per setup, fully deterministic given the params.
 
     Noise is derived per record from (``params.seed``, setup id), so generation
-    is order-independent and parallelizable.
+    is order-independent and parallelizable. A ``language_pair`` with leading or
+    trailing whitespace is refused: results.csv is read with its fields stripped.
     """
+    if language_pair != language_pair.strip():
+        raise ValidationError(
+            f"language pair {language_pair!r} has leading or trailing whitespace"
+        )
     records: list[LossRecord] = []
     for spec in setups:
         derived = spec.derived()

@@ -552,6 +552,18 @@ def test_simulate_seed_changes_noise(workspace, tmp_path):
     assert open(a).read() != open(c).read()
 
 
+def test_simulate_rejects_a_pair_with_surrounding_whitespace(workspace, tmp_path, capsys):
+    # results.csv is read with its fields stripped, so no command could name that pair
+    out = tmp_path / "r.csv"
+    code = run(["simulate", "--setups", workspace["setups"], "--out", str(out),
+                "--pair", " en-xx "])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: language pair ' en-xx ' has leading or trailing whitespace\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_seed_flag_then_config_then_params_file(workspace, tmp_path):
     def simulate(name, params, *flags, config=None):
         out = tmp_path / name
@@ -918,6 +930,17 @@ def test_fit_kstar_rejects_h_max_above_its_bound(workspace, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: h_max must be finite and in [0.5, 32], got 1000000000.0\n"
+    assert not (tmp_path / "k.json").exists()
+
+
+def test_fit_kstar_rejects_h_max_off_the_level_grid(workspace, tmp_path, capsys):
+    # the levels are the multiples of 0.5: 3.3 used to fit levels up to 3.5 with exit 0
+    code = run(
+        ["fit", "kstar", "--epoch-fits", workspace["epochs"], "--h-max", "3.3",
+         "--out", str(tmp_path / "k.json")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: h_max must be a multiple of 0.5, got 3.3\n"
     assert not (tmp_path / "k.json").exists()
 
 
