@@ -68,7 +68,8 @@ def _write_outputs(result: _Result, force: bool) -> None:
     """Place every output, then write stdout and the stderr note: all of it, or no output.
 
     Every path is checked before anything is written: no two outputs may be the
-    same file, no output may be a directory, a FIFO, a socket or a device, and none
+    same file, no output may be a directory, a FIFO, a socket or a device, none may
+    name no file (``""``, or a path ending in a separator, ``.`` or ``..``), and none
     may be a directory that holds another. Every temp file is written before the
     first rename, and a file about to be replaced is first hard-linked to a backup.
     If a write, a rename or either stream fails, each placed output is removed or
@@ -83,6 +84,8 @@ def _write_outputs(result: _Result, force: bool) -> None:
         reals[real] = path
         if os.path.isdir(path):
             raise ValidationError(f"{path}: is a directory")
+        if os.path.basename(path) in ("", ".", ".."):  # else a temp or backup name leaks out
+            raise ValidationError(f"{path!r}: names no file")
         if os.path.exists(path):
             if not os.path.isfile(path):  # a FIFO, socket or device is never replaced
                 raise ValidationError(f"{path}: is not a regular file")

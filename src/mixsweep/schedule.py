@@ -14,7 +14,7 @@ from itertools import cycle, islice, repeat
 from typing import Iterator
 
 from .errors import ValidationError
-from .seeds import mix64
+from .seeds import MASK64, mix64
 from .trainplan import TrainingPlan
 
 
@@ -23,10 +23,14 @@ def epoch_seeds(epochs: int, base_seed: int) -> list[int]:
 
     seed_i = mix64(base_seed, i) for i = 1..epochs. For a fixed base seed
     the values are pairwise distinct (the mixer is a bijection in the
-    index); different base seeds collide with probability ~2^-64 per pair.
+    index); different base seeds in [0, 2**64) collide with probability ~2^-64
+    per pair. A base seed outside that range would alias one inside it, so it
+    raises ValidationError.
     """
     if epochs < 1:
         raise ValidationError(f"epochs must be >= 1, got {epochs}")
+    if not 0 <= base_seed <= MASK64:
+        raise ValidationError(f"base_seed must be in [0, 2**64), got {base_seed}")
     return [mix64(base_seed, i) for i in range(1, epochs + 1)]
 
 

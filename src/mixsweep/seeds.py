@@ -4,7 +4,10 @@ The mixer is the splitmix64 finalizer. It is a bijection on 64-bit
 integers, which gives a useful guarantee: for a fixed key, distinct
 indices always map to distinct outputs. Two different keys can collide
 with probability ~2^-64 per pair; callers that need cross-key
-disjointness must accept that (documented) residual risk.
+disjointness must accept that (documented) residual risk. Keys and
+indices are taken mod 2**64, so a key outside [0, 2**64) aliases one
+inside it: the seeds a user gives are checked against that range where
+they are read (``schedule.epoch_seeds`` and ``surrogate.SurrogateParams``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ shared ``f_r`` in [0,4) and ``f_k`` in [0,10), with per-budget rows for
 lexicographic key (f_C, f_D, f_r, f_M, f_k, r1, r2), so two runs always
 produce identical lists and ids. A setup is a factor tuple and a stage-ratio key,
 each with one cached record that every constructor, the writer and the reader share:
-``_factor_parts`` and ``_ratio_parts``, which holds the two-stage rule.
+``_factor_parts`` and ``_ratio_parts``, which holds the two-stage rule. The reader
+finds a canonical line's two records by its id's factor and ratio texts, each parsed
+and checked once per distinct text (``_id_factor_parts`` and ``_id_ratio_parts``).
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ def _first_stage_share(f_r: int, n1: int, d1: int, n2: int, d2: int) -> Fraction
 class _RatioParts(NamedTuple):
     approach: str
     id: str  # "_r1…_r2…", or "" for one stage
+    r1: Fraction | None  # the exact stage ratios, None for one stage
+    r2: Fraction | None
     first_stage_share: Fraction | None
     ratios: str  # ", " and the items r1 to r2_frac, or "" for one stage
     ratio: str  # the items r and r_frac
@@ -120,7 +124,7 @@ def _ratio_parts(f_r: int, *stages: int) -> _RatioParts:
     derived = _items({"r": float(ratio), "r_frac": str(ratio)})
     if not stages:
         approach = APPROACH_MULTI_1STAGE if f_r else APPROACH_MONO_1STAGE
-        return _RatioParts(approach, "", None, "", derived, "")
+        return _RatioParts(approach, "", None, None, None, "", derived, "")
     n1, d1, n2, d2 = stages
     r1, r2 = Fraction(n1, d1), Fraction(n2, d2)
     if not (n1 << f_r < d1 and d2 < n2 << f_r):
@@ -130,19 +134,19 @@ def _ratio_parts(f_r: int, *stages: int) -> _RatioParts:
     s1 = _first_stage_share(f_r, n1, d1, n2, d2)
     s2 = 1 - s1
     return _RatioParts(
-        APPROACH_MULTI_2STAGE, f"_r1{r1}_r2{r2}", s1,
+        APPROACH_MULTI_2STAGE, f"_r1{r1}_r2{r2}", r1, r2, s1,
         ", " + _items({"r1": float(r1), "r1_frac": str(r1), "r2": float(r2), "r2_frac": str(r2)}),
         derived,
         ", " + _items({"s1": float(s1), "s1_frac": str(s1), "s2": float(s2), "s2_frac": str(s2)}),
     )
 
 
-def _ratio_parts_of(factors: FactorTuple, r1: Fraction | None, r2: Fraction | None) -> _RatioParts:
-    """``_ratio_parts`` of a setup's fields: two Fractions, or both None for one stage."""
+def _ratio_parts_of(f_r: int, r1: Fraction | None, r2: Fraction | None) -> _RatioParts:
+    """``_ratio_parts`` of a setup's f_r and ratios: two Fractions, or both None for one stage."""
     if r1 is None:
-        return _ratio_parts(factors.f_r)
+        return _ratio_parts(f_r)
     (n1, d1), (n2, d2) = r1.as_integer_ratio(), r2.as_integer_ratio()
-    return _ratio_parts(factors.f_r, n1, d1, n2, d2)
+    return _ratio_parts(f_r, n1, d1, n2, d2)
 
 
 class _SetupFields(NamedTuple):
@@ -174,7 +178,7 @@ class SetupSpec(_SetupFields):
                 if r is not None and type(r) is not Fraction:
                     raise ValidationError(f"{name} must be a Fraction, got {r!r}")
             raise ValidationError("two-stage setups need both r1 and r2")
-        setup_id = _factor_parts(*factors).id + _ratio_parts_of(factors, r1, r2).id
+        setup_id = _factor_parts(*factors).id + _ratio_parts_of(factors.f_r, r1, r2).id
         return tuple.__new__(cls, (factors, r1, r2, setup_id))
 
     @classmethod
@@ -197,11 +201,11 @@ class SetupSpec(_SetupFields):
     @property
     def first_stage_share(self) -> Fraction | None:
         """Stage 1's exact share of the tokens, (r2 - r) / (r2 - r1); None for one stage."""
-        return _ratio_parts_of(*self[:3]).first_stage_share
+        return _ratio_parts_of(self.factors.f_r, *self[1:3]).first_stage_share
 
     @property
     def approach(self) -> str:
-        return _ratio_parts_of(*self[:3]).approach
+        return _ratio_parts_of(self.factors.f_r, *self[1:3]).approach
 
     def derived(self) -> DerivedSetup:
         return derive_single_stage(self.factors)
@@ -258,7 +262,7 @@ def wire_line(spec: SetupSpec) -> str:
     string so consumers never have to re-derive exact values from floats.
     """
     factors, r1, r2, setup_id = spec
-    return _line(setup_id, _factor_parts(*factors), _ratio_parts_of(factors, r1, r2))
+    return _line(setup_id, _factor_parts(*factors), _ratio_parts_of(factors.f_r, r1, r2))
 
 
 def _line(setup_id: str, factor: _FactorParts, ratio: _RatioParts) -> str:
@@ -364,34 +368,68 @@ def write_jsonl(specs: Iterable[SetupSpec], fp: IO[str]) -> int:
     return count
 
 
-#: The start of a ``wire_line``: the id's factors and exact ratios. Digits are bounded,
-#: so ``int`` and ``Fraction`` stay cheap on any line; a longer id takes the JSON path.
-_WIRE_ID = re.compile(r'\{"id": "fC(-?[0-9]{1,5})_fD-?[0-9]{1,5}_fr([0-9]{1,4})_fM(-?[0-9]{1,5})'
-                      r'_fk([0-9]{1,5})(?:_r1([0-9]{1,40}(?:/[0-9]{1,40})?)'
-                      r'_r2([0-9]{1,40}(?:/[0-9]{1,40})?))?"')
+#: The two halves of a ``wire_line``'s id, split at its first ``_r1``: the factor text and
+#: the ratio text ("" for one stage). Digits are bounded, so ``int`` and ``Fraction`` stay
+#: cheap on any id, and neither half is longer than its ``_MAX``, so neither is a cache
+#: key; a longer id takes the JSON path.
+_FACTOR_ID = re.compile(r"fC(-?[0-9]{1,5})_fD-?[0-9]{1,5}_fr([0-9]{1,4})_fM(-?[0-9]{1,5})"
+                        r"_fk([0-9]{1,5})")
+_RATIO_ID = re.compile(r"(?:_r1([0-9]{1,40}(?:/[0-9]{1,40})?)"
+                       r"_r2([0-9]{1,40}(?:/[0-9]{1,40})?))?")
+_FACTOR_ID_MAX, _RATIO_ID_MAX = 41, 168
+
+
+@functools.lru_cache(maxsize=4096)
+def _id_factor_parts(text: str) -> _FactorParts | None:
+    """The factor record whose id is ``text``, else None: one parse per distinct text."""
+    match = _FACTOR_ID.fullmatch(text)
+    if match is None:
+        return None
+    f_C, f_r, f_M, f_k = map(int, match.groups())
+    try:
+        factor = _factor_parts(f_r, f_M, f_k, f_C)
+    except INPUT_ERRORS:  # the JSON path reads the line again and names the error
+        return None
+    return factor if factor.id == text else None
+
+
+@functools.lru_cache(maxsize=256)
+def _id_ratio_parts(f_r: int, text: str) -> _RatioParts | None:
+    """The ratio record of ``f_r`` whose id is ``text`` ("" for one stage), else None."""
+    match = _RATIO_ID.fullmatch(text)
+    if match is None:
+        return None
+    r1, r2 = match.groups()
+    try:
+        ratio = _ratio_parts(f_r) if r1 is None else _ratio_parts_of(f_r, _ratio(r1), _ratio(r2))
+    except INPUT_ERRORS:
+        return None
+    return ratio if ratio.id == text else None
 
 
 def _from_wire_line(line: str) -> SetupSpec | None:
     """The setup whose ``wire_line`` is exactly ``line``, else None; never raises.
 
-    Such a line is ``json.dumps`` of an object that ``from_wire`` reads back to
-    that setup with every check passing. The two records ran those checks, so
-    taking the line here skips the decode and ``SetupSpec``, and changes nothing else.
+    Keyed on the line's id: its factor text and its ratio text are each looked up in a
+    cache of their records, so a text is parsed and checked once, not once per line.
+    Such a line is ``json.dumps`` of an object that ``from_wire`` reads back to that
+    setup with every check passing. The two records ran those checks, so taking the
+    line here skips the decode and ``SetupSpec``, and changes nothing else.
     """
-    match = _WIRE_ID.match(line)
-    if match is None:
+    if not line.startswith('{"id": "'):
         return None
-    f_C, f_r, f_M, f_k, r1, r2 = match.groups()
-    try:
-        factor = _factor_parts(int(f_r), int(f_M), int(f_k), int(f_C))
-        r1, r2 = (None, None) if r1 is None else (_ratio(r1), _ratio(r2))
-        ratio = _ratio_parts_of(factor.factors, r1, r2)
-    except INPUT_ERRORS:  # the JSON path reads the line again and names the error
+    setup_id = line[8:line.find('"', 8)]
+    factor_id = setup_id.partition("_r1")[0]  # each "_" of a factor text is followed by "f"
+    ratio_id = setup_id[len(factor_id):]
+    if len(factor_id) > _FACTOR_ID_MAX or len(ratio_id) > _RATIO_ID_MAX:
+        return None  # no cache key longer than a setup's id can be
+    factor = _id_factor_parts(factor_id)
+    if factor is None:
         return None
-    setup_id = factor.id + ratio.id
-    if _line(setup_id, factor, ratio) != line:
+    ratio = _id_ratio_parts(factor.factors.f_r, ratio_id)
+    if ratio is None or _line(setup_id, factor, ratio) != line:
         return None
-    return tuple.__new__(SetupSpec, (factor.factors, r1, r2, setup_id))
+    return tuple.__new__(SetupSpec, (factor.factors, ratio.r1, ratio.r2, setup_id))
 
 
 def read_jsonl(fp: IO[str]) -> Iterator[SetupSpec]:

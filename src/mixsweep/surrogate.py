@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import LossRecord
 from .errors import ValidationError
-from .seeds import fnv1a64, mix64, uniform_pair
+from .seeds import MASK64, fnv1a64, mix64, uniform_pair
 from .space import SetupSpec, json_field
 
 
@@ -51,7 +51,7 @@ class SurrogateParams(_ParamFields):
     ones with the same average ratio. Defaults are tuned so that, on the
     default grid, gamma = 0.5 produces an approach switch below the
     compute-optimal corpus while gamma = 0 produces none. Every float knob
-    must be finite and ``seed`` an ``int``; each check names its field.
+    must be finite and ``seed`` an ``int`` in [0, 2**64); each check names its field.
     """
 
     __slots__ = ()
@@ -83,6 +83,8 @@ class SurrogateParams(_ParamFields):
             )
         if type(seed) is not int:
             raise ValidationError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed <= MASK64:  # the noise key is taken mod 2**64
+            raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
         return params
 
     @classmethod

@@ -583,6 +583,40 @@ def test_simulate_seed_flag_then_config_then_params_file(workspace, tmp_path):
     assert simulate("file.csv", seeded) == three
 
 
+@pytest.mark.parametrize(
+    ("command", "source", "seed"),
+    [
+        ("plan", "flag", -1),
+        ("plan", "flag", 2**64),
+        ("plan", "config", -1),
+        ("simulate", "flag", -1),
+        ("simulate", "config", 2**64),
+        ("simulate", "params", -1),
+    ],
+)
+def test_seed_outside_64_bits_is_data_error(workspace, tmp_path, capsys, command, source, seed):
+    # the mixer takes keys mod 2**64, so -1 would give the same seeds as 2**64 - 1
+    out = tmp_path / "out"
+    argv = [command, "fC0_fD0_fr0_fM0_fk0"] if command == "plan" else [command]
+    argv += ["--setups", workspace["setups"], "--out", str(out)]
+    flag = "--base-seed" if command == "plan" else "--seed"
+    name = "base_seed" if command == "plan" else "seed"
+    where = ""
+    if source == "flag":
+        argv.append(f"{flag}={seed}")
+    elif source == "config":
+        argv = ["--config", _model_file(tmp_path, "config.json", {"seed": seed}), *argv]
+    else:
+        where = _model_file(tmp_path, "params.json", {"noise_sigma": 0.01, "seed": seed})
+        argv += ["--params", where]
+        where += ": "
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}{name} must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
 def test_scipy_stays_off_the_import_path(workspace, tmp_path):
     # only the epoch fit needs numpy, and no command needs scipy: the Quickstart's
     # other eight commands, the k* and ratio fits included, run in one process that
@@ -1631,6 +1665,32 @@ def test_output_that_is_the_directory_of_another_is_usage_error(
     assert captured.err == (
         "usage error: output tbx would be the directory of output tbx/approach_minima.csv\n"
     )
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    ("args", "named"),
+    [
+        (["enumerate", "--fc", "0", "--out", ""], ""),
+        (["enumerate", "--fc", "0", "--out", "newdir/"], "newdir/"),
+        (["enumerate", "--fc", "0", "--out", "newdir/.."], "newdir/.."),
+        (["plan", "fC0_fD0_fr0_fM0_fk0", "--out", "p.json", "--schedule-csv", "newdir/"],
+         "newdir/"),
+    ],
+    ids=["enumerate-empty", "enumerate-trailing-separator", "enumerate-dot-dot",
+         "plan-schedule-csv"],
+)
+def test_output_path_that_names_no_file_is_data_error(
+    workspace, tmp_path, capsys, monkeypatch, args, named
+):
+    # caught before a directory is made or a temp file written, so neither is named
+    monkeypatch.chdir(tmp_path)
+    inputs = ["--setups", workspace["setups"]] if args[0] == "plan" else []
+    code = run([*args, *inputs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {named!r}: names no file\n"
     assert captured.out == ""
     assert os.listdir(tmp_path) == []
 

@@ -128,6 +128,15 @@ def test_epoch_seeds_rejects_zero():
         schedule.epoch_seeds(0, 1)
 
 
+def test_epoch_seeds_take_a_base_seed_in_64_bits_only():
+    # mix64 masks its key, so -1 would alias 2**64 - 1
+    assert schedule.epoch_seeds(2, 2**64 - 1) == [mix64(2**64 - 1, 1), mix64(2**64 - 1, 2)]
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError) as excinfo:
+            schedule.epoch_seeds(2, seed)
+        assert str(excinfo.value) == f"base_seed must be in [0, 2**64), got {seed}"
+
+
 def _simulate_accumulator(ratio, n):
     """Independent oracle: the literal error-diffusion accumulator."""
     acc = Fraction(0)

@@ -619,6 +619,9 @@ def test_writing_the_grid_splits_each_stage_ratio_triple_once(monkeypatch):
     assert list(space.read_jsonl(io.StringIO(buf.getvalue()))) == specs
     assert space._ratio_parts.cache_info().misses == 38
     assert space._factor_parts.cache_info().misses == 586
+    # a line's id texts are looked up once each: one entry per distinct text
+    assert space._id_factor_parts.cache_info().currsize == 586
+    assert space._id_ratio_parts.cache_info().currsize == 38
 
 
 def _no_json_decode(monkeypatch):
@@ -693,6 +696,18 @@ def _id_with(line, old, new):
     return head.replace(old, new, 1) + '", "approach"' + rest
 
 
+def _leading_zero(number):
+    return f"-0{-number}" if number < 0 else f"0{number}"
+
+
+def _r1_with_leading_zero(line, spec):
+    """The id's r1 as ``01/32``, or for one stage its f_k as ``fk03``."""
+    if spec.is_two_stage:
+        r1 = spec.first_stage_ratio
+        return _id_with(line, f"_r1{r1}_", f"_r10{r1}_")
+    return _id_with(line, f"_fk{spec.factors.f_k}", f"_fk{_leading_zero(spec.factors.f_k)}")
+
+
 #: Ways a canonical line can miss ``wire_line``'s bytes; each takes (line, spec, draw).
 _NEAR_MISSES = {
     "sort-keys": lambda line, spec, draw: json.dumps(json.loads(line), sort_keys=True),
@@ -705,6 +720,11 @@ _NEAR_MISSES = {
         line, f"_fD{spec.factors.f_D}_", f"_fD{spec.factors.f_D + 1}_"),
     "wrong-f_D": lambda line, spec, draw: line.replace(
         f'"f_D": {spec.factors.f_D},', f'"f_D": {spec.factors.f_D - 1},', 1),
+    "fC00": lambda line, spec, draw: _id_with(
+        line, f"fC{spec.factors.f_C}_", f"fC{_leading_zero(spec.factors.f_C)}_"),
+    "fr01": lambda line, spec, draw: _id_with(
+        line, f"_fr{spec.factors.f_r}_", f"_fr{_leading_zero(spec.factors.f_r)}_"),
+    "r1-01/32": lambda line, spec, draw: _r1_with_leading_zero(line, spec),
 }
 
 #: A setup that neither the grid nor ``_setups`` makes, to put each near miss on line 2.
@@ -720,6 +740,7 @@ def test_a_near_miss_of_a_written_line_reads_as_the_oracle_reads_it(spec, miss, 
     assert near != line
     for text in (near + "\n", _LINE_ONE + near + "\n"):
         assert _outcome(space.read_jsonl, text) == _outcome(_oracle_read_jsonl, text)
+    assert space._from_wire_line(near) is None
 
 
 @pytest.mark.parametrize("line", [
@@ -732,3 +753,32 @@ def test_an_id_only_line_that_names_no_setup_reads_as_the_oracle_reads_it(line):
     for text in (line + "\n", _LINE_ONE + line + "\n"):
         got = _outcome(space.read_jsonl, text)
         assert isinstance(got, str) and got == _outcome(_oracle_read_jsonl, text)
+
+
+def test_a_long_first_id_is_read_by_json_and_kept_by_no_cache():
+    # json.loads keeps a repeated key's last value, so each line reads as its setup;
+    # its first id, 100 KB of junk or a real factor text with a 100 KB ratio text,
+    # must not become a cache key
+    specs = space.enumerate_all({0: space.default_ranges()[0]})[::20][:50]
+    lines = [space.wire_line(spec) for spec in specs]
+    list(space.read_jsonl(io.StringIO("".join(f"{line}\n" for line in lines))))
+    sizes = (space._id_factor_parts.cache_info().currsize,
+             space._id_ratio_parts.cache_info().currsize)
+    text = "".join(
+        '{"id": "' + (f"{i:02d}" + "x" * 100_000 if i % 2 else
+                      spec.id.partition("_r1")[0] + "_r1" + f"{i:02d}" + "1" * 100_000)
+        + '", ' + line[1:] + "\n"
+        for i, (spec, line) in enumerate(zip(specs, lines)))
+    assert _outcome(space.read_jsonl, text) == _outcome(_oracle_read_jsonl, text) == specs
+    assert (space._id_factor_parts.cache_info().currsize,
+            space._id_ratio_parts.cache_info().currsize) == sizes
+
+
+def test_no_text_that_can_name_a_setup_is_longer_than_its_bound():
+    # the reader skips a longer id half without a lookup: the bound must admit every match
+    num = "9" * 40 + "/" + "9" * 40
+    factor, ratio = "fC-99999_fD-99999_fr9999_fM-99999_fk99999", f"_r1{num}_r2{num}"
+    assert space._FACTOR_ID.fullmatch(factor) and len(factor) == space._FACTOR_ID_MAX
+    assert space._RATIO_ID.fullmatch(ratio) and len(ratio) == space._RATIO_ID_MAX
+    assert not space._FACTOR_ID.fullmatch(factor.replace("fk", "fk9"))
+    assert not space._RATIO_ID.fullmatch(ratio.replace("_r2", "9_r2"))
