@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 from itertools import cycle, islice, repeat
+from math import gcd
 from typing import Iterator
 
 from .errors import ValidationError
@@ -58,8 +59,15 @@ def source_at(ratio: Fraction, batch_index: int) -> str:
 def build_schedule(plan: TrainingPlan, *, base_seed: int = 0) -> dict:
     """plan.json's ``schedule`` section (schema_version 1): epoch seeds over the plan's stages.
 
-    Fully determined by (training plan, base seed).
+    Fully determined by (training plan, base seed). A plan of more epochs than
+    batches raises ValidationError before any seed is listed: its epochs are
+    shorter than a batch, so no batch boundary could apply their seeds.
     """
+    if plan.epochs > sum(plan.steps):
+        raise ValidationError(
+            f"{plan.epochs} epochs over {sum(plan.steps)} batches: an epoch is shorter"
+            " than a batch, so no batch boundary can apply its reshuffle seed"
+        )
     batch = plan.batch.global_batch_tokens
     batches = sum(b.target_tokens for b in plan.stages) / batch
     return {
@@ -135,28 +143,58 @@ def schedule_rows(plan: TrainingPlan) -> Iterator[tuple[int, int, str, float]]:
 
 
 _CHUNK_ROWS = 4096
+_BLOCK_ROWS = 100
 
 
 def schedule_csv(plan: TrainingPlan) -> str:
     """``schedule_rows`` as CSV text under a header, byte for byte as csv.writer writes it.
 
     csv.writer writes an int as ``str`` and a float as its ``repr``, and quotes
-    none of these cells. So each stage builds its q row templates
-    ``%d,stage,source,batch`` once, and fills its full rows in chunks of at
-    most ``_CHUNK_ROWS``: one %-format of the chunk's templates, cut from the
-    cycled period, with its consecutive batch indices. Chunks bound the size
-    of each format's argument tuple and result string.
+    none of these cells. A stage's source period gives it q row tails
+    ``,stage,source,batch``. Most full rows are written in aligned blocks of
+    ``_BLOCK_ROWS`` = 100: the indices 100·m … 100·m + 99, for m ≥ 1, all
+    print as ``str(m)`` and then a two-digit suffix. The blocks of a stage
+    start at q / gcd(q, 100) phases of its period at most, taken in turn.
+    For each such phase the stage builds one template: an empty piece, then
+    the block's 100 rows without their prefix, ``NN,stage,source,batch``.
+    A block is then ``str(m).join(template)``, one join per 100 rows.
+
+    The other full rows take the chunk path: the indices below 100 (block 0
+    would print ``00``), a stage's unaligned head and tail, and every row of
+    a stage whose period is longer than a block. A chunk is at most
+    ``_CHUNK_ROWS`` rows, one %-format of the ``%d`` row templates cut from
+    the cycled period, with its consecutive batch indices. Chunks bound the
+    size of each format's argument tuple and result string. A stage's last,
+    partial row is written on its own.
     """
     batch = repr(float(plan.batch.global_batch_tokens))
     buf = io.StringIO()
     buf.write("batch_index,stage,source,tokens\n")
     for first, stage, period, full, last_source, last_tokens in _stage_runs(plan):
-        rows = [f"%d,{stage},{source},{batch}\n" for source in period]
-        ring = list(islice(cycle(rows), len(rows) + _CHUNK_ROWS))
+        q = len(period)
         end = first + full
-        for i in range(first, end, _CHUNK_ROWS):
-            j = min(i + _CHUNK_ROWS, end)
-            offset = (i - first) % len(rows)
-            buf.write("".join(ring[offset : offset + j - i]) % tuple(range(i, j)))
-        buf.write(f"{first + full},{stage},{last_source},{last_tokens!r}\n")
+        tails = [f",{stage},{source},{batch}\n" for source in period]
+        ring = list(islice(cycle(["%d" + tail for tail in tails]), q + _CHUNK_ROWS))
+        # the blocks 100·m … 100·m + 99 that lie in lo … hi - 1, from index 100 on
+        lo = max(_BLOCK_ROWS, -(-first // _BLOCK_ROWS) * _BLOCK_ROWS)
+        hi = end - end % _BLOCK_ROWS
+        if q > _BLOCK_ROWS or lo >= hi:
+            lo = hi = end
+        blocks = range(lo // _BLOCK_ROWS, hi // _BLOCK_ROWS)
+        templates = [
+            ["", *(f"{k:02d}{tails[(phase + k) % q]}" for k in range(_BLOCK_ROWS))]
+            for phase in range(lo - first, hi - first, _BLOCK_ROWS)[: q // gcd(q, _BLOCK_ROWS)]
+        ]
+        buf.writelines(_chunks(ring, q, first, first, lo))
+        buf.writelines(map(str.join, map(str, blocks), cycle(templates)))
+        buf.writelines(_chunks(ring, q, first, hi, end))
+        buf.write(f"{end},{stage},{last_source},{last_tokens!r}\n")
     return buf.getvalue()
+
+
+def _chunks(ring: list[str], q: int, first: int, start: int, stop: int) -> Iterator[str]:
+    """Rows ``start`` … ``stop - 1`` of a stage that begins at ``first``, %-formatted per chunk."""
+    for i in range(start, stop, _CHUNK_ROWS):
+        j = min(i + _CHUNK_ROWS, stop)
+        offset = (i - first) % q
+        yield "".join(ring[offset : offset + j - i]) % tuple(range(i, j))

@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -182,6 +183,29 @@ def test_plan_unknown_setup_id(workspace, tmp_path):
          "--out", str(tmp_path / "x.json")]
     )
     assert code == 2
+
+
+def test_plan_of_more_epochs_than_batches_exits_before_listing_seeds(
+    tmp_path, capsys, monkeypatch
+):
+    # f_k = 30 at full compute: 2**30 epochs over 8,126 batches, one seed per epoch
+    def no_seeds(epochs, base_seed):
+        raise AssertionError(f"listed {epochs} epoch seeds")
+
+    monkeypatch.setattr(cli.schedule, "epoch_seeds", no_seeds)
+    setups = tmp_path / "setups.jsonl"
+    setups.write_text(json.dumps({"f_r": 0, "f_M": 0, "f_k": 30, "f_C": 0}) + "\n")
+    out, rows = tmp_path / "plan.json", tmp_path / "schedule.csv"
+    start = time.perf_counter()
+    code = run(["plan", "fC0_fD-30_fr0_fM0_fk30", "--setups", str(setups),
+                "--out", str(out), "--schedule-csv", str(rows)])
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 1073741824 epochs over 8126 batches: an epoch is shorter than a batch,"
+        " so no batch boundary can apply its reshuffle seed\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["setups.jsonl"]
 
 
 def test_config_file_and_env(workspace, tmp_path, monkeypatch):

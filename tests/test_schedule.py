@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -284,7 +285,9 @@ def test_schedule_csv_matches_csv_writer(plan):
         # partial last rows whose tokens print with the shortest round-trip repr
         (1, [(5e-324, Fraction(0)), (0.1, Fraction(1)), (3.1, Fraction(1, 3))]),
         (4, [(3.0000000000000004, Fraction(1, 2)), (4.1, Fraction(1, 3))]),
-        # schedule_csv formats a stage's full rows in chunks of _CHUNK rows.
+        # schedule_csv formats the rows that no block holds in chunks of _CHUNK rows: all
+        # full rows of a stage whose period is over 100 (q = 5000 and 128 below), and the
+        # head and tail of any other. With q <= 100 the next four cases are mostly blocks.
         # Full rows of exactly 2 chunks, after a short stage: chunks start off index 0
         (1, [(2.5, Fraction(1, 2)), (2 * _CHUNK + 1.0, Fraction(1, 4))]),
         # 2 chunks plus 1 full row, then a partial last row
@@ -295,6 +298,30 @@ def test_schedule_csv_matches_csv_writer(plan):
         (4096, [(3 * _CHUNK * 4096 + 100.0, Fraction(1, 3))]),
         # q = 5000 is longer than a chunk, over more than 2q batches
         (1, [(3.0, Fraction(1)), (2 * 5000 + 1234.75, Fraction(1, 5000))]),
+        # q = 128 does not divide the chunk; 2 chunks plus 1 full row, from index 3
+        (1, [(3.0, Fraction(1)), (2 * _CHUNK + 2.5, Fraction(77, 128))]),
+        # schedule_csv writes indices 100·m … 100·m + 99 (m >= 1) in blocks of 100 rows.
+        # The index carries 99 -> 100, 999 -> 1,000, 9,999 -> 10,000 and 99,999 -> 100,000
+        (1, [(100_001.5, Fraction(3, 7))]),
+        # 10,000 is the first index of a tail chunk, after a head chunk from 950
+        (1, [(950.0, Fraction(1, 2)), (9_100.5, Fraction(1, 4))]),
+        # stages of under a block from index 0: 99 rows, and 58 rows before a stage at 58
+        (1, [(99.0, Fraction(1, 2))]),
+        (1, [(57.5, Fraction(1, 3)), (300.0, Fraction(1, 4))]),
+        # 100, 101 and 201 rows from index 0: the first block is m = 1, never m = 0
+        (1, [(100.0, Fraction(1, 4))]),
+        (1, [(101.0, Fraction(1, 4))]),
+        (1, [(201.0, Fraction(3, 8))]),
+        # stages that start mid-block, with q = 3, 7 and 64
+        (1, [(37.0, Fraction(1, 2)), (1234.5, Fraction(1, 3)), (777.0, Fraction(2, 7)),
+             (2345.25, Fraction(5, 64))]),
+        (4096, [(130.0 * 4096, Fraction(1, 7)), (905.5 * 4096, Fraction(33, 64))]),
+        # full rows that end on a block boundary (150 … 499, last row 500), and a stage
+        # whose last row is 499, so the next starts on one
+        (1, [(150.0, Fraction(1, 8)), (351.0, Fraction(1, 4)), (49.0, Fraction(1))]),
+        (1, [(500.0, Fraction(1, 8)), (250.0, Fraction(3, 8))]),
+        # q = 100 has one phase; q = 101 is longer than a block, so it takes chunks only
+        (1, [(7.0, Fraction(1)), (1050.5, Fraction(37, 100)), (1050.5, Fraction(37, 101))]),
     ],
 )
 def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
@@ -308,6 +335,33 @@ def test_schedule_csv_of_the_longest_grid_schedule(all_setups):
     plan = max(map(trainplan.build_training_plan, all_setups), key=lambda p: sum(p.steps))
     assert sum(plan.steps) == 130_009
     assert schedule.schedule_csv(plan) == cli._csv_text(_HEADER, schedule.schedule_rows(plan))
+
+
+def test_schedule_csv_on_every_stratum_of_the_grid(all_setups):
+    # one setup from each of 50 strata, ordered by D_total / C^(1/3) as perfbench orders
+    # them, so the draws span short to long schedules and every stage period of the grid
+    def length(spec):
+        derived = spec.derived()
+        return derived.total_tokens / derived.compute ** (1 / 3), spec.id
+
+    ordered = sorted(all_setups, key=length)
+    rng, n, k = random.Random(0), len(ordered), 50
+    drawn = [ordered[rng.randrange(i * n // k, (i + 1) * n // k)] for i in range(k)]
+    plans = list(map(trainplan.build_training_plan, drawn))
+    periods = {stage.ratio.denominator for plan in plans for stage in plan.stages}
+    assert periods == {1, 2, 4, 8, 16, 32}
+    for plan in plans:
+        assert schedule.schedule_csv(plan) == cli._csv_text(
+            _HEADER, schedule.schedule_rows(plan)
+        ), plan.setup_id
+
+
+def test_no_grid_plan_has_more_epochs_than_batches(all_setups):
+    # build_schedule refuses a plan of more epochs than batches; no grid setup is one
+    plans = list(map(trainplan.build_training_plan, all_setups))
+    assert max(plan.epochs for plan in plans) == 512
+    assert min(sum(plan.steps) for plan in plans) == 2_709
+    assert all(plan.epochs <= sum(plan.steps) for plan in plans)
 
 
 def test_schedule_rows_skip_a_zero_token_stage():
