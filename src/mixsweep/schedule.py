@@ -12,6 +12,7 @@ import io
 from fractions import Fraction
 from itertools import cycle, islice, repeat
 from math import gcd
+from operator import add
 from typing import Iterator
 
 from .errors import ValidationError
@@ -142,8 +143,8 @@ def schedule_rows(plan: TrainingPlan) -> Iterator[tuple[int, int, str, float]]:
         yield (first + full, stage, last_source, last_tokens)
 
 
-_CHUNK_ROWS = 4096
 _BLOCK_ROWS = 100
+_SUFFIXES = [f"{k:02d}" for k in range(_BLOCK_ROWS)]
 
 
 def schedule_csv(plan: TrainingPlan) -> str:
@@ -151,21 +152,22 @@ def schedule_csv(plan: TrainingPlan) -> str:
 
     csv.writer writes an int as ``str`` and a float as its ``repr``, and quotes
     none of these cells. A stage's source period gives it q row tails
-    ``,stage,source,batch``. Most full rows are written in aligned blocks of
+    ``,stage,source,batch``. Its full rows are written in aligned blocks of
     ``_BLOCK_ROWS`` = 100: the indices 100·m … 100·m + 99, for m ≥ 1, all
-    print as ``str(m)`` and then a two-digit suffix. The blocks of a stage
-    start at q / gcd(q, 100) phases of its period at most, taken in turn.
-    For each such phase the stage builds one template: an empty piece, then
-    the block's 100 rows without their prefix, ``NN,stage,source,batch``.
-    A block is then ``str(m).join(template)``, one join per 100 rows.
+    print as ``str(m)`` and then a two-digit suffix. A block's template is
+    an empty piece, then its 100 rows without their prefix,
+    ``NN,stage,source,batch``, so the block is ``str(m).join(template)``, one
+    join per 100 rows. The template depends only on the phase of the period
+    that the block starts at, and a stage's blocks take q / gcd(q, 100)
+    phases in turn. When those are at most 100 the stage builds each
+    template once, when a block first needs it, and keeps it for the later
+    blocks: a grid stage (q ≤ 32) builds at most 8. A stage of more phases
+    (off grid only) builds one template per block and keeps none.
 
-    The other full rows take the chunk path: the indices below 100 (block 0
-    would print ``00``), a stage's unaligned head and tail, and every row of
-    a stage whose period is longer than a block. A chunk is at most
-    ``_CHUNK_ROWS`` rows, one %-format of the ``%d`` row templates cut from
-    the cycled period, with its consecutive batch indices. Chunks bound the
-    size of each format's argument tuple and result string. A stage's last,
-    partial row is written on its own.
+    The full rows that no block holds are written one by one: the indices
+    below 100 (block 0 would print ``00``) and a stage's unaligned head and
+    tail, at most 199 rows per stage. A stage's last, partial row is written
+    on its own.
     """
     batch = repr(float(plan.batch.global_batch_tokens))
     buf = io.StringIO()
@@ -174,27 +176,21 @@ def schedule_csv(plan: TrainingPlan) -> str:
         q = len(period)
         end = first + full
         tails = [f",{stage},{source},{batch}\n" for source in period]
-        ring = list(islice(cycle(["%d" + tail for tail in tails]), q + _CHUNK_ROWS))
-        # the blocks 100·m … 100·m + 99 that lie in lo … hi - 1, from index 100 on
-        lo = max(_BLOCK_ROWS, -(-first // _BLOCK_ROWS) * _BLOCK_ROWS)
-        hi = end - end % _BLOCK_ROWS
-        if q > _BLOCK_ROWS or lo >= hi:
-            lo = hi = end
+        # the blocks 100·m … 100·m + 99 that lie in first … end - 1, from index 100 on
+        lo = min(max(_BLOCK_ROWS, -(-first // _BLOCK_ROWS) * _BLOCK_ROWS), end)
+        hi = max(lo, end - end % _BLOCK_ROWS)
         blocks = range(lo // _BLOCK_ROWS, hi // _BLOCK_ROWS)
-        templates = [
-            ["", *(f"{k:02d}{tails[(phase + k) % q]}" for k in range(_BLOCK_ROWS))]
-            for phase in range(lo - first, hi - first, _BLOCK_ROWS)[: q // gcd(q, _BLOCK_ROWS)]
-        ]
-        buf.writelines(_chunks(ring, q, first, first, lo))
-        buf.writelines(map(str.join, map(str, blocks), cycle(templates)))
-        buf.writelines(_chunks(ring, q, first, hi, end))
+        ring = list(islice(cycle(tails), q + _BLOCK_ROWS))
+        templates = (
+            ["", *map(add, _SUFFIXES, ring[phase % q : phase % q + _BLOCK_ROWS])]
+            for phase in range(lo - first, hi - first, _BLOCK_ROWS)
+        )
+        # the blocks take q / gcd(q, 100) phases in turn; keep at most 100 templates
+        turns = q // gcd(q, _BLOCK_ROWS)
+        if turns <= _BLOCK_ROWS:
+            templates = cycle(islice(templates, turns))
+        buf.writelines(f"{i}{tails[(i - first) % q]}" for i in range(first, lo))
+        buf.writelines(map(str.join, map(str, blocks), templates))
+        buf.writelines(f"{i}{tails[(i - first) % q]}" for i in range(hi, end))
         buf.write(f"{end},{stage},{last_source},{last_tokens!r}\n")
     return buf.getvalue()
-
-
-def _chunks(ring: list[str], q: int, first: int, start: int, stop: int) -> Iterator[str]:
-    """Rows ``start`` … ``stop - 1`` of a stage that begins at ``first``, %-formatted per chunk."""
-    for i in range(start, stop, _CHUNK_ROWS):
-        j = min(i + _CHUNK_ROWS, stop)
-        offset = (i - first) % q
-        yield "".join(ring[offset : offset + j - i]) % tuple(range(i, j))

@@ -14,7 +14,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -196,10 +195,8 @@ def test_plan_of_more_epochs_than_batches_exits_before_listing_seeds(
     setups = tmp_path / "setups.jsonl"
     setups.write_text(json.dumps({"f_r": 0, "f_M": 0, "f_k": 30, "f_C": 0}) + "\n")
     out, rows = tmp_path / "plan.json", tmp_path / "schedule.csv"
-    start = time.perf_counter()
     code = run(["plan", "fC0_fD-30_fr0_fM0_fk30", "--setups", str(setups),
                 "--out", str(out), "--schedule-csv", str(rows)])
-    assert time.perf_counter() - start < 10
     assert code == 2
     assert capsys.readouterr().err == (
         "error: 1073741824 epochs over 8126 batches: an epoch is shorter than a batch,"

@@ -267,7 +267,12 @@ def test_schedule_rows_match_per_row_expansion(plan):
 
 
 _HEADER = ("batch_index", "stage", "source", "tokens")
-_CHUNK = schedule._CHUNK_ROWS
+
+
+def _lines(text):
+    # a failing comparison of line lists names the first differing line at once, where
+    # pytest would diff two multi-megabyte strings for minutes
+    return text.splitlines(keepends=True)
 
 
 @given(_plans())
@@ -285,25 +290,24 @@ def test_schedule_csv_matches_csv_writer(plan):
         # partial last rows whose tokens print with the shortest round-trip repr
         (1, [(5e-324, Fraction(0)), (0.1, Fraction(1)), (3.1, Fraction(1, 3))]),
         (4, [(3.0000000000000004, Fraction(1, 2)), (4.1, Fraction(1, 3))]),
-        # schedule_csv formats the rows that no block holds in chunks of _CHUNK rows: all
-        # full rows of a stage whose period is over 100 (q = 5000 and 128 below), and the
-        # head and tail of any other. With q <= 100 the next four cases are mostly blocks.
-        # Full rows of exactly 2 chunks, after a short stage: chunks start off index 0
-        (1, [(2.5, Fraction(1, 2)), (2 * _CHUNK + 1.0, Fraction(1, 4))]),
-        # 2 chunks plus 1 full row, then a partial last row
-        (1, [(2 * _CHUNK + 1.5, Fraction(1, 4))]),
-        # one full row under a chunk
-        (1, [(float(_CHUNK), Fraction(1, 2))]),
-        # q = 3 does not divide the chunk, so chunks start mid-period
-        (4096, [(3 * _CHUNK * 4096 + 100.0, Fraction(1, 3))]),
-        # q = 5000 is longer than a chunk, over more than 2q batches
+        # long stages: blocks of 100 rows between a head (below 100, or off a block
+        # boundary) and a tail, both written row by row.
+        # 8,192 full rows after a short stage, so the head starts off index 0
+        (1, [(2.5, Fraction(1, 2)), (2 * 4096 + 1.0, Fraction(1, 4))]),
+        # 8,193 full rows from index 0, then a partial last row
+        (1, [(2 * 4096 + 1.5, Fraction(1, 4))]),
+        # 4,095 full rows and a whole last row
+        (1, [(4096.0, Fraction(1, 2))]),
+        # q = 3 does not divide 100, so the blocks take its 3 phases in turn
+        (4096, [(3 * 4096 * 4096 + 100.0, Fraction(1, 3))]),
+        # q = 5000 is longer than a block: 50 phases, kept, over more than 2q batches
         (1, [(3.0, Fraction(1)), (2 * 5000 + 1234.75, Fraction(1, 5000))]),
-        # q = 128 does not divide the chunk; 2 chunks plus 1 full row, from index 3
-        (1, [(3.0, Fraction(1)), (2 * _CHUNK + 2.5, Fraction(77, 128))]),
+        # q = 128: 32 phases, each taken by 2 or 3 of the stage's blocks, from index 3
+        (1, [(3.0, Fraction(1)), (2 * 4096 + 2.5, Fraction(77, 128))]),
         # schedule_csv writes indices 100·m … 100·m + 99 (m >= 1) in blocks of 100 rows.
         # The index carries 99 -> 100, 999 -> 1,000, 9,999 -> 10,000 and 99,999 -> 100,000
         (1, [(100_001.5, Fraction(3, 7))]),
-        # 10,000 is the first index of a tail chunk, after a head chunk from 950
+        # 10,000 is the first index of a tail, after a head from 950
         (1, [(950.0, Fraction(1, 2)), (9_100.5, Fraction(1, 4))]),
         # stages of under a block from index 0: 99 rows, and 58 rows before a stage at 58
         (1, [(99.0, Fraction(1, 2))]),
@@ -320,21 +324,24 @@ def test_schedule_csv_matches_csv_writer(plan):
         # whose last row is 499, so the next starts on one
         (1, [(150.0, Fraction(1, 8)), (351.0, Fraction(1, 4)), (49.0, Fraction(1))]),
         (1, [(500.0, Fraction(1, 8)), (250.0, Fraction(3, 8))]),
-        # q = 100 has one phase; q = 101 is longer than a block, so it takes chunks only
+        # q = 100 has one phase; q = 101 has 101, more than the 100 templates a stage
+        # keeps, so each of its blocks builds its own
         (1, [(7.0, Fraction(1)), (1050.5, Fraction(37, 100)), (1050.5, Fraction(37, 101))]),
     ],
 )
 def test_schedule_csv_matches_csv_writer_on_edge_cases(batch, stages):
     plan = _plan(batch, stages)
-    text = schedule.schedule_csv(plan)
-    assert text == cli._csv_text(_HEADER, _reference_rows(plan))
-    assert text == cli._csv_text(_HEADER, schedule.schedule_rows(plan))
+    text = _lines(schedule.schedule_csv(plan))
+    assert text == _lines(cli._csv_text(_HEADER, _reference_rows(plan)))
+    assert text == _lines(cli._csv_text(_HEADER, schedule.schedule_rows(plan)))
 
 
 def test_schedule_csv_of_the_longest_grid_schedule(all_setups):
     plan = max(map(trainplan.build_training_plan, all_setups), key=lambda p: sum(p.steps))
     assert sum(plan.steps) == 130_009
-    assert schedule.schedule_csv(plan) == cli._csv_text(_HEADER, schedule.schedule_rows(plan))
+    assert _lines(schedule.schedule_csv(plan)) == _lines(
+        cli._csv_text(_HEADER, schedule.schedule_rows(plan))
+    )
 
 
 def test_schedule_csv_on_every_stratum_of_the_grid(all_setups):
@@ -351,8 +358,8 @@ def test_schedule_csv_on_every_stratum_of_the_grid(all_setups):
     periods = {stage.ratio.denominator for plan in plans for stage in plan.stages}
     assert periods == {1, 2, 4, 8, 16, 32}
     for plan in plans:
-        assert schedule.schedule_csv(plan) == cli._csv_text(
-            _HEADER, schedule.schedule_rows(plan)
+        assert _lines(schedule.schedule_csv(plan)) == _lines(
+            cli._csv_text(_HEADER, schedule.schedule_rows(plan))
         ), plan.setup_id
 
 
