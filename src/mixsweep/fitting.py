@@ -7,10 +7,10 @@
    shifted by ``a * f_C``, with the compute factor f_C = log2(compute /
    reference). Fitted by an outer 1-D search over the shift exponent (a
    downhill walk on a coarse grid from the median shift between budgets,
-   ``_shift_seed``, then Brent's method from the walk's grid minimum,
-   ``_brent``) with an inner monotone-constrained least-squares fit of the
-   knot positions, initialized from isotonic regression of the pooled
-   shifted data. The inner fit runs this module's L-BFGS (``_lbfgs``,
+   ``_shift_seed``, then five halvings of the bracket around the walk's
+   grid minimum, ``_REFINE_STEPS``) with an inner monotone-constrained
+   least-squares fit of the knot positions, initialized from isotonic
+   regression of the pooled shifted data. The inner fit runs this module's L-BFGS (``_lbfgs``,
    L-BFGS-B's unbounded defaults) on the exact gradient of the squared
    error, so it needs no finite-difference probes. This model works on
    float lists in plain Python: its vectors have about ten entries, where
@@ -621,72 +621,8 @@ def _shift_seed(
     return shifts[half] if len(shifts) % 2 else shifts[half - 1] / 2 + shifts[half] / 2
 
 
-#: Brent's refinement of the shift exponent: its absolute tolerance and trial cap.
-_BRENT_XATOL = 1e-3
-_BRENT_MAXITER = 100
-
-
-def _brent(fun, left: float, x: float, fx: float, right: float) -> float:
-    """Brent's bounded minimization of ``fun`` on [left, right], from x with fun(x) = fx.
-
-    Brent (1973, *Algorithms for Minimization without Derivatives*, ch. 5), as
-    ``fminbound`` runs it: a step to the vertex of the parabola through the
-    three best points when that vertex lies inside the interval and the step is
-    under half the step before last, else a golden-section step into the larger
-    side of the best point. Unlike ``fminbound`` it starts from a point whose
-    value is known, and a trial replaces the best point only when its value is
-    strictly lower, so x comes back unless a trial beats it. Stops when the
-    interval is within about ``_BRENT_XATOL`` of the best point, or after
-    ``_BRENT_MAXITER`` trials. Returns the best point.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)  # fminbound's
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = left, right
-    w = v = x  # the second-best point and the one before it
-    fw = fv = fx
-    d = e = 0.0  # the last step and the one before it
-    for _ in range(_BRENT_MAXITER):
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + _BRENT_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
-        if parabolic:
-            d = p / q
-            if x + d - a < tol2 or b - (x + d) < tol2:  # too near an end: step tol1 inward
-                d = -tol1 if xm < x else tol1
-        else:
-            e = (a if x >= xm else b) - x
-            d = golden * e
-        u = x - max(-d, tol1) if d < 0.0 else x + max(d, tol1)
-        fu = fun(u)
-        if fu < fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
+#: The refinement's steps: five halvings of the 0.05 grid spacing around the walk's minimum.
+_REFINE_STEPS = tuple(0.05 / 2**k for k in range(1, 6))
 
 
 def fit_kstar_model(
@@ -704,19 +640,22 @@ def fit_kstar_model(
     whose best knots are not finite and strictly decreasing, raises FitError.
     Strongly non-monotone data still fits but carries a large-residual warning.
     A fit also warns when it has no more cells than free parameters (the knots
-    and the exponent), and when the exponent ends within ``_BRENT_XATOL`` of an
-    end of SHIFT_EXPONENT_BOUNDS: in both cases the data may not pin the model.
+    and the exponent), and when the exponent ends within the last of
+    ``_REFINE_STEPS`` of an end of SHIFT_EXPONENT_BOUNDS: in both cases the data
+    may not pin the model.
 
-    The shift exponent is searched on a 0.05 grid over SHIFT_EXPONENT_BOUNDS,
-    starting at the grid point nearest ``_shift_seed`` (the middle of the grid
-    when the seed is not finite). The walk solves that point and its neighbours
-    and moves to the lowest until neither neighbour is lower, ordering solves
-    by (sse, exponent). Brent's method (``_brent``) then refines the exponent on
-    the local minimum's bracket, starting from that grid point's solve, to
-    ``_BRENT_XATOL``. No exponent is solved twice, and the model is the best
-    solve made, ranked by (sse, exponent): the grid minimum itself unless a
-    trial has a strictly lower squared error. Its diagnostics carry the solves'
-    L-BFGS counts (``_SOLVE_COUNTS``), summed.
+    The shift exponent is searched on a 0.05 grid over SHIFT_EXPONENT_BOUNDS
+    (its last point is the upper bound itself), starting at the grid point
+    nearest ``_shift_seed`` (the middle of the grid when the seed is not
+    finite). The walk solves that point and its neighbours and moves to the
+    lowest until neither neighbour is lower, ordering solves by (sse, exponent).
+    Each of ``_REFINE_STEPS`` then halves the bracket: of the exponent and the
+    two at that step on either side of it, inside the bounds, the lowest is
+    kept. So the refinement solves at most two exponents per step, each within
+    0.05 of the walk's minimum. No exponent is solved twice, and the model is
+    the best solve made, ranked by (sse, exponent): the grid minimum itself
+    unless a refinement solve has a strictly lower squared error. Its
+    diagnostics carry the solves' L-BFGS counts (``_SOLVE_COUNTS``), summed.
     """
     default_h_max = H_MAX_BY_APPROACH[_approach(approach)]
     h_max = default_h_max if h_max is None else h_max
@@ -747,7 +686,7 @@ def fit_kstar_model(
         return solves[exponent]
 
     lo, hi = SHIFT_EXPONENT_BOUNDS
-    grid = [lo + i * 0.05 for i in range(math.ceil((hi + 1e-9 - lo) / 0.05))]  # np.arange's
+    grid = [lo + i * 0.05 for i in range(round((hi - lo) / 0.05))] + [hi]
     seed = _shift_seed(compute_factor, corpus_factor, log2_kstar)
     nearest = min(range(len(grid)), key=lambda i: abs(grid[i] - seed))
     best_idx = nearest if math.isfinite(seed) else len(grid) // 2
@@ -757,9 +696,10 @@ def fit_kstar_model(
         if lowest == best_idx:
             break
         best_idx = lowest
-    start = grid[best_idx]
-    _brent(lambda a: solve(a).f, grid[max(best_idx - 1, 0)], start, solve(start).f,
-           grid[min(best_idx + 1, len(grid) - 1)])
+    exponent = grid[best_idx]
+    for step in _REFINE_STEPS:
+        near = [a for a in (exponent - step, exponent, exponent + step) if lo <= a <= hi]
+        exponent = min(near, key=lambda a: (solve(a).f, a))
     exponent = min(solves, key=lambda a: (solves[a].f, a))  # the best solve made
     sse, positions = solves[exponent].f, solves[exponent].x
     if not math.isfinite(sse):
@@ -777,7 +717,7 @@ def fit_kstar_model(
     if len(cells) <= len(levels) + 1:  # the knot positions and the shift exponent
         warnings.append(f"{len(cells)} cells for {len(levels) + 1} free parameters; "
                         "the data do not pin the model")
-    if min(exponent - lo, hi - exponent) <= _BRENT_XATOL:
+    if min(exponent - lo, hi - exponent) <= _REFINE_STEPS[-1]:
         warnings.append(f"shift exponent {exponent:.3g} at an end of its search range "
                         f"[{lo}, {hi}]; the data may not pin it")
     return {

@@ -208,8 +208,9 @@ def _quantized_share(share, total: float) -> float:
 
 
 def _stage(raw_total: float, target: float, ratio: Fraction) -> StageTokenBudget:
-    # a target-only stage's float total can round below its target: no high tokens then
-    high = max(raw_total - target, 0.0)
+    # a target-only stage holds no high tokens, whichever way its float total rounds;
+    # another stage's total can round below its target only by a residue: clamp it
+    high = 0.0 if ratio == 1 else max(raw_total - target, 0.0)
     # store the re-summed total so target + high == total holds exactly
     return StageTokenBudget(
         total_tokens=target + high,

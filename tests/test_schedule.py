@@ -64,6 +64,17 @@ def test_no_grid_stage_has_negative_high_tokens(all_setups):
     assert not bad, f"{len(bad)} stages, first {bad[0]}"
 
 
+def test_no_grid_target_only_stage_has_high_tokens(all_setups):
+    # a ratio-1 stage's float total can also round above its target, by about an ulp
+    bad = [
+        (spec.id, index)
+        for spec in all_setups
+        for index, b in enumerate(trainplan.stage_budgets(spec), 1)
+        if b.ratio == 1 and not (b.high_tokens == 0.0 and b.total_tokens == b.target_tokens)
+    ]
+    assert not bad, f"{len(bad)} stages, first {bad[0]}"
+
+
 @st.composite
 def _split_setups(draw):
     """Two-stage setups beyond the default grid, with 0 <= r1 < 2**-f_r < r2 <= 1.
