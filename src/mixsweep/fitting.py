@@ -10,9 +10,9 @@
    ``_shift_seed``, then five halvings of the bracket around the walk's
    grid minimum, ``_REFINE_STEPS``) with an inner monotone-constrained
    least-squares fit of the knot positions, initialized from isotonic
-   regression of the pooled shifted data. The inner fit runs this module's L-BFGS (``_lbfgs``,
-   L-BFGS-B's unbounded defaults) on the exact gradient of the squared
-   error, so it needs no finite-difference probes. This model works on
+   regression of the pooled shifted data. The inner fit runs this module's
+   L-BFGS (``_lbfgs``, L-BFGS-B's unbounded defaults) on the exact gradient
+   of the squared error, so it needs no finite-difference probes. This model works on
    float lists in plain Python: its vectors have about ten entries, where
    numpy's per-call cost outweighs the arithmetic.
 3. The ratio power law with one shared exponent across (model, data)

@@ -272,8 +272,9 @@ _GRID = [float(a) for a in np.arange(0.05, 1.5, 0.05)] + [1.5]
 
 def _full_grid_search(curves, approach):
     """The shift-exponent search without a seed: every point of the 0.05 grid solved,
-    then the fit's halvings of the bracket from the grid minimum. Returns the best solve
-    made as (sse, exponent)."""
+    then five halvings of the bracket from the grid minimum, each keeping the lowest of
+    the exponent and the two a step either side of it. Returns the best solve made as
+    (sse, exponent)."""
     f_C, f_D, y = (np.asarray([c[i] for c in curves], dtype=float) for i in range(3))
     levels = np.arange(0.0, fitting.H_MAX_BY_APPROACH[approach] + 0.25, 0.5)
     lo, hi = fitting.SHIFT_EXPONENT_BOUNDS
@@ -285,7 +286,7 @@ def _full_grid_search(curves, approach):
         return solves[exponent]
 
     exponent = min(_GRID, key=lambda a: (sse(a), a))
-    for step in fitting._REFINE_STEPS:
+    for step in (0.025, 0.0125, 0.00625, 0.003125, 0.0015625):
         near = [a for a in (exponent - step, exponent, exponent + step) if lo <= a <= hi]
         exponent = min(near, key=lambda a: (sse(a), a))
     return min((f, a) for a, f in solves.items())
@@ -409,11 +410,16 @@ def test_kstar_refinement_solves_at_most_two_exponents_per_step(cells):
     slope=st.floats(0.5, 1.5),
 )
 @example(exponent=2.0, budgets=[-4, -2], slope=2.0 / 3.0)
-def test_kstar_fit_exponent_lies_inside_its_search_bounds(exponent, budgets, slope):
-    # the grid's last point is the upper bound itself, not 0.05 + 29 * 0.05
+def test_kstar_fit_finds_a_planted_exponent_inside_its_search_bounds(exponent, budgets, slope):
+    # the grid's last point is the upper bound itself, not 0.05 + 29 * 0.05; and the last
+    # halving steps 0.0015625, so an exact planted exponent inside the bounds is found to
+    # about half of that
     doc = fitting.fit_kstar_model(planted_curves(budgets, 0.25, exponent, slope))
+    found = doc["parameters"]["shift_exponent"]
     lo, hi = fitting.SHIFT_EXPONENT_BOUNDS
-    assert lo <= doc["parameters"]["shift_exponent"] <= hi
+    assert lo <= found <= hi
+    if lo <= exponent <= hi:
+        assert found == pytest.approx(exponent, rel=0, abs=1e-3)
 
 
 @settings(max_examples=25)  # each example is two k* fits of ~40 ms
