@@ -140,14 +140,13 @@ def cell_budgets(f_C: int, f_D: int) -> tuple[float, float]:
     return budgets
 
 
-@functools.lru_cache(maxsize=4096)
 def derive_single_stage(factors: FactorTuple) -> DerivedSetup:
     """Expand a factor tuple into concrete training quantities.
 
     Raises ValidationError when a derived quantity (or the epoch count
-    as a float) overflows or underflows to zero. Cached: the result is
-    frozen, so every setup with these factors shares one; the default grid
-    has 586 distinct tuples.
+    as a float) overflows or underflows to zero. Not cached here: ``space``
+    keeps one derived setup per factor tuple, which every setup with those
+    factors shares.
     """
     f_C, f_D = factors.f_C, factors.f_D
     try:

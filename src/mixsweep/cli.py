@@ -421,15 +421,15 @@ def _render_summary(report: dict) -> str:
         f"{len(field(ingest, 'rejected_unknown', list))} rejected, "
         f"{len(field(ingest, 'duplicates', list))} duplicate keys reduced",
     ]
-    compute_optimal = {entry["f_C"]: entry for entry in report["compute_optimal"]}
+    compute_optimal = {field(entry, "f_C", int): entry for entry in report["compute_optimal"]}
     for entry in report["thresholds"]:
-        f_C = entry["f_C"]
+        f_C = field(entry, "f_C", int)
         optimum = compute_optimal.get(f_C, {"D_star": None})
         d_star = None if optimum["D_star"] is None else field(optimum, "D_star", float)
         d_star_text = f"D*={d_star:.4g}" if d_star else "D* unavailable"
-        if not entry["crossed"]:
+        if not field(entry, "crossed", bool):
             verdict = "no approach switch found"
-        elif entry["open_upper"]:
+        elif field(entry, "open_upper", bool):
             verdict = (
                 f"multi-2stage wins everywhere measured "
                 f"(largest win at D_T={field(entry, 'lower_D_T', float):.4g}; no upper crossing)"

@@ -2,18 +2,17 @@
 
 1. Quadratic fit of loss against the log2 epoch factor, giving a
    continuous epoch optimum per budget cell.
-2. The epoch-extrapolation model: log2 of the optimal epoch count equals a
-   monotone decreasing piecewise-linear function of the corpus factor f_D
-   shifted by ``a * f_C``, with the compute factor f_C = log2(compute /
-   reference). Fitted by an outer 1-D search over the shift exponent (a
-   downhill walk on a coarse grid from the median shift between budgets,
-   ``_shift_seed``, then five halvings of the bracket around the walk's
-   grid minimum, ``_REFINE_STEPS``) with an inner monotone-constrained
-   least-squares fit of the knot positions, initialized from isotonic
-   regression of the pooled shifted data. The inner fit runs this module's
-   L-BFGS (``_lbfgs``, L-BFGS-B's unbounded defaults) on the exact gradient
-   of the squared error, so it needs no finite-difference probes. This model works on
-   float lists in plain Python: its vectors have about ten entries, where
+2. The epoch-extrapolation model: log2 of the optimal epoch count equals a monotone
+   decreasing piecewise-linear function of the corpus factor f_D shifted by ``a * f_C``,
+   with the compute factor f_C = log2(compute / reference). Fitted by an outer 1-D search
+   over the shift exponent (a downhill walk on a coarse grid from the median shift between
+   budgets, ``_shift_seed``, then five halvings of the bracket around the walk's grid
+   minimum, ``_REFINE_STEPS``) with an inner monotone-constrained least-squares fit of the
+   knot positions, initialized from isotonic regression of the pooled shifted data. Both
+   seeds read one isotonic fit, ``_isotonic_blocks``, through one inversion, ``_invert``.
+   The inner fit runs this module's L-BFGS (``_lbfgs``, L-BFGS-B's unbounded defaults) on
+   the exact gradient of the squared error, so it needs no finite-difference probes. This
+   model works on float lists in plain Python: its vectors have about ten entries, where
    numpy's per-call cost outweighs the arithmetic.
 3. The ratio power law with one shared exponent across (model, data)
    groups, fitted in plain Python by within-group centering in log space.
@@ -188,22 +187,8 @@ def _pav_increasing(values: Sequence[float]) -> list[float]:
     return [s / c for s, c in zip(sums, counts) for _ in range(c)]
 
 
-def _initial_positions(
-    x: Sequence[float], y: Sequence[float], levels: Sequence[float]
-) -> list[float]:
-    """Knot positions from isotonic regression of the pooled shifted data.
-
-    Fit a nonincreasing step function to (x, y), collapse it to strictly
-    decreasing (value, mean position) blocks, then invert by interpolation
-    at the fixed levels. Levels outside the fitted value range extend
-    linearly with the edge slope, capped in magnitude at ``_SEED_SLOPE_CAP``
-    times the overall secant (first to last block): two edge blocks whose
-    values differ by ~1e-13 give a slope ~1e13, which would seed the outer
-    knots ~1e12 away from data that span a few units, where the first line
-    search finds no acceptable step and the solve stops unconverged at its
-    seed. A flat fit, or edge values so close that the extended knots would
-    span more than the float range, extends with slope -1 instead.
-    """
+def _isotonic_blocks(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(vals, xmean): the closest nonincreasing fit of (x, y), one block per fitted value."""
     order = sorted(range(len(x)), key=x.__getitem__)  # stable: equal x keep their order
     xs = [x[i] for i in order]
     iso = [-v for v in _pav_increasing([-y[i] for i in order])]
@@ -215,23 +200,43 @@ def _initial_positions(
             vals.append(iso[start])
             xmean.append(_sum(xs[start:i]) / (i - start))
             start = i
+    return vals, xmean
+
+
+def _invert(vals: Sequence[float], xmean: Sequence[float], level: float) -> float:
+    """Where the blocks' linear interpolation reaches a level in [vals[-1], vals[0]]."""
+    k = bisect.bisect_left(vals, -level, key=operator.neg)  # the first block at or below the level
+    if k == 0 or vals[k] == level:
+        return xmean[k]
+    slope = (xmean[k - 1] - xmean[k]) / (vals[k - 1] - vals[k])
+    return slope * (level - vals[k]) + xmean[k]
+
+
+def _initial_positions(
+    x: Sequence[float], y: Sequence[float], levels: Sequence[float]
+) -> list[float]:
+    """Knot positions from isotonic regression of the pooled shifted data.
+
+    Fit a nonincreasing step function to (x, y) as strictly decreasing (value,
+    mean position) blocks (``_isotonic_blocks``), then invert by interpolation
+    at the fixed levels (``_invert``). Levels outside the fitted value range extend
+    linearly with the edge slope, capped in magnitude at ``_SEED_SLOPE_CAP``
+    times the overall secant (first to last block): two edge blocks whose
+    values differ by ~1e-13 give a slope ~1e13, which would seed the outer
+    knots ~1e12 away from data that span a few units, where the first line
+    search finds no acceptable step and the solve stops unconverged at its
+    seed. A flat fit, or edge values so close that the extended knots would
+    span more than the float range, extends with slope -1 instead.
+    """
+    vals, xmean = _isotonic_blocks(x, y)
     if len(vals) == 1:
         return [xmean[0] - (level - vals[0]) for level in levels]  # flat fit: fallback slope -1
-    # invert: the ascending value axis maps to descending positions
-    up_vals, up_xmean = vals[::-1], xmean[::-1]
-
-    def inside(level: float) -> float:  # linear interpolation within the value range
-        j = bisect.bisect_right(up_vals, level) - 1
-        if j == len(up_vals) - 1 or up_vals[j] == level:
-            return up_xmean[j]
-        slope = (up_xmean[j + 1] - up_xmean[j]) / (up_vals[j + 1] - up_vals[j])
-        return slope * (level - up_vals[j]) + up_xmean[j]
 
     def extend(slope_below: float, slope_above: float) -> list[float]:
         return [
             xmean[-1] + slope_below * (level - vals[-1]) if level < vals[-1]
             else xmean[0] + slope_above * (level - vals[0]) if level > vals[0]
-            else inside(level)
+            else _invert(vals, xmean, level)
             for level in levels
         ]
 
@@ -588,31 +593,24 @@ def _shift_seed(
     """Median shift exponent between budgets: the start of the exponent search.
 
     Under the model a level of log2 k* reached at corpus factor d1 on budget c1 and at
-    d2 on budget c2 gives d1 - a * c1 = d2 - a * c2. Each budget's cells, sorted by f_D,
-    get their closest nonincreasing fit (as in ``_initial_positions``). For every
-    ordered pair of distinct budgets, each fitted level y of the first is found on the
-    first segment of the second's fit with lo <= y <= hi and lo < hi, whose d2 is
-    interpolated linearly. Returns the median of the finite a = (d1 - d2) / (c1 - c2),
-    or nan when there are none.
+    d2 on budget c2 gives d1 - a * c1 = d2 - a * c2. Each budget's cells get their
+    closest nonincreasing fit in f_D, as blocks (``_isotonic_blocks``). For every ordered
+    pair of distinct budgets, each block (y, d1) of the first is located on the second's
+    fit as the knot seed locates a level, d2 = ``_invert(...)``, when that fit has two
+    blocks or more and y lies within its values. Returns the median of the finite
+    a = (d1 - d2) / (c1 - c2), or nan when there are none.
     """
     budgets: dict[float, list[tuple[float, float]]] = {}
     for c, d, y in zip(compute_factor, corpus_factor, log2_kstar):
         budgets.setdefault(c, []).append((d, y))
-    for c, points in budgets.items():  # each budget's levels become their fit
-        points.sort(key=operator.itemgetter(0))  # stable: equal f_D keep their order
-        fitted = _pav_increasing([-y for _, y in points])
-        budgets[c] = [(d, -v) for (d, _), v in zip(points, fitted)]
+    blocks = {c: _isotonic_blocks(*zip(*points)) for c, points in budgets.items()}
     shifts = []
-    for (c1, fit1), (c2, fit2) in itertools.permutations(budgets.items(), 2):
-        segments = [(d_hi, hi, d_lo, lo)
-                    for (d_hi, hi), (d_lo, lo) in zip(fit2, fit2[1:]) if lo < hi]
-        for d1, y in fit1:
-            for d_hi, hi, d_lo, lo in segments:
-                if lo <= y <= hi:
-                    a = (d1 - (d_hi + (hi - y) / (hi - lo) * (d_lo - d_hi))) / (c1 - c2)
-                    if math.isfinite(a):
-                        shifts.append(a)
-                    break
+    for (c1, (vals1, xmean1)), (c2, (vals2, xmean2)) in itertools.permutations(blocks.items(), 2):
+        for y, d1 in zip(vals1, xmean1):
+            if len(vals2) > 1 and vals2[-1] <= y <= vals2[0]:
+                a = (d1 - _invert(vals2, xmean2, y)) / (c1 - c2)
+                if math.isfinite(a):
+                    shifts.append(a)
     if not shifts:
         return math.nan
     shifts.sort()

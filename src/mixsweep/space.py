@@ -77,6 +77,7 @@ def _items(obj: dict) -> str:
 
 class _FactorParts(NamedTuple):
     factors: FactorTuple  # the one tuple that every setup read with these factors shares
+    setup: DerivedSetup  # and the one derived setup, which ``SetupSpec.derived()`` returns
     id: str
     wire: str  # the items f_r to f_D
     derived: str  # the items M to D_total
@@ -90,7 +91,7 @@ def _factor_parts(f_r: int, f_M: int, f_k: int, f_C: int) -> _FactorParts:
     factors = FactorTuple(f_r, f_M, f_k, f_C)
     derived, f_D = derive_single_stage(factors), factors.f_D
     return _FactorParts(
-        factors, f"fC{f_C}_fD{f_D}_fr{f_r}_fM{f_M}_fk{f_k}",
+        factors, derived, f"fC{f_C}_fD{f_D}_fr{f_r}_fM{f_M}_fk{f_k}",
         _items({"f_r": f_r, "f_M": f_M, "f_k": f_k, "f_C": f_C, "f_D": f_D}),
         _items({"M": derived.model_scale, "k": derived.epochs, "C": derived.compute,
                 "D_T": derived.target_tokens, "D_total": derived.total_tokens}),
@@ -208,7 +209,7 @@ class SetupSpec(_SetupFields):
         return _ratio_parts_of(self.factors.f_r, *self[1:3]).approach
 
     def derived(self) -> DerivedSetup:
-        return derive_single_stage(self.factors)
+        return _factor_parts(*self.factors).setup
 
 
 def enumerate_single_stage(ranges: dict[int, RangeRow] | None = None) -> list[SetupSpec]:

@@ -345,6 +345,16 @@ def test_threshold_ignores_cells_missing_a_category():
     assert entry["upper_D_T"] == groups[2]["D_T"]
 
 
+def test_threshold_needs_minima_to_scan():
+    with pytest.raises(ValidationError, match="^no minima to scan for a threshold$"):
+        analysis.detect_threshold([], 1.0)
+
+
+def test_epoch_minima_rejects_an_unknown_category(surrogate_results):
+    with pytest.raises(ValueError, match="^unknown category 'mono'$"):
+        analysis.epoch_minima(surrogate_results, "mono")
+
+
 def test_threshold_invariant_to_non_minimal_records(surrogate_results, all_setups):
     baseline = analysis.build_report(surrogate_results)
     # re-ingest with an extra record that is worse than every minimum

@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -52,8 +53,15 @@ def test_derive_mixed_factors():
 
 
 def test_equal_factor_tuples_share_one_derived_setup():
-    first = budget.derive_single_stage(budget.FactorTuple(2, 1, 3, -2))
-    assert budget.derive_single_stage(budget.FactorTuple(2, 1, 3, -2)) is first
+    # space keeps one derived setup per factor tuple: equal specs, one- or two-stage, and
+    # a spec read back from setups.jsonl all return that object
+    first = space.SetupSpec(budget.FactorTuple(2, 1, 3, -2))
+    same = space.SetupSpec(budget.FactorTuple(2, 1, 3, -2), Fraction(0), Fraction(1))
+    buf = io.StringIO()
+    space.write_jsonl([first], buf)
+    (read,) = space.read_jsonl(io.StringIO(buf.getvalue()))
+    assert same.derived() is first.derived() is read.derived()
+    assert first.derived() == budget.derive_single_stage(first.factors)
     with pytest.raises(ValidationError, match="leaves the float range"):
         budget.derive_single_stage(budget.FactorTuple(0, -2000, 0, 0))
 

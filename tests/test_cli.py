@@ -2339,12 +2339,20 @@ def test_report_checks_each_table_cell(workspace, tmp_path, capsys, edit, messag
         (lambda doc: doc["ingest"].update(n_records="abc"), "n_records must be an integer, got 'abc'"),
         (lambda doc: doc["optimal_scale"]["fold_change"].update({"0": 10**400}),
          "0 must be a finite number, got 1000"),
+        # each of these was formatted or tested for truth as it came
+        (_set("thresholds", "f_C", "zero"), "f_C must be an integer, got 'zero'"),
+        (_set("compute_optimal", "f_C", -4.0), "f_C must be an integer, got -4.0"),
+        (_set("thresholds", "crossed", "no", row=1), "crossed must be true or false, got 'no'"),
+        (_set("thresholds", "open_upper", [1], row=2),
+         "open_upper must be true or false, got [1]"),
     ],
-    ids=["D_star", "C", "lower_D_T", "crossed-upper_D_T-null", "n_records", "fold_change"],
+    ids=["D_star", "C", "lower_D_T", "crossed-upper_D_T-null", "n_records", "fold_change",
+         "thresholds-f_C", "compute_optimal-f_C", "crossed", "open_upper"],
 )
 def test_report_summary_rejects_numbers_it_cannot_format(workspace, tmp_path, capsys, edit,
                                                          message):
-    # a float format cannot take a JSON integer past the float range (OverflowError)
+    # a float format cannot take a JSON integer past the float range (OverflowError), and
+    # every other field the summary reads must be its JSON type
     path = _edited_report(workspace, tmp_path, edit)
     out = tmp_path / "out"
     code = run(["report", "--analysis", path, "--out-dir", str(out), "--summary"])

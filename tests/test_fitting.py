@@ -1019,6 +1019,32 @@ def test_lbfgs_returns_a_non_finite_start_unsolved():
     assert (solve.f, solve.nfev, solve.nit, solve.converged) == (math.inf, 1, 0, False)
 
 
+def test_lbfgs_stops_unconverged_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fitting, "_LBFGS_MAXITER", 1)
+    solve = fitting._lbfgs(_rosenbrock, [-1.2, 1.0])
+    assert (solve.nit, solve.converged) == (1, False)
+    assert solve.f < _rosenbrock([-1.2, 1.0])[0]
+    assert solve.nfev > solve.nit
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # an interval end whose value is inf and slope nan makes the cubic step nan
+        (0.0, 1.0, -1.0, 2.0, math.inf, math.nan, 1.0, 0.5, -1.5, True, 0.0, 2.0),
+        # a trial at the best step itself on a higher value divides by stp - stx = 0
+        (1.0, 0.0, -1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, True, 0.0, 4.0),
+        # slopes of one sign that the secant cancels: the cubic's square root of a negative
+        (0.0, 0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0 / 3.0, 1.0, True, 0.0, 2.0),
+    ],
+    ids=["nan-step", "zero-division", "negative-root"],
+)
+def test_dcstep_bisects_where_minpack_arithmetic_gives_nan(args):
+    stx, _, _, sty, _, _, brackt, stp = fitting._dcstep(*args)
+    assert brackt
+    assert stp == stx + 0.5 * (sty - stx)
+
+
 def _planted_smooth_solve(seed):
     """(x, y, levels) of a noisy planted knot solve whose points stay away from the knots.
 

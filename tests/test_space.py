@@ -325,6 +325,16 @@ def test_jsonl_errors_carry_line_numbers():
         list(space.read_jsonl(io.StringIO(json.dumps(tampered) + "\n")))
 
 
+def test_an_id_with_a_ratio_text_that_names_no_ratio_goes_to_the_json_read():
+    # "_r1x" is no ratio text: the id lookup gives up, and the JSON read names the line
+    good = space.wire_line(space.SetupSpec(FactorTuple(0, 0, 0, 0)))
+    spec_id = json.loads(good)["id"]
+    assert space._id_ratio_parts(0, "_r1x") is None
+    bad = good.replace(f'"{spec_id}"', f'"{spec_id}_r1x"', 1)
+    assert _outcome(space.read_jsonl, good + "\n" + bad + "\n") == (
+        f"line 2: setup id '{spec_id}_r1x' does not match fields ({spec_id})")
+
+
 @pytest.mark.parametrize(
     "kind, value, expected",
     [

@@ -33,6 +33,12 @@ def test_effective_tokens_grows_with_epochs():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("ratio", [0, 1.5])
+def test_effective_tokens_needs_a_ratio_in_the_unit_interval(ratio):
+    with pytest.raises(ValidationError, match=rf"^ratio must be in \(0, 1\], got {float(ratio)}$"):
+        surrogate.effective_tokens(1e9, 1, ratio, surrogate.SurrogateParams())
+
+
 def test_gamma_zero_collapses_two_stage():
     params = surrogate.SurrogateParams(second_stage_weight=0.0)
     single = surrogate.composite_loss(4.7e8, 1e9, 4, 0.25, params=params)
